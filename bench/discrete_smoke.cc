@@ -4,15 +4,19 @@
 // whole figure/fuzz pipeline. This bench runs one flash_crowd day in P2P
 // mode (the heaviest discrete path: per-peer walks, rarest-first
 // rebalances, pool churn) at a population far above the golden presets',
-// and emits BENCH_discrete.json (events/s, peers simulated, peak RSS).
+// and emits BENCH_discrete.json (events/s, peers simulated, peak RSS,
+// rebalance work).
 //
-// The gate: events/s must reach --min-events-per-sec, whose default is
+// The gates: events/s must reach --min-events-per-sec, whose default is
 // 2x the pre-overhaul baseline measured by this same bench on the
 // reference container (kBaselineEventsPerSec below; unordered_map peers +
 // std::function events + map-based pools). Both the baseline and the
 // realized figure land in the JSON so the speedup is recorded, not
 // asserted. Sanitizer/debug builds detect themselves and skip the rate
-// gate (the run itself still exercises the hot path).
+// gate (the run itself still exercises the hot path). A deterministic gate
+// rides along on every build: the owner-list entries the rarest-first
+// rebalance reads per tick must stay below the member×chunk bitmap cells a
+// per-tick ownership rebuild would scan. Both counts are exact for a seed.
 //
 // Flags: --rate=6.0 --hours=10 --warmup=0 --seed=42
 //        --min-events-per-sec=<2x baseline> --max-rss-mb=2048
@@ -89,6 +93,11 @@ int main(int argc, char** argv) {
   const double events_per_sec = events / wall;
   const double rss_mb = util::peak_rss_mb();
   const auto viewers = static_cast<double>(result.metrics.counters.arrivals);
+  const vod::RebalanceCounters& rebalance = result.rebalance;
+  CM_ENSURES(rebalance.ticks > 0);
+  const double ticks = static_cast<double>(rebalance.ticks);
+  const double visits_per_tick = static_cast<double>(rebalance.visits) / ticks;
+  const double cells_per_tick = static_cast<double>(rebalance.member_cells) / ticks;
   std::printf(
       "  %.3g events in %.2f s  |  %.3g events/s  |  %.3g viewers  |  "
       "peak rss %.1f MB\n",
@@ -97,6 +106,11 @@ int main(int argc, char** argv) {
               "rss <= %.0f MB\n",
               min_events_per_sec, kBaselineEventsPerSec,
               events_per_sec / kBaselineEventsPerSec, max_rss_mb);
+  std::printf("  rebalance: %.0f ticks, %.4g owner-list visits/tick < %.4g "
+              "member x chunk cells/tick (%.2fx fewer)\n",
+              ticks, visits_per_tick, cells_per_tick,
+              cells_per_tick / visits_per_tick);
+  CM_ENSURES(rebalance.visits < rebalance.member_cells);
 
   if (sanitized_build()) {
     std::printf("  sanitizer build: throughput/RSS gates skipped\n");
@@ -122,6 +136,9 @@ int main(int argc, char** argv) {
   bench["speedup_vs_baseline"] = events_per_sec / kBaselineEventsPerSec;
   bench["min_events_per_sec"] = min_events_per_sec;
   bench["peak_rss_mb"] = rss_mb;
+  bench["rebalance_ticks"] = ticks;
+  bench["rebalance_visits_per_tick"] = visits_per_tick;
+  bench["rebalance_member_cells_per_tick"] = cells_per_tick;
   bench["max_rss_mb"] = max_rss_mb;
   bench["gates_enforced"] = !sanitized_build();
   const std::string out = flags.get("out", std::string("BENCH_discrete.json"));

@@ -143,6 +143,16 @@ if(CLOUDMEDIA_BUILD_BENCH)
     --out=${CMAKE_BINARY_DIR}/artifacts/BENCH_cohort_smoke.json)
 endif()
 
+# The discrete engine's per-peer bookkeeping at unit scale: the id-sorted
+# owner lists the rarest-first rebalance reads (insert on a chunk's first
+# completion, erase on departure, eviction included) checked against a
+# from-scratch bitmap waterfall, plus the pool timers. Smoke-labelled so
+# the sanitizer job runs them under ASan/UBSan on every commit.
+if(TARGET vod_test)
+  add_smoke_test(discrete_rebalance vod_test
+    --gtest_filter=StreamingSystem.*:ServicePool.*)
+endif()
+
 # Cohort/discrete engine equivalence gates the smoke tier too: engine=auto
 # below the population threshold must replay the discrete engine bit for
 # bit, or every committed golden is at risk.

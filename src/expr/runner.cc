@@ -339,6 +339,7 @@ ExperimentResult ExperimentRunner::run(const ExperimentConfig& config) {
       cohort_system ? cohort_system->current_users()
                     : discrete_system->current_users());
   result.used_cohort_engine = use_cohort;
+  if (discrete_system) result.rebalance = discrete_system->rebalance_counters();
   return result;
 }
 

@@ -25,6 +25,7 @@ struct ExperimentResult {
   /// mass, so the checker allows it one viewer of slack per cohort.
   long final_users = 0;
   bool used_cohort_engine = false;  ///< which core the engine knob picked
+  vod::RebalanceCounters rebalance;  ///< discrete engine only (zero on cohort)
 
   // --- summaries over the measurement window ----------------------------
   [[nodiscard]] double mean_quality() const;

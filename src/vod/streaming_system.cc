@@ -16,6 +16,23 @@ std::uint64_t make_handle(std::uint32_t slot, std::uint32_t generation) noexcept
   return static_cast<std::uint64_t>(slot) |
          (static_cast<std::uint64_t>(generation) << 32);
 }
+
+/// Position of peer `id` in an id-sorted slot vector (binary search).
+auto id_position(std::vector<std::uint32_t>& slots, const std::vector<Peer>& slab,
+                 std::uint64_t id) {
+  return std::ranges::lower_bound(slots, id, {},
+                                  [&slab](std::uint32_t slot) { return slab[slot].id; });
+}
+
+std::vector<std::uint64_t> handles_of(const std::vector<std::uint32_t>& slots,
+                                      const std::vector<Peer>& slab) {
+  std::vector<std::uint64_t> handles;
+  handles.reserve(slots.size());
+  for (const std::uint32_t slot : slots) {
+    handles.push_back(make_handle(slot, slab[slot].generation));
+  }
+  return handles;
+}
 }  // namespace
 
 StreamingSystem::StreamingSystem(sim::Simulator& simulator,
@@ -54,12 +71,10 @@ StreamingSystem::StreamingSystem(sim::Simulator& simulator,
           }));
     }
   }
-  peer_capacity_.assign(total, 0.0);
   served_cloud_snapshot_.assign(total, 0.0);
   members_.resize(static_cast<std::size_t>(num_channels_));
-  owner_count_.assign(static_cast<std::size_t>(num_channels_),
-                      std::vector<int>(static_cast<std::size_t>(num_chunks_), 0));
-  position_count_ = owner_count_;
+  owners_.resize(total);
+  position_count_.assign(total, 0);
   uplink_sum_.assign(static_cast<std::size_t>(num_channels_), 0.0);
   next_user_index_.assign(static_cast<std::size_t>(num_channels_), 0);
   last_arrival_time_.assign(static_cast<std::size_t>(num_channels_), 0.0);
@@ -109,13 +124,12 @@ const Peer* StreamingSystem::find_peer(std::uint64_t handle) const noexcept {
 std::vector<std::uint64_t> StreamingSystem::channel_peer_handles(
     int channel) const {
   CM_EXPECTS(channel >= 0 && channel < num_channels_);
-  const auto& slots = members_[static_cast<std::size_t>(channel)];
-  std::vector<std::uint64_t> handles;
-  handles.reserve(slots.size());
-  for (const std::uint32_t slot : slots) {
-    handles.push_back(make_handle(slot, slab_[slot].generation));
-  }
-  return handles;  // members_ is id-sorted already
+  return handles_of(members_[static_cast<std::size_t>(channel)], slab_);
+}
+
+std::vector<std::uint64_t> StreamingSystem::owner_handles(int channel,
+                                                          int chunk) const {
+  return handles_of(owners_[pool_index(channel, chunk)], slab_);
 }
 
 void StreamingSystem::start() {
@@ -185,6 +199,7 @@ void StreamingSystem::handle_arrival(int channel, double time) {
   peer.walk.assign(script.chunks.begin(), script.chunks.end());
   peer.position = 0;
   peer.owned.assign(static_cast<std::size_t>(num_chunks_), false);
+  peer.owned_count = 0;
   peer.last_late = -1e300;
   peer.downloading = false;
   peer.download_start = 0.0;
@@ -195,7 +210,7 @@ void StreamingSystem::handle_arrival(int channel, double time) {
   const int entry = peer.walk.front();
 
   uplink_sum_[ch] += peer.uplink;
-  ++position_count_[ch][static_cast<std::size_t>(entry)];
+  ++position_count_[pool_index(channel, entry)];
   tracker_.record_arrival(channel, entry);
   ++metrics_.counters.arrivals;
 
@@ -255,7 +270,9 @@ void StreamingSystem::handle_completion(int channel, int chunk,
 
   if (!peer.owned[static_cast<std::size_t>(chunk)]) {
     peer.owned[static_cast<std::size_t>(chunk)] = true;
-    ++owner_count_[static_cast<std::size_t>(channel)][static_cast<std::size_t>(chunk)];
+    ++peer.owned_count;
+    std::vector<std::uint32_t>& owners = owners_[pool_index(channel, chunk)];
+    owners.insert(id_position(owners, slab_, peer.id), slot_of(peer));
   }
 
   // The user watches the chunk for T0; a late download stalls playback, so
@@ -273,14 +290,13 @@ void StreamingSystem::handle_dwell_end(std::uint64_t handle) {
 }
 
 void StreamingSystem::advance_walk(Peer& peer) {
-  const auto ch = static_cast<std::size_t>(peer.channel);
   const int from = peer.walk[peer.position];
-  --position_count_[ch][static_cast<std::size_t>(from)];
+  --position_count_[pool_index(peer.channel, from)];
 
   if (peer.position + 1 < peer.walk.size()) {
     ++peer.position;
     const int to = peer.walk[peer.position];
-    ++position_count_[ch][static_cast<std::size_t>(to)];
+    ++position_count_[pool_index(peer.channel, to)];
     tracker_.record_transition(peer.channel, from, to);
     begin_chunk(peer);
   } else {
@@ -298,21 +314,20 @@ void StreamingSystem::depart(Peer& peer) {
     pool(peer.channel, peer.walk[peer.position]).remove_job(peer.job_id);
     peer.downloading = false;
   }
+  // Erase from the id-sorted member and owner vectors (binary search on
+  // the monotone peer id; the memmove is cheap next to a per-tick sort).
+  const auto erase_slot = [this, &peer](std::vector<std::uint32_t>& slots) {
+    const auto it = id_position(slots, slab_, peer.id);
+    CM_ENSURES(it != slots.end() && slab_[*it].id == peer.id);
+    slots.erase(it);
+  };
   for (int i = 0; i < num_chunks_; ++i) {
     if (peer.owned[static_cast<std::size_t>(i)]) {
-      --owner_count_[ch][static_cast<std::size_t>(i)];
+      erase_slot(owners_[pool_index(peer.channel, i)]);
     }
   }
   uplink_sum_[ch] -= peer.uplink;
-
-  // Erase from the channel's id-sorted member vector (binary search on
-  // the monotone peer id; the memmove is cheap next to a per-tick sort).
-  std::vector<std::uint32_t>& members = members_[ch];
-  const auto it = std::lower_bound(
-      members.begin(), members.end(), peer.id,
-      [this](std::uint32_t slot, std::uint64_t id) { return slab_[slot].id < id; });
-  CM_ENSURES(it != members.end() && slab_[*it].id == peer.id);
-  members.erase(it);
+  erase_slot(members_[ch]);
 
   ++metrics_.counters.departures;
 
@@ -328,14 +343,12 @@ void StreamingSystem::depart(Peer& peer) {
 std::size_t StreamingSystem::evict_channel(int channel) {
   CM_EXPECTS(channel >= 0 && channel < num_channels_);
   const auto ch = static_cast<std::size_t>(channel);
-  // Snapshot: members_ is kept sorted by peer id, so this is already the
-  // ascending-id order the old sorted-id map walk produced; depart()
-  // mutates the member vector underneath the loop.
+  // Snapshot in ascending-id order: depart() mutates members_ underneath.
   const std::vector<std::uint32_t> slots = members_[ch];
   for (const std::uint32_t slot : slots) {
     Peer& peer = slab_[slot];
     const int current = peer.walk[peer.position];
-    --position_count_[ch][static_cast<std::size_t>(current)];
+    --position_count_[pool_index(channel, current)];
     tracker_.record_transition(channel, current, std::nullopt);
     depart(peer);
   }
@@ -377,22 +390,20 @@ core::TrackerReport StreamingSystem::bootstrap_report() const {
 void StreamingSystem::run_provisioning(double now) {
   const double interval = options_.provisioning_interval;
 
+  const auto channels = static_cast<std::size_t>(num_channels_);
   std::vector<std::vector<double>> occupancy(
-      static_cast<std::size_t>(num_channels_),
-      std::vector<double>(static_cast<std::size_t>(num_chunks_), 0.0));
-  std::vector<double> mean_uplink(static_cast<std::size_t>(num_channels_), 0.0);
-  std::vector<std::vector<double>> served(
-      static_cast<std::size_t>(num_channels_),
-      std::vector<double>(static_cast<std::size_t>(num_chunks_), 0.0));
+      channels, std::vector<double>(static_cast<std::size_t>(num_chunks_), 0.0));
+  std::vector<std::vector<double>> served = occupancy;
+  std::vector<double> mean_uplink(channels, 0.0);
 
   for (int c = 0; c < num_channels_; ++c) {
     const auto ch = static_cast<std::size_t>(c);
     for (int i = 0; i < num_chunks_; ++i) {
-      occupancy[ch][static_cast<std::size_t>(i)] =
-          static_cast<double>(position_count_[ch][static_cast<std::size_t>(i)]);
-      ServicePool& p = pool(c, i);
-      p.sync();
       const std::size_t key = pool_index(c, i);
+      occupancy[ch][static_cast<std::size_t>(i)] =
+          static_cast<double>(position_count_[key]);
+      ServicePool& p = *pools_[key];
+      p.sync();
       served[ch][static_cast<std::size_t>(i)] =
           (p.cloud_bytes_served() - served_cloud_snapshot_[key]) / interval;
       served_cloud_snapshot_[key] = p.cloud_bytes_served();
@@ -459,111 +470,80 @@ void StreamingSystem::rebalance_capacity() {
   //    next tick.
   //  - Peers (P2P mode): rarest-first allocation of owners' uplinks to
   //    active demand (Sec. IV-C), residual split as standby over owned
-  //    chunks.
+  //    chunks. Both passes read the id-sorted owner lists, so every float
+  //    sum accumulates in ascending peer-id order.
   const double r = params_.streaming_rate;
-  std::vector<double> remaining;
-  std::vector<double> standby_share;
-  // owners_by_chunk[ck] = member indices (ascending) owning chunk ck,
-  // rebuilt per channel in one pass over each peer's bitmap. The waterfall
-  // then touches only actual owners instead of re-scanning every member's
-  // bitmap for every chunk — the float sums still accumulate in ascending
-  // member order, so they are bit-identical to the full filtered scans.
-  std::vector<std::vector<std::uint32_t>> owners_by_chunk(
-      static_cast<std::size_t>(num_chunks_));
+  const auto chunks = static_cast<std::size_t>(num_chunks_);
+  remaining_.resize(slab_.size());
+  standby_.resize(slab_.size());
+  cloud_alloc_.resize(chunks);
+  order_.resize(chunks);
+  ++rebalance_.ticks;
 
   for (int c = 0; c < num_channels_; ++c) {
     const auto ch = static_cast<std::size_t>(c);
+    const std::size_t base = pool_index(c, 0);
 
     // --- cloud share: follow current requests --------------------------
     double channel_cloud = 0.0;
     double weight_total = 0.0;
-    std::vector<double> weight(static_cast<std::size_t>(num_chunks_), 0.0);
-    for (int i = 0; i < num_chunks_; ++i) {
-      channel_cloud += cloud_->chunk_capacity(c, i);
-      const double w =
-          static_cast<double>(pools_[pool_index(c, i)]->active_jobs()) +
-          options_.standby_weight;
-      weight[static_cast<std::size_t>(i)] = w;
-      weight_total += w;
+    for (std::size_t i = 0; i < chunks; ++i) {
+      channel_cloud += cloud_->chunk_capacity(c, static_cast<int>(i));
+      cloud_alloc_[i] = static_cast<double>(pools_[base + i]->active_jobs()) +
+                        options_.standby_weight;  // the chunk's weight
+      weight_total += cloud_alloc_[i];
     }
-    std::vector<double> cloud_alloc(static_cast<std::size_t>(num_chunks_), 0.0);
-    if (channel_cloud > 0.0 && weight_total > 0.0) {
-      for (int i = 0; i < num_chunks_; ++i) {
-        cloud_alloc[static_cast<std::size_t>(i)] =
-            channel_cloud * weight[static_cast<std::size_t>(i)] / weight_total;
-      }
-    }
+    const bool split = channel_cloud > 0.0 && weight_total > 0.0;
+    for (double& w : cloud_alloc_) w = split ? channel_cloud * w / weight_total : 0.0;
 
     // --- peer share: rarest-first waterfall (P2P only) ------------------
-    std::vector<double> peer_alloc(static_cast<std::size_t>(num_chunks_), 0.0);
-    if (options_.mode == core::StreamingMode::kP2p && !members_[ch].empty()) {
-      // members_ is sorted by ascending peer id — the deterministic order
-      // every float summation below accumulates in.
-      const std::vector<std::uint32_t>& channel_slots = members_[ch];
-      const std::size_t n = channel_slots.size();
-      remaining.assign(n, 0.0);
-      standby_share.assign(n, 0.0);
-      for (auto& owners : owners_by_chunk) owners.clear();
-      for (std::size_t p = 0; p < n; ++p) {
-        const Peer& peer = slab_[channel_slots[p]];
-        remaining[p] = peer.uplink;
-        for (int i = 0; i < num_chunks_; ++i) {
-          if (peer.owned[static_cast<std::size_t>(i)]) {
-            owners_by_chunk[static_cast<std::size_t>(i)].push_back(
-                static_cast<std::uint32_t>(p));
-          }
-        }
-      }
+    peer_alloc_.assign(chunks, 0.0);
+    const std::vector<std::uint32_t>& members = members_[ch];
+    if (options_.mode == core::StreamingMode::kP2p && !members.empty()) {
+      rebalance_.member_cells += members.size() * chunks;
+      for (const std::uint32_t slot : members) remaining_[slot] = slab_[slot].uplink;
 
-      // Chunks by rareness (ascending owner count).
-      std::vector<int> order(static_cast<std::size_t>(num_chunks_));
-      std::iota(order.begin(), order.end(), 0);
-      std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-        return owner_count_[ch][static_cast<std::size_t>(a)] <
-               owner_count_[ch][static_cast<std::size_t>(b)];
+      // Chunks by rareness (ascending owner count, ties by chunk index).
+      std::iota(order_.begin(), order_.end(), std::size_t{0});
+      std::sort(order_.begin(), order_.end(), [&](std::size_t a, std::size_t b) {
+        const std::size_t na = owners_[base + a].size();
+        const std::size_t nb = owners_[base + b].size();
+        return na != nb ? na < nb : a < b;
       });
 
-      for (int chunk : order) {
-        const auto ck = static_cast<std::size_t>(chunk);
-        const double demand =
-            static_cast<double>(pools_[pool_index(c, chunk)]->active_jobs()) * r;
-        if (demand <= 0.0 || owner_count_[ch][ck] == 0) continue;
-        const std::vector<std::uint32_t>& owners = owners_by_chunk[ck];
+      for (const std::size_t ck : order_) {
+        const std::vector<std::uint32_t>& owners = owners_[base + ck];
+        const double demand = static_cast<double>(pools_[base + ck]->active_jobs()) * r;
+        if (demand <= 0.0 || owners.empty()) continue;
+        rebalance_.visits += owners.size();
         double available = 0.0;
-        for (const std::uint32_t p : owners) available += remaining[p];
+        for (const std::uint32_t slot : owners) available += remaining_[slot];
         if (available <= 0.0) continue;
         const double supply = std::min(demand, available);
         const double keep = 1.0 - supply / available;
-        for (const std::uint32_t p : owners) remaining[p] *= keep;
-        peer_alloc[ck] = supply;
+        for (const std::uint32_t slot : owners) remaining_[slot] *= keep;
+        peer_alloc_[ck] = supply;
       }
 
-      // Standby: split each peer's residual upload evenly over its chunks.
-      // share = remaining / owned-count is fixed per peer here, so adding
-      // it chunk-major through the owner lists reproduces the peer-major
-      // scan exactly (per chunk, contributions still arrive in ascending
-      // member order).
-      for (std::size_t p = 0; p < n; ++p) {
-        standby_share[p] = 0.0;
-        if (remaining[p] <= 0.0) continue;
-        const Peer& peer = slab_[channel_slots[p]];
-        const int owned = std::accumulate(peer.owned.begin(), peer.owned.end(), 0);
-        if (owned == 0) continue;
-        standby_share[p] = remaining[p] / static_cast<double>(owned);
+      // Standby: split each peer's residual upload evenly over its chunks,
+      // added chunk-major in ascending peer-id order per chunk.
+      for (const std::uint32_t slot : members) {
+        const int owned = slab_[slot].owned_count;
+        standby_[slot] = remaining_[slot] > 0.0 && owned > 0
+                             ? remaining_[slot] / static_cast<double>(owned)
+                             : 0.0;
       }
-      for (int i = 0; i < num_chunks_; ++i) {
-        const auto ck = static_cast<std::size_t>(i);
-        for (const std::uint32_t p : owners_by_chunk[ck]) {
-          if (standby_share[p] != 0.0) peer_alloc[ck] += standby_share[p];
+      for (std::size_t i = 0; i < chunks; ++i) {
+        const std::vector<std::uint32_t>& owners = owners_[base + i];
+        rebalance_.visits += owners.size();
+        for (const std::uint32_t slot : owners) {
+          if (standby_[slot] != 0.0) peer_alloc_[i] += standby_[slot];
         }
       }
     }
 
-    for (int i = 0; i < num_chunks_; ++i) {
-      const std::size_t key = pool_index(c, i);
-      peer_capacity_[key] = peer_alloc[static_cast<std::size_t>(i)];
-      pools_[key]->set_capacity(peer_capacity_[key],
-                                cloud_alloc[static_cast<std::size_t>(i)]);
+    for (std::size_t i = 0; i < chunks; ++i) {
+      pools_[base + i]->set_capacity(peer_alloc_[i], cloud_alloc_[i]);
     }
   }
 }
@@ -636,13 +616,11 @@ std::size_t StreamingSystem::channel_users(int channel) const {
 }
 
 int StreamingSystem::owner_count(int channel, int chunk) const {
-  return owner_count_[static_cast<std::size_t>(channel)]
-                     [static_cast<std::size_t>(chunk)];
+  return static_cast<int>(owners_[pool_index(channel, chunk)].size());
 }
 
 int StreamingSystem::position_count(int channel, int chunk) const {
-  return position_count_[static_cast<std::size_t>(channel)]
-                        [static_cast<std::size_t>(chunk)];
+  return position_count_[pool_index(channel, chunk)];
 }
 
 std::size_t SystemMetrics::total_samples() const noexcept {

@@ -61,6 +61,7 @@ struct Peer {
   std::vector<int> walk;        ///< predetermined chunk walk
   std::size_t position = 0;     ///< index into walk
   std::vector<bool> owned;      ///< buffered chunks
+  int owned_count = 0;          ///< set bits in `owned`
   double last_late = -1e300;    ///< completion time of last late retrieval
   bool downloading = false;
   double download_start = 0.0;
@@ -87,6 +88,13 @@ struct SystemCounters {
   long late_downloads = 0;
   long buffered_replays = 0;  ///< revisits served from the local buffer
   long rejected_plans = 0;    ///< SLA-rejected submissions
+};
+
+/// Rarest-first rebalance work: observer tallies (no RNG, no events).
+struct RebalanceCounters {
+  std::uint64_t ticks = 0;         ///< rebalance passes
+  std::uint64_t visits = 0;        ///< owner-list entries read
+  std::uint64_t member_cells = 0;  ///< Σ P2P members × J a rebuild would scan
 };
 
 struct SystemMetrics {
@@ -116,15 +124,15 @@ struct SystemMetrics {
 ///
 /// Peer storage is a generation-guarded slab (the same pattern as
 /// CohortSystem's SoA arena): peers occupy recycled slots in one
-/// contiguous vector, each channel keeps a dense vector of member slots
-/// sorted by peer id, and every scheduled event or pool job tags
-/// the peer by handle = slot | (generation << 32). A handle from a
-/// departed session fails the generation check and the event is dropped —
-/// the same miss semantics the old unordered_map gave, without any
-/// hashing on the arrival/completion/dwell hot path. Public peer `id`s
-/// remain monotone and are what every order-sensitive path (eviction,
-/// rarest-first rebalance) sorts by, so iteration order — and therefore
-/// every float summation — is explicit rather than hash-layout-accidental.
+/// contiguous vector, each channel (and each chunk pool) keeps a dense
+/// vector of member (owner) slots sorted by peer id, and every scheduled
+/// event or pool job tags the peer by handle = slot | (generation << 32).
+/// A handle from a departed session fails the generation check and the
+/// event is dropped — the same miss semantics the old unordered_map gave,
+/// without any hashing on the arrival/completion/dwell hot path. Public
+/// peer `id`s remain monotone and are what every order-sensitive path
+/// (eviction, rarest-first rebalance) sorts by, so iteration order — and
+/// therefore every float summation — is explicit, not hash-accidental.
 class StreamingSystem {
  public:
   StreamingSystem(sim::Simulator& simulator, const workload::Workload& workload,
@@ -176,8 +184,17 @@ class StreamingSystem {
   /// The handle events/pool jobs carry for `peer` in its current session.
   [[nodiscard]] std::uint64_t peer_handle(const Peer& peer) const noexcept;
   /// Member handles of `channel`, sorted by monotone peer id — the
-  /// deterministic order eviction and the rarest-first rebalance use.
+  /// deterministic order eviction and the standby-share pass use.
   [[nodiscard]] std::vector<std::uint64_t> channel_peer_handles(int channel) const;
+  /// Handles of the live peers owning `chunk` of `channel`, sorted by
+  /// monotone peer id — the lists the rarest-first waterfall sums over.
+  [[nodiscard]] std::vector<std::uint64_t> owner_handles(int channel, int chunk) const;
+  [[nodiscard]] const RebalanceCounters& rebalance_counters() const noexcept {
+    return rebalance_;
+  }
+  [[nodiscard]] std::uint64_t rebalance_visits() const noexcept {
+    return rebalance_.visits;
+  }
 
   [[nodiscard]] double uplink_sum(int channel) const;
 
@@ -237,24 +254,29 @@ class StreamingSystem {
   int num_chunks_;
 
   std::vector<std::unique_ptr<ServicePool>> pools_;  ///< C × J
-  std::vector<double> peer_capacity_;                ///< current P2P share per pool
   std::vector<double> served_cloud_snapshot_;        ///< bytes at interval start
 
   Tracker tracker_;
   cloud::EntryPoint entry_point_;
 
   // Peer slab: slot-indexed, LIFO free list, generation-guarded handles
-  // (see the class comment). members_ holds each channel's live slots
-  // sorted by ascending peer id: arrivals append (ids are monotone, so the
-  // back is always the largest) and departures binary-search-erase, which
-  // keeps the rebalance/eviction iteration order free — no per-tick sort.
+  // (see the class comment). members_ (per channel) and owners_ (per
+  // pool) hold live slots sorted by ascending peer id: arrivals append to
+  // members_ (ids are monotone), a chunk's first completion binary-search-
+  // inserts into owners_ and departures binary-search-erase from both, so
+  // the rebalance/eviction order is free — no per-tick sort or rebuild.
   std::vector<Peer> slab_;
   std::vector<std::uint32_t> free_slots_;
   std::size_t live_peers_ = 0;
   std::vector<std::vector<std::uint32_t>> members_;         ///< per channel
-  std::vector<std::vector<int>> owner_count_;               ///< [channel][chunk]
-  std::vector<std::vector<int>> position_count_;            ///< [channel][chunk]
+  std::vector<std::vector<std::uint32_t>> owners_;          ///< per pool
+  std::vector<int> position_count_;                         ///< per pool
   std::vector<double> uplink_sum_;                          ///< per channel
+
+  std::vector<double> remaining_, standby_;       ///< per-slot rebalance scratch
+  std::vector<double> cloud_alloc_, peer_alloc_;  ///< per-chunk rebalance scratch
+  std::vector<std::size_t> order_;                ///< chunks by rarity (scratch)
+  RebalanceCounters rebalance_;
 
   std::vector<workload::PoissonArrivals> arrivals_;
   std::vector<std::uint64_t> next_user_index_;

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <utility>
@@ -660,9 +662,9 @@ TEST(StreamingSystem, GenerationGuardRejectsStaleHandlesAfterSlotReuse) {
 
 TEST(StreamingSystem, EvictionOrderIsAscendingPeerId) {
   // channel_peer_handles() is the snapshot evict_channel (and the
-  // rarest-first rebalance) iterates, so its order decides the float
-  // summation and departure order. Pin it: ascending monotone peer id,
-  // and exactly the channel's live membership — never slab or hash order.
+  // rebalance's standby-share pass) iterates, so its order decides the
+  // departure order. Pin it: ascending monotone peer id, and exactly the
+  // channel's live membership — never slab or hash order.
   expr::ExperimentConfig cfg =
       expr::ExperimentConfig::make_default(core::StreamingMode::kClientServer);
   cfg.workload.num_channels = 2;
@@ -697,6 +699,141 @@ TEST(StreamingSystem, EvictionOrderIsAscendingPeerId) {
       last_id = peer->id;
     }
   }
+}
+
+/// The rarest-first split recomputed with no incremental state: rebuild
+/// every member's ownership from its bitmap, then run the waterfall and
+/// the standby split in ascending peer-id order. Returns the expected peer
+/// capacity of each chunk pool of `channel`.
+std::vector<double> bitmap_waterfall(StreamingSystem& system, int channel,
+                                     int chunks, double streaming_rate) {
+  const auto J = static_cast<std::size_t>(chunks);
+  std::vector<const Peer*> members;
+  for (const std::uint64_t handle : system.channel_peer_handles(channel)) {
+    members.push_back(system.find_peer(handle));
+  }
+  std::vector<double> remaining;
+  std::vector<std::vector<std::size_t>> owners(J);
+  for (std::size_t p = 0; p < members.size(); ++p) {
+    remaining.push_back(members[p]->uplink);
+    for (std::size_t j = 0; j < J; ++j) {
+      if (members[p]->owned[j]) owners[j].push_back(p);
+    }
+  }
+  std::vector<int> order(J);
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+    return owners[static_cast<std::size_t>(a)].size() <
+           owners[static_cast<std::size_t>(b)].size();
+  });
+  std::vector<double> alloc(J, 0.0);
+  for (const int chunk : order) {
+    const auto j = static_cast<std::size_t>(chunk);
+    const double demand =
+        static_cast<double>(system.pool(channel, chunk).active_jobs()) *
+        streaming_rate;
+    if (demand <= 0.0 || owners[j].empty()) continue;
+    double available = 0.0;
+    for (const std::size_t p : owners[j]) available += remaining[p];
+    if (available <= 0.0) continue;
+    const double supply = std::min(demand, available);
+    const double keep = 1.0 - supply / available;
+    for (const std::size_t p : owners[j]) remaining[p] *= keep;
+    alloc[j] = supply;
+  }
+  for (std::size_t p = 0; p < members.size(); ++p) {
+    const int owned =
+        std::accumulate(members[p]->owned.begin(), members[p]->owned.end(), 0);
+    if (remaining[p] <= 0.0 || owned == 0) continue;
+    for (std::size_t j = 0; j < J; ++j) {
+      if (members[p]->owned[j]) alloc[j] += remaining[p] / owned;
+    }
+  }
+  return alloc;
+}
+
+TEST(StreamingSystem, OwnerListsMatchBitmapRebuildUnderChurn) {
+  // The rebalance reads per-pool owner lists kept on chunk completion and
+  // departure instead of rebuilding them from every member's bitmap each
+  // tick. Run a downsized flash_crowd P2P day through its noon spike,
+  // evict one channel mid-run (mid-download departures, and a LIFO free
+  // list that hands the freed slots back reversed), and at several 30 s
+  // tick instants compare the lists and every pool's peer capacity with
+  // a from-scratch bitmap waterfall — exactly, not approximately. The
+  // tick's work counters must match the lists it read.
+  expr::ExperimentConfig cfg = sweep::ScenarioCatalog::global().make_config(
+      "flash_crowd", core::StreamingMode::kP2p);
+  cfg.workload.num_channels = 4;
+  cfg.workload.total_arrival_rate = 0.15;  // downsized from the preset
+  cfg.seed = 17;
+
+  StreamingOptions options;
+  options.mode = core::StreamingMode::kP2p;
+  SystemHarness h(cfg, options, model_policy(cfg, core::StreamingMode::kP2p));
+  h.system.start();
+
+  const int channels = cfg.workload.num_channels;
+  const int chunks = cfg.vod.chunks_per_video;
+  std::size_t slot_order_differs = 0;
+  std::size_t peer_supplied = 0;
+  const auto check_tick = [&](double tick) {
+    ASSERT_EQ(std::fmod(tick, options.rebalance_interval), 0.0);
+    h.sim.run_until(tick - 1e-6);
+    const RebalanceCounters before = h.system.rebalance_counters();
+    h.sim.run_until(tick);  // exactly the tick at `tick` has run since
+    ASSERT_EQ(h.system.rebalance_counters().ticks, before.ticks + 1);
+    std::uint64_t visits = 0;
+    std::uint64_t cells = 0;
+    for (int c = 0; c < channels; ++c) {
+      const std::vector<std::uint64_t> members = h.system.channel_peer_handles(c);
+      const std::vector<double> expected =
+          bitmap_waterfall(h.system, c, chunks, cfg.vod.streaming_rate);
+      if (!members.empty()) cells += members.size() * static_cast<std::size_t>(chunks);
+      for (int j = 0; j < chunks; ++j) {
+        std::vector<std::uint64_t> owners;
+        for (const std::uint64_t handle : members) {
+          if (h.system.find_peer(handle)->owned[static_cast<std::size_t>(j)]) {
+            owners.push_back(handle);
+          }
+        }
+        const std::vector<std::uint64_t> kept = h.system.owner_handles(c, j);
+        EXPECT_EQ(kept, owners) << "channel " << c << " chunk " << j << " t=" << tick;
+        // Read once by the standby split, once more by the waterfall when
+        // the chunk has demand.
+        visits += kept.size() * (h.system.pool(c, j).active_jobs() > 0 ? 2u : 1u);
+        if (!std::is_sorted(kept.begin(), kept.end(), [](auto a, auto b) {
+              return (a & 0xffffffffull) < (b & 0xffffffffull);
+            })) {
+          ++slot_order_differs;
+        }
+        EXPECT_EQ(h.system.pool(c, j).peer_capacity(),
+                  expected[static_cast<std::size_t>(j)])
+            << "channel " << c << " chunk " << j << " t=" << tick;
+        peer_supplied += expected[static_cast<std::size_t>(j)] > 0.0 ? 1u : 0u;
+      }
+    }
+    EXPECT_EQ(h.system.rebalance_visits() - before.visits, visits) << "t=" << tick;
+    EXPECT_EQ(h.system.rebalance_counters().member_cells - before.member_cells, cells);
+  };
+
+  for (const double tick : {10.5 * 3600.0, 11.5 * 3600.0 + 30.0}) check_tick(tick);
+
+  // Mid-spike eviction: some evicted peers are mid-download.
+  h.sim.run_until(11.75 * 3600.0 + 10.0);
+  std::size_t downloading = 0;
+  for (const std::uint64_t handle : h.system.channel_peer_handles(0)) {
+    downloading += h.system.find_peer(handle)->downloading ? 1u : 0u;
+  }
+  ASSERT_GT(downloading, 0u);
+  ASSERT_GT(h.system.evict_channel(0), downloading);
+  for (int j = 0; j < chunks; ++j) EXPECT_TRUE(h.system.owner_handles(0, j).empty());
+
+  for (const double tick : {11.75 * 3600.0 + 30.0, 12.0 * 3600.0 + 330.0,
+                            12.5 * 3600.0 + 90.0, 13.5 * 3600.0 + 30.0}) {
+    check_tick(tick);
+  }
+  EXPECT_GT(slot_order_differs, 0u) << "slot order never disagreed with id order";
+  EXPECT_GT(peer_supplied, 0u) << "no pool ever got peer capacity";
 }
 
 /// Records every report the controller is asked to estimate from, so the
