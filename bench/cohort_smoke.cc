@@ -4,6 +4,11 @@
 // BENCH_cohort.json (viewers-simulated/s, realized peak, peak RSS) so the
 // ROADMAP's scaling claim is measured, not asserted.
 //
+// Work gate: every cohort step records its flows as one tracker row call
+// per occupied chunk position, so tracker calls per transition stay at or
+// below J (scalar recording made up to J² + J). The count is deterministic,
+// so the gate holds on any runner and under the sanitizers.
+//
 // Calibration: estimated_peak_users() is linear in the aggregate arrival
 // rate, so the rate that hits the target peak is target / peak-per-unit-
 // rate. The realized concurrent peak lands below the closed-form estimate
@@ -70,9 +75,19 @@ int main(int argc, char** argv) {
       viewers, peak, wall, viewers_per_sec,
       static_cast<unsigned long long>(result.sim_events), rss_mb);
 
+  const auto transitions = static_cast<double>(result.cohort.transitions);
+  const double calls_per_transition =
+      transitions > 0.0
+          ? static_cast<double>(result.cohort.tracker_rows) / transitions
+          : 0.0;
+  std::printf("  %.3g cohort transitions  |  %.2f tracker calls/transition\n",
+              transitions, calls_per_transition);
+
   // The scaling gate: the realized concurrent peak must reach the target
   // population (re-tune --calibration if the workload shape changes).
   CM_ENSURES(peak >= target);
+  CM_ENSURES(transitions > 0.0);
+  CM_ENSURES(calls_per_transition <= cfg.vod.chunks_per_video);
 
   util::JsonValue bench = util::JsonValue::object();
   bench["bench"] = "cohort_smoke";
@@ -86,6 +101,8 @@ int main(int argc, char** argv) {
   bench["wall_seconds"] = wall;
   bench["viewers_per_sec"] = viewers_per_sec;
   bench["sim_events"] = static_cast<double>(result.sim_events);
+  bench["transitions"] = transitions;
+  bench["tracker_calls_per_transition"] = calls_per_transition;
   bench["peak_rss_mb"] = rss_mb;
   const std::string out = flags.get("out", std::string("BENCH_cohort.json"));
   const std::size_t slash = out.find_last_of('/');

@@ -146,11 +146,12 @@ endif()
 # The discrete engine's per-peer bookkeeping at unit scale: the id-sorted
 # owner lists the rarest-first rebalance reads (insert on a chunk's first
 # completion, erase on departure, eviction included) checked against a
-# from-scratch bitmap waterfall, plus the pool timers. Smoke-labelled so
-# the sanitizer job runs them under ASan/UBSan on every commit.
+# from-scratch bitmap waterfall, plus the pool timers and the flat tracker
+# counters both engines record into. Smoke-labelled so the sanitizer job
+# runs them under ASan/UBSan on every commit.
 if(TARGET vod_test)
   add_smoke_test(discrete_rebalance vod_test
-    --gtest_filter=StreamingSystem.*:ServicePool.*)
+    --gtest_filter=StreamingSystem.*:ServicePool.*:Tracker.*)
 endif()
 
 # Cohort/discrete engine equivalence gates the smoke tier too: engine=auto
@@ -159,4 +160,9 @@ endif()
 if(TARGET cohort_test)
   add_smoke_test(cohort_equivalence cohort_test
     --gtest_filter=CohortEquivalence.*:EngineKnob.*)
+  # The cohort engine's row kernels (row-pointer arena walks, one tracker
+  # row call per occupied position) against outputs pinned bit for bit,
+  # plus mass conservation, under the sanitizers on every commit.
+  add_smoke_test(cohort_kernels cohort_test
+    --gtest_filter=CohortEngine.*:CohortSystem.*)
 endif()

@@ -340,6 +340,7 @@ ExperimentResult ExperimentRunner::run(const ExperimentConfig& config) {
                     : discrete_system->current_users());
   result.used_cohort_engine = use_cohort;
   if (discrete_system) result.rebalance = discrete_system->rebalance_counters();
+  if (cohort_system) result.cohort = cohort_system->cohort_counters();
   return result;
 }
 

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "expr/config.h"
+#include "vod/cohort_system.h"
 
 namespace cloudmedia::expr {
 
@@ -26,6 +27,7 @@ struct ExperimentResult {
   long final_users = 0;
   bool used_cohort_engine = false;  ///< which core the engine knob picked
   vod::RebalanceCounters rebalance;  ///< discrete engine only (zero on cohort)
+  vod::CohortCounters cohort;        ///< cohort engine only (zero on discrete)
 
   // --- summaries over the measurement window ----------------------------
   [[nodiscard]] double mean_quality() const;

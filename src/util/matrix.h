@@ -23,6 +23,10 @@ class Matrix {
   [[nodiscard]] double at(std::size_t r, std::size_t c) const;
   double& operator()(std::size_t r, std::size_t c) { return data_[r * cols_ + c]; }
   double operator()(std::size_t r, std::size_t c) const { return data_[r * cols_ + c]; }
+  /// Unchecked pointer to the `cols()` contiguous entries of row r.
+  [[nodiscard]] const double* row(std::size_t r) const noexcept {
+    return data_.data() + r * cols_;
+  }
 
   [[nodiscard]] Matrix transpose() const;
   [[nodiscard]] std::vector<double> multiply(const std::vector<double>& v) const;

@@ -19,6 +19,15 @@ constexpr double kRateFloor = 1e-9;
 /// durations (mirrors how badly a starved discrete viewer can stall before
 /// provisioning reacts within one interval).
 constexpr double kMaxStallFactor = 4.0;
+
+/// Mass of a cohort position currently downloading its chunk: occupancy
+/// that does not yet own the chunk, under the independence approximation
+/// (owned/alive as the probability that a viewer holds it).
+double download_mass(double occ, double owned, double alive) {
+  if (alive <= 0.0) return 0.0;
+  const double own_prob = std::min(1.0, owned / alive);
+  return occ * (1.0 - own_prob);
+}
 }  // namespace
 
 CohortSystem::CohortSystem(sim::Simulator& simulator,
@@ -59,7 +68,18 @@ CohortSystem::CohortSystem(sim::Simulator& simulator,
   }
   served_cloud_snapshot_.assign(total, 0.0);
   fluid_share_.assign(total, 0.0);
-  channel_mass_.assign(static_cast<std::size_t>(num_channels_), 0.0);
+  const auto j_count = static_cast<std::size_t>(num_chunks_);
+  const auto c_count = static_cast<std::size_t>(num_channels_);
+  for (std::vector<double>* row : {&dl_, &next_occ_, &flows_, &fluid_,
+                                   &weight_, &cloud_alloc_, &peer_alloc_}) {
+    row->assign(j_count, 0.0);
+  }
+  order_.assign(j_count, 0);
+  dl_mass_.assign(total, 0.0);
+  owned_mass_.assign(total, 0.0);
+  channel_uplink_.assign(c_count, 0.0);
+  stalled_.assign(c_count, 0.0);
+  channel_mass_.assign(c_count, 0.0);
   metrics_.channels.resize(static_cast<std::size_t>(num_channels_));
   refresh_behavior_cache();
 
@@ -200,14 +220,6 @@ void CohortSystem::window_tick(double now) {
   sync_counters();
 }
 
-double CohortSystem::download_mass(std::size_t slot, int chunk) const {
-  const double alive = alive_[slot];
-  if (alive <= 0.0) return 0.0;
-  const double occ = occ_[cell(slot, chunk)];
-  const double own_prob = std::min(1.0, owned_[cell(slot, chunk)] / alive);
-  return occ * (1.0 - own_prob);
-}
-
 void CohortSystem::transition(std::size_t slot, std::uint32_t generation) {
   if (slot >= live_.size() || !live_[slot] || generation_[slot] != generation) {
     return;  // stale event from a recycled slot
@@ -218,10 +230,20 @@ void CohortSystem::transition(std::size_t slot, std::uint32_t generation) {
     retire(slot);
     return;
   }
+  ++counters_.transitions;
 
   const auto j_count = static_cast<std::size_t>(num_chunks_);
-  std::vector<double> dl(j_count, 0.0);
-  std::vector<double> next_occ(j_count, 0.0);
+  double* const occ = occ_.data() + slot * j_count;
+  double* const owned = owned_.data() + slot * j_count;
+  const std::unique_ptr<ServicePool>* const pools =
+      pools_.data() + pool_index(c, 0);
+  double* const dl = dl_.data();
+  double* const next_occ = next_occ_.data();
+  double* const flows = flows_.data();
+  std::fill(dl_.begin(), dl_.end(), 0.0);
+  std::fill(next_occ_.begin(), next_occ_.end(), 0.0);
+  const double chunk_bytes = params_.chunk_bytes();
+  const double t0 = params_.chunk_duration;
   double dl_total = 0.0;
   double replay_total = 0.0;
   double dwell_weighted = 0.0;
@@ -230,23 +252,20 @@ void CohortSystem::transition(std::size_t slot, std::uint32_t generation) {
   // fresh downloads vs buffered replays, estimate the dwell the download
   // cost (the pool's current fluid rate decides whether it stalled), and
   // absorb the downloaded chunks into ownership.
-  for (int j = 0; j < num_chunks_; ++j) {
-    const double occ = occ_[cell(slot, j)];
-    if (occ <= 0.0) continue;
-    const double d = download_mass(slot, j);
-    const double replay = occ - d;
-    dl[static_cast<std::size_t>(j)] = d;
+  for (std::size_t j = 0; j < j_count; ++j) {
+    const double o = occ[j];
+    if (o <= 0.0) continue;
+    const double d = download_mass(o, owned[j], alive);
+    const double replay = o - d;
+    dl[j] = d;
     dl_total += d;
     replay_total += replay;
-    dwell_weighted += replay * params_.chunk_duration;
+    dwell_weighted += replay * t0;
     if (d > 0.0) {
-      const ServicePool& p = *pools_[pool_index(c, j)];
-      const double rate = std::max(p.per_job_rate(), kRateFloor);
-      const double sojourn = params_.chunk_bytes() / rate;
-      if (sojourn > params_.chunk_duration + 1e-9) late_mass_ += d;
-      const double dwell =
-          std::clamp(sojourn, params_.chunk_duration,
-                     kMaxStallFactor * params_.chunk_duration);
+      const double rate = std::max(pools[j]->per_job_rate(), kRateFloor);
+      const double sojourn = chunk_bytes / rate;
+      if (sojourn > t0 + 1e-9) late_mass_ += d;
+      const double dwell = std::clamp(sojourn, t0, kMaxStallFactor * t0);
       dwell_weighted += d * dwell;
     }
   }
@@ -254,22 +273,22 @@ void CohortSystem::transition(std::size_t slot, std::uint32_t generation) {
   replays_mass_ += replay_total;
 
   // Phase 2 — advance every viewer through the ground-truth transfer
-  // matrix at once, reporting the same (now weighted) flows the discrete
-  // engine's per-peer record_transition calls produce.
+  // matrix at once, reporting each occupied row's (weighted) flows to the
+  // tracker in one call. Zero flows are summed and recorded too: adding
+  // +0.0 to a non-negative total is exact.
   double stay_total = 0.0;
-  for (int j = 0; j < num_chunks_; ++j) {
-    const double occ = occ_[cell(slot, j)];
-    if (occ <= 0.0) continue;
-    for (int k = 0; k < num_chunks_; ++k) {
-      const double flow =
-          occ * transfer_(static_cast<std::size_t>(j), static_cast<std::size_t>(k));
-      if (flow <= 0.0) continue;
-      next_occ[static_cast<std::size_t>(k)] += flow;
+  for (std::size_t j = 0; j < j_count; ++j) {
+    const double o = occ[j];
+    if (o <= 0.0) continue;
+    const double* const row = transfer_.row(j);
+    for (std::size_t k = 0; k < j_count; ++k) {
+      const double flow = o * row[k];
+      flows[k] = flow;
+      next_occ[k] += flow;
       stay_total += flow;
-      tracker_.record_transition(c, j, k, flow);
     }
-    const double leave = occ * leave_row_[static_cast<std::size_t>(j)];
-    if (leave > 0.0) tracker_.record_transition(c, j, std::nullopt, leave);
+    tracker_.record_flows(c, static_cast<int>(j), flows_, o * leave_row_[j]);
+    ++counters_.tracker_rows;
   }
   const double departed = std::max(0.0, alive - stay_total);
   departures_mass_ += departed;
@@ -278,11 +297,10 @@ void CohortSystem::transition(std::size_t slot, std::uint32_t generation) {
   // whole vector scales by the survival ratio (leavers take their buffers
   // with them; ownership within a cohort is independent of who leaves).
   const double survival = std::min(1.0, stay_total / alive);
-  for (int j = 0; j < num_chunks_; ++j) {
-    const double mid = std::min(
-        alive, owned_[cell(slot, j)] + dl[static_cast<std::size_t>(j)]);
-    owned_[cell(slot, j)] = mid * survival;
-    occ_[cell(slot, j)] = next_occ[static_cast<std::size_t>(j)];
+  for (std::size_t j = 0; j < j_count; ++j) {
+    const double mid = std::min(alive, owned[j] + dl[j]);
+    owned[j] = mid * survival;
+    occ[j] = next_occ[j];
   }
   alive_[slot] = stay_total;
   channel_mass_[static_cast<std::size_t>(c)] += stay_total - alive;
@@ -294,8 +312,7 @@ void CohortSystem::transition(std::size_t slot, std::uint32_t generation) {
     return;
   }
   const double total_flow = dl_total + replay_total;
-  const double dwell = total_flow > 0.0 ? dwell_weighted / total_flow
-                                        : params_.chunk_duration;
+  const double dwell = total_flow > 0.0 ? dwell_weighted / total_flow : t0;
   const std::uint32_t gen = generation_[slot];
   sim_->schedule_in(dwell, [this, slot, gen] { transition(slot, gen); });
 }
@@ -366,23 +383,24 @@ void CohortSystem::run_provisioning(double now) {
   std::vector<double> uplink_weighted(static_cast<std::size_t>(num_channels_),
                                       0.0);
 
+  const auto j_count = static_cast<std::size_t>(num_chunks_);
   for (std::size_t slot = 0; slot < live_.size(); ++slot) {
     if (!live_[slot]) continue;
     const auto ch = static_cast<std::size_t>(channel_of_[slot]);
-    for (int j = 0; j < num_chunks_; ++j) {
-      occupancy[ch][static_cast<std::size_t>(j)] += occ_[cell(slot, j)];
-    }
+    const double* const occ = occ_.data() + slot * j_count;
+    double* const sum = occupancy[ch].data();
+    for (std::size_t j = 0; j < j_count; ++j) sum[j] += occ[j];
     uplink_weighted[ch] += alive_[slot] * uplink_rate_[slot];
   }
   for (int c = 0; c < num_channels_; ++c) {
     const auto ch = static_cast<std::size_t>(c);
-    for (int i = 0; i < num_chunks_; ++i) {
-      ServicePool& p = pool(c, i);
+    const std::size_t base = pool_index(c, 0);
+    for (std::size_t i = 0; i < j_count; ++i) {
+      ServicePool& p = *pools_[base + i];
       p.sync();
-      const std::size_t key = pool_index(c, i);
-      served[ch][static_cast<std::size_t>(i)] =
-          (p.cloud_bytes_served() - served_cloud_snapshot_[key]) / interval;
-      served_cloud_snapshot_[key] = p.cloud_bytes_served();
+      served[ch][i] =
+          (p.cloud_bytes_served() - served_cloud_snapshot_[base + i]) / interval;
+      served_cloud_snapshot_[base + i] = p.cloud_bytes_served();
     }
     mean_uplink[ch] = channel_mass_[ch] > 0.0
                           ? uplink_weighted[ch] / channel_mass_[ch]
@@ -444,105 +462,106 @@ void CohortSystem::rebalance_capacity() {
   const double t0 = params_.chunk_duration;
   const auto j_count = static_cast<std::size_t>(num_chunks_);
 
-  std::vector<double> dl_mass(pools_.size(), 0.0);
-  std::vector<double> owned_mass(pools_.size(), 0.0);
-  std::vector<double> channel_uplink(static_cast<std::size_t>(num_channels_),
-                                     0.0);
+  std::fill(dl_mass_.begin(), dl_mass_.end(), 0.0);
+  std::fill(owned_mass_.begin(), owned_mass_.end(), 0.0);
+  std::fill(channel_uplink_.begin(), channel_uplink_.end(), 0.0);
   for (std::size_t slot = 0; slot < live_.size(); ++slot) {
     if (!live_[slot]) continue;
     const int c = channel_of_[slot];
-    for (int j = 0; j < num_chunks_; ++j) {
-      dl_mass[pool_index(c, j)] += download_mass(slot, j);
-      owned_mass[pool_index(c, j)] += owned_[cell(slot, j)];
+    const double alive = alive_[slot];
+    const double* const occ = occ_.data() + slot * j_count;
+    const double* const owned = owned_.data() + slot * j_count;
+    const std::size_t base = pool_index(c, 0);
+    double* const dl_sum = dl_mass_.data() + base;
+    double* const owned_sum = owned_mass_.data() + base;
+    for (std::size_t j = 0; j < j_count; ++j) {
+      dl_sum[j] += download_mass(occ[j], owned[j], alive);
+      owned_sum[j] += owned[j];
     }
-    channel_uplink[static_cast<std::size_t>(c)] +=
-        alive_[slot] * uplink_rate_[slot];
+    channel_uplink_[static_cast<std::size_t>(c)] += alive * uplink_rate_[slot];
   }
 
+  double* const fluid = fluid_.data();
+  double* const weight = weight_.data();
+  double* const cloud_alloc = cloud_alloc_.data();
+  double* const peer_alloc = peer_alloc_.data();
   for (int c = 0; c < num_channels_; ++c) {
     const auto ch = static_cast<std::size_t>(c);
+    const std::size_t base = pool_index(c, 0);
+    const double* const dl_sum = dl_mass_.data() + base;
+    const double* const owned_sum = owned_mass_.data() + base;
+    const std::unique_ptr<ServicePool>* const pools = pools_.data() + base;
 
     // Fluid job counts: previous per-job rate estimates the duty factor
     // (starved pools → duty 1, over-provisioned pools → sojourn/T0 < 1).
-    std::vector<double> fluid(j_count, 0.0);
-    for (int j = 0; j < num_chunks_; ++j) {
-      const std::size_t key = pool_index(c, j);
-      const double m = dl_mass[key];
+    for (std::size_t j = 0; j < j_count; ++j) {
+      const double m = dl_sum[j];
       if (m <= 0.0) {
-        fluid[static_cast<std::size_t>(j)] = 0.0;
+        fluid[j] = 0.0;
         continue;
       }
-      const double prev_rate = std::max(pools_[key]->per_job_rate(), kRateFloor);
+      const double prev_rate = std::max(pools[j]->per_job_rate(), kRateFloor);
       const double duty =
           std::min(1.0, (params_.chunk_bytes() / prev_rate) / t0);
-      fluid[static_cast<std::size_t>(j)] = m * duty;
+      fluid[j] = m * duty;
     }
 
     // Cloud share follows fluid demand (+ standby), as the discrete engine
     // follows active jobs.
     double channel_cloud = 0.0;
     double weight_total = 0.0;
-    std::vector<double> weight(j_count, 0.0);
-    for (int j = 0; j < num_chunks_; ++j) {
-      channel_cloud += cloud_->chunk_capacity(c, j);
-      const double w = fluid[static_cast<std::size_t>(j)] +
-                       options_.streaming.standby_weight;
-      weight[static_cast<std::size_t>(j)] = w;
+    for (std::size_t j = 0; j < j_count; ++j) {
+      channel_cloud += cloud_->chunk_capacity(c, static_cast<int>(j));
+      const double w = fluid[j] + options_.streaming.standby_weight;
+      weight[j] = w;
       weight_total += w;
     }
-    std::vector<double> cloud_alloc(j_count, 0.0);
+    std::fill(cloud_alloc_.begin(), cloud_alloc_.end(), 0.0);
     if (channel_cloud > 0.0 && weight_total > 0.0) {
-      for (int j = 0; j < num_chunks_; ++j) {
-        cloud_alloc[static_cast<std::size_t>(j)] =
-            channel_cloud * weight[static_cast<std::size_t>(j)] / weight_total;
+      for (std::size_t j = 0; j < j_count; ++j) {
+        cloud_alloc[j] = channel_cloud * weight[j] / weight_total;
       }
     }
 
     // Peer share: rarest-first waterfall over ownership mass. The channel's
     // aggregate uplink supplies chunks ascending by owners; each chunk may
     // draw at most the uplink fraction its owners hold.
-    std::vector<double> peer_alloc(j_count, 0.0);
+    std::fill(peer_alloc_.begin(), peer_alloc_.end(), 0.0);
+    const double uplink = channel_uplink_[ch];
     if (options_.streaming.mode == core::StreamingMode::kP2p &&
-        channel_mass_[ch] > 0.0 && channel_uplink[ch] > 0.0) {
+        channel_mass_[ch] > 0.0 && uplink > 0.0) {
       double total_owned = 0.0;
-      for (int j = 0; j < num_chunks_; ++j) {
-        total_owned += owned_mass[pool_index(c, j)];
-      }
+      for (std::size_t j = 0; j < j_count; ++j) total_owned += owned_sum[j];
       if (total_owned > 0.0) {
-        std::vector<int> order(j_count);
-        std::iota(order.begin(), order.end(), 0);
-        std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-          return owned_mass[pool_index(c, a)] < owned_mass[pool_index(c, b)];
+        std::iota(order_.begin(), order_.end(), 0);
+        std::stable_sort(order_.begin(), order_.end(), [owned_sum](int a, int b) {
+          return owned_sum[a] < owned_sum[b];
         });
-        double remaining = channel_uplink[ch];
-        for (int chunk : order) {
-          const std::size_t key = pool_index(c, chunk);
-          if (owned_mass[key] <= 0.0) continue;
-          const double demand = fluid[static_cast<std::size_t>(chunk)] * r;
-          const double available =
-              channel_uplink[ch] * owned_mass[key] / total_owned;
+        double remaining = uplink;
+        for (const int chunk : order_) {
+          const double owners = owned_sum[chunk];
+          if (owners <= 0.0) continue;
+          const double demand = fluid[chunk] * r;
+          const double available = uplink * owners / total_owned;
           const double give = std::min({demand, available, remaining});
           if (give <= 0.0) continue;
-          peer_alloc[static_cast<std::size_t>(chunk)] = give;
+          peer_alloc[chunk] = give;
           remaining -= give;
         }
         // Residual uplink stands by over owned chunks, like the discrete
         // engine's per-peer residual split.
         if (remaining > 0.0) {
-          for (int j = 0; j < num_chunks_; ++j) {
-            peer_alloc[static_cast<std::size_t>(j)] +=
-                remaining * owned_mass[pool_index(c, j)] / total_owned;
+          for (std::size_t j = 0; j < j_count; ++j) {
+            peer_alloc[j] += remaining * owned_sum[j] / total_owned;
           }
         }
       }
     }
 
-    for (int j = 0; j < num_chunks_; ++j) {
-      const std::size_t key = pool_index(c, j);
-      fluid_share_[key] = fluid[static_cast<std::size_t>(j)];
-      pools_[key]->set_capacity(peer_alloc[static_cast<std::size_t>(j)],
-                                cloud_alloc[static_cast<std::size_t>(j)]);
-      pools_[key]->set_fluid_jobs(fluid[static_cast<std::size_t>(j)]);
+    for (std::size_t j = 0; j < j_count; ++j) {
+      fluid_share_[base + j] = fluid[j];
+      pools[j]->set_capacity(peer_alloc[j], cloud_alloc[j]);
+      pools[j]->set_fluid_jobs(fluid[j]);
     }
   }
 }
@@ -572,26 +591,31 @@ void CohortSystem::sample_quality(double now) {
   // per-job rate is below the streaming rate is stalled; smooth fraction =
   // 1 − stalled/total. Instantaneous (the discrete engine's per-viewer
   // quality_window bookkeeping has no cheap fluid analogue).
-  const double r = params_.streaming_rate;
-  std::vector<double> stalled(static_cast<std::size_t>(num_channels_), 0.0);
+  const double stall_rate = params_.streaming_rate * (1.0 - 1e-9);
+  const auto j_count = static_cast<std::size_t>(num_chunks_);
+  std::fill(stalled_.begin(), stalled_.end(), 0.0);
   for (std::size_t slot = 0; slot < live_.size(); ++slot) {
     if (!live_[slot]) continue;
     const int c = channel_of_[slot];
-    for (int j = 0; j < num_chunks_; ++j) {
-      const double m = download_mass(slot, j);
+    const double alive = alive_[slot];
+    const double* const occ = occ_.data() + slot * j_count;
+    const double* const owned = owned_.data() + slot * j_count;
+    const std::unique_ptr<ServicePool>* const pools =
+        pools_.data() + pool_index(c, 0);
+    double& channel_stalled = stalled_[static_cast<std::size_t>(c)];
+    for (std::size_t j = 0; j < j_count; ++j) {
+      const double m = download_mass(occ[j], owned[j], alive);
       if (m <= 0.0) continue;
-      if (pools_[pool_index(c, j)]->per_job_rate() < r * (1.0 - 1e-9)) {
-        stalled[static_cast<std::size_t>(c)] += m;
-      }
+      if (pools[j]->per_job_rate() < stall_rate) channel_stalled += m;
     }
   }
   double stalled_total = 0.0;
   for (int c = 0; c < num_channels_; ++c) {
     const auto ch = static_cast<std::size_t>(c);
-    stalled_total += stalled[ch];
+    stalled_total += stalled_[ch];
     const double mass = channel_mass_[ch];
     const double q =
-        mass > 0.0 ? 1.0 - std::min(1.0, stalled[ch] / mass) : 1.0;
+        mass > 0.0 ? 1.0 - std::min(1.0, stalled_[ch] / mass) : 1.0;
     metrics_.channels[ch].quality.add(now, q);
   }
   const double q = total_mass_ > 0.0

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -27,6 +28,12 @@ struct CohortOptions {
   double min_mass = 1e-3;
 };
 
+/// Cohort-transition work: observer tallies (no RNG, no events).
+struct CohortCounters {
+  std::uint64_t transitions = 0;   ///< cohort steps that advanced mass
+  std::uint64_t tracker_rows = 0;  ///< Tracker::record_flows row calls
+};
+
 /// The cohort/fluid simulation core: the same CloudMedia deployment as
 /// StreamingSystem (tracker + controller loop, SLA'd cloud, entry point,
 /// per-(channel, chunk) ServicePools), but viewers are aggregated.
@@ -40,6 +47,13 @@ struct CohortOptions {
 /// rather than per-viewer discrete jobs. Cost: O(cohorts · J²) per window
 /// instead of O(viewers) heap events — a 10M-peak-viewer day runs in
 /// seconds (bench/cohort_smoke.cc).
+///
+/// The per-cohort passes are flat row kernels over the arena: a step makes
+/// one Tracker::record_flows call per occupied chunk position (at most J,
+/// where scalar recording made up to J² + J calls) and allocates nothing —
+/// its row buffers are reused member scratch. Every floating-point sum runs
+/// in the same order as the scalar formulation, so outputs are
+/// bit-identical to it (tests/cohort_test.cc pins them).
 ///
 /// What is exact and what is fluid:
 ///  - exact: arrival counts (Poisson per channel-window), the provisioning
@@ -75,6 +89,9 @@ class CohortSystem {
   [[nodiscard]] long long viewers_admitted() const noexcept { return arrivals_count_; }
   [[nodiscard]] double departures_mass() const noexcept { return departures_mass_; }
   [[nodiscard]] std::size_t live_cohorts() const noexcept { return live_cohorts_; }
+  [[nodiscard]] const CohortCounters& cohort_counters() const noexcept {
+    return counters_;
+  }
   [[nodiscard]] ServicePool& pool(int channel, int chunk);
   [[nodiscard]] Tracker& tracker() noexcept { return tracker_; }
   [[nodiscard]] core::Controller& controller() noexcept { return *controller_; }
@@ -99,9 +116,6 @@ class CohortSystem {
   void sample_quality(double now);
   void sync_counters();
 
-  /// Mass of cohort `slot` currently downloading chunk j (occupancy that
-  /// does not yet own the chunk, under the independence approximation).
-  [[nodiscard]] double download_mass(std::size_t slot, int chunk) const;
   [[nodiscard]] std::size_t pool_index(int channel, int chunk) const;
   [[nodiscard]] std::size_t cell(std::size_t slot, int chunk) const;
 
@@ -152,6 +166,15 @@ class CohortSystem {
   double late_mass_ = 0.0;
   double replays_mass_ = 0.0;
 
+  // Reused scratch: per-chunk rows for transition and the per-channel
+  // rebalance pass, per-pool and per-channel sums for the arena walks.
+  std::vector<double> dl_, next_occ_, flows_;
+  std::vector<double> fluid_, weight_, cloud_alloc_, peer_alloc_;
+  std::vector<int> order_;
+  std::vector<double> dl_mass_, owned_mass_;        ///< per pool
+  std::vector<double> channel_uplink_, stalled_;    ///< per channel
+
+  CohortCounters counters_;
   std::shared_ptr<core::ProvisioningPlan> last_plan_;
   SystemMetrics metrics_;
   bool started_ = false;

@@ -1,5 +1,6 @@
 #include "vod/tracker.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/check.h"
@@ -13,9 +14,9 @@ Tracker::Tracker(int num_channels, int num_chunks)
   counts_.resize(static_cast<std::size_t>(num_channels));
   for (ChannelCounts& c : counts_) {
     c.entries.assign(static_cast<std::size_t>(num_chunks), 0.0);
-    c.transitions.assign(
-        static_cast<std::size_t>(num_chunks),
-        std::vector<double>(static_cast<std::size_t>(num_chunks), 0.0));
+    c.transitions.assign(static_cast<std::size_t>(num_chunks) *
+                             static_cast<std::size_t>(num_chunks),
+                         0.0);
     c.leaves.assign(static_cast<std::size_t>(num_chunks), 0.0);
   }
 }
@@ -45,11 +46,28 @@ void Tracker::record_transition(int channel_id, int from,
   ChannelCounts& c = channel(channel_id);
   if (to) {
     CM_EXPECTS(*to >= 0 && *to < num_chunks_);
-    c.transitions[static_cast<std::size_t>(from)][static_cast<std::size_t>(*to)] +=
-        weight;
+    c.transitions[static_cast<std::size_t>(from) *
+                      static_cast<std::size_t>(num_chunks_) +
+                  static_cast<std::size_t>(*to)] += weight;
   } else {
     c.leaves[static_cast<std::size_t>(from)] += weight;
   }
+}
+
+void Tracker::record_flows(int channel_id, int from,
+                           std::span<const double> flows, double leave) {
+  CM_EXPECTS(from >= 0 && from < num_chunks_);
+  CM_EXPECTS(flows.size() == static_cast<std::size_t>(num_chunks_));
+  CM_EXPECTS(leave >= 0.0);
+  bool non_negative = true;
+  for (const double flow : flows) non_negative &= flow >= 0.0;
+  CM_EXPECTS(non_negative);
+  ChannelCounts& c = channel(channel_id);
+  double* const row =
+      c.transitions.data() +
+      static_cast<std::size_t>(from) * static_cast<std::size_t>(num_chunks_);
+  for (std::size_t to = 0; to < flows.size(); ++to) row[to] += flows[to];
+  c.leaves[static_cast<std::size_t>(from)] += leave;
 }
 
 core::TrackerReport Tracker::harvest(
@@ -89,11 +107,12 @@ core::TrackerReport Tracker::harvest(
 
     obs.transfer = util::Matrix(j, j);
     for (std::size_t from = 0; from < j; ++from) {
+      const double* const row = c.transitions.data() + from * j;
       double row_total = c.leaves[from];
-      for (std::size_t to = 0; to < j; ++to) row_total += c.transitions[from][to];
+      for (std::size_t to = 0; to < j; ++to) row_total += row[to];
       if (row_total <= 0.0) continue;  // unobserved chunk: row stays zero
       for (std::size_t to = 0; to < j; ++to) {
-        obs.transfer(from, to) = c.transitions[from][to] / row_total;
+        obs.transfer(from, to) = row[to] / row_total;
       }
     }
 
@@ -106,7 +125,7 @@ core::TrackerReport Tracker::harvest(
     c.arrivals = 0.0;
     std::fill(c.entries.begin(), c.entries.end(), 0.0);
     std::fill(c.leaves.begin(), c.leaves.end(), 0.0);
-    for (auto& row : c.transitions) std::fill(row.begin(), row.end(), 0.0);
+    std::fill(c.transitions.begin(), c.transitions.end(), 0.0);
   }
   return report;
 }
@@ -119,7 +138,9 @@ long Tracker::transitions(int channel_id, int from, int to) const {
   CM_EXPECTS(from >= 0 && from < num_chunks_ && to >= 0 && to < num_chunks_);
   return std::lround(
       channel(channel_id)
-          .transitions[static_cast<std::size_t>(from)][static_cast<std::size_t>(to)]);
+          .transitions[static_cast<std::size_t>(from) *
+                           static_cast<std::size_t>(num_chunks_) +
+                       static_cast<std::size_t>(to)]);
 }
 
 long Tracker::leaves(int channel_id, int from) const {

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/controller.h"
@@ -27,6 +28,13 @@ class Tracker {
   /// `to` empty = the user left the channel after `from`.
   void record_transition(int channel, int from, std::optional<int> to,
                          double weight = 1.0);
+  /// One whole row of weighted flows out of chunk `from`: `flows[to]` into
+  /// each chunk (exactly num_chunks() entries) and `leave` out of the
+  /// channel. Preconditions are checked once per row; every entry is added,
+  /// zeros included (adding +0.0 leaves a counter bit-identical), so a row
+  /// call equals the scalar record_transition calls for its positive flows.
+  void record_flows(int channel, int from, std::span<const double> flows,
+                    double leave);
 
   /// Build the report for the interval [interval_start, interval_start +
   /// interval_length) and reset counters. The caller supplies the
@@ -51,7 +59,7 @@ class Tracker {
   struct ChannelCounts {
     double arrivals = 0.0;
     std::vector<double> entries;                  ///< per entry chunk
-    std::vector<std::vector<double>> transitions; ///< [from][to]
+    std::vector<double> transitions;              ///< [from · J + to]
     std::vector<double> leaves;                   ///< per from-chunk
   };
 

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -272,6 +274,76 @@ TEST(CohortEngine, DeterministicAcrossRuns) {
   const expr::ExperimentResult a = expr::ExperimentRunner::run(cfg);
   const expr::ExperimentResult b = expr::ExperimentRunner::run(cfg);
   expect_identical_results(a, b);
+}
+
+// ------------------------------------------------------ cohort output oracle
+
+/// FNV-1a over the bit patterns of every sample (time and value) of every
+/// system and per-channel series, with each series' length mixed in.
+std::uint64_t series_fingerprint(const vod::SystemMetrics& m) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (word >> (8 * byte)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  const auto add = [&mix](const util::TimeSeries& s) {
+    mix(s.size());
+    for (std::size_t i = 0; i < s.size(); ++i) {
+      mix(std::bit_cast<std::uint64_t>(s.time_at(i)));
+      mix(std::bit_cast<std::uint64_t>(s.value_at(i)));
+    }
+  };
+  for (const util::TimeSeries* s :
+       {&m.reserved_mbps, &m.used_cloud_mbps, &m.used_peer_mbps, &m.quality,
+        &m.vm_cost_rate, &m.storage_cost_rate, &m.concurrent_users}) {
+    add(*s);
+  }
+  for (const vod::ChannelSeries& c : m.channels) {
+    for (const util::TimeSeries* s : {&c.size, &c.quality, &c.provisioned_mbps,
+                                      &c.storage_utility, &c.vm_utility}) {
+      add(*s);
+    }
+  }
+  return h;
+}
+
+struct CohortOracle {
+  StreamingMode mode;
+  long arrivals, departures, chunk_downloads, late_downloads, buffered_replays;
+  std::uint64_t sim_events;
+  std::uint64_t vm_cost_bits, storage_cost_bits, series_hash;
+};
+
+TEST(CohortEngine, OutputsMatchParentCommitBitForBit) {
+  // The cohort kernels are pure reorganisations of the same floating-point
+  // operations in the same order, so every output is pinned bit for bit:
+  // no committed golden reaches the cohort engine (all sit far below the
+  // `auto` threshold). Any change to a summation order shows up here.
+  const CohortOracle expected[] = {
+      {StreamingMode::kClientServer, 742, 583, 3401, 0, 639, 1908,
+       0x4022733333333333ULL, 0x3f305e1c15097c81ULL, 0x4b317e525f460db6ULL},
+      {StreamingMode::kP2p, 742, 583, 3401, 11, 639, 1905,
+       0x4002000000000000ULL, 0x3f305e1c15097c81ULL, 0xda4a760d5e161467ULL},
+  };
+  for (const CohortOracle& want : expected) {
+    SCOPED_TRACE(want.mode == StreamingMode::kP2p ? "p2p" : "cs");
+    expr::ExperimentConfig cfg = small_config(want.mode);
+    cfg.engine = expr::Engine::kCohort;
+    const expr::ExperimentResult r = expr::ExperimentRunner::run(cfg);
+    const vod::SystemCounters& n = r.metrics.counters;
+    EXPECT_EQ(n.arrivals, want.arrivals);
+    EXPECT_EQ(n.departures, want.departures);
+    EXPECT_EQ(n.chunk_downloads, want.chunk_downloads);
+    EXPECT_EQ(n.late_downloads, want.late_downloads);
+    EXPECT_EQ(n.buffered_replays, want.buffered_replays);
+    EXPECT_EQ(r.sim_events, want.sim_events);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.vm_cost_total), want.vm_cost_bits);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.storage_cost_total),
+              want.storage_cost_bits);
+    EXPECT_EQ(series_fingerprint(r.metrics), want.series_hash);
+  }
 }
 
 // --------------------------------------------------- cohort mass accounting

@@ -421,6 +421,74 @@ TEST(Tracker, ValidatesIndices) {
   EXPECT_THROW(tracker.record_arrival(5, 0), util::PreconditionError);
   EXPECT_THROW(tracker.record_arrival(0, 9), util::PreconditionError);
   EXPECT_THROW(tracker.record_transition(0, 0, 7), util::PreconditionError);
+
+  const std::vector<double> row{0.5, 0.0, 1.5};
+  EXPECT_THROW(tracker.record_flows(2, 0, row, 0.0), util::PreconditionError);
+  EXPECT_THROW(tracker.record_flows(0, 3, row, 0.0), util::PreconditionError);
+  EXPECT_THROW(tracker.record_flows(0, -1, row, 0.0), util::PreconditionError);
+  const std::vector<double> short_row{0.5, 1.5};
+  EXPECT_THROW(tracker.record_flows(0, 0, short_row, 0.0),
+               util::PreconditionError);
+  const std::vector<double> negative{0.5, -0.25, 1.5};
+  EXPECT_THROW(tracker.record_flows(0, 0, negative, 0.0),
+               util::PreconditionError);
+  EXPECT_THROW(tracker.record_flows(0, 0, row, -1.0), util::PreconditionError);
+  // A rejected row records nothing.
+  EXPECT_EQ(tracker.transitions(0, 0, 0), 0);
+  EXPECT_EQ(tracker.leaves(0, 0), 0);
+}
+
+TEST(Tracker, RecordFlowsMatchesScalarRecordTransition) {
+  // One row call must leave every counter bit-identical to the scalar calls
+  // it replaces: a record_transition per positive flow, then the leave.
+  const std::vector<std::vector<double>> rows{
+      {0.1, 0.0, 2.0 / 3.0, 1e-7},
+      {0.0, 0.0, 0.0, 0.0},
+      {3.3, 1.0 / 7.0, 0.0, 0.2},
+      {0.3, 0.6, 0.9, 1e9 / 3.0},
+  };
+  const std::vector<double> leave{0.7, 0.0, 1.0 / 3.0, 5.5};
+  const std::vector<int> from_order{0, 2, 1, 3, 2, 0, 3};
+
+  Tracker by_row(2, 4);
+  Tracker by_cell(2, 4);
+  for (const int channel : {0, 1}) {
+    for (const int from : from_order) {
+      const auto f = static_cast<std::size_t>(from);
+      const auto& flows = rows[f];
+      by_row.record_flows(channel, from, flows, leave[f]);
+      for (int to = 0; to < 4; ++to) {
+        const double flow = flows[static_cast<std::size_t>(to)];
+        if (flow > 0.0) by_cell.record_transition(channel, from, to, flow);
+      }
+      if (leave[f] > 0.0) {
+        by_cell.record_transition(channel, from, std::nullopt, leave[f]);
+      }
+    }
+    by_row.record_arrival(channel, 0, 3.0);
+    by_cell.record_arrival(channel, 0, 3.0);
+  }
+
+  const std::vector<std::vector<double>> occupancy(2, std::vector<double>(4));
+  const std::vector<double> uplink(2, 0.0);
+  const core::TrackerReport a =
+      by_row.harvest(0.0, 3600.0, occupancy, uplink, occupancy);
+  const core::TrackerReport b =
+      by_cell.harvest(0.0, 3600.0, occupancy, uplink, occupancy);
+  ASSERT_EQ(a.channels.size(), b.channels.size());
+  for (std::size_t c = 0; c < a.channels.size(); ++c) {
+    EXPECT_EQ(a.channels[c].arrival_rate, b.channels[c].arrival_rate);
+    EXPECT_EQ(a.channels[c].entry, b.channels[c].entry);
+    for (std::size_t from = 0; from < 4; ++from) {
+      for (std::size_t to = 0; to < 4; ++to) {
+        EXPECT_EQ(a.channels[c].transfer(from, to),
+                  b.channels[c].transfer(from, to))
+            << "channel " << c << " cell " << from << "," << to;
+      }
+    }
+  }
+  // The all-zero row stays unobserved, as with no scalar calls at all.
+  EXPECT_EQ(a.channels[0].transfer(1, 0), 0.0);
 }
 
 TEST(Tracker, WeightedRecordsAccumulateFractionalMass) {
