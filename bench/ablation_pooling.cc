@@ -21,7 +21,6 @@
 #include "profile/profile.h"
 #include "sweep/param_grid.h"
 #include "sweep/sweep_runner.h"
-#include "sweep/thread_pool.h"
 #include "util/units.h"
 
 using namespace cloudmedia;
@@ -42,8 +41,7 @@ int main(int argc, char** argv) {
               "(%.0f h, seed %llu, %u threads)\n",
               spec.measure_hours,
               static_cast<unsigned long long>(spec.base_seed),
-              spec.threads ? spec.threads
-                           : sweep::ThreadPool::default_threads());
+              spec.threads ? spec.threads : sweep::default_threads());
 
   const sweep::SweepResult result = sweep::SweepRunner::run(spec);
 

@@ -30,7 +30,6 @@
 #include "store/results_store.h"
 #include "sweep/param_grid.h"
 #include "sweep/sweep_runner.h"
-#include "sweep/thread_pool.h"
 #include "util/check.h"
 #include "util/json.h"
 #include "util/rss.h"
@@ -106,7 +105,7 @@ int main(int argc, char** argv) {
   };
 
   const unsigned threads =
-      spec.threads ? spec.threads : sweep::ThreadPool::default_threads();
+      spec.threads ? spec.threads : sweep::default_threads();
   const std::string store_out =
       flags.get("store-out", std::string("results/store_smoke"));
 

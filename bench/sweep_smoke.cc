@@ -22,7 +22,6 @@
 #include "profile/profile.h"
 #include "sweep/param_grid.h"
 #include "sweep/sweep_runner.h"
-#include "sweep/thread_pool.h"
 #include "util/check.h"
 #include "util/csv.h"
 #include "util/json.h"
@@ -55,7 +54,7 @@ int main(int argc, char** argv) {
   spec.apply_flags(flags);
 
   const unsigned threads =
-      spec.threads ? spec.threads : sweep::ThreadPool::default_threads();
+      spec.threads ? spec.threads : sweep::default_threads();
   std::printf("sweep_smoke: 3x3 grid, %.2f+%.2f h per run, %u threads\n",
               spec.warmup_hours, spec.measure_hours, threads);
 

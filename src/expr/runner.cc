@@ -4,12 +4,9 @@
 #include <cmath>
 #include <memory>
 
-#include "cloud/cloud_service.h"
 #include "core/demand.h"
 #include "predict/policy.h"
-#include "sim/simulator.h"
 #include "util/check.h"
-#include "vod/cohort_system.h"
 
 namespace cloudmedia::expr {
 
@@ -169,12 +166,37 @@ double timeline_envelope_headroom(const std::vector<TimedConfigOp>& timeline,
   return headroom;
 }
 
+/// The config as the run reads it: validated, with the timeline stably
+/// sorted by fire time.
+ExperimentConfig sorted_live_config(const ExperimentConfig& config) {
+  config.validate();
+  ExperimentConfig live = config;
+  std::stable_sort(live.timeline.begin(), live.timeline.end(),
+                   [](const TimedConfigOp& a, const TimedConfigOp& b) {
+                     return a.fire_time < b.fire_time;
+                   });
+  return live;
+}
+
+ExperimentConfig without_timeline(ExperimentConfig config) {
+  config.timeline.clear();
+  return config;
+}
+
+cloud::CloudConfig cloud_config_for(const ExperimentConfig& config) {
+  cloud::CloudConfig cloud_config;
+  cloud_config.sla = cloud::SlaTerms{config.vm_budget_per_hour,
+                                     config.storage_budget_per_hour,
+                                     config.vm_clusters, config.nfs_clusters};
+  cloud_config.vm =
+      cloud::VmSchedulerConfig{config.vm_boot_delay, config.vod.vm_bandwidth};
+  return cloud_config;
+}
+
 }  // namespace
 
 void validate_timeline(const ExperimentConfig& config) {
-  ExperimentConfig baseline = config;
-  baseline.timeline.clear();
-  (void)timeline_envelope_headroom(config.timeline, baseline);
+  (void)timeline_envelope_headroom(config.timeline, without_timeline(config));
 }
 
 double estimated_peak_users(const ExperimentConfig& config) {
@@ -227,121 +249,97 @@ double ExperimentResult::reserved_covers_used_fraction() const {
   return total ? static_cast<double>(covered) / static_cast<double>(total) : 1.0;
 }
 
-ExperimentResult ExperimentRunner::run(const ExperimentConfig& config) {
-  config.validate();
-
-  // `live` is the config the running system reads; timed ops mutate it at
-  // their boundary. `baseline` is the pre-timeline snapshot handed to
-  // baseline-aware ops (the recovery primitive restores values from it).
-  ExperimentConfig live = config;
-  std::stable_sort(live.timeline.begin(), live.timeline.end(),
-                   [](const TimedConfigOp& a, const TimedConfigOp& b) {
-                     return a.fire_time < b.fire_time;
-                   });
-  ExperimentConfig baseline = live;
-  baseline.timeline.clear();
-
-  // Dry pass: rejects timeline ops touching frozen fields and pre-pays the
-  // arrival-envelope headroom for any mid-run rate increase. Exactly 1.0
-  // (bit-neutral) when the timeline is empty.
-  const double headroom = timeline_envelope_headroom(live.timeline, baseline);
-
-  sim::Simulator simulator;
-  workload::Workload workload(live.workload, live.seed, headroom);
-
-  cloud::CloudConfig cloud_config;
-  cloud_config.sla = cloud::SlaTerms{live.vm_budget_per_hour,
-                                     live.storage_budget_per_hour,
-                                     live.vm_clusters, live.nfs_clusters};
-  cloud_config.vm =
-      cloud::VmSchedulerConfig{live.vm_boot_delay, live.vod.vm_bandwidth};
-  cloud::CloudService cloud(simulator, cloud_config);
-
+Experiment::Experiment(const ExperimentConfig& config)
+    : live_(sorted_live_config(config)),
+      baseline_(without_timeline(live_)),
+      // The dry pass rejects timeline ops touching frozen fields and
+      // pre-pays the arrival-envelope headroom for any mid-run rate
+      // increase. Exactly 1.0 (bit-neutral) when the timeline is empty.
+      workload_(live_.workload, live_.seed,
+                timeline_envelope_headroom(live_.timeline, baseline_)),
+      cloud_(simulator_, cloud_config_for(live_)) {
   core::ControllerConfig controller_config{
-      live.vm_clusters, live.nfs_clusters, live.vm_budget_per_hour,
-      live.storage_budget_per_hour};
+      live_.vm_clusters, live_.nfs_clusters, live_.vm_budget_per_hour,
+      live_.storage_budget_per_hour};
   auto controller = std::make_unique<core::Controller>(
-      live.vod, controller_config, make_policy(live, workload));
-  // The controller moves into whichever system is built; timeline ops still
-  // need to renegotiate its budgets mid-run.
-  core::Controller* controller_raw = controller.get();
+      live_.vod, controller_config, make_policy(live_, workload_));
 
-  vod::StreamingOptions options = live.streaming;
-  options.mode = live.mode;
+  vod::StreamingOptions options = live_.streaming;
+  options.mode = live_.mode;
 
   // Engine selection (kDiscrete by default — the exact per-peer path every
   // committed golden replays). kAuto estimates the peak population before
   // anything draws randomness, so routing below the threshold leaves the
   // discrete run bit-identical to engine=discrete.
   const bool use_cohort =
-      live.engine == Engine::kCohort ||
-      (live.engine == Engine::kAuto &&
-       estimated_peak_users(live) >= live.cohort_threshold);
-
-  std::unique_ptr<vod::StreamingSystem> discrete_system;
-  std::unique_ptr<vod::CohortSystem> cohort_system;
+      live_.engine == Engine::kCohort ||
+      (live_.engine == Engine::kAuto &&
+       estimated_peak_users(live_) >= live_.cohort_threshold);
   if (use_cohort) {
     vod::CohortOptions cohort_options;
     cohort_options.streaming = options;
-    cohort_options.window = live.cohort_window;
-    cohort_system = std::make_unique<vod::CohortSystem>(
-        simulator, workload, live.vod, cloud, std::move(controller),
+    cohort_options.window = live_.cohort_window;
+    deployment_ = std::make_unique<vod::CohortSystem>(
+        simulator_, workload_, live_.vod, cloud_, std::move(controller),
         cohort_options);
   } else {
-    discrete_system = std::make_unique<vod::StreamingSystem>(
-        simulator, workload, live.vod, cloud, std::move(controller), options);
+    deployment_ = std::make_unique<vod::StreamingSystem>(
+        simulator_, workload_, live_.vod, cloud_, std::move(controller), options);
   }
 
-  // Schedule the timeline BEFORE system.start(): the simulator fires
+  // Schedule the timeline BEFORE the deployment starts: the simulator fires
   // equal-timestamp events in scheduling order, so a mutation scheduled
   // here precedes the provisioning pass of its own boundary — the first
   // post-fire plan already sees the mutated config. Each op lands at the
-  // first controller-interval boundary >= its fire time (ISSUE semantics);
-  // ops whose boundary falls past the horizon never fire.
+  // first controller-interval boundary >= its fire time; ops whose boundary
+  // falls past the horizon never fire.
   const double interval = options.provisioning_interval;
-  for (const TimedConfigOp& op : live.timeline) {
+  for (const TimedConfigOp& op : live_.timeline) {
     double boundary =
         std::ceil(op.fire_time / interval - 1e-9) * interval;
     boundary = std::max(boundary, interval);
-    if (boundary > live.total_duration()) continue;
-    simulator.schedule_at(
-        boundary, [&live, &baseline, &workload, controller_raw, &cloud, &op] {
-          op.apply(live, baseline);
-          workload.set_config(live.workload);
-          controller_raw->set_budgets(live.vm_budget_per_hour,
-                                      live.storage_budget_per_hour);
-          cloud.set_budgets(live.vm_budget_per_hour,
-                            live.storage_budget_per_hour);
-        });
+    if (boundary > live_.total_duration()) continue;
+    simulator_.schedule_at(boundary, [this, &op] {
+      op.apply(live_, baseline_);
+      workload_.set_config(live_.workload);
+      deployment_->controller().set_budgets(live_.vm_budget_per_hour,
+                                            live_.storage_budget_per_hour);
+      cloud_.set_budgets(live_.vm_budget_per_hour, live_.storage_budget_per_hour);
+    });
   }
 
-  if (cohort_system) {
-    cohort_system->start();
-  } else {
-    discrete_system->start();
-  }
-  simulator.run_until(live.total_duration());
+  deployment_->start();
+}
 
+ExperimentResult Experiment::result() const {
   ExperimentResult result;
-  result.metrics =
-      cohort_system ? cohort_system->metrics() : discrete_system->metrics();
-  result.measure_start = live.measure_start();
-  result.measure_end = live.total_duration();
-  result.vm_cost_total = cloud.billing().total("vm");
-  result.storage_cost_total = cloud.billing().total("storage");
+  result.metrics = deployment_->metrics();
+  result.measure_start = live_.measure_start();
+  result.measure_end = live_.total_duration();
+  result.vm_cost_total = cloud_.billing().total("vm");
+  result.storage_cost_total = cloud_.billing().total("storage");
   result.plans_submitted =
-      static_cast<long>(cloud.request_monitor().log().size());
+      static_cast<long>(cloud_.request_monitor().log().size());
   result.plans_rejected = result.metrics.counters.rejected_plans;
-  result.vm_boots = cloud.vm_monitor().total_boots();
-  result.vm_shutdowns = cloud.vm_monitor().total_shutdowns();
-  result.sim_events = simulator.events_processed();
-  result.final_users = static_cast<long>(
-      cohort_system ? cohort_system->current_users()
-                    : discrete_system->current_users());
-  result.used_cohort_engine = use_cohort;
-  if (discrete_system) result.rebalance = discrete_system->rebalance_counters();
-  if (cohort_system) result.cohort = cohort_system->cohort_counters();
+  result.vm_boots = cloud_.vm_monitor().total_boots();
+  result.vm_shutdowns = cloud_.vm_monitor().total_shutdowns();
+  result.sim_events = simulator_.events_processed();
+  result.final_users = static_cast<long>(deployment_->current_users());
+  if (const auto* discrete =
+          dynamic_cast<const vod::StreamingSystem*>(deployment_.get())) {
+    result.rebalance = discrete->rebalance_counters();
+  }
+  if (const auto* cohort = dynamic_cast<const vod::CohortSystem*>(deployment_.get())) {
+    result.used_cohort_engine = true;
+    result.cohort = cohort->cohort_counters();
+  }
   return result;
+}
+
+ExperimentResult ExperimentRunner::run(const ExperimentConfig& config) {
+  Experiment experiment(config);
+  experiment.run_until(config.total_duration());
+  return experiment.result();
 }
 
 }  // namespace cloudmedia::expr

@@ -1,10 +1,16 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
+#include "cloud/cloud_service.h"
 #include "expr/config.h"
+#include "sim/simulator.h"
 #include "vod/cohort_system.h"
+#include "vod/deployment.h"
+#include "vod/streaming_system.h"
+#include "workload/scenario.h"
 
 namespace cloudmedia::expr {
 
@@ -55,6 +61,40 @@ void validate_timeline(const ExperimentConfig& config);
 /// ExperimentConfig::cohort_threshold to pick a simulation core before the
 /// run starts (no RNG draws — the discrete path stays bit-identical).
 [[nodiscard]] double estimated_peak_users(const ExperimentConfig& config);
+
+/// One experiment, built and ready to step. The constructor validates the
+/// config, wires the simulator, workload, SLA'd cloud, controller and the
+/// engine the config picks, schedules the timeline, and starts the
+/// deployment; run_until() then advances simulated time and result()
+/// summarises the run so far. Deterministic in config.seed.
+class Experiment {
+ public:
+  explicit Experiment(const ExperimentConfig& config);
+  // Scheduled events hold the experiment's address.
+  Experiment(const Experiment&) = delete;
+  Experiment& operator=(const Experiment&) = delete;
+  Experiment(Experiment&&) = delete;
+  Experiment& operator=(Experiment&&) = delete;
+
+  void run_until(double t) { simulator_.run_until(t); }
+  [[nodiscard]] ExperimentResult result() const;
+
+  [[nodiscard]] const sim::Simulator& simulator() const noexcept { return simulator_; }
+  [[nodiscard]] const vod::Deployment& deployment() const noexcept {
+    return *deployment_;
+  }
+
+ private:
+  // `live_` is the config the running system reads; timed ops mutate it at
+  // their boundary. `baseline_` is the pre-timeline snapshot handed to
+  // baseline-aware ops (the recovery primitive restores values from it).
+  ExperimentConfig live_;
+  ExperimentConfig baseline_;
+  sim::Simulator simulator_;
+  workload::Workload workload_;
+  cloud::CloudService cloud_;
+  std::unique_ptr<vod::Deployment> deployment_;
+};
 
 /// Build + run one experiment end to end. Deterministic in config.seed.
 class ExperimentRunner {

@@ -1,14 +1,14 @@
 #include "sweep/sweep_runner.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <future>
 #include <mutex>
+#include <thread>
 #include <vector>
 
-#include "sweep/thread_pool.h"
 #include "util/check.h"
 #include "util/json.h"
 #include "util/rng.h"
@@ -41,6 +41,10 @@ bool parse_size(const std::string& text, std::size_t begin, std::size_t end,
 }
 
 }  // namespace
+
+unsigned default_threads() noexcept {
+  return std::max(1u, std::thread::hardware_concurrency());
+}
 
 ShardSpec ShardSpec::parse(const std::string& text) {
   const std::size_t slash = text.find('/');
@@ -206,7 +210,7 @@ SweepResult SweepRunner::run(const SweepSpec& spec,
   };
 
   const unsigned threads =
-      spec.threads == 0 ? ThreadPool::default_threads() : spec.threads;
+      spec.threads == 0 ? default_threads() : spec.threads;
   if (threads <= 1 || n <= 1) {
     for (std::size_t i = 0; i < n; ++i) run_one(i);
     return result;
@@ -240,13 +244,11 @@ SweepResult SweepRunner::run(const SweepSpec& spec,
     }
   };
 
-  ThreadPool pool(threads);
-  std::vector<std::future<void>> futures;
-  futures.reserve(threads);
-  for (unsigned t = 0; t < threads; ++t) {
-    futures.push_back(pool.submit(worker));
+  {
+    std::vector<std::jthread> workers;  // joined at scope exit
+    workers.reserve(threads);
+    for (unsigned t = 0; t < threads; ++t) workers.emplace_back(worker);
   }
-  for (std::future<void>& future : futures) future.get();
   if (first_error) std::rethrow_exception(first_error);
   return result;
 }

@@ -53,7 +53,7 @@ struct SweepSpec {
   std::string scenario = "baseline_diurnal";
   ParamGrid grid;               ///< empty grid = one unmodified run
   std::uint64_t base_seed = 42;
-  unsigned threads = 1;         ///< 0 = ThreadPool::default_threads()
+  unsigned threads = 1;         ///< 0 = default_threads()
   double warmup_hours = 1.0;
   double measure_hours = 6.0;
   /// Retain each run's full ExperimentResult (series data) in
@@ -114,8 +114,12 @@ struct SweepSpec {
   [[nodiscard]] std::string spec_hash() const;
 };
 
-/// Fans a ParamGrid out across a ThreadPool; one ExperimentRunner::run per
-/// grid cell, results collected in grid order.
+/// Hardware concurrency with a floor of 1 (hardware_concurrency() may
+/// legally return 0).
+[[nodiscard]] unsigned default_threads() noexcept;
+
+/// Fans a ParamGrid out across `threads` workers; one ExperimentRunner::run
+/// per grid cell, results collected in grid order.
 class SweepRunner {
  public:
   /// The per-run seed: base_seed mixed with the hash of the point's

@@ -6,8 +6,6 @@
 #include <utility>
 
 #include "util/check.h"
-#include "util/log.h"
-#include "util/units.h"
 
 namespace cloudmedia::vod {
 
@@ -36,61 +34,32 @@ CohortSystem::CohortSystem(sim::Simulator& simulator,
                            cloud::CloudService& cloud,
                            std::unique_ptr<core::Controller> controller,
                            CohortOptions options)
-    : sim_(&simulator),
-      workload_(&workload),
-      params_(params),
-      cloud_(&cloud),
-      controller_(std::move(controller)),
-      options_(options),
-      num_channels_(workload.num_channels()),
-      num_chunks_(params.chunks_per_video),
-      tracker_(workload.num_channels(), params.chunks_per_video),
-      entry_point_(options.streaming.entry) {
-  params_.validate();
-  CM_EXPECTS(controller_ != nullptr);
-  CM_EXPECTS(workload.config().chunks_per_video == params.chunks_per_video);
-  CM_EXPECTS(options_.streaming.provisioning_interval > 0.0);
-  CM_EXPECTS(options_.streaming.rebalance_interval > 0.0);
-  CM_EXPECTS(options_.streaming.sample_interval > 0.0);
-  CM_EXPECTS(options_.window > 0.0);
-  CM_EXPECTS(options_.min_mass > 0.0);
-
-  const std::size_t total = static_cast<std::size_t>(num_channels_) *
-                            static_cast<std::size_t>(num_chunks_);
-  pools_.reserve(total);
-  for (std::size_t k = 0; k < total; ++k) {
-    // The cohort engine never enqueues discrete jobs, so the completion
-    // handler is unreachable; pools exist for capacity splitting, fluid
+    // The cohort engine never enqueues discrete jobs, so its pools' completion
+    // handlers are unreachable; pools exist for capacity splitting, fluid
     // processor sharing, and byte accounting.
-    pools_.push_back(std::make_unique<ServicePool>(
-        simulator, params_.vm_bandwidth,
-        [](const ServicePool::Completion&) {}));
-  }
-  served_cloud_snapshot_.assign(total, 0.0);
-  fluid_share_.assign(total, 0.0);
+    : Deployment(simulator, workload, params, cloud, std::move(controller),
+                 options.streaming,
+                 [](int, int) -> ServicePool::CompletionHandler {
+                   return [](const ServicePool::Completion&) {};
+                 }),
+      window_(options.window),
+      min_mass_(options.min_mass) {
+  CM_EXPECTS(window_ > 0.0);
+  CM_EXPECTS(min_mass_ > 0.0);
+
   const auto j_count = static_cast<std::size_t>(num_chunks_);
   const auto c_count = static_cast<std::size_t>(num_channels_);
-  for (std::vector<double>* row : {&dl_, &next_occ_, &flows_, &fluid_,
-                                   &weight_, &cloud_alloc_, &peer_alloc_}) {
+  for (std::vector<double>* row :
+       {&dl_, &next_occ_, &flows_, &fluid_, &cloud_alloc_, &peer_alloc_}) {
     row->assign(j_count, 0.0);
   }
   order_.assign(j_count, 0);
-  dl_mass_.assign(total, 0.0);
-  owned_mass_.assign(total, 0.0);
+  dl_mass_.assign(pools_.size(), 0.0);
+  owned_mass_.assign(pools_.size(), 0.0);
   channel_uplink_.assign(c_count, 0.0);
   stalled_.assign(c_count, 0.0);
   channel_mass_.assign(c_count, 0.0);
-  metrics_.channels.resize(static_cast<std::size_t>(num_channels_));
   refresh_behavior_cache();
-
-  cloud_->vm_scheduler().set_capacity_listener([this] { rebalance_capacity(); });
-}
-
-std::size_t CohortSystem::pool_index(int channel, int chunk) const {
-  CM_EXPECTS(channel >= 0 && channel < num_channels_);
-  CM_EXPECTS(chunk >= 0 && chunk < num_chunks_);
-  return static_cast<std::size_t>(channel) * static_cast<std::size_t>(num_chunks_) +
-         static_cast<std::size_t>(chunk);
 }
 
 std::size_t CohortSystem::cell(std::size_t slot, int chunk) const {
@@ -98,12 +67,8 @@ std::size_t CohortSystem::cell(std::size_t slot, int chunk) const {
          static_cast<std::size_t>(chunk);
 }
 
-ServicePool& CohortSystem::pool(int channel, int chunk) {
-  return *pools_[pool_index(channel, chunk)];
-}
-
-std::size_t CohortSystem::current_users() const noexcept {
-  return static_cast<std::size_t>(std::llround(std::max(0.0, total_mass_)));
+double CohortSystem::peak_viewer_mass() const {
+  return std::max(0.0, metrics_.concurrent_users.max_value());
 }
 
 double CohortSystem::channel_viewer_mass(int channel) const {
@@ -125,38 +90,15 @@ void CohortSystem::refresh_behavior_cache() {
   }
 }
 
-void CohortSystem::start() {
-  CM_EXPECTS(!started_);
-  started_ = true;
-
+void CohortSystem::schedule_start() {
   for (int c = 0; c < num_channels_; ++c) {
-    arrivals_.push_back(workload_->make_cohort_arrivals(c, options_.window));
+    arrivals_.push_back(workload_->make_cohort_arrivals(c, window_));
   }
-
-  const double t0 = sim_->now();
-  const vod::StreamingOptions& streaming = options_.streaming;
-  if (streaming.bootstrap_plan) {
-    sim_->schedule_at(t0, [this] {
-      const core::ProvisioningPlan plan = controller_->plan(bootstrap_report());
-      apply_plan(plan);
-      record_plan_series(sim_->now());
-    });
-  }
+  schedule_bootstrap();
   // Arrival windows: the tick at t covers [t, t + window).
-  sim_->schedule_periodic(t0, options_.window,
+  sim_->schedule_periodic(sim_->now(), window_,
                           [this](double t) { window_tick(t); });
-  sim_->schedule_periodic(t0 + streaming.provisioning_interval,
-                          streaming.provisioning_interval,
-                          [this](double t) { run_provisioning(t); });
-  sim_->schedule_periodic(t0 + streaming.rebalance_interval,
-                          streaming.rebalance_interval,
-                          [this](double) { rebalance_capacity(); });
-  sim_->schedule_periodic(t0 + streaming.sample_interval,
-                          streaming.sample_interval,
-                          [this](double t) { sample_bandwidth(t); });
-  sim_->schedule_periodic(t0 + streaming.quality_interval,
-                          streaming.quality_interval,
-                          [this](double t) { sample_quality(t); });
+  schedule_periodics();
 }
 
 std::size_t CohortSystem::allocate_slot() {
@@ -226,7 +168,7 @@ void CohortSystem::transition(std::size_t slot, std::uint32_t generation) {
   }
   const int c = channel_of_[slot];
   const double alive = alive_[slot];
-  if (alive < options_.min_mass) {
+  if (alive < min_mass_) {
     retire(slot);
     return;
   }
@@ -307,7 +249,7 @@ void CohortSystem::transition(std::size_t slot, std::uint32_t generation) {
   total_mass_ += stay_total - alive;
   sync_counters();
 
-  if (stay_total < options_.min_mass) {
+  if (stay_total < min_mass_) {
     retire(slot);
     return;
   }
@@ -347,42 +289,10 @@ void CohortSystem::sync_counters() {
 
 // --- provisioning loop ------------------------------------------------------
 
-core::TrackerReport CohortSystem::bootstrap_report() const {
-  // Same prior and window-labelling convention as
-  // StreamingSystem::bootstrap_report (see its declaration).
-  core::TrackerReport report;
-  report.interval_start = sim_->now();
-  report.interval_length = options_.streaming.provisioning_interval;
-  report.channels.resize(static_cast<std::size_t>(num_channels_));
-  const workload::ViewingBehavior& behavior = workload_->config().behavior;
-  const util::Matrix transfer = behavior.transfer_matrix(num_chunks_);
-  const std::vector<double> entry = behavior.entry_distribution(num_chunks_);
-  const double uplink_mean = workload_->uplink_distribution().mean();
-  for (int c = 0; c < num_channels_; ++c) {
-    core::ChannelObservation& obs = report.channels[static_cast<std::size_t>(c)];
-    obs.arrival_rate = workload_->channel_rate(c, sim_->now());
-    obs.transfer = transfer;
-    obs.entry = entry;
-    obs.occupancy.assign(static_cast<std::size_t>(num_chunks_), 0.0);
-    obs.served_cloud_bandwidth.assign(static_cast<std::size_t>(num_chunks_), 0.0);
-    obs.mean_peer_uplink = uplink_mean;
-  }
-  return report;
-}
-
-void CohortSystem::run_provisioning(double now) {
-  const double interval = options_.streaming.provisioning_interval;
-
-  std::vector<std::vector<double>> occupancy(
-      static_cast<std::size_t>(num_channels_),
-      std::vector<double>(static_cast<std::size_t>(num_chunks_), 0.0));
-  std::vector<double> mean_uplink(static_cast<std::size_t>(num_channels_), 0.0);
-  std::vector<std::vector<double>> served(
-      static_cast<std::size_t>(num_channels_),
-      std::vector<double>(static_cast<std::size_t>(num_chunks_), 0.0));
+void CohortSystem::harvest_population(
+    std::vector<std::vector<double>>& occupancy, std::vector<double>& mean_uplink) {
   std::vector<double> uplink_weighted(static_cast<std::size_t>(num_channels_),
                                       0.0);
-
   const auto j_count = static_cast<std::size_t>(num_chunks_);
   for (std::size_t slot = 0; slot < live_.size(); ++slot) {
     if (!live_[slot]) continue;
@@ -392,61 +302,10 @@ void CohortSystem::run_provisioning(double now) {
     for (std::size_t j = 0; j < j_count; ++j) sum[j] += occ[j];
     uplink_weighted[ch] += alive_[slot] * uplink_rate_[slot];
   }
-  for (int c = 0; c < num_channels_; ++c) {
-    const auto ch = static_cast<std::size_t>(c);
-    const std::size_t base = pool_index(c, 0);
-    for (std::size_t i = 0; i < j_count; ++i) {
-      ServicePool& p = *pools_[base + i];
-      p.sync();
-      served[ch][i] =
-          (p.cloud_bytes_served() - served_cloud_snapshot_[base + i]) / interval;
-      served_cloud_snapshot_[base + i] = p.cloud_bytes_served();
-    }
+  for (std::size_t ch = 0; ch < mean_uplink.size(); ++ch) {
     mean_uplink[ch] = channel_mass_[ch] > 0.0
                           ? uplink_weighted[ch] / channel_mass_[ch]
                           : workload_->uplink_distribution().mean();
-  }
-
-  const core::TrackerReport report =
-      tracker_.harvest(now - interval, interval, occupancy, mean_uplink, served);
-  const core::ProvisioningPlan plan = controller_->plan(report);
-  apply_plan(plan);
-  record_plan_series(now);
-}
-
-void CohortSystem::apply_plan(const core::ProvisioningPlan& plan) {
-  if (!cloud_->submit_plan(plan, num_channels_, num_chunks_)) {
-    ++metrics_.counters.rejected_plans;
-    CM_LOG(kWarn) << "cloud rejected provisioning plan at t=" << sim_->now();
-    return;
-  }
-  last_plan_ = std::make_shared<core::ProvisioningPlan>(plan);
-  const std::vector<int>& ports = entry_point_.config().ports;
-  const std::size_t vm_count = plan.instances.instances.size();
-  for (std::size_t k = 0; k < ports.size(); ++k) {
-    if (vm_count == 0) {
-      entry_point_.unmap_port(ports[k]);
-    } else {
-      entry_point_.map_port(ports[k], static_cast<int>(k % vm_count));
-    }
-  }
-}
-
-void CohortSystem::record_plan_series(double now) {
-  if (!last_plan_) return;
-  const core::ProvisioningPlan& plan = *last_plan_;
-  metrics_.vm_cost_rate.add(now, cloud_->vm_cost_rate());
-  metrics_.storage_cost_rate.add(now, cloud_->storage_cost_rate());
-  for (int c = 0; c < num_channels_; ++c) {
-    const auto ch = static_cast<std::size_t>(c);
-    ChannelSeries& series = metrics_.channels[ch];
-    double provisioned = 0.0;
-    for (double b : plan.chunk_cloud_bandwidth[ch]) provisioned += b;
-    series.provisioned_mbps.add(now, util::to_mbps(provisioned));
-    series.storage_utility.add(
-        now, core::channel_storage_utility(plan.storage_problem, plan.storage, c));
-    series.vm_utility.add(now,
-                          core::channel_vm_utility(plan.vm_problem, plan.vm, c));
   }
 }
 
@@ -482,7 +341,6 @@ void CohortSystem::rebalance_capacity() {
   }
 
   double* const fluid = fluid_.data();
-  double* const weight = weight_.data();
   double* const cloud_alloc = cloud_alloc_.data();
   double* const peer_alloc = peer_alloc_.data();
   for (int c = 0; c < num_channels_; ++c) {
@@ -506,29 +364,16 @@ void CohortSystem::rebalance_capacity() {
       fluid[j] = m * duty;
     }
 
-    // Cloud share follows fluid demand (+ standby), as the discrete engine
-    // follows active jobs.
-    double channel_cloud = 0.0;
-    double weight_total = 0.0;
-    for (std::size_t j = 0; j < j_count; ++j) {
-      channel_cloud += cloud_->chunk_capacity(c, static_cast<int>(j));
-      const double w = fluid[j] + options_.streaming.standby_weight;
-      weight[j] = w;
-      weight_total += w;
-    }
-    std::fill(cloud_alloc_.begin(), cloud_alloc_.end(), 0.0);
-    if (channel_cloud > 0.0 && weight_total > 0.0) {
-      for (std::size_t j = 0; j < j_count; ++j) {
-        cloud_alloc[j] = channel_cloud * weight[j] / weight_total;
-      }
-    }
+    // Cloud share follows fluid demand, as the discrete engine follows
+    // active jobs.
+    split_cloud_share(c, fluid_, cloud_alloc_);
 
     // Peer share: rarest-first waterfall over ownership mass. The channel's
     // aggregate uplink supplies chunks ascending by owners; each chunk may
     // draw at most the uplink fraction its owners hold.
     std::fill(peer_alloc_.begin(), peer_alloc_.end(), 0.0);
     const double uplink = channel_uplink_[ch];
-    if (options_.streaming.mode == core::StreamingMode::kP2p &&
+    if (options_.mode == core::StreamingMode::kP2p &&
         channel_mass_[ch] > 0.0 && uplink > 0.0) {
       double total_owned = 0.0;
       for (std::size_t j = 0; j < j_count; ++j) total_owned += owned_sum[j];
@@ -559,7 +404,6 @@ void CohortSystem::rebalance_capacity() {
     }
 
     for (std::size_t j = 0; j < j_count; ++j) {
-      fluid_share_[base + j] = fluid[j];
       pools[j]->set_capacity(peer_alloc[j], cloud_alloc[j]);
       pools[j]->set_fluid_jobs(fluid[j]);
     }
@@ -567,24 +411,6 @@ void CohortSystem::rebalance_capacity() {
 }
 
 // --- metrics ---------------------------------------------------------------
-
-void CohortSystem::sample_bandwidth(double now) {
-  double cloud_rate = 0.0;
-  double peer_rate = 0.0;
-  for (const auto& p : pools_) {
-    cloud_rate += p->cloud_rate();
-    peer_rate += p->peer_rate();
-  }
-  metrics_.reserved_mbps.add(now, util::to_mbps(cloud_->reserved_bandwidth()));
-  metrics_.used_cloud_mbps.add(now, util::to_mbps(cloud_rate));
-  metrics_.used_peer_mbps.add(now, util::to_mbps(peer_rate));
-  metrics_.concurrent_users.add(now, total_mass_);
-  peak_mass_ = std::max(peak_mass_, total_mass_);
-  for (int c = 0; c < num_channels_; ++c) {
-    metrics_.channels[static_cast<std::size_t>(c)].size.add(
-        now, channel_mass_[static_cast<std::size_t>(c)]);
-  }
-}
 
 void CohortSystem::sample_quality(double now) {
   // Fluid quality: the mass currently downloading from a pool whose

@@ -5,13 +5,10 @@
 #include <vector>
 
 #include "cloud/cloud_service.h"
-#include "cloud/entry_point.h"
 #include "core/controller.h"
 #include "sim/simulator.h"
 #include "util/matrix.h"
-#include "vod/service_pool.h"
-#include "vod/streaming_system.h"
-#include "vod/tracker.h"
+#include "vod/deployment.h"
 #include "workload/cohort.h"
 #include "workload/scenario.h"
 
@@ -34,9 +31,9 @@ struct CohortCounters {
   std::uint64_t tracker_rows = 0;  ///< Tracker::record_flows row calls
 };
 
-/// The cohort/fluid simulation core: the same CloudMedia deployment as
-/// StreamingSystem (tracker + controller loop, SLA'd cloud, entry point,
-/// per-(channel, chunk) ServicePools), but viewers are aggregated.
+/// The cohort/fluid simulation core: the same Deployment as StreamingSystem
+/// (tracker + controller loop, SLA'd cloud, entry point, per-(channel,
+/// chunk) ServicePools), but viewers are aggregated.
 ///
 /// Statistically-identical viewers — same channel, same arrival window —
 /// form one cohort: a struct-of-arrays arena slot holding the cohort's
@@ -67,74 +64,50 @@ struct CohortCounters {
 /// Small-N runs wanting exactness should use the discrete engine — the
 /// expr runner's `auto` engine does precisely that below the population
 /// threshold.
-class CohortSystem {
+class CohortSystem final : public Deployment {
  public:
   CohortSystem(sim::Simulator& simulator, const workload::Workload& workload,
                core::VodParameters params, cloud::CloudService& cloud,
                std::unique_ptr<core::Controller> controller,
                CohortOptions options);
 
-  /// Schedule the window ticks and periodic tasks; then drive the simulator.
-  void start();
-
-  [[nodiscard]] const SystemMetrics& metrics() const noexcept { return metrics_; }
-  [[nodiscard]] SystemMetrics& metrics() noexcept { return metrics_; }
-
   // --- introspection (tests, benches) -----------------------------------
-  /// Rounded viewer mass currently in the system.
-  [[nodiscard]] std::size_t current_users() const noexcept;
   [[nodiscard]] double current_viewer_mass() const noexcept { return total_mass_; }
   [[nodiscard]] double channel_viewer_mass(int channel) const;
-  [[nodiscard]] double peak_viewer_mass() const noexcept { return peak_mass_; }
+  /// Largest viewer mass a bandwidth sample has seen.
+  [[nodiscard]] double peak_viewer_mass() const;
   [[nodiscard]] long long viewers_admitted() const noexcept { return arrivals_count_; }
   [[nodiscard]] double departures_mass() const noexcept { return departures_mass_; }
   [[nodiscard]] std::size_t live_cohorts() const noexcept { return live_cohorts_; }
   [[nodiscard]] const CohortCounters& cohort_counters() const noexcept {
     return counters_;
   }
-  [[nodiscard]] ServicePool& pool(int channel, int chunk);
-  [[nodiscard]] Tracker& tracker() noexcept { return tracker_; }
-  [[nodiscard]] core::Controller& controller() noexcept { return *controller_; }
-  [[nodiscard]] cloud::EntryPoint& entry_point() noexcept { return entry_point_; }
-  [[nodiscard]] const core::ProvisioningPlan* last_plan() const noexcept {
-    return last_plan_ ? last_plan_.get() : nullptr;
-  }
 
  private:
+  // --- Deployment hooks ---------------------------------------------------
+  /// The bootstrap plan, then the arrival-window periodic, then the
+  /// deployment periodics.
+  void schedule_start() override;
+  void harvest_population(std::vector<std::vector<double>>& occupancy,
+                          std::vector<double>& mean_uplink) override;
+  void rebalance_capacity() override;
+  void sample_quality(double now) override;
+  [[nodiscard]] double population() const override { return total_mass_; }
+  [[nodiscard]] double channel_population(int channel) const override {
+    return channel_viewer_mass(channel);
+  }
+
   void window_tick(double now);
   void transition(std::size_t slot, std::uint32_t generation);
   void retire(std::size_t slot);
   [[nodiscard]] std::size_t allocate_slot();
   void refresh_behavior_cache();
-
-  void run_provisioning(double now);
-  [[nodiscard]] core::TrackerReport bootstrap_report() const;
-  void apply_plan(const core::ProvisioningPlan& plan);
-  void record_plan_series(double now);
-  void rebalance_capacity();
-  void sample_bandwidth(double now);
-  void sample_quality(double now);
   void sync_counters();
 
-  [[nodiscard]] std::size_t pool_index(int channel, int chunk) const;
   [[nodiscard]] std::size_t cell(std::size_t slot, int chunk) const;
 
-  sim::Simulator* sim_;
-  const workload::Workload* workload_;
-  core::VodParameters params_;
-  cloud::CloudService* cloud_;
-  std::unique_ptr<core::Controller> controller_;
-  CohortOptions options_;
-
-  int num_channels_;
-  int num_chunks_;
-
-  std::vector<std::unique_ptr<ServicePool>> pools_;  ///< C × J
-  std::vector<double> served_cloud_snapshot_;        ///< bytes at interval start
-  std::vector<double> fluid_share_;                  ///< last fluid job count
-
-  Tracker tracker_;
-  cloud::EntryPoint entry_point_;
+  double window_;    ///< CohortOptions::window
+  double min_mass_;  ///< CohortOptions::min_mass
 
   // SoA cohort arena. A slot is live iff live_[slot]; freed slots recycle
   // through free_slots_ and bump generation_ so stale transition events
@@ -158,7 +131,6 @@ class CohortSystem {
   std::vector<workload::CohortArrivals> arrivals_;  ///< per channel
   std::vector<double> channel_mass_;                ///< per channel
   double total_mass_ = 0.0;
-  double peak_mass_ = 0.0;
 
   long long arrivals_count_ = 0;
   double departures_mass_ = 0.0;
@@ -169,15 +141,12 @@ class CohortSystem {
   // Reused scratch: per-chunk rows for transition and the per-channel
   // rebalance pass, per-pool and per-channel sums for the arena walks.
   std::vector<double> dl_, next_occ_, flows_;
-  std::vector<double> fluid_, weight_, cloud_alloc_, peer_alloc_;
+  std::vector<double> fluid_, cloud_alloc_, peer_alloc_;
   std::vector<int> order_;
   std::vector<double> dl_mass_, owned_mass_;        ///< per pool
   std::vector<double> channel_uplink_, stalled_;    ///< per channel
 
   CohortCounters counters_;
-  std::shared_ptr<core::ProvisioningPlan> last_plan_;
-  SystemMetrics metrics_;
-  bool started_ = false;
 };
 
 }  // namespace cloudmedia::vod

@@ -1,0 +1,241 @@
+#include "vod/deployment.h"
+
+#include <algorithm>
+#include <cmath>
+
+#include "util/check.h"
+#include "util/log.h"
+#include "util/units.h"
+
+namespace cloudmedia::vod {
+
+Deployment::Deployment(sim::Simulator& simulator,
+                       const workload::Workload& workload,
+                       core::VodParameters params, cloud::CloudService& cloud,
+                       std::unique_ptr<core::Controller> controller,
+                       const StreamingOptions& options,
+                       const CompletionForward& forward)
+    : sim_(&simulator),
+      workload_(&workload),
+      params_(params),
+      cloud_(&cloud),
+      options_(options),
+      num_channels_(workload.num_channels()),
+      num_chunks_(params.chunks_per_video),
+      tracker_(workload.num_channels(), params.chunks_per_video),
+      entry_point_(options.entry),
+      controller_(std::move(controller)) {
+  params_.validate();
+  CM_EXPECTS(controller_ != nullptr);
+  CM_EXPECTS(workload.config().chunks_per_video == params.chunks_per_video);
+  CM_EXPECTS(options_.provisioning_interval > 0.0);
+  CM_EXPECTS(options_.rebalance_interval > 0.0);
+  CM_EXPECTS(options_.sample_interval > 0.0);
+  CM_EXPECTS(options_.quality_interval > 0.0 && options_.quality_window > 0.0);
+
+  const std::size_t total =
+      static_cast<std::size_t>(num_channels_) * static_cast<std::size_t>(num_chunks_);
+  pools_.reserve(total);
+  for (int c = 0; c < num_channels_; ++c) {
+    for (int i = 0; i < num_chunks_; ++i) {
+      pools_.push_back(std::make_unique<ServicePool>(
+          simulator, params_.vm_bandwidth, forward(c, i)));
+    }
+  }
+  served_cloud_snapshot_.assign(total, 0.0);
+  metrics_.channels.resize(static_cast<std::size_t>(num_channels_));
+
+  cloud_->vm_scheduler().set_capacity_listener([this] { rebalance_capacity(); });
+}
+
+void Deployment::start() {
+  CM_EXPECTS(!started_);
+  started_ = true;
+  schedule_start();
+}
+
+void Deployment::schedule_bootstrap() {
+  if (!options_.bootstrap_plan) return;
+  sim_->schedule_at(sim_->now(), [this] {
+    apply_plan(controller_->plan(bootstrap_report()));
+    record_plan_series(sim_->now());
+  });
+}
+
+void Deployment::schedule_periodics() {
+  const double t0 = sim_->now();
+  sim_->schedule_periodic(t0 + options_.provisioning_interval,
+                          options_.provisioning_interval,
+                          [this](double t) { run_provisioning(t); });
+  sim_->schedule_periodic(t0 + options_.rebalance_interval,
+                          options_.rebalance_interval,
+                          [this](double) { rebalance_capacity(); });
+  sim_->schedule_periodic(t0 + options_.sample_interval, options_.sample_interval,
+                          [this](double t) { sample_bandwidth(t); });
+  sim_->schedule_periodic(t0 + options_.quality_interval,
+                          options_.quality_interval,
+                          [this](double t) { sample_quality(t); });
+}
+
+std::size_t Deployment::current_users() const {
+  return static_cast<std::size_t>(std::llround(std::max(0.0, population())));
+}
+
+// --- provisioning loop ------------------------------------------------------
+
+core::TrackerReport Deployment::bootstrap_report() const {
+  // Window-labelling: see the declaration — interval_start is the start of
+  // the described window, here the upcoming [now, now+T) forecast.
+  core::TrackerReport report;
+  report.interval_start = sim_->now();
+  report.interval_length = options_.provisioning_interval;
+  report.channels.resize(static_cast<std::size_t>(num_channels_));
+  const workload::ViewingBehavior& behavior = workload_->config().behavior;
+  const util::Matrix transfer = behavior.transfer_matrix(num_chunks_);
+  const std::vector<double> entry = behavior.entry_distribution(num_chunks_);
+  const double uplink_mean = workload_->uplink_distribution().mean();
+  for (int c = 0; c < num_channels_; ++c) {
+    core::ChannelObservation& obs = report.channels[static_cast<std::size_t>(c)];
+    obs.arrival_rate = workload_->channel_rate(c, sim_->now());
+    obs.transfer = transfer;
+    obs.entry = entry;
+    obs.occupancy.assign(static_cast<std::size_t>(num_chunks_), 0.0);
+    obs.served_cloud_bandwidth.assign(static_cast<std::size_t>(num_chunks_), 0.0);
+    obs.mean_peer_uplink = uplink_mean;
+  }
+  return report;
+}
+
+void Deployment::run_provisioning(double now) {
+  const double interval = options_.provisioning_interval;
+  const auto chunks = static_cast<std::size_t>(num_chunks_);
+  std::vector<std::vector<double>> occupancy(
+      static_cast<std::size_t>(num_channels_), std::vector<double>(chunks, 0.0));
+  std::vector<std::vector<double>> served = occupancy;
+  std::vector<double> mean_uplink(static_cast<std::size_t>(num_channels_), 0.0);
+  harvest_population(occupancy, mean_uplink);
+
+  for (std::size_t key = 0; key < pools_.size(); ++key) {
+    ServicePool& p = *pools_[key];
+    p.sync();
+    served[key / chunks][key % chunks] =
+        (p.cloud_bytes_served() - served_cloud_snapshot_[key]) / interval;
+    served_cloud_snapshot_[key] = p.cloud_bytes_served();
+  }
+
+  const core::TrackerReport report =
+      tracker_.harvest(now - interval, interval, occupancy, mean_uplink, served);
+  apply_plan(controller_->plan(report));
+  record_plan_series(now);
+}
+
+void Deployment::apply_plan(const core::ProvisioningPlan& plan) {
+  if (!cloud_->submit_plan(plan, num_channels_, num_chunks_)) {
+    ++metrics_.counters.rejected_plans;
+    CM_LOG(kWarn) << "cloud rejected provisioning plan at t=" << sim_->now();
+    return;
+  }
+  last_plan_ = plan;
+  // Pool capacities refresh through the VM scheduler's listener.
+
+  // Refresh the entry point's port-forwarding table onto the provisioned
+  // instances (Sec. V-B: verified requests are "forwarded to the VMs in
+  // the cloud ... using the port-forwarding technique").
+  const std::vector<int>& ports = entry_point_.config().ports;
+  const std::size_t vm_count = plan.instances.instances.size();
+  for (std::size_t k = 0; k < ports.size(); ++k) {
+    if (vm_count == 0) {
+      entry_point_.unmap_port(ports[k]);
+    } else {
+      entry_point_.map_port(ports[k], static_cast<int>(k % vm_count));
+    }
+  }
+}
+
+void Deployment::record_plan_series(double now) {
+  if (!last_plan_) return;
+  const core::ProvisioningPlan& plan = *last_plan_;
+  metrics_.vm_cost_rate.add(now, cloud_->vm_cost_rate());
+  metrics_.storage_cost_rate.add(now, cloud_->storage_cost_rate());
+  for (int c = 0; c < num_channels_; ++c) {
+    const auto ch = static_cast<std::size_t>(c);
+    ChannelSeries& series = metrics_.channels[ch];
+    double provisioned = 0.0;
+    for (double b : plan.chunk_cloud_bandwidth[ch]) provisioned += b;
+    series.provisioned_mbps.add(now, util::to_mbps(provisioned));
+    series.storage_utility.add(
+        now, core::channel_storage_utility(plan.storage_problem, plan.storage, c));
+    series.vm_utility.add(now,
+                          core::channel_vm_utility(plan.vm_problem, plan.vm, c));
+  }
+}
+
+void Deployment::split_cloud_share(int channel, std::span<const double> demand,
+                                   std::span<double> share) const {
+  double channel_cloud = 0.0;
+  double weight_total = 0.0;
+  for (std::size_t i = 0; i < share.size(); ++i) {
+    channel_cloud += cloud_->chunk_capacity(channel, static_cast<int>(i));
+    share[i] = demand[i] + options_.standby_weight;  // the chunk's weight
+    weight_total += share[i];
+  }
+  const bool split = channel_cloud > 0.0 && weight_total > 0.0;
+  for (double& w : share) w = split ? channel_cloud * w / weight_total : 0.0;
+}
+
+// --- metrics ---------------------------------------------------------------
+
+double Deployment::cloud_rate_now() const {
+  double rate = 0.0;
+  for (const auto& p : pools_) rate += p->cloud_rate();
+  return rate;
+}
+
+double Deployment::peer_rate_now() const {
+  double rate = 0.0;
+  for (const auto& p : pools_) rate += p->peer_rate();
+  return rate;
+}
+
+void Deployment::sample_bandwidth(double now) {
+  metrics_.reserved_mbps.add(now, util::to_mbps(cloud_->reserved_bandwidth()));
+  metrics_.used_cloud_mbps.add(now, util::to_mbps(cloud_rate_now()));
+  metrics_.used_peer_mbps.add(now, util::to_mbps(peer_rate_now()));
+  metrics_.concurrent_users.add(now, population());
+  for (int c = 0; c < num_channels_; ++c) {
+    metrics_.channels[static_cast<std::size_t>(c)].size.add(now,
+                                                           channel_population(c));
+  }
+}
+
+std::size_t SystemMetrics::total_samples() const noexcept {
+  std::size_t n = reserved_mbps.size() + used_cloud_mbps.size() +
+                  used_peer_mbps.size() + quality.size() +
+                  vm_cost_rate.size() + storage_cost_rate.size() +
+                  concurrent_users.size();
+  for (const ChannelSeries& series : channels) {
+    n += series.size.size() + series.quality.size() +
+         series.provisioned_mbps.size() + series.storage_utility.size() +
+         series.vm_utility.size();
+  }
+  return n;
+}
+
+void SystemMetrics::downsample(std::size_t stride) {
+  CM_EXPECTS(stride >= 1);
+  if (stride == 1) return;
+  for (util::TimeSeries* series :
+       {&reserved_mbps, &used_cloud_mbps, &used_peer_mbps, &quality,
+        &vm_cost_rate, &storage_cost_rate, &concurrent_users}) {
+    *series = series->strided(stride);
+  }
+  for (ChannelSeries& series : channels) {
+    series.size = series.size.strided(stride);
+    series.quality = series.quality.strided(stride);
+    series.provisioned_mbps = series.provisioned_mbps.strided(stride);
+    series.storage_utility = series.storage_utility.strided(stride);
+    series.vm_utility = series.vm_utility.strided(stride);
+  }
+}
+
+}  // namespace cloudmedia::vod

@@ -4,8 +4,6 @@
 #include <numeric>
 
 #include "util/check.h"
-#include "util/log.h"
-#include "util/units.h"
 
 namespace cloudmedia::vod {
 
@@ -41,57 +39,18 @@ StreamingSystem::StreamingSystem(sim::Simulator& simulator,
                                  cloud::CloudService& cloud,
                                  std::unique_ptr<core::Controller> controller,
                                  StreamingOptions options)
-    : sim_(&simulator),
-      workload_(&workload),
-      params_(params),
-      cloud_(&cloud),
-      controller_(std::move(controller)),
-      options_(options),
-      num_channels_(workload.num_channels()),
-      num_chunks_(params.chunks_per_video),
-      tracker_(workload.num_channels(), params.chunks_per_video),
-      entry_point_(options.entry) {
-  params_.validate();
-  CM_EXPECTS(controller_ != nullptr);
-  CM_EXPECTS(workload.config().chunks_per_video == params.chunks_per_video);
-  CM_EXPECTS(options_.provisioning_interval > 0.0);
-  CM_EXPECTS(options_.rebalance_interval > 0.0);
-  CM_EXPECTS(options_.sample_interval > 0.0);
-  CM_EXPECTS(options_.quality_interval > 0.0 && options_.quality_window > 0.0);
-
-  const std::size_t total =
-      static_cast<std::size_t>(num_channels_) * static_cast<std::size_t>(num_chunks_);
-  pools_.reserve(total);
-  for (int c = 0; c < num_channels_; ++c) {
-    for (int i = 0; i < num_chunks_; ++i) {
-      pools_.push_back(std::make_unique<ServicePool>(
-          simulator, params_.vm_bandwidth,
-          [this, c, i](const ServicePool::Completion& completion) {
-            handle_completion(c, i, completion);
-          }));
-    }
-  }
-  served_cloud_snapshot_.assign(total, 0.0);
+    : Deployment(simulator, workload, params, cloud, std::move(controller),
+                 options, [this](int c, int i) -> ServicePool::CompletionHandler {
+                   return [this, c, i](const ServicePool::Completion& completion) {
+                     handle_completion(c, i, completion);
+                   };
+                 }) {
   members_.resize(static_cast<std::size_t>(num_channels_));
-  owners_.resize(total);
-  position_count_.assign(total, 0);
+  owners_.resize(pools_.size());
+  position_count_.assign(pools_.size(), 0);
   uplink_sum_.assign(static_cast<std::size_t>(num_channels_), 0.0);
   next_user_index_.assign(static_cast<std::size_t>(num_channels_), 0);
   last_arrival_time_.assign(static_cast<std::size_t>(num_channels_), 0.0);
-  metrics_.channels.resize(static_cast<std::size_t>(num_channels_));
-
-  cloud_->vm_scheduler().set_capacity_listener([this] { rebalance_capacity(); });
-}
-
-std::size_t StreamingSystem::pool_index(int channel, int chunk) const {
-  CM_EXPECTS(channel >= 0 && channel < num_channels_);
-  CM_EXPECTS(chunk >= 0 && chunk < num_chunks_);
-  return static_cast<std::size_t>(channel) * static_cast<std::size_t>(num_chunks_) +
-         static_cast<std::size_t>(chunk);
-}
-
-ServicePool& StreamingSystem::pool(int channel, int chunk) {
-  return *pools_[pool_index(channel, chunk)];
 }
 
 // --- peer slab -------------------------------------------------------------
@@ -132,10 +91,7 @@ std::vector<std::uint64_t> StreamingSystem::owner_handles(int channel,
   return handles_of(owners_[pool_index(channel, chunk)], slab_);
 }
 
-void StreamingSystem::start() {
-  CM_EXPECTS(!started_);
-  started_ = true;
-
+void StreamingSystem::schedule_start() {
   for (int c = 0; c < num_channels_; ++c) {
     arrivals_.push_back(workload_->make_arrivals(c));
   }
@@ -143,26 +99,8 @@ void StreamingSystem::start() {
     last_arrival_time_[static_cast<std::size_t>(c)] = sim_->now();
     schedule_next_arrival(c);
   }
-
-  const double t0 = sim_->now();
-  if (options_.bootstrap_plan) {
-    sim_->schedule_at(t0, [this] {
-      const core::ProvisioningPlan plan = controller_->plan(bootstrap_report());
-      apply_plan(plan);
-      record_plan_series(sim_->now());
-    });
-  }
-  sim_->schedule_periodic(t0 + options_.provisioning_interval,
-                          options_.provisioning_interval,
-                          [this](double t) { run_provisioning(t); });
-  sim_->schedule_periodic(t0 + options_.rebalance_interval,
-                          options_.rebalance_interval,
-                          [this](double) { rebalance_capacity(); });
-  sim_->schedule_periodic(t0 + options_.sample_interval, options_.sample_interval,
-                          [this](double t) { sample_bandwidth(t); });
-  sim_->schedule_periodic(t0 + options_.quality_interval,
-                          options_.quality_interval,
-                          [this](double t) { sample_quality(t); });
+  schedule_bootstrap();
+  schedule_periodics();
 }
 
 // --- user lifecycle -------------------------------------------------------
@@ -362,112 +300,25 @@ double StreamingSystem::uplink_sum(int channel) const {
   return uplink_sum_[static_cast<std::size_t>(channel)];
 }
 
-// --- provisioning loop ------------------------------------------------------
+// --- Deployment hooks -----------------------------------------------------
 
-core::TrackerReport StreamingSystem::bootstrap_report() const {
-  // Window-labelling: see the declaration — interval_start is the start of
-  // the described window, here the upcoming [now, now+T) forecast.
-  core::TrackerReport report;
-  report.interval_start = sim_->now();
-  report.interval_length = options_.provisioning_interval;
-  report.channels.resize(static_cast<std::size_t>(num_channels_));
-  const workload::ViewingBehavior& behavior = workload_->config().behavior;
-  const util::Matrix transfer = behavior.transfer_matrix(num_chunks_);
-  const std::vector<double> entry = behavior.entry_distribution(num_chunks_);
-  const double uplink_mean = workload_->uplink_distribution().mean();
-  for (int c = 0; c < num_channels_; ++c) {
-    core::ChannelObservation& obs = report.channels[static_cast<std::size_t>(c)];
-    obs.arrival_rate = workload_->channel_rate(c, sim_->now());
-    obs.transfer = transfer;
-    obs.entry = entry;
-    obs.occupancy.assign(static_cast<std::size_t>(num_chunks_), 0.0);
-    obs.served_cloud_bandwidth.assign(static_cast<std::size_t>(num_chunks_), 0.0);
-    obs.mean_peer_uplink = uplink_mean;
-  }
-  return report;
-}
-
-void StreamingSystem::run_provisioning(double now) {
-  const double interval = options_.provisioning_interval;
-
-  const auto channels = static_cast<std::size_t>(num_channels_);
-  std::vector<std::vector<double>> occupancy(
-      channels, std::vector<double>(static_cast<std::size_t>(num_chunks_), 0.0));
-  std::vector<std::vector<double>> served = occupancy;
-  std::vector<double> mean_uplink(channels, 0.0);
-
+void StreamingSystem::harvest_population(
+    std::vector<std::vector<double>>& occupancy, std::vector<double>& mean_uplink) {
   for (int c = 0; c < num_channels_; ++c) {
     const auto ch = static_cast<std::size_t>(c);
     for (int i = 0; i < num_chunks_; ++i) {
-      const std::size_t key = pool_index(c, i);
       occupancy[ch][static_cast<std::size_t>(i)] =
-          static_cast<double>(position_count_[key]);
-      ServicePool& p = *pools_[key];
-      p.sync();
-      served[ch][static_cast<std::size_t>(i)] =
-          (p.cloud_bytes_served() - served_cloud_snapshot_[key]) / interval;
-      served_cloud_snapshot_[key] = p.cloud_bytes_served();
+          static_cast<double>(position_count_[pool_index(c, i)]);
     }
     mean_uplink[ch] = members_[ch].empty()
                           ? workload_->uplink_distribution().mean()
                           : uplink_sum_[ch] / static_cast<double>(members_[ch].size());
   }
-
-  const core::TrackerReport report =
-      tracker_.harvest(now - interval, interval, occupancy, mean_uplink, served);
-  const core::ProvisioningPlan plan = controller_->plan(report);
-  apply_plan(plan);
-  record_plan_series(now);
-}
-
-void StreamingSystem::apply_plan(const core::ProvisioningPlan& plan) {
-  if (!cloud_->submit_plan(plan, num_channels_, num_chunks_)) {
-    ++metrics_.counters.rejected_plans;
-    CM_LOG(kWarn) << "cloud rejected provisioning plan at t=" << sim_->now();
-    return;
-  }
-  last_plan_ = std::make_shared<core::ProvisioningPlan>(plan);
-  // Pool capacities refresh through the VM scheduler's listener.
-
-  // Refresh the entry point's port-forwarding table onto the provisioned
-  // instances (Sec. V-B: verified requests are "forwarded to the VMs in
-  // the cloud ... using the port-forwarding technique").
-  const std::vector<int>& ports = entry_point_.config().ports;
-  const std::size_t vm_count = plan.instances.instances.size();
-  for (std::size_t k = 0; k < ports.size(); ++k) {
-    if (vm_count == 0) {
-      entry_point_.unmap_port(ports[k]);
-    } else {
-      entry_point_.map_port(ports[k], static_cast<int>(k % vm_count));
-    }
-  }
-}
-
-void StreamingSystem::record_plan_series(double now) {
-  if (!last_plan_) return;
-  const core::ProvisioningPlan& plan = *last_plan_;
-  metrics_.vm_cost_rate.add(now, cloud_->vm_cost_rate());
-  metrics_.storage_cost_rate.add(now, cloud_->storage_cost_rate());
-  for (int c = 0; c < num_channels_; ++c) {
-    const auto ch = static_cast<std::size_t>(c);
-    ChannelSeries& series = metrics_.channels[ch];
-    double provisioned = 0.0;
-    for (double b : plan.chunk_cloud_bandwidth[ch]) provisioned += b;
-    series.provisioned_mbps.add(now, util::to_mbps(provisioned));
-    series.storage_utility.add(
-        now, core::channel_storage_utility(plan.storage_problem, plan.storage, c));
-    series.vm_utility.add(now,
-                          core::channel_vm_utility(plan.vm_problem, plan.vm, c));
-  }
 }
 
 void StreamingSystem::rebalance_capacity() {
   // Two re-splits per channel, mirroring the real schedulers:
-  //  - Cloud: a VM serves whichever of its (consecutive) chunks is being
-  //    requested (Sec. V-A2), so the channel's planned cloud bandwidth is
-  //    re-split across chunks in proportion to active requests, with a
-  //    small standby weight so fresh requests are never starved until the
-  //    next tick.
+  //  - Cloud: split_cloud_share over the chunks' active requests.
   //  - Peers (P2P mode): rarest-first allocation of owners' uplinks to
   //    active demand (Sec. IV-C), residual split as standby over owned
   //    chunks. Both passes read the id-sorted owner lists, so every float
@@ -485,16 +336,10 @@ void StreamingSystem::rebalance_capacity() {
     const std::size_t base = pool_index(c, 0);
 
     // --- cloud share: follow current requests --------------------------
-    double channel_cloud = 0.0;
-    double weight_total = 0.0;
     for (std::size_t i = 0; i < chunks; ++i) {
-      channel_cloud += cloud_->chunk_capacity(c, static_cast<int>(i));
-      cloud_alloc_[i] = static_cast<double>(pools_[base + i]->active_jobs()) +
-                        options_.standby_weight;  // the chunk's weight
-      weight_total += cloud_alloc_[i];
+      cloud_alloc_[i] = static_cast<double>(pools_[base + i]->active_jobs());
     }
-    const bool split = channel_cloud > 0.0 && weight_total > 0.0;
-    for (double& w : cloud_alloc_) w = split ? channel_cloud * w / weight_total : 0.0;
+    split_cloud_share(c, cloud_alloc_, cloud_alloc_);
 
     // --- peer share: rarest-first waterfall (P2P only) ------------------
     peer_alloc_.assign(chunks, 0.0);
@@ -550,29 +395,6 @@ void StreamingSystem::rebalance_capacity() {
 
 // --- metrics ---------------------------------------------------------------
 
-double StreamingSystem::cloud_rate_now() const {
-  double rate = 0.0;
-  for (const auto& p : pools_) rate += p->cloud_rate();
-  return rate;
-}
-
-double StreamingSystem::peer_rate_now() const {
-  double rate = 0.0;
-  for (const auto& p : pools_) rate += p->peer_rate();
-  return rate;
-}
-
-void StreamingSystem::sample_bandwidth(double now) {
-  metrics_.reserved_mbps.add(now, util::to_mbps(cloud_->reserved_bandwidth()));
-  metrics_.used_cloud_mbps.add(now, util::to_mbps(cloud_rate_now()));
-  metrics_.used_peer_mbps.add(now, util::to_mbps(peer_rate_now()));
-  metrics_.concurrent_users.add(now, static_cast<double>(live_peers_));
-  for (int c = 0; c < num_channels_; ++c) {
-    metrics_.channels[static_cast<std::size_t>(c)].size.add(
-        now, static_cast<double>(members_[static_cast<std::size_t>(c)].size()));
-  }
-}
-
 bool StreamingSystem::peer_is_smooth(const Peer& peer) const {
   const double now = sim_->now();
   if (peer.last_late > now - options_.quality_window) return false;
@@ -593,6 +415,7 @@ double StreamingSystem::system_quality_now() const {
 }
 
 double StreamingSystem::channel_quality_now(int channel) const {
+  CM_EXPECTS(channel >= 0 && channel < num_channels_);
   const auto ch = static_cast<std::size_t>(channel);
   if (members_[ch].empty()) return 1.0;
   std::size_t smooth = 0;
@@ -621,36 +444,6 @@ int StreamingSystem::owner_count(int channel, int chunk) const {
 
 int StreamingSystem::position_count(int channel, int chunk) const {
   return position_count_[pool_index(channel, chunk)];
-}
-
-std::size_t SystemMetrics::total_samples() const noexcept {
-  std::size_t n = reserved_mbps.size() + used_cloud_mbps.size() +
-                  used_peer_mbps.size() + quality.size() +
-                  vm_cost_rate.size() + storage_cost_rate.size() +
-                  concurrent_users.size();
-  for (const ChannelSeries& series : channels) {
-    n += series.size.size() + series.quality.size() +
-         series.provisioned_mbps.size() + series.storage_utility.size() +
-         series.vm_utility.size();
-  }
-  return n;
-}
-
-void SystemMetrics::downsample(std::size_t stride) {
-  CM_EXPECTS(stride >= 1);
-  if (stride == 1) return;
-  for (util::TimeSeries* series :
-       {&reserved_mbps, &used_cloud_mbps, &used_peer_mbps, &quality,
-        &vm_cost_rate, &storage_cost_rate, &concurrent_users}) {
-    *series = series->strided(stride);
-  }
-  for (ChannelSeries& series : channels) {
-    series.size = series.size.strided(stride);
-    series.quality = series.quality.strided(stride);
-    series.provisioned_mbps = series.provisioned_mbps.strided(stride);
-    series.storage_utility = series.storage_utility.strided(stride);
-    series.vm_utility = series.vm_utility.strided(stride);
-  }
 }
 
 }  // namespace cloudmedia::vod

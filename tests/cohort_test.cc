@@ -348,6 +348,39 @@ TEST(CohortEngine, OutputsMatchParentCommitBitForBit) {
 
 // --------------------------------------------------- cohort mass accounting
 
+TEST(CohortSystem, RejectsBadQualityIntervalsAtConstruction) {
+  // Bad sampling cadences fail when the engine is built, as the discrete
+  // engine's do, not later inside Simulator::schedule_periodic at start().
+  const expr::ExperimentConfig cfg = small_config(StreamingMode::kClientServer);
+  sim::Simulator sim;
+  const workload::Workload workload(cfg.workload, cfg.seed);
+  cloud::CloudConfig cloud_cfg;
+  cloud_cfg.sla = cloud::SlaTerms{cfg.vm_budget_per_hour,
+                                  cfg.storage_budget_per_hour,
+                                  cfg.vm_clusters, cfg.nfs_clusters};
+  cloud_cfg.vm = cloud::VmSchedulerConfig{0.0, cfg.vod.vm_bandwidth};
+  cloud::CloudService cloud(sim, cloud_cfg);
+  const auto build = [&](double quality_interval, double quality_window) {
+    vod::CohortOptions options;
+    options.streaming.quality_interval = quality_interval;
+    options.streaming.quality_window = quality_window;
+    vod::CohortSystem system(
+        sim, workload, cfg.vod, cloud,
+        std::make_unique<core::Controller>(
+            cfg.vod,
+            core::ControllerConfig{cfg.vm_clusters, cfg.nfs_clusters,
+                                   cfg.vm_budget_per_hour,
+                                   cfg.storage_budget_per_hour},
+            std::make_unique<core::ModelBasedPolicy>(
+                cfg.vod, core::DemandEstimatorConfig{})),
+        options);
+  };
+  EXPECT_NO_THROW(build(300.0, 300.0));
+  EXPECT_THROW(build(0.0, 300.0), util::PreconditionError);
+  EXPECT_THROW(build(-1.0, 300.0), util::PreconditionError);
+  EXPECT_THROW(build(300.0, 0.0), util::PreconditionError);
+}
+
 TEST(CohortSystem, ConservesViewerMass) {
   expr::ExperimentConfig cfg = small_config(StreamingMode::kClientServer);
   cfg.workload.total_arrival_rate = 0.5;

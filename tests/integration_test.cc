@@ -13,6 +13,7 @@
 #include "expr/runner.h"
 #include "sim/simulator.h"
 #include "util/check.h"
+#include "vod/cohort_system.h"
 #include "vod/streaming_system.h"
 #include "workload/scenario.h"
 
@@ -347,6 +348,9 @@ TEST(StreamingSystem, QualityBoundsAndPlanPresence) {
     EXPECT_GE(cq, 0.0);
     EXPECT_LE(cq, 1.0);
   }
+  EXPECT_THROW((void)system.channel_quality_now(-1), util::PreconditionError);
+  EXPECT_THROW((void)system.channel_quality_now(cfg.workload.num_channels),
+               util::PreconditionError);
   EXPECT_GE(system.cloud_rate_now(), 0.0);
   EXPECT_DOUBLE_EQ(system.peer_rate_now(), 0.0);  // client–server mode
 }
@@ -368,6 +372,45 @@ TEST(StreamingSystem, StartTwiceIsRejected) {
                               std::move(controller), vod::StreamingOptions{});
   system.start();
   EXPECT_THROW(system.start(), util::PreconditionError);
+}
+
+/// Wires `Engine` by hand against a cloud whose SLA budgets sit far below
+/// the controller's, so the SLA rejects every plan the controller submits.
+template <typename Engine, typename Options>
+void expect_every_plan_rejected(const Options& options) {
+  sim::Simulator sim;
+  const expr::ExperimentConfig cfg = small_config(StreamingMode::kClientServer);
+  const workload::Workload workload(cfg.workload, cfg.seed);
+  cloud::CloudConfig cloud_cfg;
+  cloud_cfg.sla = cloud::SlaTerms{1e-6, 1e-6, cfg.vm_clusters, cfg.nfs_clusters};
+  cloud_cfg.vm = cloud::VmSchedulerConfig{0.0, cfg.vod.vm_bandwidth};
+  cloud::CloudService cloud(sim, cloud_cfg);
+  auto controller = std::make_unique<core::Controller>(
+      cfg.vod,
+      core::ControllerConfig{cfg.vm_clusters, cfg.nfs_clusters,
+                             cfg.vm_budget_per_hour, cfg.storage_budget_per_hour},
+      std::make_unique<core::ModelBasedPolicy>(cfg.vod,
+                                               core::DemandEstimatorConfig{}));
+  Engine system(sim, workload, cfg.vod, cloud, std::move(controller), options);
+  system.start();
+  sim.run_until(3.5 * 3600.0);
+
+  // The t = 0 bootstrap plus the harvests at 1 h, 2 h and 3 h.
+  EXPECT_EQ(system.metrics().counters.rejected_plans, 4);
+  EXPECT_EQ(cloud.request_monitor().log().size(), 4u);
+  EXPECT_EQ(system.last_plan(), nullptr);
+  EXPECT_TRUE(system.metrics().vm_cost_rate.empty());
+}
+
+TEST(Deployment, SlaRejectedPlansAreCountedAndNeverApplied) {
+  {
+    SCOPED_TRACE("discrete");
+    expect_every_plan_rejected<vod::StreamingSystem>(vod::StreamingOptions{});
+  }
+  {
+    SCOPED_TRACE("cohort");
+    expect_every_plan_rejected<vod::CohortSystem>(vod::CohortOptions{});
+  }
 }
 
 // ------------------------------------------------------------ expr helpers

@@ -1,10 +1,10 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
-#include <future>
 #include <limits>
+#include <mutex>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -15,50 +15,12 @@
 #include "sweep/scenario_catalog.h"
 #include "sweep/sweep_diff.h"
 #include "sweep/sweep_runner.h"
-#include "sweep/thread_pool.h"
 #include "testing/seeds.h"
 #include "util/check.h"
 #include "util/json.h"
 
 namespace cloudmedia::sweep {
 namespace {
-
-// ------------------------------------------------------------- ThreadPool
-
-TEST(ThreadPool, RunsSubmittedTasksAndReturnsValues) {
-  ThreadPool pool(4);
-  std::vector<std::future<int>> futures;
-  for (int i = 0; i < 64; ++i) {
-    futures.push_back(pool.submit([i] { return i * i; }));
-  }
-  for (int i = 0; i < 64; ++i) {
-    EXPECT_EQ(futures[static_cast<std::size_t>(i)].get(), i * i);
-  }
-}
-
-TEST(ThreadPool, DrainsQueueOnDestruction) {
-  std::atomic<int> done{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 32; ++i) {
-      (void)pool.submit([&done] { ++done; });
-    }
-  }  // destructor must wait for every queued task
-  EXPECT_EQ(done.load(), 32);
-}
-
-TEST(ThreadPool, PropagatesExceptionsThroughFutures) {
-  ThreadPool pool(1);
-  auto future = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(future.get(), std::runtime_error);
-}
-
-TEST(ThreadPool, ClampsToAtLeastOneWorker) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.size(), 1u);
-  EXPECT_EQ(pool.submit([] { return 7; }).get(), 7);
-  EXPECT_GE(ThreadPool::default_threads(), 1u);
-}
 
 // -------------------------------------------------------------- ParamGrid
 
@@ -554,6 +516,36 @@ TEST(SweepRunner, ThreadCountDoesNotChangeOutput) {
     EXPECT_GE(run.mean_quality, 0.0);
     EXPECT_LE(run.mean_quality, 1.0);
   }
+}
+
+TEST(SweepRunner, FirstFailingCellInGridOrderIsRethrown) {
+  // The parallel path runs plain worker threads that claim cells off a
+  // shared counter: a throwing cell must not stop the others, and the
+  // failure rethrown is the first in grid order, whichever finishes first.
+  EXPECT_GE(default_threads(), 1u);
+  SweepSpec spec;
+  spec.scenario = "flash_crowd";
+  spec.grid.add_axis("channels", {"2", "3", "4", "5", "6", "7", "8", "9"});
+  spec.base_seed = testing::kGoldenSeed;
+  spec.threads = 4;
+  spec.warmup_hours = 0.02;
+  spec.measure_hours = 0.05;
+  std::mutex mutex;
+  std::vector<int> reached(8, 0);
+  spec.sink = [&mutex, &reached](std::size_t cell, RunSummary) {
+    const std::lock_guard<std::mutex> lock(mutex);
+    ++reached[cell];
+    if (cell == 3 || cell == 5) {
+      throw std::runtime_error("cell " + std::to_string(cell));
+    }
+  };
+  try {
+    (void)SweepRunner::run(spec);
+    ADD_FAILURE() << "SweepRunner::run swallowed the failing cells";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "cell 3");
+  }
+  EXPECT_EQ(reached, std::vector<int>(8, 1));
 }
 
 TEST(SweepRunner, CsvShapeMatchesGrid) {

@@ -1,17 +1,14 @@
 // Diagnostic: step the full paper-scale simulation hour by hour and print
-// wall time, population, pending events, and processed events per simulated
-// hour — used to localize super-linear slowdowns.
+// wall time, population, pending events, processed events and the latest
+// quality sample per simulated hour — used to localize super-linear
+// slowdowns.
 
 #include <chrono>
 #include <cstdio>
-#include <memory>
 
-#include "cloud/cloud_service.h"
 #include "expr/config.h"
 #include "expr/flags.h"
-#include "sim/simulator.h"
-#include "vod/streaming_system.h"
-#include "workload/scenario.h"
+#include "expr/runner.h"
 
 using namespace cloudmedia;
 
@@ -23,35 +20,16 @@ int main(int argc, char** argv) {
       p2p ? core::StreamingMode::kP2p : core::StreamingMode::kClientServer);
   cfg.seed = static_cast<std::uint64_t>(flags.get_ll("seed", 42));
 
-  sim::Simulator simulator;
-  const workload::Workload workload(cfg.workload, cfg.seed);
-  cloud::CloudConfig cloud_config;
-  cloud_config.sla = cloud::SlaTerms{cfg.vm_budget_per_hour,
-                                     cfg.storage_budget_per_hour,
-                                     cfg.vm_clusters, cfg.nfs_clusters};
-  cloud_config.vm =
-      cloud::VmSchedulerConfig{cfg.vm_boot_delay, cfg.vod.vm_bandwidth};
-  cloud::CloudService cloud(simulator, cloud_config);
-  core::ControllerConfig controller_config{cfg.vm_clusters, cfg.nfs_clusters,
-                                           cfg.vm_budget_per_hour,
-                                           cfg.storage_budget_per_hour};
-  core::DemandEstimatorConfig estimator;
-  estimator.mode = cfg.mode;
-  auto controller = std::make_unique<core::Controller>(
-      cfg.vod, controller_config,
-      std::make_unique<core::ModelBasedPolicy>(cfg.vod, estimator));
-  vod::StreamingOptions options = cfg.streaming;
-  options.mode = cfg.mode;
-  vod::StreamingSystem system(simulator, workload, cfg.vod, cloud,
-                              std::move(controller), options);
-  system.start();
+  expr::Experiment experiment(cfg);
+  const sim::Simulator& simulator = experiment.simulator();
+  const vod::Deployment& system = experiment.deployment();
 
   const double step = flags.get("step", 3600.0);
   const double from = flags.get("from", 0.0) * 3600.0;
   if (from > 0.0) {
     std::printf("fast-forwarding to %.1f h...\n", from / 3600.0);
     std::fflush(stdout);
-    simulator.run_until(from);
+    experiment.run_until(from);
   }
 
   std::printf("%9s %10s %10s %12s %12s %10s\n", "time(h)", "wall(s)", "users",
@@ -59,15 +37,17 @@ int main(int argc, char** argv) {
   std::uint64_t prev_events = simulator.events_processed();
   for (double t = from + step; t <= hours * 3600.0 + 1e-9; t += step) {
     const auto t0 = std::chrono::steady_clock::now();
-    simulator.run_until(t);
+    experiment.run_until(t);
     const auto t1 = std::chrono::steady_clock::now();
     const double wall =
         std::chrono::duration<double>(t1 - t0).count();
+    const util::TimeSeries& quality = system.metrics().quality;
     std::printf("%9.3f %10.2f %10zu %12llu %12zu %10.3f\n", t / 3600.0, wall,
                 system.current_users(),
                 static_cast<unsigned long long>(simulator.events_processed() -
                                                 prev_events),
-                simulator.pending(), system.system_quality_now());
+                simulator.pending(),
+                quality.empty() ? 1.0 : quality.value_at(quality.size() - 1));
     std::fflush(stdout);
     prev_events = simulator.events_processed();
   }

@@ -91,7 +91,6 @@
 #include "sweep/scenario_catalog.h"
 #include "sweep/sweep_diff.h"
 #include "sweep/sweep_runner.h"
-#include "sweep/thread_pool.h"
 #include "util/check.h"
 #include "util/csv.h"
 #include "util/json.h"
@@ -323,7 +322,7 @@ int main(int argc, char** argv) {
   }
   const std::string out = flags.get("out", default_out);
   const unsigned threads =
-      spec.threads ? spec.threads : sweep::ThreadPool::default_threads();
+      spec.threads ? spec.threads : sweep::default_threads();
 
   const std::size_t owned_cells =
       sweep::SweepRunner::shard_cells(spec.grid.num_points(), spec.shard)
