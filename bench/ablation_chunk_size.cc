@@ -31,6 +31,7 @@ using namespace cloudmedia;
 
 int main(int argc, char** argv) {
   const expr::Flags flags(argc, argv);
+  flags.require_known({"hours", "warmup", "seed", "threads", "out"});
 
   profile::Profile prof = sweep::golden_preset("ablation_chunk_size").profile;
   prof.warmup_hours = 2.0;

@@ -52,6 +52,7 @@ double federated_peak(const std::vector<const expr::ExperimentResult*>& regions)
 
 int main(int argc, char** argv) {
   const expr::Flags flags(argc, argv);
+  flags.require_known({"hours", "warmup", "seed", "threads", "out"});
 
   profile::Profile prof = sweep::golden_preset("ablation_geo").profile;
   prof.warmup_hours = 4.0;

@@ -68,6 +68,8 @@ double total(const std::vector<double>& xs) {
 
 int main(int argc, char** argv) {
   const expr::Flags flags(argc, argv);
+  flags.require_known({"rate", "classes", "chunks", "e2e", "hours", "warmup",
+                       "seed", "threads", "out"});
   const double rate = flags.get("rate", 0.1);
   const int max_classes = flags.get("classes", 8);
 

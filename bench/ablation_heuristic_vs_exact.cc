@@ -24,6 +24,7 @@ using namespace cloudmedia;
 
 int main(int argc, char** argv) {
   const expr::Flags flags(argc, argv);
+  flags.require_known({"instances", "seed"});
   const int instances = flags.get("instances", 25);
   util::Rng rng(static_cast<std::uint64_t>(flags.get_ll("seed", 42)));
 

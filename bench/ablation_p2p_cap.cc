@@ -35,6 +35,7 @@ using namespace cloudmedia;
 
 int main(int argc, char** argv) {
   const expr::Flags flags(argc, argv);
+  flags.require_known({"hours", "warmup", "seed", "threads", "out"});
   const core::VodParameters params;
   const workload::ViewingBehavior behavior;
   const util::Matrix transfer = behavior.transfer_matrix(params.chunks_per_video);

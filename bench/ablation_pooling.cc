@@ -27,6 +27,7 @@ using namespace cloudmedia;
 
 int main(int argc, char** argv) {
   const expr::Flags flags(argc, argv);
+  flags.require_known({"hours", "warmup", "seed", "threads", "out"});
 
   profile::Profile prof;
   prof.scenario = "baseline_diurnal";

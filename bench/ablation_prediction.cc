@@ -53,6 +53,8 @@ double true_hourly_rate(const workload::Workload& workload, int channel,
 
 int main(int argc, char** argv) {
   const expr::Flags flags(argc, argv);
+  flags.require_known({"days", "e2e", "hours", "warmup", "seed", "threads",
+                       "out"});
   const int days = flags.get("days", 4);
   const auto seed = static_cast<std::uint64_t>(flags.get_ll("seed", 42));
 

@@ -27,6 +27,8 @@ using namespace cloudmedia;
 
 int main(int argc, char** argv) {
   const expr::Flags flags(argc, argv);
+  flags.require_known({"scenario", "hours", "warmup", "seed", "threads",
+                       "out"});
 
   profile::Profile prof;
   prof.scenario = flags.get("scenario", std::string("baseline_diurnal"));

@@ -35,6 +35,8 @@ using namespace cloudmedia;
 
 int main(int argc, char** argv) {
   const expr::Flags flags(argc, argv);
+  flags.require_known({"viewers", "hours", "warmup", "calibration", "seed",
+                       "out"});
   const double target = flags.get("viewers", 10'000'000.0);
   const double hours = flags.get("hours", 24.0);
   const double warmup = flags.get("warmup", 0.0);

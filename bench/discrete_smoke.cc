@@ -61,6 +61,8 @@ constexpr bool sanitized_build() {
 
 int main(int argc, char** argv) {
   const expr::Flags flags(argc, argv);
+  flags.require_known({"rate", "hours", "warmup", "min-events-per-sec",
+                       "max-rss-mb", "seed", "out"});
   const double rate = flags.get("rate", 6.0);
   const double hours = flags.get("hours", 10.0);
   const double warmup = flags.get("warmup", 0.0);

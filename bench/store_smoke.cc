@@ -84,6 +84,8 @@ struct PhaseResult {
 
 int main(int argc, char** argv) {
   const expr::Flags flags(argc, argv);
+  flags.require_known({"cells", "hours", "warmup", "seed", "threads",
+                       "store-out", "out"});
 
   const long long cells_flag = flags.get_ll("cells", 10000);
   if (cells_flag < 32) {

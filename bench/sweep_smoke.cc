@@ -43,6 +43,7 @@ std::size_t retained_samples(const sweep::SweepResult& result) {
 
 int main(int argc, char** argv) {
   const expr::Flags flags(argc, argv);
+  flags.require_known({"hours", "warmup", "seed", "threads", "out"});
 
   profile::Profile prof;
   prof.scenario = "baseline_diurnal";

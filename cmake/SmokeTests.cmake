@@ -100,18 +100,29 @@ if(TARGET sweep_test)
     --gtest_filter=SweepRunner.*:ScenarioCatalog.*:ParamGrid.*)
 endif()
 
-# One downscaled bench per paper-figure family (fig04–fig11) and per
-# sweep-engine ablation — every migrated bench stays runnable end to end.
+# Every paper figure (fig04–fig11) through bench_paper_figures, and one
+# downscaled run per sweep-engine ablation — every bench stays runnable end
+# to end.
 if(CLOUDMEDIA_BUILD_BENCH)
   set(CLOUDMEDIA_SMOKE_ARGS --hours=2 --warmup=1 --seed=42)
-  add_smoke_test(fig04 bench_fig04_capacity_provisioning ${CLOUDMEDIA_SMOKE_ARGS})
-  add_smoke_test(fig05 bench_fig05_streaming_quality ${CLOUDMEDIA_SMOKE_ARGS})
-  add_smoke_test(fig06 bench_fig06_quality_vs_channel_size ${CLOUDMEDIA_SMOKE_ARGS})
-  add_smoke_test(fig07 bench_fig07_bandwidth_vs_channel_size ${CLOUDMEDIA_SMOKE_ARGS})
-  add_smoke_test(fig08 bench_fig08_storage_utility ${CLOUDMEDIA_SMOKE_ARGS})
-  add_smoke_test(fig09 bench_fig09_vm_utility ${CLOUDMEDIA_SMOKE_ARGS})
-  add_smoke_test(fig10 bench_fig10_vm_cost ${CLOUDMEDIA_SMOKE_ARGS})
-  add_smoke_test(fig11 bench_fig11_peer_bandwidth_sufficiency ${CLOUDMEDIA_SMOKE_ARGS})
+  # All eight figures in one process: the shared-sweep path (figures whose
+  # specs hash equal read one SweepRunner::run result), so the sanitizer
+  # job covers every report over shared results.
+  add_smoke_test(paper_figures bench_paper_figures ${CLOUDMEDIA_SMOKE_ARGS}
+    --out-dir=${CMAKE_BINARY_DIR}/artifacts/paper_figures)
+  # One figure per job through --figure selection.
+  foreach(fig IN ITEMS fig04 fig05 fig06 fig07 fig08 fig09 fig10 fig11)
+    add_smoke_test(${fig} bench_paper_figures --figure=${fig}
+      ${CLOUDMEDIA_SMOKE_ARGS}
+      --out-dir=${CMAKE_BINARY_DIR}/artifacts/paper_figures_single)
+  endforeach()
+  # A typo'd flag dies with the teaching error instead of running the
+  # full paper horizon with defaults.
+  add_smoke_test(paper_figures_typo bench_paper_figures --hour=2)
+  if(TEST smoke.paper_figures_typo)
+    set_tests_properties(smoke.paper_figures_typo PROPERTIES
+      PASS_REGULAR_EXPRESSION "did you mean --hours")
+  endif()
   set(CLOUDMEDIA_ABLATION_SMOKE_ARGS --hours=1 --warmup=0.25 --seed=42)
   add_smoke_test(ablation_boot_delay bench_ablation_boot_delay
     ${CLOUDMEDIA_ABLATION_SMOKE_ARGS})

@@ -20,6 +20,7 @@ using namespace cloudmedia;
 
 int main(int argc, char** argv) {
   const expr::Flags flags(argc, argv);
+  flags.require_known({"rate", "ratio"});
   const double total_rate = flags.get("rate", 1.1);
   const double uplink_ratio = flags.get("ratio", 1.0);
 

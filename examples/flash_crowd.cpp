@@ -19,6 +19,7 @@ using namespace cloudmedia;
 
 int main(int argc, char** argv) {
   const expr::Flags flags(argc, argv);
+  flags.require_known({"warmup", "hours", "seed"});
 
   expr::ExperimentConfig cfg =
       expr::ExperimentConfig::make_default(core::StreamingMode::kP2p);

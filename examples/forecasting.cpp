@@ -28,6 +28,7 @@ using namespace cloudmedia;
 
 int main(int argc, char** argv) {
   const expr::Flags flags(argc, argv);
+  flags.require_known({"days", "channel", "seed"});
   const int days = flags.get("days", 5);
   const int channel = flags.get("channel", 0);
   const auto seed = static_cast<std::uint64_t>(flags.get_ll("seed", 42));

@@ -22,6 +22,7 @@ using namespace cloudmedia;
 
 int main(int argc, char** argv) {
   const expr::Flags flags(argc, argv);
+  flags.require_known({"hours", "seed"});
   const double hours = flags.get("hours", 24.0);
   const auto seed = static_cast<std::uint64_t>(flags.get_ll("seed", 42));
 

@@ -1,7 +1,10 @@
 #include "expr/flags.h"
 
 #include <algorithm>
+#include <charconv>
 #include <stdexcept>
+#include <system_error>
+#include <type_traits>
 
 #include "util/check.h"
 
@@ -24,6 +27,20 @@ std::size_t edit_distance(const std::string& a, const std::string& b) {
     }
   }
   return row[b.size()];
+}
+
+/// Parse the whole token, so "2x" and "abc" fail naming the flag instead
+/// of reading as 2 or escaping as a bare std::invalid_argument.
+template <typename T>
+T parse_whole(const std::string& key, const std::string& value) {
+  T parsed{};
+  const char* end = value.data() + value.size();
+  const auto [stop, error] = std::from_chars(value.data(), end, parsed);
+  if (error == std::errc() && stop == end) return parsed;
+  throw util::PreconditionError(
+      "--" + key + " expects " +
+      (std::is_integral_v<T> ? "an integer" : "a number") + ", got '" + value +
+      "'");
 }
 
 }  // namespace
@@ -59,17 +76,20 @@ std::string Flags::get(const std::string& key, const std::string& fallback) cons
 
 double Flags::get(const std::string& key, double fallback) const {
   const auto it = values_.find(key);
-  return it == values_.end() ? fallback : std::stod(it->second.back());
+  return it == values_.end() ? fallback
+                             : parse_whole<double>(key, it->second.back());
 }
 
 int Flags::get(const std::string& key, int fallback) const {
   const auto it = values_.find(key);
-  return it == values_.end() ? fallback : std::stoi(it->second.back());
+  return it == values_.end() ? fallback
+                             : parse_whole<int>(key, it->second.back());
 }
 
 long long Flags::get_ll(const std::string& key, long long fallback) const {
   const auto it = values_.find(key);
-  return it == values_.end() ? fallback : std::stoll(it->second.back());
+  return it == values_.end() ? fallback
+                             : parse_whole<long long>(key, it->second.back());
 }
 
 bool Flags::get(const std::string& key, bool fallback) const {

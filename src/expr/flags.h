@@ -25,6 +25,8 @@ class Flags {
   [[nodiscard]] bool has(const std::string& key) const;
   [[nodiscard]] std::string get(const std::string& key,
                                 const std::string& fallback) const;
+  /// Numeric getters parse the whole value: "abc", "2x" or an out-of-range
+  /// value throws util::PreconditionError naming the flag and the value.
   [[nodiscard]] double get(const std::string& key, double fallback) const;
   [[nodiscard]] int get(const std::string& key, int fallback) const;
   [[nodiscard]] long long get_ll(const std::string& key, long long fallback) const;

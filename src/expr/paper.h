@@ -5,7 +5,7 @@
 namespace cloudmedia::expr::paper {
 
 // Reference values reported in the paper's evaluation (Sec. VI), printed by
-// the figure benches next to measured values and recorded in EXPERIMENTS.md.
+// the figure reports (expr/figures.cc) next to measured values.
 
 /// Fig. 5: average streaming quality.
 inline constexpr double kQualityClientServer = 0.97;

@@ -102,7 +102,9 @@ struct SweepSpec {
   /// as defaults. The one place the string-to-spec conversion (and its
   /// validation: --threads must be >= 0, 0 meaning "hardware";
   /// --series-stride must be >= 1; --shard must be k/N) lives for every
-  /// sweep binary.
+  /// sweep binary. Binaries that read every cell at full resolution (the
+  /// paper figures, the ablations) leave --shard and --series-stride out of
+  /// their Flags::require_known list, so those flags are rejected there.
   void apply_flags(const expr::Flags& flags);
 
   /// Hash of what the sweep *computes*: scenario expression, base seed,

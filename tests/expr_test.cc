@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <set>
+#include <string>
 
+#include "expr/figures.h"
 #include "expr/flags.h"
 #include "expr/paper.h"
-#include "expr/report.h"
+#include "util/check.h"
 
 namespace cloudmedia::expr {
 namespace {
@@ -47,6 +51,35 @@ TEST(Flags, BooleanSpellings) {
   EXPECT_FALSE(make_flags({"--a=no"}).get("a", true));
 }
 
+TEST(Flags, NumericGettersParseTheWholeToken) {
+  const Flags f = make_flags({"--hours=abc", "--warmup=2x", "--threads=x",
+                              "--seed=7.5", "--big=99999999999", "--bare"});
+  const auto message = [&f](auto get) -> std::string {
+    try {
+      get(f);
+    } catch (const util::PreconditionError& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  EXPECT_EQ(message([](const Flags& g) { (void)g.get("hours", 1.0); }),
+            "--hours expects a number, got 'abc'");
+  // std::stod alone would read "2x" as 2.
+  EXPECT_EQ(message([](const Flags& g) { (void)g.get("warmup", 1.0); }),
+            "--warmup expects a number, got '2x'");
+  EXPECT_EQ(message([](const Flags& g) { (void)g.get_ll("threads", 1); }),
+            "--threads expects an integer, got 'x'");
+  EXPECT_EQ(message([](const Flags& g) { (void)g.get_ll("seed", 1); }),
+            "--seed expects an integer, got '7.5'");
+  EXPECT_EQ(message([](const Flags& g) { (void)g.get("big", 1); }),
+            "--big expects an integer, got '99999999999'");
+  EXPECT_EQ(message([](const Flags& g) { (void)g.get("bare", 1.0); }),
+            "--bare expects a number, got 'true'");
+  const Flags ok = make_flags({"--rate=1e3", "--seed=-3"});
+  EXPECT_EQ(ok.get("rate", 0.0), 1000.0);
+  EXPECT_EQ(ok.get_ll("seed", 0), -3);
+}
+
 TEST(Flags, RejectsPositionalArguments) {
   EXPECT_THROW(make_flags({"positional"}), std::invalid_argument);
 }
@@ -85,17 +118,64 @@ TEST(PaperConstants, MatchTheEvaluationSection) {
   EXPECT_DOUBLE_EQ(paper::kFig11Quality[2], 1.0);
 }
 
+/// A fresh directory under the system temp dir, removed on destruction.
+class TempDir {
+ public:
+  explicit TempDir(const std::string& name)
+      : path_(std::filesystem::temp_directory_path() / name) {
+    std::filesystem::remove_all(path_);
+  }
+  ~TempDir() { std::filesystem::remove_all(path_); }
+  [[nodiscard]] std::string file(const std::string& name) const {
+    return (path_ / name).string();
+  }
+  [[nodiscard]] std::string str() const { return path_.string(); }
+
+ private:
+  std::filesystem::path path_;
+};
+
+/// Runs the enclosing scope with the working directory switched to a fresh
+/// empty directory `name`, so a test can assert it stayed empty.
+class ScopedEmptyCwd {
+ public:
+  explicit ScopedEmptyCwd(const std::string& name)
+      : dir_(name), previous_(std::filesystem::current_path()) {
+    std::filesystem::create_directories(dir_.str());
+    std::filesystem::current_path(dir_.str());
+  }
+  ~ScopedEmptyCwd() { std::filesystem::current_path(previous_); }
+  [[nodiscard]] bool still_empty() const {
+    return std::filesystem::is_empty(dir_.str());
+  }
+
+ private:
+  TempDir dir_;
+  std::filesystem::path previous_;
+};
+
+std::string first_line(const std::string& path) {
+  std::ifstream in(path);
+  std::string line;
+  std::getline(in, line);
+  return line;
+}
+
 TEST(Report, PrintsAndWritesCsv) {
+  const TempDir dir("cloudmedia_report_test");
+  const ScopedEmptyCwd cwd("cloudmedia_report_test_cwd");
   util::TimeSeries series;
   for (int i = 0; i < 10; ++i) series.add(i * 600.0, static_cast<double>(i));
   testing::internal::CaptureStdout();
   print_series_table("demo", {{"value", &series}}, 0.0, 6000.0, 3600.0,
-                     "test_report_demo");
+                     dir.file("nested/demo.csv"));
   const std::string out = testing::internal::GetCapturedStdout();
   EXPECT_NE(out.find("demo"), std::string::npos);
   EXPECT_NE(out.find("value"), std::string::npos);
-  EXPECT_TRUE(std::filesystem::exists("results/test_report_demo.csv"));
-  std::filesystem::remove("results/test_report_demo.csv");
+  // The CSV lands exactly where it was asked to (parents created), with
+  // the printed columns as its header.
+  EXPECT_EQ(first_line(dir.file("nested/demo.csv")), "hour,value");
+  EXPECT_TRUE(cwd.still_empty());
 }
 
 TEST(Report, ComparisonLineFormatsBothSides) {
@@ -104,6 +184,103 @@ TEST(Report, ComparisonLineFormatsBothSides) {
   const std::string out = testing::internal::GetCapturedStdout();
   EXPECT_NE(out.find("0.981"), std::string::npos);
   EXPECT_NE(out.find("0.970"), std::string::npos);
+}
+
+TEST(PaperFigures, TableCoversFigures4Through11) {
+  std::vector<std::string> names;
+  for (const Figure& figure : paper_figures()) names.push_back(figure.name);
+  EXPECT_EQ(names, (std::vector<std::string>{"fig04", "fig05", "fig06",
+                                             "fig07", "fig08", "fig09",
+                                             "fig10", "fig11"}));
+  EXPECT_EQ(std::string(paper_figure("fig10").preset), "fig10_vm_cost");
+}
+
+TEST(PaperFigures, UnknownFigureListsTheValidOnes) {
+  try {
+    (void)paper_figure("fig12");
+    FAIL() << "fig12 should not resolve";
+  } catch (const util::PreconditionError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("fig12"), std::string::npos) << what;
+    EXPECT_NE(what.find("fig04"), std::string::npos) << what;
+    EXPECT_NE(what.find("fig11"), std::string::npos) << what;
+  }
+}
+
+TEST(PaperFigures, PaperHorizonsResolveToFourDistinctSweeps) {
+  // fig04 = fig05, fig06 = fig07 = fig10 and fig08 = fig09 compute the same
+  // sweep at the paper's horizons; the driver runs each distinct one once.
+  const Flags none = make_flags({});
+  std::set<std::string> hashes;
+  for (const Figure& figure : paper_figures()) {
+    hashes.insert(figure_spec(figure, none).spec_hash());
+  }
+  EXPECT_EQ(hashes.size(), 4u);
+  EXPECT_EQ(figure_spec(paper_figure("fig04"), none).spec_hash(),
+            figure_spec(paper_figure("fig05"), none).spec_hash());
+  EXPECT_NE(figure_spec(paper_figure("fig05"), none).spec_hash(),
+            figure_spec(paper_figure("fig10"), none).spec_hash());
+}
+
+TEST(PaperFigures, RejectsShardAndSeriesStride) {
+  // A figure reads every cell at full resolution: a --shard slice used to
+  // index past the partial grid and segfault.
+  for (const char* flag : {"--shard=1/2", "--series-stride=4"}) {
+    const Flags flags = make_flags({"--hours=0.25", flag});
+    try {
+      (void)run_paper_figures(flags);
+      FAIL() << flag << " should be rejected";
+    } catch (const util::PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown flag"), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW((void)run_paper_figures(make_flags({"--hour=2"})),
+               util::PreconditionError);
+}
+
+/// run_paper_figures on `args` plus --out-dir=`dir`, stdout swallowed.
+std::size_t run_figures_quietly(std::vector<const char*> args,
+                                const std::string& dir) {
+  const std::string out_dir = "--out-dir=" + dir;
+  args.insert(args.begin(), "prog");
+  args.push_back(out_dir.c_str());
+  testing::internal::CaptureStdout();
+  const std::size_t sweeps =
+      run_paper_figures(Flags(static_cast<int>(args.size()), args.data()));
+  (void)testing::internal::GetCapturedStdout();
+  return sweeps;
+}
+
+TEST(PaperFigures, WritesSummaryAndSeriesUnderOutDir) {
+  const TempDir dir("cloudmedia_paper_figures_test");
+  const ScopedEmptyCwd cwd("cloudmedia_paper_figures_test_cwd");
+  // At one shared horizon, figs 4/5/6/7/10 are one mode={cs,p2p} sweep,
+  // figs 8/9 one mode=p2p sweep, and fig 11 its own. (Fig. 7's linear fit
+  // needs at least one whole measured hour.)
+  EXPECT_EQ(run_figures_quietly({"--hours=1", "--warmup=0.25", "--threads=2"},
+                                dir.str()),
+            3u);
+  EXPECT_EQ(run_figures_quietly({"--figure=fig10", "--hours=1",
+                                 "--warmup=0.25", "--threads=2"},
+                                dir.str()),
+            1u);
+  // The summary and the table data live side by side under --out-dir with
+  // distinct headers; the series CSV is no longer overwritten by the
+  // summary, and nothing lands in the working directory.
+  for (const Figure& figure : paper_figures()) {
+    const std::string base = dir.file(figure.name);
+    EXPECT_EQ(first_line(base + ".csv").rfind("scenario,mode,", 0), 0u)
+        << figure.name;
+    EXPECT_TRUE(std::filesystem::exists(base + ".json")) << figure.name;
+    EXPECT_NE(first_line(base + ".series.csv"), first_line(base + ".csv"))
+        << figure.name;
+  }
+  EXPECT_EQ(first_line(dir.file("fig04.series.csv")),
+            "hour,C/S reserved,C/S used,P2P reserved,P2P used");
+  EXPECT_EQ(first_line(dir.file("fig06.series.csv")),
+            "mode,channel_size,quality");
+  EXPECT_TRUE(cwd.still_empty());
 }
 
 }  // namespace

@@ -14,6 +14,7 @@ using namespace cloudmedia;
 
 int main(int argc, char** argv) {
   const expr::Flags flags(argc, argv);
+  flags.require_known({"hours", "p2p", "seed", "step", "from"});
   const double hours = flags.get("hours", 48.0);
   const bool p2p = flags.get("p2p", false);
   expr::ExperimentConfig cfg = expr::ExperimentConfig::make_default(
