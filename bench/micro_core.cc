@@ -177,11 +177,11 @@ void BM_ControllerFullPlan(benchmark::State& state) {
 }
 BENCHMARK(BM_ControllerFullPlan)->Unit(benchmark::kMillisecond);
 
-// Simulator event engine: the hot schedule→pop→run path and tombstone
-// cancellation. The callback-slot window (dense id-indexed deque +
-// trivially-movable heap entries) replaced a per-event unordered_map;
-// measured on the reference container that roughly tripled throughput:
-// schedule+run 0.52 → 1.5 M events/s, 50%-cancelled 0.75 → 1.45 M events/s.
+// Simulator event engine: the hot schedule→pop→run path, in-place
+// cancellation and in-place retime. Callbacks live in a slab of recycled
+// slots sized by peak pending events, and the heap of trivially-movable
+// {time, seq, slot} entries is indexed by slot, so cancel and retime edit
+// one entry and leave no tombstone for the pop loop to skip.
 void BM_SimulatorScheduleRun(benchmark::State& state) {
   const long n = state.range(0);
   for (auto _ : state) {
@@ -219,20 +219,49 @@ void BM_SimulatorCancelHalf(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorCancelHalf)->Arg(1 << 16)->Unit(benchmark::kMicrosecond);
 
+// The ServicePool re-arm pattern: each of `pools` pools owns one pending
+// completion timer, and every join, leave or capacity re-split moves it.
+// Timers are re-armed 16 times each in random pool order, then drained.
+void BM_SimulatorRetime(benchmark::State& state) {
+  const long pools = state.range(0);
+  constexpr long kRearmsPerPool = 16;
+  std::vector<sim::EventId> timers;
+  for (auto _ : state) {
+    sim::Simulator sim;
+    long fired = 0;
+    timers.clear();
+    for (long p = 0; p < pools; ++p) {
+      timers.push_back(sim.schedule_at(static_cast<double>(p % 97),
+                                       [&fired] { ++fired; }));
+    }
+    std::uint64_t lcg = 1;
+    for (long r = 0; r < kRearmsPerPool * pools; ++r) {
+      lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+      sim.retime(timers[static_cast<std::size_t>((lcg >> 33) %
+                                                 static_cast<std::uint64_t>(pools))],
+                 static_cast<double>((lcg >> 44) % 100000) * 1e-3);
+    }
+    sim.run_all();
+    benchmark::DoNotOptimize(fired);
+  }
+  state.SetItemsProcessed(state.iterations() * pools * kRearmsPerPool);
+}
+BENCHMARK(BM_SimulatorRetime)->Arg(1 << 12)->Unit(benchmark::kMicrosecond);
+
 // sim::Callback (48-byte small-buffer type erasure) vs the std::function it
-// replaced in the event ring. The capture below is 40 bytes — typical of
+// replaced in the callback slab. The capture below is 40 bytes — typical of
 // the simulator's real events (this + a handle + a couple of doubles) —
 // which fits sim::Callback inline but exceeds std::function's small-object
 // buffer, so the Std variant pays one heap allocation per event. The cycle
 // measured is exactly what schedule_at does: construct from a lambda, move
-// into a slot, invoke, destroy.
+// into a slab slot, invoke, destroy.
 
 void BM_CallbackSBOLifecycle(benchmark::State& state) {
   double sink = 0.0;
   const double a = 1.0, b = 2.0, c = 3.0, d = 4.0;
   for (auto _ : state) {
     sim::Callback cb([&sink, a, b, c, d] { sink += a + b + c + d; });
-    sim::Callback slot = std::move(cb);  // relocate into the ring
+    sim::Callback slot = std::move(cb);  // relocate into the slab
     slot();
     benchmark::DoNotOptimize(sink);
   }

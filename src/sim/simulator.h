@@ -10,28 +10,38 @@
 
 namespace cloudmedia::sim {
 
+/// Handle of a scheduled event: slot index in the low 32 bits, that slot's
+/// generation in the high 32. Generations start at 1, so no live id is 0.
 using EventId = std::uint64_t;
 inline constexpr EventId kInvalidEvent = 0;
 
+namespace detail {
+/// Generation a recycled slot takes next. Throws std::overflow_error
+/// rather than wrapping: a wrapped generation would let a stale EventId
+/// cancel or retime whichever event now holds the slot.
+std::uint32_t next_generation(std::uint32_t generation);
+}  // namespace detail
+
 /// Deterministic single-threaded discrete-event simulator.
 ///
-/// Events at equal timestamps fire in scheduling order (stable FIFO
-/// tie-break via a monotonically increasing sequence number), which keeps
-/// runs bitwise-reproducible for a given seed. Callbacks may schedule and
-/// cancel further events freely.
+/// Events fire in (time, seq) order, where seq is a counter stamped afresh
+/// on every schedule and every retime. Equal-time events therefore fire in
+/// scheduling order, and retime(id, t) orders exactly like cancel(id)
+/// followed by schedule_at(t), which keeps runs bitwise-reproducible for a
+/// given seed. Callbacks may schedule, cancel and retime further events.
 ///
-/// Storage layout, chosen for event throughput (bench/micro_core.cc): the
-/// heap holds trivially-movable (time, id) pairs only, and callbacks live
-/// in a power-of-two ring buffer indexed by `id & mask` (ids are allocated
-/// contiguously, so every id in the pending window maps to a distinct
-/// slot). cancel() just nulls the slot — a tombstone the pop loop skips.
-/// Ids themselves are never reused (the FIFO tie-break depends on them
-/// being monotone), but their *slots* are: once an event retires, the ring
-/// position becomes available to a future id with no deallocation, so the
-/// steady-state schedule→pop→run cycle performs no hashing and — with the
-/// small-buffer Callback — no per-event allocation at all. The ring only
-/// grows when the spread between the oldest pending id and the newest
-/// exceeds its capacity.
+/// Storage layout (bench/micro_core.cc): callbacks live in a slab of
+/// slots, recycled through a LIFO free list, so the slab is sized by the
+/// peak number of *pending* events, never by run length or by how far
+/// apart the ids of pending events are. Each slot carries a generation,
+/// bumped when the slot is reused, and the EventId names slot plus
+/// generation, so an id whose event already ran or was cancelled is
+/// detected exactly. The binary min-heap holds trivially-movable
+/// {time, seq, slot} entries, and every slot records its heap position:
+/// cancel() removes the entry in place and retime() sifts it in place, so
+/// the heap holds exactly the pending events — no tombstones. With the
+/// small-buffer Callback the steady-state schedule→pop→run cycle performs
+/// no allocation.
 class Simulator {
  public:
   /// Scheduled events use the move-only small-buffer callback; every
@@ -49,17 +59,23 @@ class Simulator {
   /// Schedule `fn` after `delay` seconds (delay >= 0).
   EventId schedule_in(double delay, Callback fn);
 
-  /// Schedule a whole batch in one call: ids are contiguous and assigned in
-  /// batch order, so equal-time events fire in batch order (the same FIFO
-  /// guarantee as a loop of schedule_at), but storage is reserved once and
-  /// the heap is rebuilt in O(pending + batch) when the batch is large
-  /// instead of O(batch · log pending). Returns the first id (the k-th
-  /// entry gets first + k), or kInvalidEvent for an empty batch.
-  EventId schedule_bulk(std::vector<std::pair<double, Callback>> batch);
+  /// Schedule a whole batch in one call. Entries take their FIFO order
+  /// from their batch position, so equal-time events fire in batch order
+  /// (the same guarantee as a loop of schedule_at), but storage is
+  /// reserved once and a batch that rivals the pending set is heapified in
+  /// O(pending + batch) instead of O(batch · log pending). Returns the
+  /// entries' ids in batch order (empty for an empty batch).
+  std::vector<EventId> schedule_bulk(
+      std::vector<std::pair<double, Callback>> batch);
 
   /// Cancel a pending event. Returns false if it already ran or was
   /// cancelled. Cancelling kInvalidEvent is a no-op returning false.
   bool cancel(EventId id) noexcept;
+
+  /// Move the pending event `id` to time `t` (>= now()), keeping its id
+  /// and callback. It fires after every event already pending at `t`,
+  /// exactly as if it had been cancelled and scheduled anew.
+  void retime(EventId id, double t);
 
   /// Run every event with timestamp <= t, then advance the clock to t.
   void run_until(double t);
@@ -67,13 +83,15 @@ class Simulator {
   /// Returns the number of events processed.
   std::size_t run_all(std::size_t max_events = SIZE_MAX);
 
-  [[nodiscard]] std::size_t pending() const noexcept { return pending_; }
+  [[nodiscard]] std::size_t pending() const noexcept { return heap_.size(); }
   [[nodiscard]] std::uint64_t events_processed() const noexcept { return processed_; }
 
-  /// Current callback-ring capacity in slots (tests/benches only: pins the
-  /// "slots recycle, ring does not grow with run length" contract).
+  /// Callback slab capacity in slots, which is the peak pending count so
+  /// far (tests/benches only: pins the "slab is sized by peak pending
+  /// events" contract). perfbench reports it as `sim.ring_slots`, hence
+  /// the name.
   [[nodiscard]] std::size_t callback_ring_capacity() const noexcept {
-    return ring_.size();
+    return callbacks_.size();
   }
 
   /// Handle controlling a periodic task; destroying the handle does NOT
@@ -101,38 +119,43 @@ class Simulator {
  private:
   struct Entry {
     double time;
-    EventId id;
-    // min-heap: earliest time first; FIFO among equal times.
-    [[nodiscard]] bool operator>(const Entry& other) const noexcept {
-      if (time != other.time) return time > other.time;
-      return id > other.id;
+    std::uint64_t seq;  ///< FIFO tie-break among equal times
+    std::uint32_t slot;
+    // min-heap order: earliest time first; FIFO among equal times.
+    [[nodiscard]] bool operator<(const Entry& other) const noexcept {
+      return time < other.time || (time == other.time && seq < other.seq);
     }
   };
+  struct SlotState {
+    std::uint32_t generation;
+    std::uint32_t heap_pos;  ///< kNotQueued while the slot is free
+  };
 
+  /// True while `id` is scheduled and has neither run nor been cancelled.
+  [[nodiscard]] bool is_pending(EventId id) const noexcept;
   void pop_and_run();
-  [[nodiscard]] bool retired(EventId id) const noexcept;
-  /// Take the callback of a pending event out of its slot (leaving the
-  /// null tombstone) and compact the window front.
-  Callback retire(EventId id) noexcept;
-  /// Grow the ring to a power of two >= min_capacity, re-seating the
-  /// pending window at the new `id & mask` positions.
-  void grow_ring(std::size_t min_capacity);
+  /// Take a free slot (or grow the slab) for `fn`.
+  std::uint32_t acquire(Callback&& fn);
+  /// Unlink `slot`'s heap entry, free the slot and hand back its
+  /// callback, so the caller destroys it on a consistent simulator.
+  Callback release(std::uint32_t slot) noexcept;
+  void place(std::size_t pos, const Entry& entry) noexcept;
+  /// Index of `pos`'s earlier child among the first `size` entries, or
+  /// `size` for a leaf.
+  [[nodiscard]] std::size_t smallest_child(std::size_t pos,
+                                           std::size_t size) const noexcept;
+  void sift_up(std::size_t pos) noexcept;
+  void sift_down(std::size_t pos) noexcept;
+  /// Restore heap order around `pos` after its key changed either way.
+  void sift(std::size_t pos) noexcept;
 
   double now_ = 0.0;
-  EventId next_id_ = 1;
+  std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;
-  std::size_t pending_ = 0;
-  std::vector<Entry> heap_;  ///< std::push_heap/pop_heap with operator>
-
-  // Callback slots for ids in [base_, next_id_) at ring_[id & ring_mask_];
-  // a null slot is a retired event (ran or cancelled). Ids below base_ are
-  // retired, and their heap entries — if still queued — are skipped as
-  // tombstones when their timestamp pops. base_ compacts forward as the
-  // oldest pending events retire, freeing their ring positions for reuse,
-  // so capacity tracks the id spread of *pending* events, not run length.
-  EventId base_ = 1;
-  std::vector<Callback> ring_;
-  std::size_t ring_mask_ = 0;  ///< ring_.size() - 1 (size is a power of two)
+  std::vector<Entry> heap_;  ///< binary min-heap on (time, seq)
+  std::vector<Callback> callbacks_;  ///< by slot; null while free
+  std::vector<SlotState> slots_;     ///< by slot, parallel to callbacks_
+  std::vector<std::uint32_t> free_;  ///< LIFO; capacity kept >= slab size
 };
 
 }  // namespace cloudmedia::sim

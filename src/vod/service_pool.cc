@@ -109,13 +109,14 @@ void ServicePool::maybe_rebase() {
 void ServicePool::sync() { advance(); }
 
 void ServicePool::reschedule() {
-  if (pending_ != sim::kInvalidEvent) {
-    sim_->cancel(pending_);
-    pending_ = sim::kInvalidEvent;
+  const double rate = active_jobs() == 0 ? 0.0 : per_job_rate();
+  if (rate <= 0.0) {  // idle, or starved: resumes when capacity returns
+    if (pending_ != sim::kInvalidEvent) {
+      sim_->cancel(pending_);
+      pending_ = sim::kInvalidEvent;
+    }
+    return;
   }
-  if (active_jobs() == 0) return;
-  const double rate = per_job_rate();
-  if (rate <= 0.0) return;  // starved: resumes when capacity returns
   const double next_target = jobs_[head_].target;
   double dt = std::max(0.0, (next_target - service_level_) / rate);
   // Defensive progress guarantee: a timer that lands back on `now` (dt
@@ -125,7 +126,14 @@ void ServicePool::reschedule() {
   while (sim_->now() + dt == sim_->now()) {
     dt = dt > 0.0 ? 2.0 * dt : time_quantum(sim_->now());
   }
-  pending_ = sim_->schedule_in(dt, [this] { on_timer(); });
+  // One timer per pool, moved in place; retime gives it the same FIFO
+  // place among equal-time events that a fresh schedule_at would.
+  const double fire_at = sim_->now() + dt;
+  if (pending_ != sim::kInvalidEvent) {
+    sim_->retime(pending_, fire_at);
+  } else {
+    pending_ = sim_->schedule_at(fire_at, [this] { on_timer(); });
+  }
 }
 
 void ServicePool::on_timer() {

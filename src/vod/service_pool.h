@@ -127,6 +127,8 @@ class ServicePool {
   // fixed chunk bytes means targets enqueue in nondecreasing order).
   std::vector<JobRec> jobs_;
   std::size_t head_ = 0;
+  // The pool's one completion timer: retimed in place on every re-arm,
+  // cancelled only when the pool goes idle or starved.
   sim::EventId pending_ = sim::kInvalidEvent;
 };
 

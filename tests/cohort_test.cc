@@ -59,30 +59,37 @@ TEST(ScheduleBulk, MatchesLoopOfScheduleAt) {
   EXPECT_EQ(bulk_order, loop_order);
 }
 
-TEST(ScheduleBulk, EmptyBatchReturnsInvalidEvent) {
+TEST(ScheduleBulk, EmptyBatchReturnsNoIds) {
   sim::Simulator sim;
-  EXPECT_EQ(sim.schedule_bulk({}), sim::kInvalidEvent);
+  EXPECT_TRUE(sim.schedule_bulk({}).empty());
   EXPECT_EQ(sim.run_all(), 0u);
 }
 
-TEST(ScheduleBulk, AssignsContiguousCancellableIds) {
+TEST(ScheduleBulk, ReturnsCancellableIdsInBatchOrder) {
+  // Recycle slots first, so the batch lands on reused slots rather than
+  // fresh ones: the returned ids are the only handle on each entry.
   sim::Simulator sim;
+  for (int i = 0; i < 4; ++i) sim.schedule_at(0.5, [] {});
+  sim.run_all();
+
   std::vector<int> fired;
   std::vector<std::pair<double, sim::Simulator::Callback>> batch;
   for (int i = 0; i < 3; ++i) {
     batch.emplace_back(1.0 + i, [&fired, i] { fired.push_back(i); });
   }
-  const sim::EventId first = sim.schedule_bulk(std::move(batch));
-  ASSERT_NE(first, sim::kInvalidEvent);
-  EXPECT_TRUE(sim.cancel(first + 1));   // entry k gets id first + k
-  EXPECT_FALSE(sim.cancel(first + 1));  // already cancelled
+  const std::vector<sim::EventId> ids = sim.schedule_bulk(std::move(batch));
+  ASSERT_EQ(ids.size(), 3u);
+  EXPECT_TRUE(sim.cancel(ids[1]));
+  EXPECT_FALSE(sim.cancel(ids[1]));  // already cancelled
+  EXPECT_EQ(sim.pending(), 2u);
   sim.run_all();
   EXPECT_EQ(fired, (std::vector<int>{0, 2}));
 }
 
 TEST(ScheduleBulk, LargeBatchOnSmallHeapHeapifies) {
   // A batch larger than a quarter of the existing heap takes the
-  // make_heap branch; order must still come out fully sorted.
+  // heapify branch; order must still come out fully sorted, and the heap
+  // positions it rebuilds must still let cancel find each entry.
   sim::Simulator sim;
   std::vector<int> fired;
   sim.schedule_at(500.0, [&fired] { fired.push_back(-1); });
@@ -90,11 +97,16 @@ TEST(ScheduleBulk, LargeBatchOnSmallHeapHeapifies) {
   for (int i = 63; i >= 0; --i) {  // reverse-time order in the batch
     batch.emplace_back(static_cast<double>(i), [&fired, i] { fired.push_back(i); });
   }
-  (void)sim.schedule_bulk(std::move(batch));
+  const std::vector<sim::EventId> ids = sim.schedule_bulk(std::move(batch));
+  ASSERT_EQ(ids.size(), 64u);
+  EXPECT_TRUE(sim.cancel(ids[63 - 10]));  // the entry firing at t = 10
   sim.run_all();
-  ASSERT_EQ(fired.size(), 65u);
-  for (int i = 0; i < 64; ++i) EXPECT_EQ(fired[static_cast<std::size_t>(i)], i);
-  EXPECT_EQ(fired.back(), -1);
+  std::vector<int> expected;
+  for (int i = 0; i < 64; ++i) {
+    if (i != 10) expected.push_back(i);
+  }
+  expected.push_back(-1);
+  EXPECT_EQ(fired, expected);
 }
 
 // ------------------------------------------------------------ sample_poisson

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -182,6 +186,156 @@ TEST(Simulator, ManyInterleavedEventsKeepOrder) {
     EXPECT_LE(times[i - 1], times[i]);
   }
   EXPECT_EQ(times.size(), 500u);
+}
+
+// ------------------------------------------------- retime and slot reuse
+
+TEST(Simulator, RetimeOrdersLikeCancelPlusScheduleAt) {
+  // The same script run twice: once moving events with retime, once with
+  // cancel + schedule_at. Both must fire in the same order, including
+  // FIFO order against equal-time events scheduled before and after the
+  // move.
+  const auto script = [](bool use_retime) {
+    Simulator sim;
+    std::vector<int> order;
+    const auto log = [&order](int tag) {
+      return [&order, tag] { order.push_back(tag); };
+    };
+    EventId a = sim.schedule_at(5.0, log(0));
+    sim.schedule_at(3.0, log(1));
+    EventId b = sim.schedule_at(1.0, log(2));
+    const auto move = [&](EventId& id, double t, int tag) {
+      if (use_retime) {
+        sim.retime(id, t);
+      } else {
+        EXPECT_TRUE(sim.cancel(id));
+        id = sim.schedule_at(t, log(tag));
+      }
+    };
+    move(a, 3.0, 0);               // earlier: lands behind tag 1
+    sim.schedule_at(3.0, log(3));  // equal time, scheduled after the move
+    move(b, 3.0, 2);               // later: lands behind tag 3
+    move(a, 3.0, 0);               // same time: re-queued behind tag 2
+    sim.schedule_at(2.0, [&] {     // from inside a callback
+      sim.schedule_at(3.0, log(4));
+      move(b, 3.0, 2);
+    });
+    sim.run_all();
+    return order;
+  };
+  const std::vector<int> retimed = script(true);
+  EXPECT_EQ(retimed, script(false));
+  EXPECT_EQ(retimed, (std::vector<int>{1, 3, 0, 4, 2}));
+}
+
+TEST(Simulator, RetimeKeepsIdAndCallback) {
+  Simulator sim;
+  double fired_at = -1.0;
+  const EventId id = sim.schedule_at(10.0, [&] { fired_at = sim.now(); });
+  sim.retime(id, 2.5);
+  sim.retime(id, 4.0);  // the same id stays valid across retimes
+  EXPECT_EQ(sim.pending(), 1u);
+  sim.run_all();
+  EXPECT_DOUBLE_EQ(fired_at, 4.0);
+  EXPECT_FALSE(sim.cancel(id));
+}
+
+TEST(Simulator, RetimeRejectsPastTimesAndDeadIds) {
+  Simulator sim;
+  const EventId id = sim.schedule_at(5.0, [] {});
+  sim.run_until(2.0);
+  EXPECT_THROW(sim.retime(id, 1.0), util::PreconditionError);
+  EXPECT_THROW(sim.retime(kInvalidEvent, 3.0), util::PreconditionError);
+  sim.run_all();  // id has run
+  EXPECT_THROW(sim.retime(id, 6.0), util::PreconditionError);
+  const EventId cancelled = sim.schedule_at(7.0, [] {});
+  EXPECT_TRUE(sim.cancel(cancelled));
+  EXPECT_THROW(sim.retime(cancelled, 8.0), util::PreconditionError);
+}
+
+TEST(Simulator, StaleIdMissesRecycledSlot) {
+  Simulator sim;
+  bool ran_second = false;
+  const EventId first = sim.schedule_at(1.0, [] {});
+  EXPECT_TRUE(sim.cancel(first));
+  const EventId second = sim.schedule_at(1.0, [&] { ran_second = true; });
+  EXPECT_EQ(sim.callback_ring_capacity(), 1u);  // the slot was recycled
+  EXPECT_NE(first, second);
+  EXPECT_FALSE(sim.cancel(first));
+  EXPECT_THROW(sim.retime(first, 3.0), util::PreconditionError);
+  sim.run_all();
+  EXPECT_TRUE(ran_second);  // the stale id left the new event alone
+
+  // Same after the event ran instead of being cancelled.
+  bool ran_third = false;
+  sim.schedule_at(2.0, [&] { ran_third = true; });
+  EXPECT_FALSE(sim.cancel(second));
+  sim.run_all();
+  EXPECT_TRUE(ran_third);
+}
+
+TEST(Simulator, PendingCountsExactlyTheLiveEvents) {
+  // No tombstones: after any mix of schedule, cancel and retime, pending()
+  // is the number of live events, and draining pops exactly that many.
+  Simulator sim;
+  std::vector<EventId> live;
+  std::uint64_t state = 12345;
+  const auto next = [&state] {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return state >> 33;
+  };
+  for (int step = 0; step < 2000; ++step) {
+    const auto op = next() % 3;
+    if (op == 0 || live.empty()) {
+      live.push_back(sim.schedule_at(static_cast<double>(next() % 1000), [] {}));
+    } else {
+      const std::size_t k = next() % live.size();
+      if (op == 1) {
+        EXPECT_TRUE(sim.cancel(live[k]));
+        live[k] = live.back();
+        live.pop_back();
+      } else {
+        sim.retime(live[k], static_cast<double>(next() % 1000));
+      }
+    }
+    ASSERT_EQ(sim.pending(), live.size());
+  }
+  EXPECT_EQ(sim.run_all(), live.size());
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(Simulator, SlabStaysAtPeakPendingAcrossChurn) {
+  // One event pending far ahead (the hourly provisioning tick) while 1e5
+  // short-lived events come and go: an id-indexed ring had to span every
+  // id issued since the far event, so it grew to 2^17 slots here. The
+  // slab only ever holds the peak pending count.
+  Simulator sim;
+  bool far_ran = false;
+  sim.schedule_at(1e9, [&] { far_ran = true; });
+  int remaining = 100000;
+  std::function<void()> churn = [&] {
+    if (--remaining > 0) sim.schedule_in(1.0, [&] { churn(); });
+  };
+  sim.schedule_at(0.0, [&] { churn(); });
+  // A pool-style timer, pushed back before every step so it never fires.
+  const EventId timer = sim.schedule_at(1.5, [] {});
+  for (int i = 0; i < 1000; ++i) {
+    sim.run_until(sim.now() + 1.0);
+    sim.retime(timer, sim.now() + 1.5);
+  }
+  EXPECT_TRUE(sim.cancel(timer));
+  sim.run_until(1e8);
+  EXPECT_EQ(remaining, 0);
+  EXPECT_FALSE(far_ran);
+  EXPECT_EQ(sim.pending(), 1u);
+  EXPECT_LE(sim.callback_ring_capacity(), 3u);
+}
+
+TEST(Simulator, GenerationRefusesToWrap) {
+  EXPECT_EQ(detail::next_generation(1), 2u);
+  EXPECT_THROW(
+      (void)detail::next_generation(std::numeric_limits<std::uint32_t>::max()),
+      std::overflow_error);
 }
 
 TEST(Simulator, CallbackExceptionPropagates) {

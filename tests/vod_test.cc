@@ -109,6 +109,50 @@ TEST(ServicePool, StarvedPoolResumesWhenCapacityReturns) {
   EXPECT_NEAR(h.done[0].sojourn, 51.0, 1e-9);
 }
 
+TEST(ServicePool, HoldsOneTimerWhileBusyAndNoneWhenIdleOrStarved) {
+  // The pool re-arms its completion timer in place: through any mix of
+  // joins, leaves and capacity or fluid changes it owns exactly one
+  // pending simulator event while it can make progress, and none while
+  // idle or starved.
+  PoolHarness h(100.0);
+  h.pool.set_capacity(0.0, 100.0);
+  h.pool.set_fluid_jobs(2.0);
+  EXPECT_EQ(h.sim.pending(), 0u);  // fluid load alone never completes
+  const std::uint64_t first = h.pool.add_job(500.0, 1);
+  EXPECT_EQ(h.sim.pending(), 1u);
+  h.pool.add_job(300.0, 2);
+  EXPECT_EQ(h.sim.pending(), 1u);
+  h.pool.set_fluid_jobs(0.5);
+  EXPECT_EQ(h.sim.pending(), 1u);
+  h.sim.run_until(1.0);
+  h.pool.set_capacity(40.0, 60.0);
+  EXPECT_EQ(h.sim.pending(), 1u);
+  EXPECT_TRUE(h.pool.remove_job(first));
+  EXPECT_EQ(h.sim.pending(), 1u);
+
+  h.pool.set_capacity(0.0, 0.0);  // starved
+  EXPECT_EQ(h.sim.pending(), 0u);
+  h.pool.add_job(100.0, 3);
+  h.pool.set_fluid_jobs(0.0);
+  EXPECT_EQ(h.sim.pending(), 0u);
+  h.sim.run_until(10.0);
+  EXPECT_TRUE(h.done.empty());
+
+  h.pool.set_capacity(0.0, 100.0);  // capacity returns: the timer resumes
+  EXPECT_EQ(h.sim.pending(), 1u);
+  while (h.sim.pending() != 0) {
+    EXPECT_EQ(h.sim.pending(), 1u);
+    h.sim.run_all(1);
+  }
+  EXPECT_EQ(h.done.size(), 2u);
+  EXPECT_EQ(h.pool.active_jobs(), 0u);
+
+  const std::uint64_t last = h.pool.add_job(50.0, 4);
+  EXPECT_EQ(h.sim.pending(), 1u);
+  EXPECT_TRUE(h.pool.remove_job(last));  // idle again
+  EXPECT_EQ(h.sim.pending(), 0u);
+}
+
 TEST(ServicePool, NoLivelockAfterLongBusyPeriods) {
   // Regression: the cumulative service level only matters relative to the
   // outstanding targets, but it used to grow without bound. Past ~2^35
