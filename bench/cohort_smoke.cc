@@ -6,8 +6,11 @@
 //
 // Work gate: every cohort step records its flows as one tracker row call
 // per occupied chunk position, so tracker calls per transition stay at or
-// below J (scalar recording made up to J² + J). The count is deterministic,
-// so the gate holds on any runner and under the sanitizers.
+// below J (scalar recording made up to J² + J). And every cohort caches its
+// download-mass row, computed once at admission and once per transition:
+// the 30 s rebalance and quality sampling derive none, so rows computed
+// stay at or below cohorts admitted + transitions. Both counts are
+// deterministic, so the gates hold on any runner and under the sanitizers.
 //
 // Calibration: estimated_peak_users() is linear in the aggregate arrival
 // rate, so the rate that hits the target peak is target / peak-per-unit-
@@ -82,14 +85,20 @@ int main(int argc, char** argv) {
       transitions > 0.0
           ? static_cast<double>(result.cohort.tracker_rows) / transitions
           : 0.0;
+  const auto cohorts = static_cast<double>(result.cohort.cohorts);
+  const auto download_rows = static_cast<double>(result.cohort.download_rows);
   std::printf("  %.3g cohort transitions  |  %.2f tracker calls/transition\n",
               transitions, calls_per_transition);
+  std::printf("  %.3g cohorts admitted  |  %.3g download rows computed\n",
+              cohorts, download_rows);
 
   // The scaling gate: the realized concurrent peak must reach the target
   // population (re-tune --calibration if the workload shape changes).
   CM_ENSURES(peak >= target);
   CM_ENSURES(transitions > 0.0);
   CM_ENSURES(calls_per_transition <= cfg.vod.chunks_per_video);
+  CM_ENSURES(result.cohort.download_rows <=
+             result.cohort.cohorts + result.cohort.transitions);
 
   util::JsonValue bench = util::JsonValue::object();
   bench["bench"] = "cohort_smoke";
@@ -105,6 +114,8 @@ int main(int argc, char** argv) {
   bench["sim_events"] = static_cast<double>(result.sim_events);
   bench["transitions"] = transitions;
   bench["tracker_calls_per_transition"] = calls_per_transition;
+  bench["cohorts"] = cohorts;
+  bench["download_rows"] = download_rows;
   bench["peak_rss_mb"] = rss_mb;
   const std::string out = flags.get("out", std::string("BENCH_cohort.json"));
   const std::size_t slash = out.find_last_of('/');

@@ -28,11 +28,11 @@ ChannelCapacityPlan CapacityPlanner::plan_literal(
   for (double lambda : arrival_rates) {
     ChunkCapacity c;
     c.arrival_rate = lambda;
-    const int m = min_servers(lambda, mu, lambda * t0);
+    MmmMetrics at_m;  // all zero when λ == 0 (m = 0)
+    const int m = min_servers(lambda, mu, lambda * t0, &at_m);
     c.servers = static_cast<double>(m);
     c.bandwidth = params_.vm_bandwidth * c.servers;
-    c.expected_in_queue =
-        m > 0 ? mmm_metrics(lambda, mu, m).expected_system : 0.0;
+    c.expected_in_queue = at_m.expected_system;
     out.total_servers += m;
     out.total_bandwidth += c.bandwidth;
     out.total_arrival_rate += lambda;
@@ -58,10 +58,11 @@ ChannelCapacityPlan CapacityPlanner::plan_pooled(
   }
   if (total <= 0.0) return out;
 
-  const int pooled = min_servers(total, mu, total * t0);
+  MmmMetrics at_pooled;
+  const int pooled = min_servers(total, mu, total * t0, &at_pooled);
   out.total_servers = pooled;
   out.total_bandwidth = params_.vm_bandwidth * static_cast<double>(pooled);
-  const double sojourn = mmm_metrics(total, mu, pooled).expected_sojourn;
+  const double sojourn = at_pooled.expected_sojourn;
 
   for (std::size_t i = 0; i < arrival_rates.size(); ++i) {
     ChunkCapacity& c = out.chunks[i];

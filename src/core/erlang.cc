@@ -49,10 +49,14 @@ MmmMetrics mmm_metrics(double lambda, double mu, int servers) {
   return out;
 }
 
-int min_servers(double lambda, double mu, double target_system_size) {
+int min_servers(double lambda, double mu, double target_system_size,
+                MmmMetrics* at_min) {
   CM_EXPECTS(lambda >= 0.0);
   CM_EXPECTS(mu > 0.0);
-  if (lambda == 0.0) return 0;
+  if (lambda == 0.0) {
+    if (at_min != nullptr) *at_min = MmmMetrics{};
+    return 0;
+  }
   const double a = lambda / mu;
   // E[n] >= a for every m and E[n] -> a as m -> inf, so the target is
   // reachable iff it exceeds the offered load. In the paper's mapping the
@@ -66,13 +70,20 @@ int min_servers(double lambda, double mu, double target_system_size) {
   // scan in O(log(m - a)) evaluations instead of O(m - a) — each
   // evaluation is itself O(m), which matters for million-server loads.
   constexpr int kMaxServers = 1 << 24;
+  // Each successful probe lowers the smallest m known to meet the target,
+  // so the last metrics written to *at_min belong to the m returned.
   const auto meets_target = [&](int m) {
-    return mmm_metrics(lambda, mu, m).expected_system <= target_system_size;
+    const MmmMetrics metrics = mmm_metrics(lambda, mu, m);
+    if (metrics.expected_system > target_system_size) return false;
+    if (at_min != nullptr) *at_min = metrics;
+    return true;
   };
-  const int first_stable = static_cast<int>(a) + 1;
-  if (first_stable >= kMaxServers) {
+  // The first stable m is floor(a) + 1; compare in double before the
+  // conversion, which would overflow int for a >= 2^31.
+  if (a >= static_cast<double>(kMaxServers - 1)) {
     throw util::InvariantError("min_servers: no feasible m below cap");
   }
+  const int first_stable = static_cast<int>(a) + 1;
   if (meets_target(first_stable)) return first_stable;
 
   int below = first_stable;  // largest m known to miss the target

@@ -31,7 +31,13 @@ struct MmmMetrics {
 /// Little's law, the smallest m whose expected sojourn is <= target/λ.
 /// Returns 0 when λ == 0. Requires target_system_size > λ/µ (equivalently
 /// R > r in the paper's mapping), otherwise no finite m exists.
+///
+/// When `at_min` is non-null it receives the metrics the search already
+/// evaluated at the returned m — bitwise equal to mmm_metrics(λ, µ, m), so
+/// callers need not rerun the O(m) Erlang recursion. It is value-initialised
+/// when λ == 0 (m = 0).
 [[nodiscard]] int min_servers(double lambda, double mu,
-                              double target_system_size);
+                              double target_system_size,
+                              MmmMetrics* at_min = nullptr);
 
 }  // namespace cloudmedia::core

@@ -17,16 +17,13 @@ constexpr double kRateFloor = 1e-9;
 /// durations (mirrors how badly a starved discrete viewer can stall before
 /// provisioning reacts within one interval).
 constexpr double kMaxStallFactor = 4.0;
+}  // namespace
 
-/// Mass of a cohort position currently downloading its chunk: occupancy
-/// that does not yet own the chunk, under the independence approximation
-/// (owned/alive as the probability that a viewer holds it).
 double download_mass(double occ, double owned, double alive) {
   if (alive <= 0.0) return 0.0;
   const double own_prob = std::min(1.0, owned / alive);
   return occ * (1.0 - own_prob);
 }
-}  // namespace
 
 CohortSystem::CohortSystem(sim::Simulator& simulator,
                            const workload::Workload& workload,
@@ -50,12 +47,13 @@ CohortSystem::CohortSystem(sim::Simulator& simulator,
   const auto j_count = static_cast<std::size_t>(num_chunks_);
   const auto c_count = static_cast<std::size_t>(num_channels_);
   for (std::vector<double>* row :
-       {&dl_, &next_occ_, &flows_, &fluid_, &cloud_alloc_, &peer_alloc_}) {
+       {&next_occ_, &flows_, &fluid_, &cloud_alloc_, &peer_alloc_}) {
     row->assign(j_count, 0.0);
   }
   order_.assign(j_count, 0);
   dl_mass_.assign(pools_.size(), 0.0);
   owned_mass_.assign(pools_.size(), 0.0);
+  pool_stalled_.assign(pools_.size(), 0);
   channel_uplink_.assign(c_count, 0.0);
   stalled_.assign(c_count, 0.0);
   channel_mass_.assign(c_count, 0.0);
@@ -65,6 +63,16 @@ CohortSystem::CohortSystem(sim::Simulator& simulator,
 std::size_t CohortSystem::cell(std::size_t slot, int chunk) const {
   return slot * static_cast<std::size_t>(num_chunks_) +
          static_cast<std::size_t>(chunk);
+}
+
+CohortSystem::SlotView CohortSystem::slot_view(std::size_t slot) const {
+  CM_EXPECTS(slot < live_.size());
+  const auto j_count = static_cast<std::size_t>(num_chunks_);
+  const std::size_t base = slot * j_count;
+  return {live_[slot] != 0, alive_[slot],
+          std::span<const double>(occ_).subspan(base, j_count),
+          std::span<const double>(owned_).subspan(base, j_count),
+          std::span<const double>(download_).subspan(base, j_count)};
 }
 
 double CohortSystem::peak_viewer_mass() const {
@@ -115,6 +123,8 @@ std::size_t CohortSystem::allocate_slot() {
   uplink_rate_.push_back(0.0);
   occ_.resize(occ_.size() + static_cast<std::size_t>(num_chunks_), 0.0);
   owned_.resize(owned_.size() + static_cast<std::size_t>(num_chunks_), 0.0);
+  download_.resize(download_.size() + static_cast<std::size_t>(num_chunks_),
+                   0.0);
   return slot;
 }
 
@@ -138,8 +148,11 @@ void CohortSystem::window_tick(double now) {
       const double m = mass * entry_dist_[static_cast<std::size_t>(j)];
       occ_[cell(slot, j)] = m;
       owned_[cell(slot, j)] = 0.0;
+      download_[cell(slot, j)] = download_mass(m, 0.0, mass);
       if (m > 0.0) tracker_.record_arrival(c, j, m);
     }
+    ++counters_.cohorts;
+    ++counters_.download_rows;
     arrivals_count_ += n;
     channel_mass_[static_cast<std::size_t>(c)] += mass;
     total_mass_ += mass;
@@ -177,12 +190,11 @@ void CohortSystem::transition(std::size_t slot, std::uint32_t generation) {
   const auto j_count = static_cast<std::size_t>(num_chunks_);
   double* const occ = occ_.data() + slot * j_count;
   double* const owned = owned_.data() + slot * j_count;
+  double* const dl = download_.data() + slot * j_count;
   const std::unique_ptr<ServicePool>* const pools =
       pools_.data() + pool_index(c, 0);
-  double* const dl = dl_.data();
   double* const next_occ = next_occ_.data();
   double* const flows = flows_.data();
-  std::fill(dl_.begin(), dl_.end(), 0.0);
   std::fill(next_occ_.begin(), next_occ_.end(), 0.0);
   const double chunk_bytes = params_.chunk_bytes();
   const double t0 = params_.chunk_duration;
@@ -191,15 +203,14 @@ void CohortSystem::transition(std::size_t slot, std::uint32_t generation) {
   double dwell_weighted = 0.0;
 
   // Phase 1 — the position each viewer just finished: split occupancy into
-  // fresh downloads vs buffered replays, estimate the dwell the download
-  // cost (the pool's current fluid rate decides whether it stalled), and
-  // absorb the downloaded chunks into ownership.
+  // fresh downloads (the cached download row) vs buffered replays, estimate
+  // the dwell the download cost (the pool's current fluid rate decides
+  // whether it stalled), and absorb the downloaded chunks into ownership.
   for (std::size_t j = 0; j < j_count; ++j) {
     const double o = occ[j];
     if (o <= 0.0) continue;
-    const double d = download_mass(o, owned[j], alive);
+    const double d = dl[j];
     const double replay = o - d;
-    dl[j] = d;
     dl_total += d;
     replay_total += replay;
     dwell_weighted += replay * t0;
@@ -238,12 +249,17 @@ void CohortSystem::transition(std::size_t slot, std::uint32_t generation) {
   // Ownership: downloads convert occupancy into owned chunks, then the
   // whole vector scales by the survival ratio (leavers take their buffers
   // with them; ownership within a cohort is independent of who leaves).
+  // The download row is re-derived from the new cells in the same pass.
+  // Positions phase 1 skipped as unoccupied cache +0.0, so their ownership
+  // add is exact.
   const double survival = std::min(1.0, stay_total / alive);
   for (std::size_t j = 0; j < j_count; ++j) {
     const double mid = std::min(alive, owned[j] + dl[j]);
     owned[j] = mid * survival;
     occ[j] = next_occ[j];
+    dl[j] = download_mass(occ[j], owned[j], stay_total);
   }
+  ++counters_.download_rows;
   alive_[slot] = stay_total;
   channel_mass_[static_cast<std::size_t>(c)] += stay_total - alive;
   total_mass_ += stay_total - alive;
@@ -271,6 +287,7 @@ void CohortSystem::retire(std::size_t slot) {
   for (int j = 0; j < num_chunks_; ++j) {
     occ_[cell(slot, j)] = 0.0;
     owned_[cell(slot, j)] = 0.0;
+    download_[cell(slot, j)] = 0.0;
   }
   live_[slot] = 0;
   ++generation_[slot];
@@ -317,27 +334,30 @@ void CohortSystem::rebalance_capacity() {
   // rate), fed to the pools as fluid job counts; the cloud share re-splits
   // across chunks by fluid demand + standby weight, and in P2P mode the
   // aggregate cohort uplink waterfalls rarest-first over ownership mass.
+  // The arena walk sums cached download rows; only the P2P waterfall reads
+  // ownership sums, so C/S mode skips them.
   const double r = params_.streaming_rate;
   const double t0 = params_.chunk_duration;
   const auto j_count = static_cast<std::size_t>(num_chunks_);
+  const bool p2p = options_.mode == core::StreamingMode::kP2p;
 
   std::fill(dl_mass_.begin(), dl_mass_.end(), 0.0);
-  std::fill(owned_mass_.begin(), owned_mass_.end(), 0.0);
+  if (p2p) std::fill(owned_mass_.begin(), owned_mass_.end(), 0.0);
   std::fill(channel_uplink_.begin(), channel_uplink_.end(), 0.0);
   for (std::size_t slot = 0; slot < live_.size(); ++slot) {
     if (!live_[slot]) continue;
     const int c = channel_of_[slot];
-    const double alive = alive_[slot];
-    const double* const occ = occ_.data() + slot * j_count;
-    const double* const owned = owned_.data() + slot * j_count;
+    const double* const dl = download_.data() + slot * j_count;
     const std::size_t base = pool_index(c, 0);
     double* const dl_sum = dl_mass_.data() + base;
-    double* const owned_sum = owned_mass_.data() + base;
-    for (std::size_t j = 0; j < j_count; ++j) {
-      dl_sum[j] += download_mass(occ[j], owned[j], alive);
-      owned_sum[j] += owned[j];
+    for (std::size_t j = 0; j < j_count; ++j) dl_sum[j] += dl[j];
+    if (p2p) {
+      const double* const owned = owned_.data() + slot * j_count;
+      double* const owned_sum = owned_mass_.data() + base;
+      for (std::size_t j = 0; j < j_count; ++j) owned_sum[j] += owned[j];
     }
-    channel_uplink_[static_cast<std::size_t>(c)] += alive * uplink_rate_[slot];
+    channel_uplink_[static_cast<std::size_t>(c)] +=
+        alive_[slot] * uplink_rate_[slot];
   }
 
   double* const fluid = fluid_.data();
@@ -373,14 +393,16 @@ void CohortSystem::rebalance_capacity() {
     // draw at most the uplink fraction its owners hold.
     std::fill(peer_alloc_.begin(), peer_alloc_.end(), 0.0);
     const double uplink = channel_uplink_[ch];
-    if (options_.mode == core::StreamingMode::kP2p &&
-        channel_mass_[ch] > 0.0 && uplink > 0.0) {
+    if (p2p && channel_mass_[ch] > 0.0 && uplink > 0.0) {
       double total_owned = 0.0;
       for (std::size_t j = 0; j < j_count; ++j) total_owned += owned_sum[j];
       if (total_owned > 0.0) {
+        // Ascending (owned mass, index): the stable order of equal masses,
+        // without stable_sort's per-call buffer.
         std::iota(order_.begin(), order_.end(), 0);
-        std::stable_sort(order_.begin(), order_.end(), [owned_sum](int a, int b) {
-          return owned_sum[a] < owned_sum[b];
+        std::sort(order_.begin(), order_.end(), [owned_sum](int a, int b) {
+          return owned_sum[a] < owned_sum[b] ||
+                 (owned_sum[a] == owned_sum[b] && a < b);
         });
         double remaining = uplink;
         for (const int chunk : order_) {
@@ -417,22 +439,21 @@ void CohortSystem::sample_quality(double now) {
   // per-job rate is below the streaming rate is stalled; smooth fraction =
   // 1 − stalled/total. Instantaneous (the discrete engine's per-viewer
   // quality_window bookkeeping has no cheap fluid analogue).
+  // Each pool's stall verdict is taken once; the walk sums cached rows.
   const double stall_rate = params_.streaming_rate * (1.0 - 1e-9);
   const auto j_count = static_cast<std::size_t>(num_chunks_);
+  for (std::size_t p = 0; p < pools_.size(); ++p) {
+    pool_stalled_[p] = pools_[p]->per_job_rate() < stall_rate ? 1 : 0;
+  }
   std::fill(stalled_.begin(), stalled_.end(), 0.0);
   for (std::size_t slot = 0; slot < live_.size(); ++slot) {
     if (!live_[slot]) continue;
     const int c = channel_of_[slot];
-    const double alive = alive_[slot];
-    const double* const occ = occ_.data() + slot * j_count;
-    const double* const owned = owned_.data() + slot * j_count;
-    const std::unique_ptr<ServicePool>* const pools =
-        pools_.data() + pool_index(c, 0);
+    const double* const dl = download_.data() + slot * j_count;
+    const char* const stalled = pool_stalled_.data() + pool_index(c, 0);
     double& channel_stalled = stalled_[static_cast<std::size_t>(c)];
     for (std::size_t j = 0; j < j_count; ++j) {
-      const double m = download_mass(occ[j], owned[j], alive);
-      if (m <= 0.0) continue;
-      if (pools[j]->per_job_rate() < stall_rate) channel_stalled += m;
+      if (stalled[j] && dl[j] > 0.0) channel_stalled += dl[j];
     }
   }
   double stalled_total = 0.0;

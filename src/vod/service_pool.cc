@@ -139,7 +139,7 @@ void ServicePool::reschedule() {
 void ServicePool::on_timer() {
   pending_ = sim::kInvalidEvent;
   advance();
-  std::vector<Completion> done;
+  done_.clear();
   // Tolerance: the byte floor, plus whatever service the simulator clock
   // cannot resolve at this rate (see time_quantum above).
   const double eps =
@@ -153,12 +153,15 @@ void ServicePool::on_timer() {
     c.enqueue_time = rec.enqueue_time;
     c.sojourn = sim_->now() - rec.enqueue_time;
     ++head_;
-    done.push_back(c);
+    done_.push_back(c);
   }
   if (head_ >= kCompactMinDead && head_ * 2 >= jobs_.size()) compact();
   reschedule();
-  // Handlers run on a consistent pool; they may re-enter via add_job.
-  for (const Completion& c : done) on_complete_(c);
+  // Handlers run on a consistent pool; they may re-enter via add_job or
+  // remove_job. Neither touches done_, and only the simulator calls
+  // on_timer — never from inside this loop, since reschedule() queues the
+  // next timer rather than firing it — so the batch cannot be clobbered.
+  for (const Completion& c : done_) on_complete_(c);
 }
 
 void ServicePool::set_capacity(double peer_capacity, double cloud_capacity) {

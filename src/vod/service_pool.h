@@ -130,6 +130,9 @@ class ServicePool {
   // The pool's one completion timer: retimed in place on every re-arm,
   // cancelled only when the pool goes idle or starved.
   sim::EventId pending_ = sim::kInvalidEvent;
+  // on_timer's completion batch, reused across fires so a fire allocates
+  // nothing once the buffer has grown to the largest batch.
+  std::vector<Completion> done_;
 };
 
 }  // namespace cloudmedia::vod

@@ -18,6 +18,7 @@
 #include "expr/config.h"
 #include "expr/runner.h"
 #include "sim/simulator.h"
+#include "sweep/scenario_catalog.h"
 #include "util/check.h"
 #include "util/rng.h"
 #include "vod/cohort_system.h"
@@ -328,6 +329,36 @@ struct CohortOracle {
   std::uint64_t vm_cost_bits, storage_cost_bits, series_hash;
 };
 
+/// A reduced-scale live_event_cliff day on the cohort engine: the arrival
+/// wall at 20:00 and the departure cliff after it drive cohort creation,
+/// retirement and slot recycling far harder than small_config's flat day.
+expr::ExperimentConfig cliff_config(StreamingMode mode) {
+  expr::ExperimentConfig cfg =
+      sweep::ScenarioCatalog::global().make_config("live_event_cliff", mode);
+  cfg.workload.num_channels = 4;
+  cfg.workload.total_arrival_rate = 0.5;
+  cfg.warmup_hours = 0.0;
+  cfg.measure_hours = 22.0;
+  cfg.seed = 11;
+  cfg.engine = expr::Engine::kCohort;
+  return cfg;
+}
+
+void expect_oracle(const expr::ExperimentConfig& cfg, const CohortOracle& want) {
+  const expr::ExperimentResult r = expr::ExperimentRunner::run(cfg);
+  const vod::SystemCounters& n = r.metrics.counters;
+  EXPECT_EQ(n.arrivals, want.arrivals);
+  EXPECT_EQ(n.departures, want.departures);
+  EXPECT_EQ(n.chunk_downloads, want.chunk_downloads);
+  EXPECT_EQ(n.late_downloads, want.late_downloads);
+  EXPECT_EQ(n.buffered_replays, want.buffered_replays);
+  EXPECT_EQ(r.sim_events, want.sim_events);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.vm_cost_total), want.vm_cost_bits);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.storage_cost_total),
+            want.storage_cost_bits);
+  EXPECT_EQ(series_fingerprint(r.metrics), want.series_hash);
+}
+
 TEST(CohortEngine, OutputsMatchParentCommitBitForBit) {
   // The cohort kernels are pure reorganisations of the same floating-point
   // operations in the same order, so every output is pinned bit for bit:
@@ -343,18 +374,19 @@ TEST(CohortEngine, OutputsMatchParentCommitBitForBit) {
     SCOPED_TRACE(want.mode == StreamingMode::kP2p ? "p2p" : "cs");
     expr::ExperimentConfig cfg = small_config(want.mode);
     cfg.engine = expr::Engine::kCohort;
-    const expr::ExperimentResult r = expr::ExperimentRunner::run(cfg);
-    const vod::SystemCounters& n = r.metrics.counters;
-    EXPECT_EQ(n.arrivals, want.arrivals);
-    EXPECT_EQ(n.departures, want.departures);
-    EXPECT_EQ(n.chunk_downloads, want.chunk_downloads);
-    EXPECT_EQ(n.late_downloads, want.late_downloads);
-    EXPECT_EQ(n.buffered_replays, want.buffered_replays);
-    EXPECT_EQ(r.sim_events, want.sim_events);
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.vm_cost_total), want.vm_cost_bits);
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.storage_cost_total),
-              want.storage_cost_bits);
-    EXPECT_EQ(series_fingerprint(r.metrics), want.series_hash);
+    expect_oracle(cfg, want);
+  }
+  // The cliff day: cohorts retire in bulk after the event and their slots
+  // are recycled by the next windows' arrivals.
+  const CohortOracle cliff[] = {
+      {StreamingMode::kClientServer, 17168, 16843, 96051, 25983, 8190, 41422,
+       0x4071033333333333ULL, 0x3f68017e85411d01ULL, 0xd83fedcc76428d1cULL},
+      {StreamingMode::kP2p, 17168, 16262, 94339, 11055, 7049, 41269,
+       0x403a8ccccccccccdULL, 0x3f68017e85411d01ULL, 0x92644cf5bfd61f50ULL},
+  };
+  for (const CohortOracle& want : cliff) {
+    SCOPED_TRACE(want.mode == StreamingMode::kP2p ? "cliff p2p" : "cliff cs");
+    expect_oracle(cliff_config(want.mode), want);
   }
 }
 
@@ -438,6 +470,81 @@ TEST(CohortSystem, ConservesViewerMass) {
   EXPECT_EQ(system.metrics().counters.arrivals,
             static_cast<long>(system.viewers_admitted()));
   EXPECT_GT(system.live_cohorts(), 0u);
+}
+
+TEST(CohortSystem, DownloadRowCacheMatchesItsInputsAtEveryStep) {
+  // The rebalance, quality sampling and a transition's first phase read a
+  // cached download-mass row per cohort instead of recomputing it. Step a
+  // P2P run through retirements (a raised min_mass), recycled slots and a
+  // mid-run behaviour reshape, and check the cache bit for bit at each step.
+  expr::ExperimentConfig cfg = small_config(StreamingMode::kP2p);
+  cfg.workload.total_arrival_rate = 0.5;
+
+  sim::Simulator sim;
+  workload::Workload workload(cfg.workload, cfg.seed);
+  cloud::CloudConfig cloud_cfg;
+  cloud_cfg.sla = cloud::SlaTerms{cfg.vm_budget_per_hour,
+                                  cfg.storage_budget_per_hour,
+                                  cfg.vm_clusters, cfg.nfs_clusters};
+  cloud_cfg.vm = cloud::VmSchedulerConfig{0.0, cfg.vod.vm_bandwidth};
+  cloud::CloudService cloud(sim, cloud_cfg);
+  core::DemandEstimatorConfig est;
+  est.mode = StreamingMode::kP2p;
+  auto controller = std::make_unique<core::Controller>(
+      cfg.vod,
+      core::ControllerConfig{cfg.vm_clusters, cfg.nfs_clusters,
+                             cfg.vm_budget_per_hour,
+                             cfg.storage_budget_per_hour},
+      std::make_unique<core::ModelBasedPolicy>(cfg.vod, est));
+
+  vod::CohortOptions options;
+  options.streaming.mode = StreamingMode::kP2p;
+  options.min_mass = 3.0;
+  vod::CohortSystem system(sim, workload, cfg.vod, cloud,
+                           std::move(controller), options);
+  system.start();
+
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  std::size_t live_checked = 0;
+  std::size_t free_checked = 0;
+  for (double t = 60.0; t <= 5.0 * 3600.0; t += 60.0) {
+    if (t == 2.5 * 3600.0) {
+      // Reshape behaviour: later windows derive a new transfer matrix.
+      workload::WorkloadConfig reshaped = workload.config();
+      reshaped.behavior.jump_prob = 0.45;
+      reshaped.behavior.leave_prob = 0.3;
+      workload.set_config(reshaped);
+    }
+    sim.run_until(t);
+    for (std::size_t slot = 0; slot < system.arena_slots(); ++slot) {
+      const vod::CohortSystem::SlotView v = system.slot_view(slot);
+      for (std::size_t j = 0; j < v.download.size(); ++j) {
+        const auto where = [&] {
+          return testing::Message() << "t=" << t << " slot=" << slot
+                                    << " chunk=" << j;
+        };
+        if (v.live) {
+          ASSERT_EQ(bits(v.download[j]),
+                    bits(vod::download_mass(v.occupancy[j], v.owned[j],
+                                            v.alive)))
+              << where();
+        } else {
+          // Retirement clears the whole slot, cache included.
+          ASSERT_EQ(bits(v.download[j]), bits(0.0)) << where();
+          ASSERT_EQ(bits(v.occupancy[j]), bits(0.0)) << where();
+          ASSERT_EQ(bits(v.owned[j]), bits(0.0)) << where();
+        }
+      }
+      ++(v.live ? live_checked : free_checked);
+    }
+  }
+  const vod::CohortCounters& n = system.cohort_counters();
+  // Slots were recycled: more cohorts admitted than the arena ever held.
+  EXPECT_GT(n.cohorts, system.arena_slots());
+  EXPECT_GT(live_checked, 0u);
+  EXPECT_GT(free_checked, 0u);
+  // One row per admission and per transition, none from the periodics.
+  EXPECT_EQ(n.download_rows, n.cohorts + n.transitions);
 }
 
 }  // namespace

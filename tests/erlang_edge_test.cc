@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
 
 #include "core/erlang.h"
@@ -107,6 +109,58 @@ TEST(ErlangEdge, MinServersScalesToHugeLoads) {
   if (m > static_cast<int>(lambda) + 1) {
     EXPECT_GT(mmm_metrics(lambda, 1.0, m - 1).expected_system, 1.1e6);
   }
+}
+
+TEST(ErlangEdge, MinServersRefusesLoadsPastTheCapWithoutOverflow) {
+  // Offered loads of 2^31 and beyond would overflow the int conversion of
+  // the first stable m; they must fail the cap check instead.
+  EXPECT_THROW((void)min_servers(3e9, 1.0, 6e9), util::InvariantError);
+  EXPECT_THROW((void)min_servers(1e10, 1.0, 2e10), util::InvariantError);
+  // The boundary: a = 2^24 − 1 makes the first stable m the cap itself.
+  EXPECT_THROW((void)min_servers(16777215.0, 1.0, 3.4e7), util::InvariantError);
+}
+
+// ------------------------------------------- metrics handed back by sizing
+
+void expect_bitwise_equal(const MmmMetrics& got, const MmmMetrics& want) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  EXPECT_EQ(bits(got.offered_load), bits(want.offered_load));
+  EXPECT_EQ(bits(got.utilization), bits(want.utilization));
+  EXPECT_EQ(bits(got.prob_wait), bits(want.prob_wait));
+  EXPECT_EQ(bits(got.expected_queue), bits(want.expected_queue));
+  EXPECT_EQ(bits(got.expected_system), bits(want.expected_system));
+  EXPECT_EQ(bits(got.expected_wait), bits(want.expected_wait));
+  EXPECT_EQ(bits(got.expected_sojourn), bits(want.expected_sojourn));
+}
+
+TEST(ErlangEdge, MinServersHandsBackTheMetricsAtItsM) {
+  // The planner reads E[n] and the sojourn from these instead of rerunning
+  // mmm_metrics, so they must be the very same bits. Cover both returns:
+  // the first stable m meeting the target outright, and gallop + bisect.
+  struct Case {
+    double lambda, mu, target;
+    bool first_stable;
+  };
+  const Case cases[] = {
+      {0.1, 1.0, 1.0, true},         // a = 0.1, m = 1
+      {7.5, 0.5, 150.0, true},       // a = 15, generous target
+      {1.0, 0.1, 10.5, false},       // a = 10, tight target
+      {50.0, 1.0, 50.5, false},
+      {1e6, 1.0, 1.1e6, false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.lambda);
+    MmmMetrics at_m;
+    const int m = min_servers(c.lambda, c.mu, c.target, &at_m);
+    const int first_stable = static_cast<int>(c.lambda / c.mu) + 1;
+    EXPECT_EQ(m == first_stable, c.first_stable) << "m=" << m;
+    expect_bitwise_equal(at_m, mmm_metrics(c.lambda, c.mu, m));
+    EXPECT_EQ(min_servers(c.lambda, c.mu, c.target), m);  // no out-param
+  }
+  MmmMetrics idle;
+  idle.expected_sojourn = 42.0;
+  EXPECT_EQ(min_servers(0.0, 1.0, 10.0, &idle), 0);
+  expect_bitwise_equal(idle, MmmMetrics{});
 }
 
 // ----------------------------------------------------------- preconditions
