@@ -1,11 +1,12 @@
-// The paper's evaluation figures (Sec. VI, Figs. 4-11), reproduced from the
-// figure table in src/expr/figures.cc: each figure runs its golden preset
-// at the paper's horizon, prints its series table and paper comparisons,
-// and writes <out-dir>/<figure>.{csv,json} plus <out-dir>/<figure>.series.csv.
-// Figures that resolve to the same sweep share one run.
+// The paper's evaluation studies, reproduced from the one table in
+// src/expr/figures.cc: the eight figures (Sec. VI, Figs. 4-11) and the
+// eight sweep ablations. Each entry runs its golden preset at the paper's
+// horizon, prints its report and writes <out-dir>/<name>.{csv,json}; each
+// figure also writes its table data to <out-dir>/<name>.series.csv.
+// Entries that resolve to the same sweep share one run.
 //
-// Flags: --figure=fig04..fig11 (default: all eight) --hours --warmup
-//        --seed=42 --threads=<hardware> --out-dir=results
+// Flags: --figure=fig04..fig11|ablation_<name> (default: the whole table)
+//        --hours --warmup --seed=42 --threads=<hardware> --out-dir=results
 
 #include <cstdio>
 #include <exception>

@@ -20,6 +20,23 @@ function(add_smoke_test name target)
     TIMEOUT ${CLOUDMEDIA_SMOKE_TIMEOUT})
 endfunction()
 
+# add_usage_error_test(<name> <target> <stderr regex> [args...]): the binary
+# must refuse `args` with exit code 2 and a teaching error matching the
+# regex on stderr — not abort on an uncaught exception.
+function(add_usage_error_test name target expect)
+  if(NOT TARGET ${target})
+    message(WARNING "smoke test ${name}: target ${target} missing, skipped")
+    return()
+  endif()
+  string(JOIN " " args ${ARGN})
+  add_test(NAME smoke.${name} COMMAND ${CMAKE_COMMAND}
+    "-DPROGRAM=$<TARGET_FILE:${target}>" "-DARGS=${args}" "-DEXPECT=${expect}"
+    -P "${PROJECT_SOURCE_DIR}/cmake/ExpectUsageError.cmake")
+  set_tests_properties(smoke.${name} PROPERTIES
+    LABELS "smoke"
+    TIMEOUT ${CLOUDMEDIA_SMOKE_TIMEOUT})
+endfunction()
+
 if(CLOUDMEDIA_BUILD_EXAMPLES)
   add_smoke_test(quickstart example_quickstart)
   add_smoke_test(capacity_planning example_capacity_planning)
@@ -68,6 +85,15 @@ if(CLOUDMEDIA_BUILD_TOOLS)
     --out=${CMAKE_BINARY_DIR}/artifacts/fuzz)
   add_smoke_test(fuzz_replay tool_fuzz
     --replay=${PROJECT_SOURCE_DIR}/profiles/fuzz/budget_rounding.json)
+  # Each tool turns a bad flag into `tool_x: <message>` and exit 2.
+  add_usage_error_test(sweep_usage_error tool_sweep
+    "^tool_sweep: --seed conflicts with --golden"
+    --golden=ablation_strategies --seed=42)
+  add_usage_error_test(fuzz_usage_error tool_fuzz
+    "^tool_fuzz: unknown flag --rns" --rns=3)
+  add_usage_error_test(diag_hourly_usage_error tool_diag_hourly
+    "^tool_diag_hourly: --p2p expects true/false/1/0/yes/no, got 'ture'"
+    --p2p=ture)
   # Distributed path, end to end: the same demo grid as two --shard halves,
   # stitched with --merge, then diffed against the committed golden — the
   # shard/merge round-trip must reproduce the single-process bytes.
@@ -100,46 +126,30 @@ if(TARGET sweep_test)
     --gtest_filter=SweepRunner.*:ScenarioCatalog.*:ParamGrid.*)
 endif()
 
-# Every paper figure (fig04–fig11) through bench_paper_figures, and one
-# downscaled run per sweep-engine ablation — every bench stays runnable end
-# to end.
+# Every study of the table in src/expr/figures.cc — the paper figures and
+# the sweep ablations — through bench_paper_figures, at a downscaled
+# horizon: every entry stays runnable end to end. Two measured hours, so
+# the figures' hourly tables, scatters and fits see more than one bucket.
 if(CLOUDMEDIA_BUILD_BENCH)
   set(CLOUDMEDIA_SMOKE_ARGS --hours=2 --warmup=1 --seed=42)
-  # All eight figures in one process: the shared-sweep path (figures whose
+  # The whole table in one process: the shared-sweep path (entries whose
   # specs hash equal read one SweepRunner::run result), so the sanitizer
   # job covers every report over shared results.
   add_smoke_test(paper_figures bench_paper_figures ${CLOUDMEDIA_SMOKE_ARGS}
     --out-dir=${CMAKE_BINARY_DIR}/artifacts/paper_figures)
-  # One figure per job through --figure selection.
-  foreach(fig IN ITEMS fig04 fig05 fig06 fig07 fig08 fig09 fig10 fig11)
-    add_smoke_test(${fig} bench_paper_figures --figure=${fig}
+  # One entry per job through --figure selection.
+  foreach(entry IN ITEMS fig04 fig05 fig06 fig07 fig08 fig09 fig10 fig11
+      ablation_strategies ablation_pooling ablation_boot_delay
+      ablation_chunk_size ablation_geo ablation_hetero ablation_p2p_cap
+      ablation_prediction)
+    add_smoke_test(${entry} bench_paper_figures --figure=${entry}
       ${CLOUDMEDIA_SMOKE_ARGS}
       --out-dir=${CMAKE_BINARY_DIR}/artifacts/paper_figures_single)
   endforeach()
   # A typo'd flag dies with the teaching error instead of running the
   # full paper horizon with defaults.
-  add_smoke_test(paper_figures_typo bench_paper_figures --hour=2)
-  if(TEST smoke.paper_figures_typo)
-    set_tests_properties(smoke.paper_figures_typo PROPERTIES
-      PASS_REGULAR_EXPRESSION "did you mean --hours")
-  endif()
-  set(CLOUDMEDIA_ABLATION_SMOKE_ARGS --hours=1 --warmup=0.25 --seed=42)
-  add_smoke_test(ablation_boot_delay bench_ablation_boot_delay
-    ${CLOUDMEDIA_ABLATION_SMOKE_ARGS})
-  add_smoke_test(ablation_chunk_size bench_ablation_chunk_size
-    ${CLOUDMEDIA_ABLATION_SMOKE_ARGS})
-  add_smoke_test(ablation_geo bench_ablation_geo
-    ${CLOUDMEDIA_ABLATION_SMOKE_ARGS})
-  add_smoke_test(ablation_hetero bench_ablation_hetero
-    ${CLOUDMEDIA_ABLATION_SMOKE_ARGS})
-  add_smoke_test(ablation_p2p_cap bench_ablation_p2p_cap
-    ${CLOUDMEDIA_ABLATION_SMOKE_ARGS})
-  add_smoke_test(ablation_prediction bench_ablation_prediction
-    ${CLOUDMEDIA_ABLATION_SMOKE_ARGS} --days=1)
-  add_smoke_test(ablation_pooling bench_ablation_pooling
-    ${CLOUDMEDIA_ABLATION_SMOKE_ARGS})
-  add_smoke_test(ablation_strategies bench_ablation_strategies
-    ${CLOUDMEDIA_ABLATION_SMOKE_ARGS})
+  add_usage_error_test(paper_figures_typo bench_paper_figures
+    "did you mean --hours" --hour=2)
   # Sweep-engine throughput tracker (3x3 grid, downsized horizon).
   add_smoke_test(sweep_bench bench_sweep_smoke --hours=0.25 --warmup=0.1
     --out=${CMAKE_BINARY_DIR}/artifacts/BENCH_sweep.json)

@@ -8,8 +8,9 @@
 // different hours, so the provider's *aggregate* spend is far smoother
 // than any single region's — the multiplexing argument for going global.
 //
-// This is the example-sized tour of `src/geo`; `bench/ablation_geo` runs
-// the quantified federated-vs-consolidated comparison.
+// This is the example-sized tour of `src/geo`; `bench_paper_figures
+// --figure=ablation_geo` runs the quantified federated-vs-consolidated
+// comparison.
 //
 // Run: ./build/examples/example_geo_distributed [--hours=24] [--seed=42]
 

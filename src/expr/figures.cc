@@ -4,9 +4,11 @@
 #include <array>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <limits>
 #include <map>
 
+#include "expr/ablations.h"
 #include "expr/paper.h"
 #include "expr/runner.h"
 #include "profile/profile.h"
@@ -60,10 +62,6 @@ void print_paper_comparison(const std::string& label, double measured,
 }
 
 namespace {
-
-unsigned long long seed_of(const sweep::SweepSpec& spec) {
-  return static_cast<unsigned long long>(spec.base_seed);
-}
 
 /// Lowest hourly mean of `series` from `t0` on (Fig. 5's quality dips,
 /// Fig. 10's cost floor).
@@ -181,7 +179,7 @@ void report_fig04(const FigureRun& run) {
   std::printf("Figure 4: cloud capacity provisioning vs usage "
               "(%.0f h measured after %.0f h warmup, seed %llu)\n",
               run.spec.measure_hours, run.spec.warmup_hours,
-              seed_of(run.spec));
+              run.seed());
   const ExperimentResult& cs = run.result.results[0];   // mode=cs
   const ExperimentResult& p2p = run.result.results[1];  // mode=p2p
 
@@ -220,7 +218,7 @@ void report_fig04(const FigureRun& run) {
 // Paper: C/S averages 0.97 and P2P 0.95, with dips at the flash crowds.
 void report_fig05(const FigureRun& run) {
   std::printf("Figure 5: average streaming quality (%.0f h, seed %llu)\n",
-              run.spec.measure_hours, seed_of(run.spec));
+              run.spec.measure_hours, run.seed());
   const ExperimentResult& cs = run.result.results[0];   // mode=cs
   const ExperimentResult& p2p = run.result.results[1];  // mode=p2p
 
@@ -251,7 +249,7 @@ void report_fig05(const FigureRun& run) {
 void report_fig06(const FigureRun& run) {
   std::printf("Figure 6: channel streaming quality vs channel size "
               "(%.0f h, 20 channels, seed %llu)\n",
-              run.spec.measure_hours, seed_of(run.spec));
+              run.spec.measure_hours, run.seed());
   const auto scatters =
       mode_scatters(run, &vod::ChannelSeries::quality, "quality");
   const char* labels[] = {"C/S (the paper's Fig. 6)",
@@ -283,7 +281,7 @@ void report_fig06(const FigureRun& run) {
 void report_fig07(const FigureRun& run) {
   std::printf("Figure 7: provisioned cloud bandwidth vs channel size "
               "(%.0f h, seed %llu)\n",
-              run.spec.measure_hours, seed_of(run.spec));
+              run.spec.measure_hours, run.seed());
   const auto scatters = mode_scatters(run, &vod::ChannelSeries::provisioned_mbps,
                                       "provisioned_mbps");
   const char* labels[] = {"C/S", "P2P"};
@@ -362,7 +360,7 @@ void report_fig09(const FigureRun& run) {
 // ~$0.018/day — the bill is all VM rental.
 void report_fig10(const FigureRun& run) {
   std::printf("Figure 10: overall VM rental cost (%.0f h, seed %llu)\n",
-              run.spec.measure_hours, seed_of(run.spec));
+              run.spec.measure_hours, run.seed());
   const ExperimentResult& cs = run.result.results[0];   // mode=cs
   const ExperimentResult& p2p = run.result.results[1];  // mode=p2p
 
@@ -402,7 +400,7 @@ void report_fig11(const FigureRun& run) {
   const std::vector<std::string>& ratios = run.spec.grid.axes().back().values;
   std::printf("Figure 11: P2P streaming quality vs peer bandwidth "
               "sufficiency (%.0f h per ratio, seed %llu)\n",
-              run.spec.measure_hours, seed_of(run.spec));
+              run.spec.measure_hours, run.seed());
 
   std::vector<SeriesColumn> columns;
   for (std::size_t k = 0; k < ratios.size(); ++k) {
@@ -440,9 +438,10 @@ void report_fig11(const FigureRun& run) {
 }  // namespace
 
 const std::vector<Figure>& paper_figures() {
-  // Presets are the mode={cs,p2p} (or mode=p2p) grids `tool_sweep
-  // --golden=<preset>` replays at downsized horizons; policy-only axes
-  // share one derived seed, so C/S and P2P face the same viewers.
+  // Presets are the grids `tool_sweep --golden=<preset>` replays at
+  // downsized horizons; policy-only axes share one derived seed, so C/S and
+  // P2P (or the ablated policies) face the same viewers. The ablation
+  // reports live in src/expr/ablations.cc.
   static const std::vector<Figure> figures = {
       {"fig04", "fig04_provisioning", 4.0, 100.0, report_fig04},
       {"fig05", "fig05_quality", 4.0, 100.0, report_fig05},
@@ -452,6 +451,21 @@ const std::vector<Figure>& paper_figures() {
       {"fig09", "fig09_vm_utility", 4.0, 24.0, report_fig09},
       {"fig10", "fig10_vm_cost", 4.0, 24.0, report_fig10},
       {"fig11", "fig11_peer_sufficiency", 4.0, 72.0, report_fig11},
+      {"ablation_strategies", "ablation_strategies", 4.0, 48.0,
+       report_ablation_strategies},
+      {"ablation_pooling", "ablation_pooling", 2.0, 12.0,
+       report_ablation_pooling},
+      {"ablation_boot_delay", "ablation_boot_delay", 2.0, 24.0,
+       report_ablation_boot_delay},
+      {"ablation_chunk_size", "ablation_chunk_size", 2.0, 16.0,
+       report_ablation_chunk_size},
+      {"ablation_geo", "ablation_geo", 4.0, 24.0, report_ablation_geo},
+      {"ablation_hetero", "ablation_hetero", 2.0, 12.0,
+       report_ablation_hetero},
+      {"ablation_p2p_cap", "ablation_p2p_cap", 2.0, 12.0,
+       report_ablation_p2p_cap},
+      {"ablation_prediction", "ablation_prediction", 4.0, 30.0,
+       report_ablation_prediction},
   };
   return figures;
 }
@@ -487,19 +501,38 @@ std::size_t run_paper_figures(const Flags& flags) {
   }
   const std::string out_dir = flags.get("out-dir", std::string("results"));
 
-  std::map<std::string, sweep::SweepResult> sweeps;  // by spec_hash()
+  // Entries whose specs hash equal share one run, released after its last
+  // reader (at paper horizons fig06/07/10's sweep is the only one held
+  // while another runs).
+  std::vector<sweep::SweepSpec> specs;
+  std::map<std::string, std::size_t> readers;  // by spec_hash()
   for (const Figure* figure : selected) {
-    const sweep::SweepSpec spec = figure_spec(*figure, flags);
-    const auto [it, fresh] = sweeps.try_emplace(spec.spec_hash());
-    if (fresh) it->second = sweep::SweepRunner::run(spec);
-    const std::string base = out_dir + "/" + figure->name;
-    const std::string series_csv = base + ".series.csv";
-    figure->report({spec, it->second, series_csv});
-    it->second.write(base);
-    std::printf("[csv]  %s.csv\n[json] %s.json\n[csv]  %s\n", base.c_str(),
-                base.c_str(), series_csv.c_str());
+    specs.push_back(figure_spec(*figure, flags));
+    ++readers[specs.back().spec_hash()];
   }
-  return sweeps.size();
+  std::map<std::string, sweep::SweepResult> sweeps;  // by spec_hash()
+  std::size_t runs = 0;
+  for (std::size_t i = 0; i < selected.size(); ++i) {
+    const std::string hash = specs[i].spec_hash();
+    const auto [it, fresh] = sweeps.try_emplace(hash);
+    if (fresh) {
+      it->second = sweep::SweepRunner::run(specs[i]);
+      ++runs;
+    }
+    const std::string base = out_dir + "/" + selected[i]->name;
+    // Only a figure's report writes table data; a stale file must not pass
+    // for this run's.
+    const std::string series_csv = base + ".series.csv";
+    std::filesystem::remove(series_csv);
+    selected[i]->report({specs[i], it->second, series_csv});
+    it->second.write(base);
+    std::printf("[csv]  %s.csv\n[json] %s.json\n", base.c_str(), base.c_str());
+    if (std::filesystem::exists(series_csv)) {
+      std::printf("[csv]  %s\n", series_csv.c_str());
+    }
+    if (--readers[hash] == 0) sweeps.erase(it);
+  }
+  return runs;
 }
 
 }  // namespace cloudmedia::expr

@@ -31,25 +31,33 @@ void print_paper_comparison(const std::string& label, double measured,
                             double paper_value, const std::string& unit);
 
 /// What a figure's report reads: its resolved spec, that spec's sweep
-/// (every cell, full-resolution series), and where its table data goes.
+/// (every cell, full-resolution series), and where its table data goes
+/// (an ablation has none and leaves the path unwritten).
 struct FigureRun {
   const sweep::SweepSpec& spec;
   const sweep::SweepResult& result;
   const std::string& series_csv;
+
+  /// The sweep's base seed, as the reports print it.
+  [[nodiscard]] unsigned long long seed() const {
+    return static_cast<unsigned long long>(spec.base_seed);
+  }
 };
 
-/// One of the paper's evaluation figures (Sec. VI, Figs. 4-11): the golden
+/// One study of the paper's evaluation: a figure (Sec. VI, Figs. 4-11) or
+/// a sweep ablation of one of its modelling choices. Each is the golden
 /// preset it runs, widened to the paper's horizon, and the report that
-/// prints its table and paper comparisons.
+/// prints its table and paper comparisons (an ablation's analytic part,
+/// if any, first).
 struct Figure {
-  const char* name;  ///< "fig04" ... "fig11"
+  const char* name;  ///< "fig04" ... "fig11", "ablation_<preset suffix>"
   const char* preset;
   double warmup_hours;
   double measure_hours;
   void (*report)(const FigureRun& run);
 };
 
-/// Every figure, in paper order.
+/// Every figure in paper order, then the ablations.
 [[nodiscard]] const std::vector<Figure>& paper_figures();
 
 /// Lookup by name; throws util::PreconditionError listing the valid names.
@@ -60,13 +68,15 @@ struct Figure {
 [[nodiscard]] sweep::SweepSpec figure_spec(const Figure& figure,
                                            const Flags& flags);
 
-/// The paper-figure driver: --figure (default: all eight), --hours,
+/// The paper-figure driver: --figure (default: the whole table), --hours,
 /// --warmup, --seed, --threads, --out-dir (default results); any other flag
 /// — --shard and --series-stride too, since a figure reads every cell at
-/// full resolution — throws the teaching error. Each figure writes
-/// <out-dir>/<name>.{csv,json} (the summary) and <out-dir>/<name>.series.csv
-/// (its table data). Figures whose specs have equal spec_hash() share one
-/// SweepRunner::run; returns the number of sweeps run.
+/// full resolution — throws the teaching error. Each entry writes
+/// <out-dir>/<name>.{csv,json} (the summary); each figure also writes
+/// <out-dir>/<name>.series.csv (its table data); the driver prints the
+/// path of every file the entry wrote. Entries whose specs have equal
+/// spec_hash() share one SweepRunner::run, held only until its last reader
+/// has reported; returns the number of sweeps run.
 std::size_t run_paper_figures(const Flags& flags);
 
 }  // namespace cloudmedia::expr

@@ -96,7 +96,11 @@ bool Flags::get(const std::string& key, bool fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
   const std::string& value = it->second.back();
-  return value == "true" || value == "1" || value == "yes";
+  if (value == "true" || value == "1" || value == "yes") return true;
+  if (value == "false" || value == "0" || value == "no") return false;
+  throw util::PreconditionError("--" + key +
+                                " expects true/false/1/0/yes/no, got '" +
+                                value + "'");
 }
 
 std::vector<std::string> Flags::get_all(const std::string& key) const {

@@ -30,6 +30,8 @@ class Flags {
   [[nodiscard]] double get(const std::string& key, double fallback) const;
   [[nodiscard]] int get(const std::string& key, int fallback) const;
   [[nodiscard]] long long get_ll(const std::string& key, long long fallback) const;
+  /// Accepts true/false/1/0/yes/no (a bare `--key` reads "true"); any
+  /// other value throws util::PreconditionError naming the flag.
   [[nodiscard]] bool get(const std::string& key, bool fallback) const;
   /// All values given for a repeated flag, in command-line order (empty
   /// when the flag is absent).

@@ -33,6 +33,14 @@ FederationConfig FederationConfig::make_default(core::StreamingMode mode) {
   return cfg;
 }
 
+std::optional<std::size_t> FederationConfig::region_index(
+    const std::string& name) const {
+  for (std::size_t k = 0; k < regions.size(); ++k) {
+    if (regions[k].name == name) return k;
+  }
+  return std::nullopt;
+}
+
 void FederationConfig::validate() const {
   base.validate();
   CM_EXPECTS(!regions.empty());

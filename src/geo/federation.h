@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cstddef>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -54,6 +56,10 @@ struct FederationConfig {
   /// The paper-shaped default federation: three regions (Asia / Europe /
   /// Americas) with staggered time zones and a 45/30/25 audience split.
   [[nodiscard]] static FederationConfig make_default(core::StreamingMode mode);
+
+  /// Index of the region called `name` in `regions`, if there is one.
+  [[nodiscard]] std::optional<std::size_t> region_index(
+      const std::string& name) const;
 
   void validate() const;
 };

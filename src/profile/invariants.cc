@@ -108,21 +108,10 @@ InvariantReport check_profile_invariants(
                std::to_string(tolerance) + ")"});
     }
 
-    // --- budget: rebuild this cell's effective config the way run_one
-    // does and bound billed $/h by the max budget any timeline state
-    // grants.
-    expr::ExperimentConfig config = expr::ExperimentConfig::make_default(
-        core::StreamingMode::kClientServer);
-    scenario.apply(config);
-    config.warmup_hours = p.warmup_hours;
-    config.measure_hours = p.measure_hours;
-    for (const auto& [name, value] : p.overrides) {
-      sweep::apply_parameter(config, name, value);
-    }
-    for (const auto& [name, value] : point.coords) {
-      sweep::apply_parameter(config, name, value);
-    }
-    const BudgetEnvelope cap = budget_envelope(config);
+    // --- budget: bound billed $/h by the max budget any timeline state of
+    // this cell's config grants.
+    const BudgetEnvelope cap = budget_envelope(
+        sweep::SweepRunner::cell_config(spec, scenario, point));
     for (double sample : run.metrics.vm_cost_rate.values()) {
       if (exceeds(sample, cap.vm)) {
         report.violations.push_back(

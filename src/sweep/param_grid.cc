@@ -156,10 +156,9 @@ void apply_region(expr::ExperimentConfig& cfg, const std::string& value) {
   geo::FederationConfig federation =
       geo::FederationConfig::make_default(cfg.mode);
   federation.base = cfg;
-  for (std::size_t k = 0; k < federation.regions.size(); ++k) {
-    if (federation.regions[k].name != value) continue;
+  if (const auto k = federation.region_index(value)) {
     const std::uint64_t seed = cfg.seed;
-    cfg = geo::FederationRunner::regional_config(federation, k);
+    cfg = geo::FederationRunner::regional_config(federation, *k);
     cfg.seed = seed;  // seeding stays the runner's job, not the applier's
     return;
   }

@@ -135,6 +135,29 @@ std::uint64_t SweepRunner::run_seed(std::uint64_t base_seed,
   return util::mix64(util::mix64(base_seed) ^ ParamGrid::workload_hash(point));
 }
 
+expr::ExperimentConfig SweepRunner::cell_config(const SweepSpec& spec,
+                                                const Scenario& scenario,
+                                                const GridPoint& point) {
+  expr::ExperimentConfig config =
+      expr::ExperimentConfig::make_default(core::StreamingMode::kClientServer);
+  scenario.apply(config);
+  config.warmup_hours = spec.warmup_hours;
+  config.measure_hours = spec.measure_hours;
+  // Overrides are spec-wide constants, so like the scenario they stay out
+  // of the per-run seed.
+  for (const auto& [name, value] : spec.overrides) {
+    apply_parameter(config, name, value);
+  }
+  if (spec.customize) spec.customize(config);
+  for (const auto& [name, value] : point.coords) {
+    apply_parameter(config, name, value);
+  }
+  // Seeded from the *global* cell's workload coordinates, so every shard
+  // layout replays the byte-identical viewer populations.
+  config.seed = run_seed(spec.base_seed, point);
+  return config;
+}
+
 std::vector<std::size_t> SweepRunner::shard_cells(std::size_t total,
                                                   const ShardSpec& shard) {
   CM_EXPECTS(shard.count >= 1 && shard.index < shard.count);
@@ -175,24 +198,7 @@ SweepResult SweepRunner::run(const SweepSpec& spec,
   auto run_one = [&](std::size_t slot) {
     const std::size_t cell = cells[slot];
     const GridPoint point = spec.grid.point(cell);
-    expr::ExperimentConfig config =
-        expr::ExperimentConfig::make_default(core::StreamingMode::kClientServer);
-    scenario.apply(config);
-    config.warmup_hours = spec.warmup_hours;
-    config.measure_hours = spec.measure_hours;
-    // Precedence, weakest to strongest: scenario < overrides < customize
-    // < grid point. Overrides are spec-wide constants, so like the
-    // scenario they stay out of the per-run seed.
-    for (const auto& [name, value] : spec.overrides) {
-      apply_parameter(config, name, value);
-    }
-    if (spec.customize) spec.customize(config);
-    for (const auto& [name, value] : point.coords) {
-      apply_parameter(config, name, value);
-    }
-    // Seeded from the *global* cell's workload coordinates, so every
-    // shard layout replays the byte-identical viewer populations.
-    config.seed = run_seed(spec.base_seed, point);
+    const expr::ExperimentConfig config = cell_config(spec, scenario, point);
     expr::ExperimentResult run_result = expr::ExperimentRunner::run(config);
     RunSummary summary = RunSummary::from_result(spec.scenario, point,
                                                  config.seed, run_result);

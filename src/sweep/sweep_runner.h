@@ -102,9 +102,9 @@ struct SweepSpec {
   /// as defaults. The one place the string-to-spec conversion (and its
   /// validation: --threads must be >= 0, 0 meaning "hardware";
   /// --series-stride must be >= 1; --shard must be k/N) lives for every
-  /// sweep binary. Binaries that read every cell at full resolution (the
-  /// paper figures, the ablations) leave --shard and --series-stride out of
-  /// their Flags::require_known list, so those flags are rejected there.
+  /// sweep binary. A binary that reads every cell at full resolution
+  /// (bench_paper_figures) leaves --shard and --series-stride out of its
+  /// Flags::require_known list, so those flags are rejected there.
   void apply_flags(const expr::Flags& flags);
 
   /// Hash of what the sweep *computes*: scenario expression, base seed,
@@ -130,6 +130,15 @@ class SweepRunner {
   /// byte-identical user population.
   [[nodiscard]] static std::uint64_t run_seed(std::uint64_t base_seed,
                                               const GridPoint& point);
+
+  /// The config grid cell `point` of `spec` runs, seed included — the one
+  /// place it is assembled (run() and profile::check_profile_invariants
+  /// both read it). Precedence, weakest to strongest: the client-server
+  /// default < `scenario` (spec.scenario, resolved) < the spec's horizon <
+  /// overrides < customize < the grid point; then config.seed =
+  /// run_seed(spec.base_seed, point).
+  [[nodiscard]] static expr::ExperimentConfig cell_config(
+      const SweepSpec& spec, const Scenario& scenario, const GridPoint& point);
 
   /// The global cell indices shard `shard` owns out of `total` cells,
   /// ascending. Disjoint and covering across k = 0..N-1. Throws when

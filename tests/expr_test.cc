@@ -3,11 +3,13 @@
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 
 #include "expr/figures.h"
 #include "expr/flags.h"
 #include "expr/paper.h"
+#include "sweep/goldens.h"
 #include "util/check.h"
 
 namespace cloudmedia::expr {
@@ -49,6 +51,15 @@ TEST(Flags, BooleanSpellings) {
   EXPECT_TRUE(make_flags({"--a=1"}).get("a", false));
   EXPECT_TRUE(make_flags({"--a=yes"}).get("a", false));
   EXPECT_FALSE(make_flags({"--a=no"}).get("a", true));
+  EXPECT_FALSE(make_flags({"--a=false"}).get("a", true));
+  EXPECT_FALSE(make_flags({"--a=0"}).get("a", true));
+  // A typo is an error, not a silent false.
+  try {
+    (void)make_flags({"--p2p=ture"}).get("p2p", false);
+    FAIL() << "--p2p=ture should not parse";
+  } catch (const util::PreconditionError& e) {
+    EXPECT_STREQ(e.what(), "--p2p expects true/false/1/0/yes/no, got 'ture'");
+  }
 }
 
 TEST(Flags, NumericGettersParseTheWholeToken) {
@@ -186,13 +197,44 @@ TEST(Report, ComparisonLineFormatsBothSides) {
   EXPECT_NE(out.find("0.970"), std::string::npos);
 }
 
+/// The table's figure entries (the rest are sweep ablations).
+const std::set<std::string> kFigureNames = {
+    "fig04", "fig05", "fig06", "fig07", "fig08", "fig09", "fig10", "fig11"};
+
 TEST(PaperFigures, TableCoversFigures4Through11) {
+  // Figures in paper order, then the sweep ablations.
   std::vector<std::string> names;
   for (const Figure& figure : paper_figures()) names.push_back(figure.name);
-  EXPECT_EQ(names, (std::vector<std::string>{"fig04", "fig05", "fig06",
-                                             "fig07", "fig08", "fig09",
-                                             "fig10", "fig11"}));
+  EXPECT_EQ(names,
+            (std::vector<std::string>{
+                "fig04", "fig05", "fig06", "fig07", "fig08", "fig09", "fig10",
+                "fig11", "ablation_strategies", "ablation_pooling",
+                "ablation_boot_delay", "ablation_chunk_size", "ablation_geo",
+                "ablation_hetero", "ablation_p2p_cap", "ablation_prediction"}));
   EXPECT_EQ(std::string(paper_figure("fig10").preset), "fig10_vm_cost");
+  EXPECT_EQ(std::string(paper_figure("ablation_geo").preset), "ablation_geo");
+}
+
+TEST(PaperFigures, EveryFigureAndAblationPresetHasOneTableEntry) {
+  // The table and the golden presets name the same studies: each fig*/
+  // ablation_* preset is run by exactly one entry, and each entry runs a
+  // preset of that kind.
+  std::multiset<std::string> table;
+  for (const Figure& figure : paper_figures()) table.insert(figure.preset);
+  std::set<std::string> presets;
+  for (const sweep::GoldenPreset& preset : sweep::golden_presets()) {
+    if (preset.name.rfind("fig", 0) == 0 ||
+        preset.name.rfind("ablation_", 0) == 0) {
+      presets.insert(preset.name);
+    }
+  }
+  for (const std::string& preset : presets) {
+    EXPECT_EQ(table.count(preset), 1u) << preset;
+  }
+  for (const std::string& preset : table) {
+    EXPECT_EQ(presets.count(preset), 1u) << preset;
+  }
+  EXPECT_EQ(table.size(), presets.size());
 }
 
 TEST(PaperFigures, UnknownFigureListsTheValidOnes) {
@@ -210,12 +252,17 @@ TEST(PaperFigures, UnknownFigureListsTheValidOnes) {
 TEST(PaperFigures, PaperHorizonsResolveToFourDistinctSweeps) {
   // fig04 = fig05, fig06 = fig07 = fig10 and fig08 = fig09 compute the same
   // sweep at the paper's horizons; the driver runs each distinct one once.
+  // Every ablation is a sweep of its own.
   const Flags none = make_flags({});
-  std::set<std::string> hashes;
+  std::set<std::string> figures;
+  std::set<std::string> all;
   for (const Figure& figure : paper_figures()) {
-    hashes.insert(figure_spec(figure, none).spec_hash());
+    const std::string hash = figure_spec(figure, none).spec_hash();
+    if (kFigureNames.count(figure.name) != 0) figures.insert(hash);
+    all.insert(hash);
   }
-  EXPECT_EQ(hashes.size(), 4u);
+  EXPECT_EQ(figures.size(), 4u);
+  EXPECT_EQ(all.size(), 4u + 8u);
   EXPECT_EQ(figure_spec(paper_figure("fig04"), none).spec_hash(),
             figure_spec(paper_figure("fig05"), none).spec_hash());
   EXPECT_NE(figure_spec(paper_figure("fig05"), none).spec_hash(),
@@ -239,16 +286,19 @@ TEST(PaperFigures, RejectsShardAndSeriesStride) {
                util::PreconditionError);
 }
 
-/// run_paper_figures on `args` plus --out-dir=`dir`, stdout swallowed.
+/// run_paper_figures on `args` plus --out-dir=`dir`, stdout swallowed
+/// into `printed` when given.
 std::size_t run_figures_quietly(std::vector<const char*> args,
-                                const std::string& dir) {
+                                const std::string& dir,
+                                std::string* printed = nullptr) {
   const std::string out_dir = "--out-dir=" + dir;
   args.insert(args.begin(), "prog");
   args.push_back(out_dir.c_str());
   testing::internal::CaptureStdout();
   const std::size_t sweeps =
       run_paper_figures(Flags(static_cast<int>(args.size()), args.data()));
-  (void)testing::internal::GetCapturedStdout();
+  const std::string out = testing::internal::GetCapturedStdout();
+  if (printed != nullptr) *printed = out;
   return sweeps;
 }
 
@@ -256,11 +306,12 @@ TEST(PaperFigures, WritesSummaryAndSeriesUnderOutDir) {
   const TempDir dir("cloudmedia_paper_figures_test");
   const ScopedEmptyCwd cwd("cloudmedia_paper_figures_test_cwd");
   // At one shared horizon, figs 4/5/6/7/10 are one mode={cs,p2p} sweep,
-  // figs 8/9 one mode=p2p sweep, and fig 11 its own. (Fig. 7's linear fit
-  // needs at least one whole measured hour.)
+  // figs 8/9 one mode=p2p sweep, fig 11 its own, and so is each of the
+  // eight ablations. (Fig. 7's linear fit needs at least one whole
+  // measured hour.)
   EXPECT_EQ(run_figures_quietly({"--hours=1", "--warmup=0.25", "--threads=2"},
                                 dir.str()),
-            3u);
+            3u + 8u);
   EXPECT_EQ(run_figures_quietly({"--figure=fig10", "--hours=1",
                                  "--warmup=0.25", "--threads=2"},
                                 dir.str()),
@@ -270,17 +321,56 @@ TEST(PaperFigures, WritesSummaryAndSeriesUnderOutDir) {
   // summary, and nothing lands in the working directory.
   for (const Figure& figure : paper_figures()) {
     const std::string base = dir.file(figure.name);
-    EXPECT_EQ(first_line(base + ".csv").rfind("scenario,mode,", 0), 0u)
+    EXPECT_EQ(first_line(base + ".csv").rfind("scenario,", 0), 0u)
         << figure.name;
     EXPECT_TRUE(std::filesystem::exists(base + ".json")) << figure.name;
-    EXPECT_NE(first_line(base + ".series.csv"), first_line(base + ".csv"))
-        << figure.name;
+    if (kFigureNames.count(figure.name) != 0) {
+      EXPECT_EQ(first_line(base + ".csv").rfind("scenario,mode,", 0), 0u)
+          << figure.name;
+      EXPECT_NE(first_line(base + ".series.csv"), first_line(base + ".csv"))
+          << figure.name;
+    } else {
+      EXPECT_FALSE(std::filesystem::exists(base + ".series.csv"))
+          << figure.name;
+    }
   }
   EXPECT_EQ(first_line(dir.file("fig04.series.csv")),
             "hour,C/S reserved,C/S used,P2P reserved,P2P used");
   EXPECT_EQ(first_line(dir.file("fig06.series.csv")),
             "mode,channel_size,quality");
   EXPECT_TRUE(cwd.still_empty());
+}
+
+TEST(PaperFigures, EveryPrintedPathExists) {
+  const TempDir dir("cloudmedia_paper_figures_paths_test");
+  // A leftover series file must not pass for the ablation's.
+  std::filesystem::create_directories(dir.str());
+  std::ofstream(dir.file("ablation_geo.series.csv")) << "stale\n";
+  std::string printed;
+  for (const char* figure : {"--figure=fig10", "--figure=ablation_geo"}) {
+    std::string out;
+    (void)run_figures_quietly({figure, "--hours=1", "--warmup=0.25"},
+                              dir.str(), &out);
+    printed += out;
+  }
+  // "[csv]  <path>" / "[json] <path>": fig10's summary pair and series
+  // table, ablation_geo's summary pair only.
+  std::vector<std::string> paths;
+  std::istringstream lines(printed);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("[csv]  ", 0) == 0 || line.rfind("[json] ", 0) == 0) {
+      paths.push_back(line.substr(7));
+    }
+  }
+  EXPECT_EQ(paths, (std::vector<std::string>{
+                       dir.file("fig10.csv"), dir.file("fig10.json"),
+                       dir.file("fig10.series.csv"),
+                       dir.file("ablation_geo.csv"),
+                       dir.file("ablation_geo.json")}));
+  for (const std::string& path : paths) {
+    EXPECT_TRUE(std::filesystem::exists(path)) << path;
+  }
+  EXPECT_FALSE(std::filesystem::exists(dir.file("ablation_geo.series.csv")));
 }
 
 }  // namespace

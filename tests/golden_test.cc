@@ -75,7 +75,7 @@ TEST(Goldens, EveryPaperFigureAndAblationHasAPreset) {
       "ablation_geo",        "ablation_hetero",
       "ablation_p2p_cap",    "ablation_prediction",
       "stress_flash_churn",  "regional_outage",
-      "outage_transient",
+      "outage_transient",    "ablation_pooling",
   };
   EXPECT_GE(golden_presets().size(), 15u);
   EXPECT_EQ(golden_presets().size(), std::size(kExpected));

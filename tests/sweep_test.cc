@@ -247,6 +247,27 @@ TEST(SweepRunner, SeedIsStableAcrossProcesses) {
   EXPECT_NE(seed, 42u);
 }
 
+TEST(SweepRunner, CellConfigAppliesEachLayerInPrecedenceOrder) {
+  // overrides < customize < grid point; customize sees the override.
+  SweepSpec spec;
+  spec.warmup_hours = 0.5;
+  spec.measure_hours = 2.0;
+  spec.overrides = {{"arrival", "0.5"}, {"channels", "6"}};
+  spec.customize = [](expr::ExperimentConfig& cfg) {
+    cfg.workload.total_arrival_rate *= 2.0;
+    cfg.workload.num_channels += 1;
+  };
+  spec.grid.add_axis("channels", {"3"});
+  const GridPoint point = spec.grid.point(0);
+  const expr::ExperimentConfig cfg = SweepRunner::cell_config(
+      spec, ScenarioCatalog::global().resolve(spec.scenario), point);
+  EXPECT_EQ(cfg.workload.total_arrival_rate, 1.0);
+  EXPECT_EQ(cfg.workload.num_channels, 3);
+  EXPECT_EQ(cfg.warmup_hours, 0.5);
+  EXPECT_EQ(cfg.measure_hours, 2.0);
+  EXPECT_EQ(cfg.seed, SweepRunner::run_seed(spec.base_seed, point));
+}
+
 // -------------------------------------------------------- ScenarioCatalog
 
 TEST(ScenarioCatalog, RegistersTheTwelveBuiltins) {
@@ -848,7 +869,7 @@ INSTANTIATE_TEST_SUITE_P(
                       "fig11_peer_sufficiency", "ablation_boot_delay",
                       "ablation_chunk_size", "ablation_geo", "ablation_hetero",
                       "ablation_p2p_cap", "ablation_prediction",
-                      "outage_transient"),
+                      "ablation_pooling", "outage_transient"),
     [](const ::testing::TestParamInfo<std::string>& info) {
       return info.param;
     });

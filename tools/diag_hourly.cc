@@ -5,6 +5,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <exception>
 
 #include "expr/config.h"
 #include "expr/flags.h"
@@ -12,21 +13,38 @@
 
 using namespace cloudmedia;
 
-int main(int argc, char** argv) {
+namespace {
+
+/// What the command line asks for, read and checked before anything runs.
+struct Options {
+  expr::ExperimentConfig config;
+  double hours = 48.0;
+  double step = 3600.0;
+  double from = 0.0;  ///< seconds
+};
+
+Options parse_options(int argc, char** argv) {
   const expr::Flags flags(argc, argv);
   flags.require_known({"hours", "p2p", "seed", "step", "from"});
-  const double hours = flags.get("hours", 48.0);
+  Options options;
+  options.hours = flags.get("hours", options.hours);
   const bool p2p = flags.get("p2p", false);
-  expr::ExperimentConfig cfg = expr::ExperimentConfig::make_default(
+  options.config = expr::ExperimentConfig::make_default(
       p2p ? core::StreamingMode::kP2p : core::StreamingMode::kClientServer);
-  cfg.seed = static_cast<std::uint64_t>(flags.get_ll("seed", 42));
+  options.config.seed = static_cast<std::uint64_t>(flags.get_ll("seed", 42));
+  options.step = flags.get("step", options.step);
+  options.from = flags.get("from", 0.0) * 3600.0;
+  return options;
+}
 
-  expr::Experiment experiment(cfg);
+void step_hourly(const Options& options) {
+  expr::Experiment experiment(options.config);
   const sim::Simulator& simulator = experiment.simulator();
   const vod::Deployment& system = experiment.deployment();
 
-  const double step = flags.get("step", 3600.0);
-  const double from = flags.get("from", 0.0) * 3600.0;
+  const double hours = options.hours;
+  const double step = options.step;
+  const double from = options.from;
   if (from > 0.0) {
     std::printf("fast-forwarding to %.1f h...\n", from / 3600.0);
     std::fflush(stdout);
@@ -52,5 +70,20 @@ int main(int argc, char** argv) {
     std::fflush(stdout);
     prev_events = simulator.events_processed();
   }
+}
+
+}  // namespace
+
+// A bad command line prints `tool_diag_hourly: <message>` and exits 2; an
+// exception inside the run is a failure of the simulation and aborts.
+int main(int argc, char** argv) {
+  Options options;
+  try {
+    options = parse_options(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "tool_diag_hourly: %s\n", e.what());
+    return 2;
+  }
+  step_hourly(options);
   return 0;
 }

@@ -23,9 +23,13 @@
 //   tool_fuzz --replay=results/fuzz/<name>.repro.json
 //   tool_sweep --profile=results/fuzz/<name>.repro.json
 //
-// Exit status: 0 when every run held all four invariants, 1 otherwise.
+// Exit status: 0 when every run held all four invariants, 1 otherwise, 2
+// on a bad command line or --replay file (printed as `tool_fuzz:
+// <message>`). An exception inside a run is an engine failure and aborts.
 
 #include <cstdio>
+#include <exception>
+#include <optional>
 #include <string>
 
 #include "expr/flags.h"
@@ -50,23 +54,18 @@ unsigned parse_threads(const expr::Flags& flags) {
   return static_cast<unsigned>(requested);
 }
 
-int replay(const std::string& path, unsigned threads) {
-  const profile::Profile p = profile::Profile::load(path);
-  const profile::InvariantReport report =
-      profile::check_profile_invariants(p, threads);
-  if (report.ok()) {
-    std::printf("replay %s: %zu cells, all invariants hold\n", path.c_str(),
-                report.cells);
-    return 0;
-  }
-  std::printf("replay %s: %zu violation(s)\n%s", path.c_str(),
-              report.violations.size(), report.summary().c_str());
-  return 1;
-}
+/// What the command line asks for, read and checked before anything runs.
+struct Options {
+  unsigned threads = 0;
+  std::string replay;  ///< the repro's path; empty: fuzz
+  profile::Profile repro;
+  long long runs = 25;
+  std::uint64_t seed = 1;
+  std::string out;
+};
 
-}  // namespace
-
-int main(int argc, char** argv) {
+/// The options, or nullopt once --help is printed.
+std::optional<Options> parse_options(int argc, char** argv) {
   const expr::Flags flags(argc, argv);
   flags.require_known({"runs", "seed", "threads", "out", "replay", "help"});
   if (flags.has("help")) {
@@ -74,18 +73,41 @@ int main(int argc, char** argv) {
         "usage: tool_fuzz --runs=25 --seed=1 [--threads=N] "
         "[--out=results/fuzz]\n       tool_fuzz --replay=<repro.json> "
         "[--threads=N]\n");
+    return std::nullopt;
+  }
+  Options options;
+  options.threads = parse_threads(flags);
+  if (flags.has("replay")) {
+    options.replay = flags.get("replay", std::string());
+    options.repro = profile::Profile::load(options.replay);
+    return options;
+  }
+  options.runs = flags.get_ll("runs", options.runs);
+  if (options.runs < 1) throw util::PreconditionError("--runs must be >= 1");
+  options.seed = static_cast<std::uint64_t>(flags.get_ll("seed", 1));
+  options.out = flags.get("out", std::string("results/fuzz"));
+  return options;
+}
+
+int replay(const Options& options) {
+  const profile::InvariantReport report =
+      profile::check_profile_invariants(options.repro, options.threads);
+  const char* path = options.replay.c_str();
+  if (report.ok()) {
+    std::printf("replay %s: %zu cells, all invariants hold\n", path,
+                report.cells);
     return 0;
   }
-  const unsigned threads = parse_threads(flags);
-  if (flags.has("replay")) {
-    return replay(flags.get("replay", std::string()), threads);
-  }
+  std::printf("replay %s: %zu violation(s)\n%s", path,
+              report.violations.size(), report.summary().c_str());
+  return 1;
+}
 
-  const long long runs = flags.get_ll("runs", 25);
-  if (runs < 1) throw util::PreconditionError("--runs must be >= 1");
-  const std::uint64_t seed = static_cast<std::uint64_t>(
-      flags.get_ll("seed", 1));
-  const std::string out = flags.get("out", std::string("results/fuzz"));
+int fuzz(const Options& options) {
+  const long long runs = options.runs;
+  const std::uint64_t seed = options.seed;
+  const unsigned threads = options.threads;
+  const std::string& out = options.out;
 
   util::Rng rng(seed);
   std::printf("fuzz: %lld profiles, seed=%llu, checking conservation / "
@@ -141,4 +163,18 @@ int main(int argc, char** argv) {
   std::printf("%d/%lld fuzz profiles FAILED — repros under %s/\n", failures,
               runs, out.c_str());
   return 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  std::optional<Options> options;
+  try {
+    options = parse_options(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "tool_fuzz: %s\n", e.what());
+    return 2;
+  }
+  if (!options) return 0;
+  return options->replay.empty() ? fuzz(*options) : replay(*options);
 }

@@ -44,7 +44,10 @@
 // Unknown flags are rejected with a did-you-mean suggestion (so
 // --serie-stride teaches instead of being ignored). Precedence, weakest
 // to strongest: profile file < --scenario/--grid/--set < --seed/--warmup/
-// --hours/--threads/--series-stride/--shard.
+// --hours/--threads/--series-stride/--shard. A bad command line, or an
+// unreadable --profile/--diff/--merge input, prints `tool_sweep: <message>`
+// and exits 2; an exception inside a sweep's runs is an engine failure and
+// aborts.
 //
 // Every figure and ablation of the paper's evaluation is a golden preset
 // (fig04_provisioning ... ablation_prediction, see --list); CI and
@@ -78,8 +81,11 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <exception>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "expr/flags.h"
@@ -199,14 +205,15 @@ int run_merge(int argc, char** argv) {
   return 0;
 }
 
-}  // namespace
+/// A sweep the command line asks for, read and checked before it runs.
+struct SweepJob {
+  sweep::SweepSpec spec;
+  std::string out;
+};
 
-int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--diff") return run_diff(argc, argv);
-    if (std::string_view(argv[i]) == "--merge") return run_merge(argc, argv);
-  }
-
+/// The sweep to run, or nullopt once a mode that runs none (--list,
+/// --list-goldens, --dump-profile) is served.
+std::optional<SweepJob> parse_sweep(int argc, char** argv) {
   const expr::Flags flags(argc, argv);
   flags.require_known({"list", "help", "list-goldens", "golden", "profile",
                        "dump-profile", "set", "scenario", "grid", "seed",
@@ -214,13 +221,13 @@ int main(int argc, char** argv) {
                        "out"});
   if (flags.has("list") || flags.has("help")) {
     print_listing();
-    return 0;
+    return std::nullopt;
   }
   if (flags.has("list-goldens")) {
     for (const sweep::GoldenPreset& preset : sweep::golden_presets()) {
       std::printf("%s\n", preset.name.c_str());
     }
-    return 0;
+    return std::nullopt;
   }
 
   // Every mode goes through one declarative Profile: golden preset,
@@ -295,13 +302,11 @@ int main(int argc, char** argv) {
     const profile::Profile round =
         profile::Profile::from_spec(spec, prof.name, prof.description);
     std::fputs((round.to_json().dump(2) + "\n").c_str(), stdout);
-    return 0;
+    return std::nullopt;
   }
 
   sweep::SweepSpec spec = sweep::SweepSpec::from_profile(prof);
   if (flags.has("golden")) {
-    std::printf("golden %s: %s\n", prof.name.c_str(),
-                prof.description.c_str());
     const long long requested = flags.get_ll("threads", 0);
     if (requested < 0 || requested > 1024) {
       throw util::PreconditionError(
@@ -320,7 +325,16 @@ int main(int argc, char** argv) {
     default_out += "_shard" + std::to_string(spec.shard.index) + "of" +
                    std::to_string(spec.shard.count);
   }
-  const std::string out = flags.get("out", default_out);
+  if (flags.has("golden")) {
+    std::printf("golden %s: %s\n", prof.name.c_str(),
+                prof.description.c_str());
+  }
+  return SweepJob{std::move(spec), flags.get("out", default_out)};
+}
+
+int run_sweep(const SweepJob& job) {
+  const sweep::SweepSpec& spec = job.spec;
+  const std::string& out = job.out;
   const unsigned threads =
       spec.threads ? spec.threads : sweep::default_threads();
 
@@ -379,4 +393,21 @@ int main(int argc, char** argv) {
   std::printf("\n[csv]    %s.csv\n[json]   %s.json\n[jsonl]  %s (streamed)\n",
               out.c_str(), out.c_str(), results_store.jsonl_path().c_str());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  std::optional<SweepJob> job;
+  try {
+    for (int i = 1; i < argc; ++i) {
+      if (std::string_view(argv[i]) == "--diff") return run_diff(argc, argv);
+      if (std::string_view(argv[i]) == "--merge") return run_merge(argc, argv);
+    }
+    job = parse_sweep(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "tool_sweep: %s\n", e.what());
+    return 2;
+  }
+  return job ? run_sweep(*job) : 0;
 }
