@@ -1,25 +1,23 @@
-// Discrete-engine throughput gate: every golden preset, every sweep cell
-// under the cohort auto-threshold, and all CI fuzz profiles run the
-// *discrete* core, so its single-run events/s bounds the wall-clock of the
-// whole figure/fuzz pipeline. This bench runs one flash_crowd day in P2P
-// mode (the heaviest discrete path: per-peer walks, rarest-first
-// rebalances, pool churn) at a population far above the golden presets',
-// and emits BENCH_discrete.json (events/s, peers simulated, peak RSS,
-// rebalance work).
+// Discrete-engine work gate: every golden preset, every sweep cell under
+// the cohort auto-threshold, and all CI fuzz profiles run the *discrete*
+// core. This bench runs one flash_crowd day in P2P mode (the heaviest
+// discrete path: per-peer walks, rarest-first rebalances, pool churn) at a
+// population far above the golden presets', and emits BENCH_discrete.json
+// (events per viewer, events/s, peers simulated, peak RSS, rebalance work).
 //
-// The gates: events/s must reach --min-events-per-sec, whose default is
-// 2x the pre-overhaul baseline measured by this same bench on the
-// reference container (kBaselineEventsPerSec below; unordered_map peers +
-// std::function events + map-based pools). Both the baseline and the
-// realized figure land in the JSON so the speedup is recorded, not
-// asserted. Sanitizer/debug builds detect themselves and skip the rate
-// gate (the run itself still exercises the hot path). A deterministic gate
-// rides along on every build: the owner-list entries the rarest-first
-// rebalance reads per tick must stay below the member×chunk bitmap cells a
-// per-tick ownership rebuild would scan. Both counts are exact for a seed.
+// The gates are deterministic and hold on every build, sanitized ones
+// included: simulator events per simulated viewer must stay at or below
+// --max-events-per-viewer (default: this bench's exact figure at its
+// default arguments, rounded up at the third decimal), and the owner-list
+// entries the rarest-first rebalance reads per tick must stay below the
+// member×chunk bitmap cells a per-tick ownership rebuild would scan. All
+// three counts are exact for a seed. Peak RSS must stay under --max-rss-mb
+// (skipped on sanitizer builds, whose allocators inflate it). Events/s and
+// wall seconds are reported, not gated: wall-clock claims come from
+// perfbench/, so a slower runner cannot make this gate flaky.
 //
 // Flags: --rate=6.0 --hours=10 --warmup=0 --seed=42
-//        --min-events-per-sec=<2x baseline> --max-rss-mb=2048
+//        --max-events-per-viewer=13.07 --max-rss-mb=2048
 //        --out=BENCH_discrete.json
 
 #include <chrono>
@@ -37,11 +35,6 @@
 using namespace cloudmedia;
 
 namespace {
-
-/// Pre-overhaul (PR 9) discrete-engine throughput on the reference
-/// container, measured by this bench at its default arguments. The CI gate
-/// demands >= 2x this figure from the slab/SBO/sorted-vector hot path.
-constexpr double kBaselineEventsPerSec = 1.96e5;
 
 constexpr bool sanitized_build() {
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
@@ -61,15 +54,16 @@ constexpr bool sanitized_build() {
 
 int main(int argc, char** argv) {
   const expr::Flags flags(argc, argv);
-  flags.require_known({"rate", "hours", "warmup", "min-events-per-sec",
+  flags.require_known({"rate", "hours", "warmup", "max-events-per-viewer",
                        "max-rss-mb", "seed", "out"});
   const double rate = flags.get("rate", 6.0);
   const double hours = flags.get("hours", 10.0);
   const double warmup = flags.get("warmup", 0.0);
-  const double min_events_per_sec =
-      flags.get("min-events-per-sec", 2.0 * kBaselineEventsPerSec);
+  const double max_events_per_viewer =
+      flags.get("max-events-per-viewer", 13.07);
   const double max_rss_mb = flags.get("max-rss-mb", 2048.0);
-  CM_EXPECTS(rate > 0.0 && hours > 0.0 && max_rss_mb > 0.0);
+  CM_EXPECTS(rate > 0.0 && hours > 0.0 && max_events_per_viewer > 0.0 &&
+             max_rss_mb > 0.0);
 
   expr::ExperimentConfig cfg = sweep::ScenarioCatalog::global().make_config(
       "flash_crowd", core::StreamingMode::kP2p);
@@ -95,6 +89,8 @@ int main(int argc, char** argv) {
   const double events_per_sec = events / wall;
   const double rss_mb = util::peak_rss_mb();
   const auto viewers = static_cast<double>(result.metrics.counters.arrivals);
+  CM_ENSURES(viewers > 0.0);
+  const double events_per_viewer = events / viewers;
   const vod::RebalanceCounters& rebalance = result.rebalance;
   CM_ENSURES(rebalance.ticks > 0);
   const double ticks = static_cast<double>(rebalance.ticks);
@@ -104,22 +100,20 @@ int main(int argc, char** argv) {
       "  %.3g events in %.2f s  |  %.3g events/s  |  %.3g viewers  |  "
       "peak rss %.1f MB\n",
       events, wall, events_per_sec, viewers, rss_mb);
-  std::printf("  gate: >= %.3g events/s (baseline %.3g, %.2fx realized), "
-              "rss <= %.0f MB\n",
-              min_events_per_sec, kBaselineEventsPerSec,
-              events_per_sec / kBaselineEventsPerSec, max_rss_mb);
+  std::printf("  gate: %.4f events/viewer <= %.4f, rss <= %.0f MB\n",
+              events_per_viewer, max_events_per_viewer, max_rss_mb);
   std::printf("  rebalance: %.0f ticks, %.4g owner-list visits/tick < %.4g "
               "member x chunk cells/tick (%.2fx fewer)\n",
               ticks, visits_per_tick, cells_per_tick,
               cells_per_tick / visits_per_tick);
   CM_ENSURES(rebalance.visits < rebalance.member_cells);
+  // Extra events per viewer (a redundant timer, a lost retime) fail CI on
+  // any runner and any build.
+  CM_ENSURES(events_per_viewer <= max_events_per_viewer);
 
   if (sanitized_build()) {
-    std::printf("  sanitizer build: throughput/RSS gates skipped\n");
+    std::printf("  sanitizer build: RSS gate skipped\n");
   } else {
-    // The regression gates. Throughput halving or an RSS blow-up in the
-    // slab/event/pool hot path fails CI on both compilers.
-    CM_ENSURES(events_per_sec >= min_events_per_sec);
     CM_ENSURES(rss_mb <= max_rss_mb);
   }
 
@@ -133,16 +127,15 @@ int main(int argc, char** argv) {
   bench["viewers_simulated"] = viewers;
   bench["sim_events"] = events;
   bench["wall_seconds"] = wall;
+  bench["events_per_viewer"] = events_per_viewer;
+  bench["max_events_per_viewer"] = max_events_per_viewer;
   bench["events_per_sec"] = events_per_sec;
-  bench["baseline_events_per_sec"] = kBaselineEventsPerSec;
-  bench["speedup_vs_baseline"] = events_per_sec / kBaselineEventsPerSec;
-  bench["min_events_per_sec"] = min_events_per_sec;
   bench["peak_rss_mb"] = rss_mb;
   bench["rebalance_ticks"] = ticks;
   bench["rebalance_visits_per_tick"] = visits_per_tick;
   bench["rebalance_member_cells_per_tick"] = cells_per_tick;
   bench["max_rss_mb"] = max_rss_mb;
-  bench["gates_enforced"] = !sanitized_build();
+  bench["rss_gate_enforced"] = !sanitized_build();
   const std::string out = flags.get("out", std::string("BENCH_discrete.json"));
   const std::size_t slash = out.find_last_of('/');
   if (slash != std::string::npos) util::ensure_directory(out.substr(0, slash));

@@ -16,7 +16,7 @@
 #   --bench    the three self-gating performance benches CI runs at full
 #              scale: bench_store_smoke (streaming-RSS gates),
 #              bench_cohort_smoke (10M-viewer day), bench_discrete_smoke
-#              (events/s >= 2x the pre-overhaul baseline + RSS cap). Each
+#              (events per viewer <= the pinned figure + RSS cap). Each
 #              writes its BENCH_*.json under <build-dir>/artifacts/.
 #
 # The selected tier's exit code is the script's exit code.
@@ -114,7 +114,7 @@ case "$MODE" in
   bench)
     # Same binaries and gates as the CI bench steps: each one exits
     # non-zero when its own regression gate trips (sanitizer builds skip
-    # the rate/RSS gates but still exercise the paths).
+    # the RSS gates but still exercise the paths).
     OUT="$BUILD_DIR/artifacts"
     mkdir -p "$OUT"
     echo "== bench_store_smoke (streaming vs buffered RSS) =="
@@ -124,7 +124,7 @@ case "$MODE" in
     echo "== bench_cohort_smoke (10M-viewer day) =="
     "$BUILD_DIR/bench/bench_cohort_smoke" \
       --out="$OUT/BENCH_cohort.json" || rc=1
-    echo "== bench_discrete_smoke (events/s >= 2x baseline) =="
+    echo "== bench_discrete_smoke (events/viewer <= pinned figure) =="
     "$BUILD_DIR/bench/bench_discrete_smoke" \
       --out="$OUT/BENCH_discrete.json" || rc=1
     ;;

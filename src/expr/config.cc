@@ -54,8 +54,6 @@ ExperimentConfig ExperimentConfig::make_default(core::StreamingMode mode) {
   cfg.workload.total_arrival_rate = 1.1;
   cfg.workload.streaming_rate = cfg.vod.streaming_rate;
   cfg.workload.uplink_mean_ratio = 1.0;
-
-  cfg.streaming.mode = mode;
   return cfg;
 }
 

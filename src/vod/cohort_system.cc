@@ -157,13 +157,6 @@ void CohortSystem::window_tick(double now) {
     channel_mass_[static_cast<std::size_t>(c)] += mass;
     total_mass_ += mass;
 
-    // Batch admission: one referral round trip stands in for the cohort
-    // (the entry point is admission accounting, not bandwidth).
-    const cloud::CloudReferral referral = entry_point_.issue(now);
-    const cloud::TicketStatus verdict =
-        entry_point_.redeem(referral.ticket, now);
-    CM_ENSURES(verdict == cloud::TicketStatus::kValid);
-
     // First transition after one nominal dwell; the transition itself
     // re-estimates subsequent dwells from live pool rates. All first
     // transitions of this window go to the heap as one bulk batch.

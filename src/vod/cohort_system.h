@@ -40,8 +40,8 @@ struct CohortCounters {
 [[nodiscard]] double download_mass(double occ, double owned, double alive);
 
 /// The cohort/fluid simulation core: the same Deployment as StreamingSystem
-/// (tracker + controller loop, SLA'd cloud, entry point, per-(channel,
-/// chunk) ServicePools), but viewers are aggregated.
+/// (tracker + controller loop, SLA'd cloud, per-(channel, chunk)
+/// ServicePools), but viewers are aggregated.
 ///
 /// Statistically-identical viewers — same channel, same arrival window —
 /// form one cohort: a struct-of-arrays arena slot holding the cohort's

@@ -9,6 +9,14 @@
 
 namespace cloudmedia::vod {
 
+namespace {
+
+/// Standby weight an idle chunk keeps when the channel's cloud bandwidth
+/// is re-split (so a fresh request is not starved until the next tick).
+constexpr double kStandbyWeight = 0.25;
+
+}  // namespace
+
 Deployment::Deployment(sim::Simulator& simulator,
                        const workload::Workload& workload,
                        core::VodParameters params, cloud::CloudService& cloud,
@@ -23,7 +31,6 @@ Deployment::Deployment(sim::Simulator& simulator,
       num_channels_(workload.num_channels()),
       num_chunks_(params.chunks_per_video),
       tracker_(workload.num_channels(), params.chunks_per_video),
-      entry_point_(options.entry),
       controller_(std::move(controller)) {
   params_.validate();
   CM_EXPECTS(controller_ != nullptr);
@@ -137,19 +144,6 @@ void Deployment::apply_plan(const core::ProvisioningPlan& plan) {
   }
   last_plan_ = plan;
   // Pool capacities refresh through the VM scheduler's listener.
-
-  // Refresh the entry point's port-forwarding table onto the provisioned
-  // instances (Sec. V-B: verified requests are "forwarded to the VMs in
-  // the cloud ... using the port-forwarding technique").
-  const std::vector<int>& ports = entry_point_.config().ports;
-  const std::size_t vm_count = plan.instances.instances.size();
-  for (std::size_t k = 0; k < ports.size(); ++k) {
-    if (vm_count == 0) {
-      entry_point_.unmap_port(ports[k]);
-    } else {
-      entry_point_.map_port(ports[k], static_cast<int>(k % vm_count));
-    }
-  }
 }
 
 void Deployment::record_plan_series(double now) {
@@ -176,7 +170,7 @@ void Deployment::split_cloud_share(int channel, std::span<const double> demand,
   double weight_total = 0.0;
   for (std::size_t i = 0; i < share.size(); ++i) {
     channel_cloud += cloud_->chunk_capacity(channel, static_cast<int>(i));
-    share[i] = demand[i] + options_.standby_weight;  // the chunk's weight
+    share[i] = demand[i] + kStandbyWeight;  // the chunk's weight
     weight_total += share[i];
   }
   const bool split = channel_cloud > 0.0 && weight_total > 0.0;

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "cloud/cloud_service.h"
-#include "cloud/entry_point.h"
 #include "core/controller.h"
 #include "sim/simulator.h"
 #include "util/check.h"
@@ -29,9 +28,6 @@ struct StreamingOptions {
   /// is asked for, Sec. V-A2), and in P2P mode peer upload follows the
   /// rarest-first scheduler (Sec. IV-C).
   double rebalance_interval = 30.0;
-  /// Standby weight an idle chunk keeps when the channel's cloud bandwidth
-  /// is re-split (so a fresh request is not starved until the next tick).
-  double standby_weight = 0.25;
   /// Bandwidth / population sampling cadence for the metrics series.
   double sample_interval = 60.0;
   /// Streaming quality is "the percentage of users ... with smooth
@@ -43,10 +39,6 @@ struct StreamingOptions {
   /// deploying ("based on the application's empirical user scale and
   /// viewing pattern information", Sec. V-B).
   bool bootstrap_plan = true;
-  /// The cloud's public access point (Sec. V-B): referral tickets and the
-  /// port-forwarding table, exercised on every chunk request that needs
-  /// cloud service. Pure admission accounting — bandwidth is unaffected.
-  cloud::EntryPointConfig entry;
 };
 
 /// Per-channel metric series (the scatter sources for Figs. 6–9).
@@ -91,7 +83,7 @@ struct SystemMetrics {
 /// The CloudMedia deployment of Fig. 3, shared by both simulation engines:
 /// the C × J per-(channel, chunk) ServicePools, the tracker + controller
 /// loop that plans every T (Sec. V-B), the SLA'd cloud that admits a plan
-/// and resizes the VMs, the entry point, and the metric series.
+/// and resizes the VMs, and the metric series.
 ///
 /// Only the way viewers are modelled differs between engines. An engine
 /// (StreamingSystem: discrete peers; CohortSystem: fluid cohorts) supplies
@@ -124,10 +116,6 @@ class Deployment {
   /// The provisioning controller (mutable: the experiment runner's timed
   /// scenario ops renegotiate its budgets mid-run).
   [[nodiscard]] core::Controller& controller() noexcept { return *controller_; }
-  [[nodiscard]] cloud::EntryPoint& entry_point() noexcept { return entry_point_; }
-  [[nodiscard]] const cloud::EntryPoint& entry_point() const noexcept {
-    return entry_point_;
-  }
   [[nodiscard]] const core::ProvisioningPlan* last_plan() const noexcept {
     return last_plan_ ? &*last_plan_ : nullptr;
   }
@@ -210,7 +198,6 @@ class Deployment {
 
   std::vector<std::unique_ptr<ServicePool>> pools_;  ///< C × J
   Tracker tracker_;
-  cloud::EntryPoint entry_point_;
   SystemMetrics metrics_;
 
  private:

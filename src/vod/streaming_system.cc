@@ -167,22 +167,6 @@ void StreamingSystem::begin_chunk(Peer& peer) {
                       [this, handle] { handle_dwell_end(handle); });
     return;
   }
-  // Sec. V-B admission path: with insufficient peer supply (no overlay
-  // owner of the chunk; always, in client–server mode) the tracker refers
-  // the peer to the cloud with <entry address, ports, ticket>, and the
-  // entry point verifies the ticket before forwarding to a VM. Referral
-  // and redemption happen within one event (the round trip is sub-second
-  // against 5-minute chunks) — admission accounting, not a bandwidth
-  // effect.
-  const bool needs_cloud =
-      options_.mode == core::StreamingMode::kClientServer ||
-      owner_count(peer.channel, chunk) == 0;
-  if (needs_cloud) {
-    const cloud::CloudReferral referral = entry_point_.issue(sim_->now());
-    const cloud::TicketStatus verdict =
-        entry_point_.redeem(referral.ticket, sim_->now());
-    CM_ENSURES(verdict == cloud::TicketStatus::kValid);
-  }
   peer.downloading = true;
   peer.download_start = sim_->now();
   peer.job_id =

@@ -50,8 +50,7 @@ struct RebalanceCounters {
 /// The discrete engine (Fig. 3 at per-viewer resolution): every viewer is a
 /// Peer with a sampled chunk walk and every chunk retrieval a discrete
 /// processor-sharing job in its pool, inside the shared Deployment (tracker
-/// + controller loop, SLA'd cloud, entry point). Deterministic for a given
-/// Workload seed.
+/// + controller loop, SLA'd cloud). Deterministic for a given Workload seed.
 ///
 /// Peer storage is a generation-guarded slab (the same pattern as
 /// CohortSystem's SoA arena): peers occupy recycled slots in one
