@@ -57,6 +57,7 @@ CohortSystem::CohortSystem(sim::Simulator& simulator,
   channel_uplink_.assign(c_count, 0.0);
   stalled_.assign(c_count, 0.0);
   channel_mass_.assign(c_count, 0.0);
+  row_mass_.assign(c_count * j_count, 0.0);
   refresh_behavior_cache();
 }
 
@@ -69,7 +70,7 @@ CohortSystem::SlotView CohortSystem::slot_view(std::size_t slot) const {
   CM_EXPECTS(slot < live_.size());
   const auto j_count = static_cast<std::size_t>(num_chunks_);
   const std::size_t base = slot * j_count;
-  return {live_[slot] != 0, alive_[slot],
+  return {live_[slot] != 0, channel_of_[slot], alive_[slot],
           std::span<const double>(occ_).subspan(base, j_count),
           std::span<const double>(owned_).subspan(base, j_count),
           std::span<const double>(download_).subspan(base, j_count)};
@@ -128,7 +129,27 @@ std::size_t CohortSystem::allocate_slot() {
   return slot;
 }
 
+void CohortSystem::flush_row_mass() {
+  const auto j_count = static_cast<std::size_t>(num_chunks_);
+  for (int c = 0; c < num_channels_; ++c) {
+    double* const row_mass =
+        row_mass_.data() + static_cast<std::size_t>(c) * j_count;
+    for (std::size_t j = 0; j < j_count; ++j) {
+      const double m = row_mass[j];
+      if (m <= 0.0) continue;
+      const double* const row = transfer_.row(j);
+      for (std::size_t k = 0; k < j_count; ++k) flows_[k] = m * row[k];
+      tracker_.record_flows(c, static_cast<int>(j), flows_, m * leave_row_[j]);
+      row_mass[j] = 0.0;
+      ++counters_.tracker_rows;
+    }
+  }
+}
+
 void CohortSystem::window_tick(double now) {
+  // Report the closing window's rows under the P they moved by, before
+  // refresh_behavior_cache can reshape it.
+  flush_row_mass();
   refresh_behavior_cache();
   const double uplink_mean = workload_->uplink_distribution().mean();
 
@@ -187,7 +208,6 @@ void CohortSystem::transition(std::size_t slot, std::uint32_t generation) {
   const std::unique_ptr<ServicePool>* const pools =
       pools_.data() + pool_index(c, 0);
   double* const next_occ = next_occ_.data();
-  double* const flows = flows_.data();
   std::fill(next_occ_.begin(), next_occ_.end(), 0.0);
   const double chunk_bytes = params_.chunk_bytes();
   const double t0 = params_.chunk_duration;
@@ -219,9 +239,11 @@ void CohortSystem::transition(std::size_t slot, std::uint32_t generation) {
   replays_mass_ += replay_total;
 
   // Phase 2 — advance every viewer through the ground-truth transfer
-  // matrix at once, reporting each occupied row's (weighted) flows to the
-  // tracker in one call. Zero flows are summed and recorded too: adding
-  // +0.0 to a non-negative total is exact.
+  // matrix at once. The tracker needs only each row's stepped mass: P is
+  // fixed until the next flush_row_mass, which reports M·P(j,·) once per
+  // (channel, row).
+  double* const row_mass =
+      row_mass_.data() + static_cast<std::size_t>(c) * j_count;
   double stay_total = 0.0;
   for (std::size_t j = 0; j < j_count; ++j) {
     const double o = occ[j];
@@ -229,12 +251,10 @@ void CohortSystem::transition(std::size_t slot, std::uint32_t generation) {
     const double* const row = transfer_.row(j);
     for (std::size_t k = 0; k < j_count; ++k) {
       const double flow = o * row[k];
-      flows[k] = flow;
       next_occ[k] += flow;
       stay_total += flow;
     }
-    tracker_.record_flows(c, static_cast<int>(j), flows_, o * leave_row_[j]);
-    ++counters_.tracker_rows;
+    row_mass[j] += o;
   }
   const double departed = std::max(0.0, alive - stay_total);
   departures_mass_ += departed;
@@ -301,6 +321,7 @@ void CohortSystem::sync_counters() {
 
 void CohortSystem::harvest_population(
     std::vector<std::vector<double>>& occupancy, std::vector<double>& mean_uplink) {
+  flush_row_mass();  // Tracker::harvest runs next
   std::vector<double> uplink_weighted(static_cast<std::size_t>(num_channels_),
                                       0.0);
   const auto j_count = static_cast<std::size_t>(num_chunks_);

@@ -30,7 +30,9 @@ struct CohortOptions {
 struct CohortCounters {
   std::uint64_t cohorts = 0;        ///< cohorts admitted (arena slots filled)
   std::uint64_t transitions = 0;    ///< cohort steps that advanced mass
-  std::uint64_t tracker_rows = 0;   ///< Tracker::record_flows row calls
+  /// Tracker::record_flows row calls: at most one per (channel, row) per
+  /// window tick or provisioning harvest.
+  std::uint64_t tracker_rows = 0;
   std::uint64_t download_rows = 0;  ///< download-mass cache rows computed
 };
 
@@ -53,19 +55,21 @@ struct CohortCounters {
 /// instead of O(viewers) heap events — a 10M-peak-viewer day runs in
 /// seconds (bench/cohort_smoke.cc).
 ///
-/// The per-cohort passes are flat row kernels over the arena: a step makes
-/// one Tracker::record_flows call per occupied chunk position (at most J,
-/// where scalar recording made up to J² + J calls) and allocates nothing —
-/// its row buffers are reused member scratch. Each slot also caches its
-/// download-mass row (download_mass per chunk), written only where its
-/// inputs change — at admission and at the end of each transition — so the
-/// 30 s capacity rebalance and quality sampling read it instead of
-/// re-dividing every live cell on every tick; sampling tests each pool's
-/// stall once, not once per cohort. On the 10M-viewer cliff day (seed 42,
-/// 4-core x86-64) that cut the traced system time by a third, 829 → 562 ms;
-/// transition, with its tracker rows, is now about 55% of the run. Every
-/// floating-point sum runs in the same order as the scalar formulation, so
-/// outputs are bit-identical to it (tests/cohort_test.cc pins them).
+/// The per-cohort passes are flat row kernels over the arena and allocate
+/// nothing: their row buffers are reused member scratch. A step tells the
+/// tracker nothing by itself; it adds each occupied position's mass to a
+/// per-(channel, row) accumulator, and flush_row_mass reports that mass M
+/// as one Tracker::record_flows(M·P(j,·), M·leave_j) row call per
+/// (channel, row, window): at each window tick, before the behaviour
+/// cache can change P, and right before each harvest. P is fixed between
+/// two flushes and the flush touches no engine state, so only the
+/// tracker's P̂ rounds differently from per-step recording, and outputs
+/// match it to rounding (tests/cohort_test.cc pins them). Each slot also
+/// caches its download-mass row (download_mass per chunk), written only
+/// where its inputs change — at admission and at the end of each
+/// transition — so the 30 s capacity rebalance and quality sampling read
+/// it instead of re-dividing every live cell on every tick; sampling tests
+/// each pool's stall once, not once per cohort.
 ///
 /// What is exact and what is fluid:
 ///  - exact: arrival counts (Poisson per channel-window), the provisioning
@@ -99,10 +103,12 @@ class CohortSystem final : public Deployment {
   }
   /// Arena slots ever allocated, live or free; slot_view() indexes them.
   [[nodiscard]] std::size_t arena_slots() const noexcept { return live_.size(); }
-  /// One arena slot read-only: the inputs of its download-mass row and the
-  /// cached row itself, so tests can check the cache against them.
+  /// One arena slot read-only: its channel, the inputs of its download-mass
+  /// row and the cached row itself, so tests can check the cache against
+  /// them.
   struct SlotView {
     bool live = false;
+    int channel = 0;
     double alive = 0.0;
     std::span<const double> occupancy, owned, download;
   };
@@ -123,6 +129,9 @@ class CohortSystem final : public Deployment {
   }
 
   void window_tick(double now);
+  /// Report every (channel, row) accumulated mass M to the tracker as
+  /// M·P(j,·) and M·leave_j under the cached P, and zero the accumulator.
+  void flush_row_mass();
   void transition(std::size_t slot, std::uint32_t generation);
   void retire(std::size_t slot);
   [[nodiscard]] std::size_t allocate_slot();
@@ -158,6 +167,9 @@ class CohortSystem final : public Deployment {
 
   std::vector<workload::CohortArrivals> arrivals_;  ///< per channel
   std::vector<double> channel_mass_;                ///< per channel
+  /// [c · J + j] occupancy mass stepped from row j since the last
+  /// flush_row_mass.
+  std::vector<double> row_mass_;
   double total_mass_ = 0.0;
 
   long long arrivals_count_ = 0;
@@ -166,8 +178,9 @@ class CohortSystem final : public Deployment {
   double late_mass_ = 0.0;
   double replays_mass_ = 0.0;
 
-  // Reused scratch: per-chunk rows for transition and the per-channel
-  // rebalance pass, per-pool and per-channel sums for the arena walks.
+  // Reused scratch: per-chunk rows for transition, the tracker flush and
+  // the per-channel rebalance pass, per-pool and per-channel sums for the
+  // arena walks.
   std::vector<double> next_occ_, flows_;
   std::vector<double> fluid_, cloud_alloc_, peer_alloc_;
   std::vector<int> order_;

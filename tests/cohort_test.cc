@@ -1,15 +1,19 @@
 // The cohort/fluid engine's correctness surface: the bulk event scheduler,
 // the batched Poisson arrivals, the engine knob, discrete/auto equivalence
 // at small N (the `auto` routing guarantee every committed golden relies
-// on), cohort-engine determinism, and mass conservation in a forced-cohort
-// run.
+// on), cohort-engine determinism, mass conservation in a forced-cohort
+// run, and the tracker's measured rows against the ground-truth transfer
+// matrix.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -360,15 +364,15 @@ void expect_oracle(const expr::ExperimentConfig& cfg, const CohortOracle& want) 
 }
 
 TEST(CohortEngine, OutputsMatchParentCommitBitForBit) {
-  // The cohort kernels are pure reorganisations of the same floating-point
-  // operations in the same order, so every output is pinned bit for bit:
-  // no committed golden reaches the cohort engine (all sit far below the
-  // `auto` threshold). Any change to a summation order shows up here.
+  // Every output is pinned bit for bit: no committed golden reaches the
+  // cohort engine (all sit far below the `auto` threshold). Any change to
+  // a summation order shows up here, the tracker's row flows included:
+  // their rounding reaches the planner's P̂ and from it the float series.
   const CohortOracle expected[] = {
       {StreamingMode::kClientServer, 742, 583, 3401, 0, 639, 1908,
-       0x4022733333333333ULL, 0x3f305e1c15097c81ULL, 0x4b317e525f460db6ULL},
+       0x4022733333333333ULL, 0x3f305e1c15097c81ULL, 0x49854b9acf851411ULL},
       {StreamingMode::kP2p, 742, 583, 3401, 11, 639, 1905,
-       0x4002000000000000ULL, 0x3f305e1c15097c81ULL, 0xda4a760d5e161467ULL},
+       0x4002000000000000ULL, 0x3f305e1c15097c81ULL, 0x45dd2ad064791bc7ULL},
   };
   for (const CohortOracle& want : expected) {
     SCOPED_TRACE(want.mode == StreamingMode::kP2p ? "p2p" : "cs");
@@ -380,9 +384,9 @@ TEST(CohortEngine, OutputsMatchParentCommitBitForBit) {
   // are recycled by the next windows' arrivals.
   const CohortOracle cliff[] = {
       {StreamingMode::kClientServer, 17168, 16843, 96051, 25983, 8190, 41422,
-       0x4071033333333333ULL, 0x3f68017e85411d01ULL, 0xd83fedcc76428d1cULL},
+       0x4071033333333333ULL, 0x3f68017e85411d01ULL, 0x9d4d130e75e47af4ULL},
       {StreamingMode::kP2p, 17168, 16262, 94339, 11055, 7049, 41269,
-       0x403a8ccccccccccdULL, 0x3f68017e85411d01ULL, 0x92644cf5bfd61f50ULL},
+       0x403a8ccccccccccdULL, 0x3f68017e85411d01ULL, 0x23f12886ddf914e7ULL},
   };
   for (const CohortOracle& want : cliff) {
     SCOPED_TRACE(want.mode == StreamingMode::kP2p ? "cliff p2p" : "cliff cs");
@@ -545,6 +549,267 @@ TEST(CohortSystem, DownloadRowCacheMatchesItsInputsAtEveryStep) {
   EXPECT_GT(free_checked, 0u);
   // One row per admission and per transition, none from the periodics.
   EXPECT_EQ(n.download_rows, n.cohorts + n.transitions);
+}
+
+// ------------------------------------------------------ cohort tracker rows
+
+/// One report the controller's policy was handed, the simulated time of
+/// the call, and the (channel · J + row) cells some cohort stepped from
+/// since the previous call.
+struct Harvest {
+  double now;
+  core::TrackerReport report;
+  std::vector<char> stepped;
+};
+
+/// Hands every report to the wrapped policy unchanged and records it with
+/// the stepped cells the stepping loop collected since the last report.
+class RecordingPolicy final : public core::DemandPolicy {
+ public:
+  RecordingPolicy(std::unique_ptr<core::DemandPolicy> inner,
+                  const sim::Simulator& sim, std::vector<char>& stepped,
+                  std::vector<Harvest>& harvests)
+      : inner_(std::move(inner)),
+        sim_(sim),
+        stepped_(stepped),
+        harvests_(harvests) {}
+
+  [[nodiscard]] core::DemandSet estimate(
+      const core::TrackerReport& report) override {
+    harvests_.push_back({sim_.now(), report, stepped_});
+    std::fill(stepped_.begin(), stepped_.end(), 0);
+    return inner_->estimate(report);
+  }
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+
+ private:
+  std::unique_ptr<core::DemandPolicy> inner_;
+  const sim::Simulator& sim_;
+  std::vector<char>& stepped_;
+  std::vector<Harvest>& harvests_;
+};
+
+/// Runs `cfg` on a hand-built CohortSystem one event at a time and returns
+/// the harvested reports (the t = 0 bootstrap report is dropped: it is the
+/// provider's prior, not a measurement). A live slot whose occupancy an
+/// event changed or cleared has stepped: its occupied rows before the event
+/// are marked. `reshape`, when set, is applied to the workload config at
+/// `reshape_at` seconds.
+std::vector<Harvest> record_harvests(
+    const expr::ExperimentConfig& cfg, double reshape_at = 0.0,
+    const std::function<void(expr::ExperimentConfig&)>& reshape = {}) {
+  sim::Simulator sim;
+  workload::Workload workload(cfg.workload, cfg.seed);
+  cloud::CloudConfig cloud_cfg;
+  cloud_cfg.sla = cloud::SlaTerms{cfg.vm_budget_per_hour,
+                                  cfg.storage_budget_per_hour,
+                                  cfg.vm_clusters, cfg.nfs_clusters};
+  cloud_cfg.vm = cloud::VmSchedulerConfig{0.0, cfg.vod.vm_bandwidth};
+  cloud::CloudService cloud(sim, cloud_cfg);
+  core::DemandEstimatorConfig est;
+  est.mode = cfg.mode;
+
+  const auto j_count = static_cast<std::size_t>(cfg.vod.chunks_per_video);
+  std::vector<char> stepped(
+      static_cast<std::size_t>(cfg.workload.num_channels) * j_count, 0);
+  std::vector<Harvest> harvests;
+  auto controller = std::make_unique<core::Controller>(
+      cfg.vod,
+      core::ControllerConfig{cfg.vm_clusters, cfg.nfs_clusters,
+                             cfg.vm_budget_per_hour,
+                             cfg.storage_budget_per_hour},
+      std::make_unique<RecordingPolicy>(
+          std::make_unique<core::ModelBasedPolicy>(cfg.vod, est), sim,
+          stepped, harvests));
+
+  vod::CohortOptions options;
+  options.streaming.mode = cfg.mode;
+  options.window = cfg.cohort_window;
+  vod::CohortSystem system(sim, workload, cfg.vod, cloud,
+                           std::move(controller), options);
+  if (reshape) {
+    sim.schedule_at(reshape_at, [&] {
+      expr::ExperimentConfig reshaped = cfg;
+      reshape(reshaped);
+      workload.set_config(reshaped.workload);
+    });
+  }
+  system.start();
+
+  // Each slot's channel (-1 = free) and occupancy as of the last event.
+  std::vector<int> channel_seen;
+  std::vector<double> occ_seen;  // [slot · J + j]
+  while (sim.now() < cfg.total_duration()) {
+    if (sim.run_all(1) == 0) break;
+    const std::size_t slots = system.arena_slots();
+    channel_seen.resize(slots, -1);
+    occ_seen.resize(slots * j_count, 0.0);
+    for (std::size_t slot = 0; slot < slots; ++slot) {
+      const vod::CohortSystem::SlotView v = system.slot_view(slot);
+      double* const seen = occ_seen.data() + slot * j_count;
+      const int channel = channel_seen[slot];
+      if (channel >= 0 && v.live &&
+          std::equal(seen, seen + j_count, v.occupancy.begin()))
+        continue;
+      if (channel >= 0) {
+        char* const cells =
+            stepped.data() + static_cast<std::size_t>(channel) * j_count;
+        for (std::size_t j = 0; j < j_count; ++j) {
+          if (seen[j] > 0.0) cells[j] = 1;
+        }
+      }
+      channel_seen[slot] = v.live ? v.channel : -1;
+      if (v.live) std::copy(v.occupancy.begin(), v.occupancy.end(), seen);
+    }
+  }
+  std::erase_if(harvests, [](const Harvest& h) { return h.now <= 0.0; });
+  return harvests;
+}
+
+/// Whether row j of a harvested P̂ has any mass (Tracker::harvest leaves
+/// unobserved rows all zero).
+bool observed_row(const util::Matrix& transfer, std::size_t j) {
+  const double* const row = transfer.row(j);
+  return std::any_of(row, row + transfer.cols(),
+                     [](double p) { return p != 0.0; });
+}
+
+/// Rows of harvested reports that expect_ground_truth_rows checked.
+struct RowCounts {
+  std::size_t observed = 0;   ///< matched against the ground truth
+  std::size_t unstepped = 0;  ///< no cohort stepped from them: all zero
+};
+
+/// Checks every report in `harvests` whose interval satisfies `in_scope`
+/// against `truth`: a row some cohort stepped from equals the
+/// ground-truth row within 1e-12 relative, and every other row is all
+/// zero.
+RowCounts expect_ground_truth_rows(
+    const std::vector<Harvest>& harvests, const util::Matrix& truth,
+    const std::function<bool(const core::TrackerReport&)>& in_scope) {
+  RowCounts n;
+  const std::size_t j_count = truth.rows();
+  for (const Harvest& h : harvests) {
+    if (!in_scope(h.report)) continue;
+    for (std::size_t c = 0; c < h.report.channels.size(); ++c) {
+      const util::Matrix& seen = h.report.channels[c].transfer;
+      for (std::size_t j = 0; j < j_count; ++j) {
+        SCOPED_TRACE(testing::Message() << "t=" << h.now << " channel=" << c
+                                        << " row=" << j);
+        const bool seen_row = observed_row(seen, j);
+        if (!h.stepped[c * j_count + j]) {
+          ++n.unstepped;
+          EXPECT_FALSE(seen_row) << "a row no cohort stepped from was seen";
+          continue;
+        }
+        // A row whose viewers all leave reports no flows, stepped or not.
+        if (!observed_row(truth, j)) continue;
+        EXPECT_TRUE(seen_row) << "a row some cohort stepped from was lost";
+        ++n.observed;
+        for (std::size_t k = 0; k < j_count; ++k) {
+          EXPECT_NEAR(seen(j, k), truth(j, k), 1e-12 * truth(j, k))
+              << "column " << k;
+        }
+      }
+    }
+  }
+  return n;
+}
+
+TEST(CohortEngine, TrackerReportsGroundTruthRows) {
+  // A cohort moves by the ground-truth P, so the tracker's measured P̂ is
+  // P on every row some cohort stepped from in the interval, and zero on
+  // every other row.
+  const auto all = [](const core::TrackerReport&) { return true; };
+  const auto ground_truth = [](const expr::ExperimentConfig& cfg) {
+    return cfg.workload.behavior.transfer_matrix(cfg.vod.chunks_per_video);
+  };
+  for (const expr::ExperimentConfig& cfg :
+       {small_config(StreamingMode::kClientServer),
+        cliff_config(StreamingMode::kP2p)}) {
+    const std::vector<Harvest> harvests = record_harvests(cfg);
+    ASSERT_FALSE(harvests.empty());
+    EXPECT_GT(
+        expect_ground_truth_rows(harvests, ground_truth(cfg), all).observed,
+        0u);
+  }
+  // Without seeks a cohort sweeps one row per step from chunk 0, so the
+  // first hours leave the tail rows unstepped. A window that does not
+  // divide the provisioning interval puts steps between the last window
+  // tick and the harvest, which must still reach that harvest.
+  expr::ExperimentConfig no_seeks =
+      cliff_config(StreamingMode::kClientServer);
+  no_seeks.workload.behavior.jump_prob = 0.0;
+  no_seeks.cohort_window = 400.0;
+  no_seeks.measure_hours = 6.0;
+  const RowCounts swept = expect_ground_truth_rows(
+      record_harvests(no_seeks), ground_truth(no_seeks), all);
+  EXPECT_GT(swept.observed, 0u);
+  EXPECT_GT(swept.unstepped, 0u);
+
+  // A behavior.zapping op mid-interval: intervals wholly before it see the
+  // old P, intervals wholly after it the new one.
+  expr::ExperimentConfig cfg = small_config(StreamingMode::kClientServer);
+  cfg.workload.total_arrival_rate = 0.5;
+  cfg.measure_hours = 3.0;
+  const std::vector<sweep::ScenarioOp>& ops =
+      sweep::ScenarioCatalog::global().at("churn_heavy").ops;
+  const auto zapping =
+      std::find_if(ops.begin(), ops.end(), [](const sweep::ScenarioOp& op) {
+        return op.name == "behavior.zapping";
+      });
+  ASSERT_NE(zapping, ops.end());
+  const double fire = 1.5 * 3600.0;
+  const std::vector<Harvest> harvests =
+      record_harvests(cfg, fire, zapping->apply);
+  expr::ExperimentConfig zapped = cfg;
+  zapping->apply(zapped);
+  ASSERT_NE(ground_truth(zapped)(0, 1), ground_truth(cfg)(0, 1));
+  const RowCounts before = expect_ground_truth_rows(
+      harvests, ground_truth(cfg), [fire](const core::TrackerReport& r) {
+        return r.interval_start + r.interval_length <= fire;
+      });
+  const RowCounts after = expect_ground_truth_rows(
+      harvests, ground_truth(zapped), [fire](const core::TrackerReport& r) {
+        return r.interval_start >= fire;
+      });
+  EXPECT_GT(before.observed, 0u);
+  EXPECT_GT(after.observed, 0u);
+
+  // The interval the op splits saw both: each observed row is the blend
+  // w·old + (1 − w)·new of the two rows, weighted by the mass stepped
+  // before the op, and that mass is not lost to the new P.
+  const util::Matrix old_p = ground_truth(cfg);
+  const util::Matrix new_p = ground_truth(zapped);
+  double max_w = 0.0;
+  for (const Harvest& h : harvests) {
+    const core::TrackerReport& r = h.report;
+    if (r.interval_start >= fire ||
+        r.interval_start + r.interval_length <= fire)
+      continue;
+    for (const core::ChannelObservation& obs : r.channels) {
+      for (std::size_t j = 0; j < old_p.rows(); ++j) {
+        if (!observed_row(obs.transfer, j)) continue;
+        std::size_t pivot = 0;  // the column the two rows differ most in
+        for (std::size_t k = 1; k < old_p.cols(); ++k) {
+          if (std::abs(old_p(j, k) - new_p(j, k)) >
+              std::abs(old_p(j, pivot) - new_p(j, pivot)))
+            pivot = k;
+        }
+        const double w = (obs.transfer(j, pivot) - new_p(j, pivot)) /
+                         (old_p(j, pivot) - new_p(j, pivot));
+        EXPECT_GE(w, -1e-12) << "row " << j;
+        EXPECT_LE(w, 1.0 + 1e-12) << "row " << j;
+        for (std::size_t k = 0; k < old_p.cols(); ++k) {
+          EXPECT_NEAR(obs.transfer(j, k),
+                      w * old_p(j, k) + (1.0 - w) * new_p(j, k), 1e-12)
+              << "row " << j << " column " << k;
+        }
+        max_w = std::max(max_w, w);
+      }
+    }
+  }
+  EXPECT_GT(max_w, 0.1);
 }
 
 }  // namespace
