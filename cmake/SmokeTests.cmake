@@ -164,10 +164,19 @@ if(CLOUDMEDIA_BUILD_BENCH)
     --out=${CMAKE_BINARY_DIR}/artifacts/BENCH_cohort_smoke.json)
 endif()
 
+# The event queue both engines share: the packed {time, seq << kSlotBits |
+# slot} heap key, in-place cancel and retime, slot recycling and the
+# overflow guards. Smoke-labelled so the sanitizer job runs the heap under
+# ASan/UBSan on every commit.
+if(TARGET sim_test)
+  add_smoke_test(event_queue sim_test --gtest_filter=Simulator.*)
+endif()
+
 # The discrete engine's per-peer bookkeeping at unit scale: the id-sorted
 # owner lists the rarest-first rebalance reads (insert on a chunk's first
 # completion, erase on departure, eviction included) checked against a
-# from-scratch bitmap waterfall, plus the pool timers and the flat tracker
+# from-scratch bitmap waterfall, the per-slot peer keys (id, uplink,
+# owned count) across slot reuse, plus the pool timers and the flat tracker
 # counters both engines record into. Smoke-labelled so the sanitizer job
 # runs them under ASan/UBSan on every commit.
 if(TARGET vod_test)

@@ -3,6 +3,7 @@
 #include <functional>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "util/check.h"
@@ -21,6 +22,12 @@ std::uint32_t generation_of(EventId id) noexcept {
 EventId make_id(std::uint32_t slot, std::uint32_t generation) noexcept {
   return (EventId{generation} << 32) | slot;
 }
+constexpr std::uint64_t kKeySlotMask =
+    (std::uint64_t{1} << detail::kSlotBits) - 1;
+
+std::uint32_t key_slot(std::uint64_t key) noexcept {
+  return static_cast<std::uint32_t>(key & kKeySlotMask);
+}
 }  // namespace
 
 std::uint32_t detail::next_generation(std::uint32_t generation) {
@@ -34,29 +41,52 @@ std::uint32_t detail::next_generation(std::uint32_t generation) {
   return generation + 1;
 }
 
+std::uint64_t detail::heap_key(std::uint64_t seq, std::uint64_t slot) {
+  if (slot >> kSlotBits != 0) {
+    throw std::overflow_error(
+        "sim::Simulator: 2^" + std::to_string(kSlotBits) +
+        " events are pending at once, and the heap key has no bits for "
+        "another slot. Pending events are one per peer timer and pool, so "
+        "a population this size belongs on the cohort engine "
+        "(engine=cohort); otherwise widen detail::kSlotBits.");
+  }
+  if (seq >> (64 - kSlotBits) != 0) {
+    throw std::overflow_error(
+        "sim::Simulator: 2^" + std::to_string(64 - kSlotBits) +
+        " schedules and retimes have run on one simulator, and one more "
+        "would wrap the FIFO sequence number, so equal-time events could "
+        "fire out of order. Split the run into shorter simulations, or "
+        "narrow detail::kSlotBits.");
+  }
+  return seq << kSlotBits | slot;
+}
+
 bool Simulator::is_pending(EventId id) const noexcept {
   const std::uint32_t slot = slot_of(id);
   return slot < slots_.size() && slots_[slot].heap_pos != kNotQueued &&
          slots_[slot].generation == generation_of(id);
 }
 
-std::uint32_t Simulator::acquire(Callback&& fn) {
+std::uint64_t Simulator::acquire(Callback&& fn) {
+  // Pack the key and bump the generation before touching the free list or
+  // the slab: an overflow leaves both intact.
   if (!free_.empty()) {
     const std::uint32_t slot = free_.back();
-    // Bump before popping: an overflow leaves the free list intact.
+    const std::uint64_t key = detail::heap_key(next_seq_, slot);
     slots_[slot].generation = detail::next_generation(slots_[slot].generation);
     free_.pop_back();
     callbacks_[slot] = std::move(fn);
-    return slot;
+    ++next_seq_;
+    return key;
   }
-  CM_EXPECTS(slots_.size() < kNotQueued);
-  const auto slot = static_cast<std::uint32_t>(slots_.size());
+  const std::uint64_t key = detail::heap_key(next_seq_, slots_.size());
   slots_.push_back(SlotState{1, kNotQueued});
   callbacks_.push_back(std::move(fn));
   // release() pushes onto free_ from noexcept paths, so keep room for
   // every slot up front; this allocates only when the slab grows.
   free_.reserve(slots_.capacity());
-  return slot;
+  ++next_seq_;
+  return key;
 }
 
 Simulator::Callback Simulator::release(std::uint32_t slot) noexcept {
@@ -84,7 +114,7 @@ Simulator::Callback Simulator::release(std::uint32_t slot) noexcept {
 
 void Simulator::place(std::size_t pos, const Entry& entry) noexcept {
   heap_[pos] = entry;
-  slots_[entry.slot].heap_pos = static_cast<std::uint32_t>(pos);
+  slots_[key_slot(entry.key)].heap_pos = static_cast<std::uint32_t>(pos);
 }
 
 void Simulator::sift_up(std::size_t pos) noexcept {
@@ -102,8 +132,8 @@ std::size_t Simulator::smallest_child(std::size_t pos,
                                       std::size_t size) const noexcept {
   const std::size_t child = 2 * pos + 1;
   if (child >= size) return size;
-  return child + 1 < size && heap_[child + 1] < heap_[child] ? child + 1
-                                                             : child;
+  if (child + 1 == size) return child;
+  return child + static_cast<std::size_t>(heap_[child + 1] < heap_[child]);
 }
 
 void Simulator::sift_down(std::size_t pos) noexcept {
@@ -128,9 +158,10 @@ void Simulator::sift(std::size_t pos) noexcept {
 EventId Simulator::schedule_at(double t, Callback fn) {
   CM_EXPECTS(t >= now_);
   CM_EXPECTS(fn != nullptr);
-  const std::uint32_t slot = acquire(std::move(fn));
-  heap_.push_back(Entry{t, next_seq_++, slot});
+  const std::uint64_t key = acquire(std::move(fn));
+  heap_.push_back(Entry{t, key});
   sift_up(heap_.size() - 1);
+  const std::uint32_t slot = key_slot(key);
   return make_id(slot, slots_[slot].generation);
 }
 
@@ -151,8 +182,9 @@ std::vector<EventId> Simulator::schedule_bulk(
   const std::size_t old_size = heap_.size();
   heap_.reserve(old_size + batch.size());
   for (auto& [t, fn] : batch) {
-    const std::uint32_t slot = acquire(std::move(fn));
-    heap_.push_back(Entry{t, next_seq_++, slot});
+    const std::uint64_t key = acquire(std::move(fn));
+    heap_.push_back(Entry{t, key});
+    const std::uint32_t slot = key_slot(key);
     slots_[slot].heap_pos = static_cast<std::uint32_t>(heap_.size() - 1);
     ids.push_back(make_id(slot, slots_[slot].generation));
   }
@@ -178,15 +210,16 @@ bool Simulator::cancel(EventId id) noexcept {
 void Simulator::retime(EventId id, double t) {
   CM_EXPECTS(t >= now_);
   CM_EXPECTS(is_pending(id));
-  const std::size_t pos = slots_[slot_of(id)].heap_pos;
-  heap_[pos].time = t;
-  heap_[pos].seq = next_seq_++;
+  const std::uint32_t slot = slot_of(id);
+  const std::size_t pos = slots_[slot].heap_pos;
+  heap_[pos] = Entry{t, detail::heap_key(next_seq_, slot)};
+  ++next_seq_;
   sift(pos);
 }
 
 void Simulator::pop_and_run() {
   const Entry top = heap_.front();
-  Callback fn = release(top.slot);
+  Callback fn = release(key_slot(top.key));
   now_ = top.time;
   ++processed_;
   fn();

@@ -20,6 +20,14 @@ namespace detail {
 /// rather than wrapping: a wrapped generation would let a stale EventId
 /// cancel or retime whichever event now holds the slot.
 std::uint32_t next_generation(std::uint32_t generation);
+
+/// Low bits of a heap key that name the event's slot; seq gets the other
+/// 64 - kSlotBits (2^40 schedules and retimes per simulator).
+inline constexpr int kSlotBits = 24;
+/// Heap key `seq << kSlotBits | slot`. Throws std::overflow_error rather
+/// than truncating: seq past its bit budget would wrap and break the FIFO
+/// order, and a slot past 2^kSlotBits would alias another slot.
+std::uint64_t heap_key(std::uint64_t seq, std::uint64_t slot);
 }  // namespace detail
 
 /// Deterministic single-threaded discrete-event simulator.
@@ -36,12 +44,16 @@ std::uint32_t next_generation(std::uint32_t generation);
 /// apart the ids of pending events are. Each slot carries a generation,
 /// bumped when the slot is reused, and the EventId names slot plus
 /// generation, so an id whose event already ran or was cancelled is
-/// detected exactly. The binary min-heap holds trivially-movable
-/// {time, seq, slot} entries, and every slot records its heap position:
-/// cancel() removes the entry in place and retime() sifts it in place, so
-/// the heap holds exactly the pending events — no tombstones. With the
-/// small-buffer Callback the steady-state schedule→pop→run cycle performs
-/// no allocation.
+/// detected exactly. The binary min-heap holds 16-byte {time, key}
+/// entries, four to a cache line, with key = seq << kSlotBits | slot
+/// (detail::heap_key): 24 bits name the slot (at most 2^24 events
+/// pending) and 40 count schedules and retimes. seq is unique and sits
+/// above the slot, so comparing (time, key) is exactly comparing
+/// (time, seq); heap_key throws rather than let either field overflow.
+/// Every slot records its heap position: cancel() removes the entry in
+/// place and retime() sifts it in place, so the heap holds exactly the
+/// pending events — no tombstones. With the small-buffer Callback the
+/// steady-state schedule→pop→run cycle performs no allocation.
 class Simulator {
  public:
   /// Scheduled events use the move-only small-buffer callback; every
@@ -119,13 +131,14 @@ class Simulator {
  private:
   struct Entry {
     double time;
-    std::uint64_t seq;  ///< FIFO tie-break among equal times
-    std::uint32_t slot;
-    // min-heap order: earliest time first; FIFO among equal times.
+    std::uint64_t key;  ///< detail::heap_key(seq, slot)
+    // min-heap order: earliest time first; FIFO among equal times. Bitwise
+    // on the comparisons so picking the earlier child is not a branch.
     [[nodiscard]] bool operator<(const Entry& other) const noexcept {
-      return time < other.time || (time == other.time && seq < other.seq);
+      return (time < other.time) | ((time == other.time) & (key < other.key));
     }
   };
+  static_assert(sizeof(Entry) == 16);
   struct SlotState {
     std::uint32_t generation;
     std::uint32_t heap_pos;  ///< kNotQueued while the slot is free
@@ -134,8 +147,9 @@ class Simulator {
   /// True while `id` is scheduled and has neither run nor been cancelled.
   [[nodiscard]] bool is_pending(EventId id) const noexcept;
   void pop_and_run();
-  /// Take a free slot (or grow the slab) for `fn`.
-  std::uint32_t acquire(Callback&& fn);
+  /// Take a free slot (or grow the slab) for `fn`; returns the heap key
+  /// of that slot under a fresh seq.
+  std::uint64_t acquire(Callback&& fn);
   /// Unlink `slot`'s heap entry, free the slot and hand back its
   /// callback, so the caller destroys it on a consistent simulator.
   Callback release(std::uint32_t slot) noexcept;
@@ -152,7 +166,7 @@ class Simulator {
   double now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;
-  std::vector<Entry> heap_;  ///< binary min-heap on (time, seq)
+  std::vector<Entry> heap_;  ///< binary min-heap on (time, key)
   std::vector<Callback> callbacks_;  ///< by slot; null while free
   std::vector<SlotState> slots_;     ///< by slot, parallel to callbacks_
   std::vector<std::uint32_t> free_;  ///< LIFO; capacity kept >= slab size

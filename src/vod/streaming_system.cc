@@ -15,11 +15,12 @@ std::uint64_t make_handle(std::uint32_t slot, std::uint32_t generation) noexcept
          (static_cast<std::uint64_t>(generation) << 32);
 }
 
-/// Position of peer `id` in an id-sorted slot vector (binary search).
-auto id_position(std::vector<std::uint32_t>& slots, const std::vector<Peer>& slab,
-                 std::uint64_t id) {
-  return std::ranges::lower_bound(slots, id, {},
-                                  [&slab](std::uint32_t slot) { return slab[slot].id; });
+/// Position of peer `id` in an id-sorted slot vector (binary search over
+/// the per-slot ids).
+auto id_position(std::vector<std::uint32_t>& slots,
+                 const std::vector<std::uint64_t>& ids, std::uint64_t id) {
+  return std::ranges::lower_bound(
+      slots, id, {}, [&ids](std::uint32_t slot) { return ids[slot]; });
 }
 
 std::vector<std::uint64_t> handles_of(const std::vector<std::uint32_t>& slots,
@@ -61,6 +62,18 @@ std::uint32_t StreamingSystem::slot_of(const Peer& peer) const noexcept {
 
 std::uint64_t StreamingSystem::peer_handle(const Peer& peer) const noexcept {
   return make_handle(slot_of(peer), peer.generation);
+}
+
+std::uint64_t StreamingSystem::peer_id(const Peer& peer) const noexcept {
+  return peer_id_[slot_of(peer)];
+}
+
+double StreamingSystem::peer_uplink(const Peer& peer) const noexcept {
+  return peer_uplink_[slot_of(peer)];
+}
+
+int StreamingSystem::owned_count(const Peer& peer) const noexcept {
+  return owned_count_[slot_of(peer)];
 }
 
 Peer* StreamingSystem::find_peer_mut(std::uint64_t handle) noexcept {
@@ -126,18 +139,21 @@ void StreamingSystem::handle_arrival(int channel, double time) {
   } else {
     slot = static_cast<std::uint32_t>(slab_.size());
     slab_.emplace_back();
+    peer_id_.push_back(0);
+    peer_uplink_.push_back(0.0);
+    owned_count_.push_back(0);
   }
   Peer& peer = slab_[slot];
   CM_ENSURES(!peer.live);
-  peer.id = id;
+  peer_id_[slot] = id;
+  peer_uplink_[slot] = script.uplink;
+  owned_count_[slot] = 0;
   peer.channel = channel;
-  peer.uplink = script.uplink;
   peer.arrival_time = time;
   // assign() (not =) so a recycled slot reuses its walk/owned capacity.
   peer.walk.assign(script.chunks.begin(), script.chunks.end());
   peer.position = 0;
   peer.owned.assign(static_cast<std::size_t>(num_chunks_), false);
-  peer.owned_count = 0;
   peer.last_late = -1e300;
   peer.downloading = false;
   peer.download_start = 0.0;
@@ -147,7 +163,7 @@ void StreamingSystem::handle_arrival(int channel, double time) {
   ++live_peers_;
   const int entry = peer.walk.front();
 
-  uplink_sum_[ch] += peer.uplink;
+  uplink_sum_[ch] += script.uplink;
   ++position_count_[pool_index(channel, entry)];
   tracker_.record_arrival(channel, entry);
   ++metrics_.counters.arrivals;
@@ -192,9 +208,10 @@ void StreamingSystem::handle_completion(int channel, int chunk,
 
   if (!peer.owned[static_cast<std::size_t>(chunk)]) {
     peer.owned[static_cast<std::size_t>(chunk)] = true;
-    ++peer.owned_count;
+    const std::uint32_t slot = slot_of(peer);
+    ++owned_count_[slot];
     std::vector<std::uint32_t>& owners = owners_[pool_index(channel, chunk)];
-    owners.insert(id_position(owners, slab_, peer.id), slot_of(peer));
+    owners.insert(id_position(owners, peer_id_, peer_id_[slot]), slot);
   }
 
   // The user watches the chunk for T0; a late download stalls playback, so
@@ -238,9 +255,11 @@ void StreamingSystem::depart(Peer& peer) {
   }
   // Erase from the id-sorted member and owner vectors (binary search on
   // the monotone peer id; the memmove is cheap next to a per-tick sort).
-  const auto erase_slot = [this, &peer](std::vector<std::uint32_t>& slots) {
-    const auto it = id_position(slots, slab_, peer.id);
-    CM_ENSURES(it != slots.end() && slab_[*it].id == peer.id);
+  const std::uint32_t slot = slot_of(peer);
+  const std::uint64_t id = peer_id_[slot];
+  const auto erase_slot = [this, id](std::vector<std::uint32_t>& slots) {
+    const auto it = id_position(slots, peer_id_, id);
+    CM_ENSURES(it != slots.end() && peer_id_[*it] == id);
     slots.erase(it);
   };
   for (int i = 0; i < num_chunks_; ++i) {
@@ -248,7 +267,7 @@ void StreamingSystem::depart(Peer& peer) {
       erase_slot(owners_[pool_index(peer.channel, i)]);
     }
   }
-  uplink_sum_[ch] -= peer.uplink;
+  uplink_sum_[ch] -= peer_uplink_[slot];
   erase_slot(members_[ch]);
 
   ++metrics_.counters.departures;
@@ -258,7 +277,7 @@ void StreamingSystem::depart(Peer& peer) {
   // capacity for the next occupant.
   peer.live = false;
   ++peer.generation;
-  free_slots_.push_back(slot_of(peer));
+  free_slots_.push_back(slot);
   --live_peers_;
 }
 
@@ -330,7 +349,9 @@ void StreamingSystem::rebalance_capacity() {
     const std::vector<std::uint32_t>& members = members_[ch];
     if (options_.mode == core::StreamingMode::kP2p && !members.empty()) {
       rebalance_.member_cells += members.size() * chunks;
-      for (const std::uint32_t slot : members) remaining_[slot] = slab_[slot].uplink;
+      for (const std::uint32_t slot : members) {
+        remaining_[slot] = peer_uplink_[slot];
+      }
 
       // Chunks by rareness (ascending owner count, ties by chunk index).
       std::iota(order_.begin(), order_.end(), std::size_t{0});
@@ -355,9 +376,11 @@ void StreamingSystem::rebalance_capacity() {
       }
 
       // Standby: split each peer's residual upload evenly over its chunks,
-      // added chunk-major in ascending peer-id order per chunk.
+      // added chunk-major in ascending peer-id order per chunk. A share is
+      // +0.0 or positive and every accumulator starts at +0.0 or a
+      // positive supply, so adding a zero share is exact: no branch.
       for (const std::uint32_t slot : members) {
-        const int owned = slab_[slot].owned_count;
+        const int owned = owned_count_[slot];
         standby_[slot] = remaining_[slot] > 0.0 && owned > 0
                              ? remaining_[slot] / static_cast<double>(owned)
                              : 0.0;
@@ -365,9 +388,9 @@ void StreamingSystem::rebalance_capacity() {
       for (std::size_t i = 0; i < chunks; ++i) {
         const std::vector<std::uint32_t>& owners = owners_[base + i];
         rebalance_.visits += owners.size();
-        for (const std::uint32_t slot : owners) {
-          if (standby_[slot] != 0.0) peer_alloc_[i] += standby_[slot];
-        }
+        double alloc = peer_alloc_[i];
+        for (const std::uint32_t slot : owners) alloc += standby_[slot];
+        peer_alloc_[i] = alloc;
       }
     }
 

@@ -17,19 +17,17 @@ namespace cloudmedia::vod {
 /// (Sec. III-B: the playback buffer caches any one video entirely).
 ///
 /// Peers live in a slab (see StreamingSystem): the object is recycled
-/// across sessions — `id` is the stable monotone public identity, while
-/// `generation`/`live` are slab bookkeeping. `walk` and `owned` keep
-/// their capacity across reuse, so steady-state arrivals allocate
-/// nothing.
+/// across sessions, and `generation`/`live` are slab bookkeeping. The
+/// peer's monotone id, uplink and owned-chunk count are per-slot keys
+/// of the system (StreamingSystem::peer_id, peer_uplink, owned_count),
+/// not fields here. `walk` and `owned` keep their capacity across reuse,
+/// so steady-state arrivals allocate nothing.
 struct Peer {
-  std::uint64_t id = 0;
   int channel = 0;
-  double uplink = 0.0;          ///< bytes/s contributed in P2P mode
   double arrival_time = 0.0;
   std::vector<int> walk;        ///< predetermined chunk walk
   std::size_t position = 0;     ///< index into walk
   std::vector<bool> owned;      ///< buffered chunks
-  int owned_count = 0;          ///< set bits in `owned`
   double last_late = -1e300;    ///< completion time of last late retrieval
   bool downloading = false;
   double download_start = 0.0;
@@ -60,9 +58,21 @@ struct RebalanceCounters {
 /// A handle from a departed session fails the generation check and the
 /// event is dropped — the same miss semantics the old unordered_map gave,
 /// without any hashing on the arrival/completion/dwell hot path. Public
-/// peer `id`s remain monotone and are what every order-sensitive path
+/// peer ids remain monotone and are what every order-sensitive path
 /// (eviction, rarest-first rebalance) sorts by, so iteration order — and
 /// therefore every float summation — is explicit, not hash-accidental.
+///
+/// Per-slot keys: the fields the hot paths read — peer id (every owner-
+/// and member-list binary search), uplink (the rebalance's init) and
+/// owned-chunk count (its standby split) — live in dense slot-indexed
+/// arrays beside the slab, not in Peer, so a search probe or a rebalance
+/// read walks a dense array instead of gathering a cache line of the
+/// Peer slab per peer. The standby pass adds every owner's share without
+/// testing it for zero: shares are +0.0 or positive, and each pool's
+/// accumulator starts at +0.0 or at a positive waterfall supply, so
+/// adding +0.0 leaves it bit-identical. The test
+/// OwnerListsMatchBitmapRebuildUnderChurn checks this against a bitmap
+/// rebuild that skips zero shares.
 class StreamingSystem final : public Deployment {
  public:
   StreamingSystem(sim::Simulator& simulator, const workload::Workload& workload,
@@ -90,6 +100,11 @@ class StreamingSystem final : public Deployment {
   [[nodiscard]] const Peer* find_peer(std::uint64_t handle) const noexcept;
   /// The handle events/pool jobs carry for `peer` in its current session.
   [[nodiscard]] std::uint64_t peer_handle(const Peer& peer) const noexcept;
+  /// `peer`'s per-slot keys: monotone id, uplink (bytes/s contributed in
+  /// P2P mode) and the number of chunks it has buffered.
+  [[nodiscard]] std::uint64_t peer_id(const Peer& peer) const noexcept;
+  [[nodiscard]] double peer_uplink(const Peer& peer) const noexcept;
+  [[nodiscard]] int owned_count(const Peer& peer) const noexcept;
   /// Member handles of `channel`, sorted by monotone peer id — the
   /// deterministic order eviction and the standby-share pass use.
   [[nodiscard]] std::vector<std::uint64_t> channel_peer_handles(int channel) const;
@@ -147,6 +162,9 @@ class StreamingSystem final : public Deployment {
   // inserts into owners_ and departures binary-search-erase from both, so
   // the rebalance/eviction order is free — no per-tick sort or rebuild.
   std::vector<Peer> slab_;
+  std::vector<std::uint64_t> peer_id_;   ///< per slot (the lists' sort key)
+  std::vector<double> peer_uplink_;      ///< per slot
+  std::vector<int> owned_count_;         ///< per slot: set bits in `owned`
   std::vector<std::uint32_t> free_slots_;
   std::size_t live_peers_ = 0;
   std::vector<std::vector<std::uint32_t>> members_;         ///< per channel

@@ -338,6 +338,48 @@ TEST(Simulator, GenerationRefusesToWrap) {
       std::overflow_error);
 }
 
+TEST(Simulator, SequenceKeyRefusesToWrap) {
+  constexpr std::uint64_t kMaxSlot =
+      (std::uint64_t{1} << detail::kSlotBits) - 1;
+  constexpr std::uint64_t kMaxSeq =
+      (std::uint64_t{1} << (64 - detail::kSlotBits)) - 1;
+  // seq sits above the slot, so keys order by seq whatever their slots.
+  EXPECT_LT(detail::heap_key(1, kMaxSlot), detail::heap_key(2, 0));
+  EXPECT_EQ(detail::heap_key(kMaxSeq, kMaxSlot),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_THROW((void)detail::heap_key(kMaxSeq + 1, 0), std::overflow_error);
+  EXPECT_THROW((void)detail::heap_key(0, kMaxSlot + 1), std::overflow_error);
+}
+
+TEST(Simulator, PackedKeyKeepsFifoAcrossSlotReuse) {
+  // Equal-time events fire in schedule/retime order even when that order
+  // disagrees with their slots: the first comes from a recycled high
+  // slot, the next from a recycled low one, then a fresh slot, and last a
+  // retime from a slot in between. Were the slot packed above seq, they
+  // would fire in slot order instead.
+  Simulator sim;
+  std::vector<int> order;
+  const auto log = [&order](int tag) {
+    return [&order, tag] { order.push_back(tag); };
+  };
+  const auto slot = [](EventId id) { return static_cast<std::uint32_t>(id); };
+  const EventId low = sim.schedule_at(9.0, [] {});
+  const EventId mid = sim.schedule_at(8.0, log(3));
+  const EventId high = sim.schedule_at(9.0, [] {});
+  ASSERT_TRUE(sim.cancel(low));
+  ASSERT_TRUE(sim.cancel(high));  // LIFO: slot 2 comes back first
+  const EventId first = sim.schedule_at(5.0, log(0));
+  const EventId second = sim.schedule_at(5.0, log(1));
+  const EventId fresh = sim.schedule_at(5.0, log(2));
+  sim.retime(mid, 5.0);
+  EXPECT_EQ(slot(first), 2u);
+  EXPECT_EQ(slot(second), 0u);
+  EXPECT_EQ(slot(fresh), 3u);
+  EXPECT_EQ(slot(mid), 1u);
+  sim.run_all();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
 TEST(Simulator, CallbackExceptionPropagates) {
   Simulator sim;
   sim.schedule_at(1.0, [] { throw std::runtime_error("boom"); });

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <map>
 #include <memory>
 #include <numeric>
 #include <optional>
@@ -685,7 +686,7 @@ TEST(StreamingSystem, ConservationInvariantsAfterGoldenPresetRun) {
   h.system.for_each_peer([&](const Peer& peer) {
     const auto ch = static_cast<std::size_t>(peer.channel);
     ++members[ch];
-    uplink[ch] += peer.uplink;
+    uplink[ch] += h.system.peer_uplink(peer);
     ++at_position[ch][static_cast<std::size_t>(peer.walk[peer.position])];
     for (int j = 0; j < chunks; ++j) {
       owned[ch][static_cast<std::size_t>(j)] +=
@@ -735,7 +736,7 @@ TEST(StreamingSystem, GenerationGuardRejectsStaleHandlesAfterSlotReuse) {
     const std::uint64_t handle = h.system.peer_handle(peer);
     const Peer* found = h.system.find_peer(handle);
     ASSERT_NE(found, nullptr);
-    EXPECT_EQ(found->id, peer.id);
+    EXPECT_EQ(h.system.peer_id(*found), h.system.peer_id(peer));
     old_handles.push_back(handle);
   });
 
@@ -757,7 +758,7 @@ TEST(StreamingSystem, GenerationGuardRejectsStaleHandlesAfterSlotReuse) {
     const std::uint64_t handle = h.system.peer_handle(peer);
     const Peer* found = h.system.find_peer(handle);
     ASSERT_NE(found, nullptr);
-    EXPECT_EQ(found->id, peer.id);
+    EXPECT_EQ(h.system.peer_id(*found), h.system.peer_id(peer));
     for (const std::uint64_t stale : old_handles) {
       if ((stale & kSlotMask) == (handle & kSlotMask)) {
         ++recycled;
@@ -807,8 +808,9 @@ TEST(StreamingSystem, EvictionOrderIsAscendingPeerId) {
       const Peer* peer = h.system.find_peer(handle);
       ASSERT_NE(peer, nullptr);
       EXPECT_EQ(peer->channel, c);
-      EXPECT_GT(peer->id, last_id) << "membership not ascending by id";
-      last_id = peer->id;
+      EXPECT_GT(h.system.peer_id(*peer), last_id)
+          << "membership not ascending by id";
+      last_id = h.system.peer_id(*peer);
     }
   }
 }
@@ -827,7 +829,7 @@ std::vector<double> bitmap_waterfall(StreamingSystem& system, int channel,
   std::vector<double> remaining;
   std::vector<std::vector<std::size_t>> owners(J);
   for (std::size_t p = 0; p < members.size(); ++p) {
-    remaining.push_back(members[p]->uplink);
+    remaining.push_back(system.peer_uplink(*members[p]));
     for (std::size_t j = 0; j < J; ++j) {
       if (members[p]->owned[j]) owners[j].push_back(p);
     }
@@ -946,6 +948,89 @@ TEST(StreamingSystem, OwnerListsMatchBitmapRebuildUnderChurn) {
   }
   EXPECT_GT(slot_order_differs, 0u) << "slot order never disagreed with id order";
   EXPECT_GT(peer_supplied, 0u) << "no pool ever got peer capacity";
+}
+
+TEST(StreamingSystem, SlotKeysTrackPeersAcrossRecycling) {
+  // A peer's id, uplink and owned-chunk count live in per-slot arrays the
+  // hot paths read, written at arrival and on each first chunk completion.
+  // Check them against facts kept elsewhere: the workload's own session
+  // script for the peer (found by replaying the channel's arrival chain),
+  // the peer's ownership bitmap, and ids monotone in arrival order. Churn,
+  // evict_channel and LIFO slot reuse all run in between, so a key left
+  // stale by a slot's previous session would show.
+  expr::ExperimentConfig cfg = sweep::ScenarioCatalog::global().make_config(
+      "flash_crowd", core::StreamingMode::kP2p);
+  cfg.workload.num_channels = 4;
+  cfg.workload.total_arrival_rate = 0.15;  // downsized from the preset
+  cfg.seed = 17;
+
+  StreamingOptions options;
+  options.mode = core::StreamingMode::kP2p;
+  SystemHarness h(cfg, options, model_policy(cfg, core::StreamingMode::kP2p));
+  h.system.start();
+
+  constexpr std::uint64_t kSlotMask = 0xffffffffull;
+  std::vector<std::uint64_t> evicted_slots;
+  std::uint64_t max_evicted_id = 0;
+  std::size_t recycled = 0;
+  const auto check_keys = [&] {
+    // Arrival time → session index, per channel, up to now.
+    std::vector<std::map<double, std::uint64_t>> index_at(
+        static_cast<std::size_t>(cfg.workload.num_channels));
+    for (int c = 0; c < cfg.workload.num_channels; ++c) {
+      workload::PoissonArrivals arrivals = h.workload.make_arrivals(c);
+      std::uint64_t index = 0;
+      for (double t = arrivals.next_after(0.0); t <= h.sim.now();
+           t = arrivals.next_after(t)) {
+        index_at[static_cast<std::size_t>(c)][t] = index++;
+      }
+    }
+    std::vector<std::pair<std::uint64_t, double>> id_arrivals;
+    std::size_t owned_peers = 0;
+    h.system.for_each_peer([&](const Peer& peer) {
+      const std::uint64_t id = h.system.peer_id(peer);
+      id_arrivals.emplace_back(id, peer.arrival_time);
+      const auto& indices = index_at[static_cast<std::size_t>(peer.channel)];
+      const auto it = indices.find(peer.arrival_time);
+      ASSERT_NE(it, indices.end()) << "peer " << id;
+      const workload::SessionScript script =
+          h.workload.make_session(peer.channel, it->second);
+      EXPECT_EQ(h.system.peer_uplink(peer), script.uplink) << "peer " << id;
+      EXPECT_EQ(peer.walk, script.chunks) << "peer " << id;
+      const auto owned = std::count(peer.owned.begin(), peer.owned.end(), true);
+      EXPECT_EQ(h.system.owned_count(peer), owned) << "peer " << id;
+      owned_peers += owned > 0 ? 1u : 0u;
+      const std::uint64_t slot = h.system.peer_handle(peer) & kSlotMask;
+      if (std::find(evicted_slots.begin(), evicted_slots.end(), slot) !=
+          evicted_slots.end()) {
+        ++recycled;
+        EXPECT_GT(id, max_evicted_id) << "slot " << slot << " kept a stale id";
+      }
+    });
+    EXPECT_GT(owned_peers, 0u);
+    // Ids are handed out in arrival order and never reused.
+    std::sort(id_arrivals.begin(), id_arrivals.end());
+    for (std::size_t k = 1; k < id_arrivals.size(); ++k) {
+      EXPECT_LT(id_arrivals[k - 1].first, id_arrivals[k].first);
+      EXPECT_LE(id_arrivals[k - 1].second, id_arrivals[k].second);
+    }
+  };
+
+  h.sim.run_until(10.5 * 3600.0);
+  check_keys();
+  h.sim.run_until(11.75 * 3600.0 + 10.0);
+  for (const std::uint64_t handle : h.system.channel_peer_handles(0)) {
+    evicted_slots.push_back(handle & kSlotMask);
+    max_evicted_id =
+        std::max(max_evicted_id, h.system.peer_id(*h.system.find_peer(handle)));
+  }
+  ASSERT_GT(h.system.evict_channel(0), 0u);
+  for (const double t : {11.75 * 3600.0 + 40.0, 12.5 * 3600.0, 13.5 * 3600.0}) {
+    h.sim.run_until(t);
+    check_keys();
+  }
+  EXPECT_GT(recycled, 0u)
+      << "no evicted slot was reused; recycling went untested";
 }
 
 /// Records every report the controller is asked to estimate from, so the
