@@ -6,7 +6,8 @@
 // Two assertions make this a gate rather than a report:
 //   1. Flatness: a small warm-up grid runs first; streaming the full grid
 //      (16x more cells) must not grow peak RSS past kFlatFactor of the
-//      warm-up's — the bounded buffer, not the grid, sets the footprint.
+//      warm-up's — the write-through store keeps no row after push()
+//      returns, so the worker count, not the grid, sets the footprint.
 //   2. Separation: the buffered keep_results replay must peak at least
 //      kBufferedFactor above the streaming run — if it doesn't, either
 //      keep_results stopped retaining or the streaming path started
@@ -15,7 +16,8 @@
 // small streaming, full streaming, then buffered last.
 //
 // Under ASan/UBSan the asserts are skipped (shadow memory distorts RSS);
-// the sanitize job still exercises the store's threading end to end.
+// the sanitize job still runs concurrent push() calls end to end, here
+// and in smoke.results_store.
 //
 // Flags: --cells=10000 --hours=0.25 --warmup=0 --threads=<hardware>
 //        --seed=42 --out=BENCH_store.json --store-out=results/store_smoke
@@ -115,9 +117,7 @@ int main(int argc, char** argv) {
                                  const std::string& base) -> PhaseResult {
     sweep::SweepSpec streaming = spec;
     streaming.grid = make_grid(n);
-    store::StoreOptions options;
-    options.base = base;
-    store::ResultsStore results_store(options, streaming);
+    store::ResultsStore results_store({.base = base}, streaming);
     streaming.sink = results_store.sink();
     const auto t0 = std::chrono::steady_clock::now();
     (void)sweep::SweepRunner::run(streaming);
@@ -126,8 +126,8 @@ int main(int argc, char** argv) {
     phase.wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
-    // Measure before finalize(): while the sweep runs, only the bounded
-    // buffer is resident — finalize()'s grid-order reassembly is the one
+    // Measure before finalize(): while the sweep runs, at most one row per
+    // worker is resident — finalize()'s grid-order reassembly is the one
     // step that holds all (scalar) rows, and it is excluded from the
     // flatness claim on purpose.
     phase.peak_rss_mb = util::peak_rss_mb();

@@ -4,12 +4,7 @@
 //
 // The grid is deliberately frozen — 3 arrival rates x 3 channel counts on
 // baseline_diurnal — so the numbers stay comparable; change it and the
-// history resets.
-//
-// A second phase replays the grid with keep_results at series_stride 1 vs
-// 8 and *asserts* the downsampled retention shrinks the resident series
-// (the ROADMAP memory item): retained samples must drop at least 2x, or
-// the smoke run fails. Peak RSS (getrusage) is reported alongside.
+// history resets. Peak RSS (getrusage) is reported alongside.
 //
 // Flags: --hours=1 --warmup=0.25 --threads=<hardware> --seed=42
 //        --out=BENCH_sweep.json
@@ -22,24 +17,11 @@
 #include "profile/profile.h"
 #include "sweep/param_grid.h"
 #include "sweep/sweep_runner.h"
-#include "util/check.h"
 #include "util/csv.h"
 #include "util/json.h"
 #include "util/rss.h"
 
 using namespace cloudmedia;
-
-namespace {
-
-std::size_t retained_samples(const sweep::SweepResult& result) {
-  std::size_t n = 0;
-  for (const expr::ExperimentResult& run : result.results) {
-    n += run.metrics.total_samples();
-  }
-  return n;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const expr::Flags flags(argc, argv);
@@ -70,31 +52,10 @@ int main(int argc, char** argv) {
 
   const double runs_per_sec = static_cast<double>(result.runs.size()) / wall;
   const double events_per_sec = static_cast<double>(events) / wall;
-  std::printf("  %zu runs in %.2f s  |  %.2f runs/s  |  %.0f events/s\n",
-              result.runs.size(), wall, runs_per_sec, events_per_sec);
-
-  // Retention phase: the same grid with keep_results, full resolution vs
-  // series_stride 8. The stride must shrink what stays resident — this is
-  // the big-grid memory valve, smoke-asserted here so a regression in the
-  // downsampling path fails CI, not a production sweep.
-  sweep::SweepSpec retain = spec;
-  retain.keep_results = true;
-  retain.series_stride = 1;
-  const std::size_t full_samples =
-      retained_samples(sweep::SweepRunner::run(retain));
-  retain.series_stride = 8;
-  const std::size_t strided_samples =
-      retained_samples(sweep::SweepRunner::run(retain));
   const double rss_mb = util::peak_rss_mb();
-  std::printf(
-      "  retention: %zu samples at stride 1 -> %zu at stride 8 "
-      "(peak rss %.1f MB)\n",
-      full_samples, strided_samples, rss_mb);
-  CM_ENSURES(strided_samples > 0);
-  // 2x, not stride/2: sparse per-channel series (1-3 samples) shrink by
-  // ceil-division only, so the aggregate ratio sits well under the stride
-  // on short smoke horizons. 2x still proves the downsampling path works.
-  CM_ENSURES(strided_samples * 2 <= full_samples);
+  std::printf("  %zu runs in %.2f s  |  %.2f runs/s  |  %.0f events/s  |  "
+              "peak rss %.1f MB\n",
+              result.runs.size(), wall, runs_per_sec, events_per_sec, rss_mb);
 
   util::JsonValue bench = util::JsonValue::object();
   bench["bench"] = "sweep_smoke";
@@ -106,8 +67,6 @@ int main(int argc, char** argv) {
   bench["runs_per_sec"] = runs_per_sec;
   bench["events_total"] = static_cast<double>(events);
   bench["events_per_sec"] = events_per_sec;
-  bench["retained_samples_full"] = static_cast<double>(full_samples);
-  bench["retained_samples_stride8"] = static_cast<double>(strided_samples);
   bench["peak_rss_mb"] = rss_mb;
   const std::string out = flags.get("out", std::string("BENCH_sweep.json"));
   const std::size_t slash = out.find_last_of('/');

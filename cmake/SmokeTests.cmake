@@ -89,6 +89,14 @@ if(CLOUDMEDIA_BUILD_TOOLS)
   add_usage_error_test(sweep_usage_error tool_sweep
     "^tool_sweep: --seed conflicts with --golden"
     --golden=ablation_strategies --seed=42)
+  # --dump-profile prints what would run, schedule flags included.
+  add_smoke_test(sweep_dump_profile tool_sweep --scenario=flash_crowd
+    --seed=7 --hours=0.5 --warmup=0 --shard=1/2 --dump-profile)
+  if(TEST smoke.sweep_dump_profile)
+    set_tests_properties(smoke.sweep_dump_profile PROPERTIES
+      PASS_REGULAR_EXPRESSION
+      "\"seed\": \"7\",.*\"measure_hours\": 0\\.5,.*\"shard\": \"1/2\"")
+  endif()
   add_usage_error_test(fuzz_usage_error tool_fuzz
     "^tool_fuzz: unknown flag --rns" --rns=3)
   add_usage_error_test(diag_hourly_usage_error tool_diag_hourly
@@ -124,6 +132,15 @@ endif()
 if(TARGET sweep_test)
   add_smoke_test(sweep_determinism sweep_test
     --gtest_filter=SweepRunner.*:ScenarioCatalog.*:ParamGrid.*)
+endif()
+
+# The write-through results store and the shard merge: concurrent push()
+# calls from a 4- and 8-worker sweep, the sticky I/O-failure path and the
+# --merge validation. Smoke-labelled so the sanitizer job runs them under
+# ASan/UBSan on every commit.
+if(TARGET store_test)
+  add_smoke_test(results_store store_test
+    --gtest_filter=ResultsStore.*:ShardMerge.*)
 endif()
 
 # Every study of the table in src/expr/figures.cc — the paper figures and

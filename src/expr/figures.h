@@ -70,10 +70,10 @@ struct Figure {
 
 /// The paper-figure driver: --figure (default: the whole table), --hours,
 /// --warmup, --seed, --threads, --out-dir (default results); any other flag
-/// — --shard and --series-stride too, since a figure reads every cell at
-/// full resolution — throws the teaching error. Each entry writes
-/// <out-dir>/<name>.{csv,json} (the summary); each figure also writes
-/// <out-dir>/<name>.series.csv (its table data); the driver prints the
+/// — --shard too, since a figure reads every cell of its grid — throws the
+/// teaching error. Each entry writes <out-dir>/<name>.{csv,json} (the
+/// summary); each figure also writes <out-dir>/<name>.series.csv (its
+/// table data) from the full-resolution series; the driver prints the
 /// path of every file the entry wrote. Entries whose specs have equal
 /// spec_hash() share one SweepRunner::run, held only until its last reader
 /// has reported; returns the number of sweeps run.

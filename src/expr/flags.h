@@ -41,7 +41,7 @@ class Flags {
   /// flag is not in `known`. The error names the offending flag, suggests
   /// the closest declared names ("did you mean --hours?") when one is
   /// within edit distance 2, and lists every valid flag. Binaries call
-  /// this once, right after construction, so `--serie-stride` dies with a
+  /// this once, right after construction, so `--warmpu=1` dies with a
   /// teaching message instead of being silently ignored.
   void require_known(const std::vector<std::string>& known) const;
 

@@ -94,15 +94,6 @@ std::uint64_t parse_seed(const util::JsonValue& value) {
   }
 }
 
-std::size_t parse_series_stride(const util::JsonValue& value) {
-  const double n = require_number("series_stride", value);
-  if (!(n >= 1.0) || n != std::floor(n)) {
-    fail_key("series_stride", "expected an integer >= 1, got " +
-                                  util::format_number(n));
-  }
-  return static_cast<std::size_t>(n);
-}
-
 sweep::ParamGrid parse_grid(const util::JsonValue& value) {
   if (!value.is_array()) {
     fail_key("grid", std::string("expected an array of "
@@ -179,7 +170,7 @@ std::vector<std::pair<std::string, std::string>> parse_overrides(
 const std::vector<std::string>& profile_keys() {
   static const std::vector<std::string> keys = {
       "name",  "description", "scenario",       "seed",  "warmup_hours",
-      "measure_hours", "grid", "overrides", "series_stride", "shard",
+      "measure_hours", "grid", "overrides", "shard",
   };
   return keys;
 }
@@ -213,8 +204,6 @@ Profile Profile::from_json(const util::JsonValue& doc,
       p.grid = parse_grid(value);
     } else if (key == "overrides") {
       p.overrides = parse_overrides(value);
-    } else if (key == "series_stride") {
-      p.series_stride = parse_series_stride(value);
     } else if (key == "shard") {
       p.shard = sweep::ShardSpec::parse(require_string(key, value));
     } else {
@@ -253,7 +242,6 @@ Profile Profile::from_spec(const sweep::SweepSpec& spec, std::string name,
   p.measure_hours = spec.measure_hours;
   p.grid = spec.grid;
   p.overrides = spec.overrides;
-  p.series_stride = spec.series_stride;
   p.shard = spec.shard;
   return p;
 }
@@ -267,25 +255,11 @@ util::JsonValue Profile::to_json() const {
   doc["seed"] = std::to_string(seed);
   doc["warmup_hours"] = warmup_hours;
   doc["measure_hours"] = measure_hours;
-  if (!grid.axes().empty()) {
-    util::JsonValue axes = util::JsonValue::array();
-    for (const sweep::ParamAxis& axis : grid.axes()) {
-      util::JsonValue entry = util::JsonValue::object();
-      entry["name"] = axis.name;
-      util::JsonValue values = util::JsonValue::array();
-      for (const std::string& value : axis.values) values.push_back(value);
-      entry["values"] = std::move(values);
-      axes.push_back(std::move(entry));
-    }
-    doc["grid"] = std::move(axes);
-  }
+  if (!grid.axes().empty()) doc["grid"] = sweep::axes_to_json(grid.axes());
   if (!overrides.empty()) {
     util::JsonValue fixed = util::JsonValue::object();
     for (const auto& [parameter, value] : overrides) fixed[parameter] = value;
     doc["overrides"] = std::move(fixed);
-  }
-  if (series_stride != 1) {
-    doc["series_stride"] = static_cast<double>(series_stride);
   }
   if (!shard.whole()) doc["shard"] = shard.label();
   return doc;
@@ -302,7 +276,6 @@ void Profile::validate(const sweep::ScenarioCatalog& catalog) const {
              "must be a finite number of hours > 0, got " +
                  util::format_number(measure_hours));
   }
-  if (series_stride < 1) fail_key("series_stride", "must be >= 1");
   if (shard.count < 1 || shard.index >= shard.count) {
     fail_key("shard", "must be k/N with 0 <= k < N, got " + shard.label());
   }
@@ -350,7 +323,6 @@ SweepSpec SweepSpec::from_profile(const profile::Profile& p) {
   spec.threads = 0;  // execution knob: hardware by default, never in a profile
   spec.warmup_hours = p.warmup_hours;
   spec.measure_hours = p.measure_hours;
-  spec.series_stride = p.series_stride;
   spec.shard = p.shard;
   spec.overrides = p.overrides;
   return spec;

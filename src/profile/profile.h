@@ -15,8 +15,8 @@ namespace cloudmedia::profile {
 /// A complete, declarative description of one experiment/sweep — the JSON
 /// experiment-profile schema. Everything that defines *what a sweep
 /// computes* lives here: the scenario expression (including `@` timeline
-/// ops), the grid axes, fixed parameter overrides, seed, horizon, series
-/// stride, and shard slice. Execution knobs that cannot change the output
+/// ops), the grid axes, fixed parameter overrides, seed, horizon, and
+/// shard slice. Execution knobs that cannot change the output
 /// bytes (threads, keep_results, customize, sink) deliberately stay out —
 /// they belong to SweepSpec, and `tool_sweep --dump-profile` proves the
 /// profile side round-trips losslessly: JSON -> Profile ->
@@ -45,7 +45,6 @@ namespace cloudmedia::profile {
 ///     "overrides": {"engine": "auto"},      // fixed parameters, applied
 ///                                           // after the scenario and
 ///                                           // before the grid point
-///     "series_stride": 4,                   // integer >= 1
 ///     "shard": "0/2"                        // k/N slice of the grid
 ///   }
 ///
@@ -68,7 +67,6 @@ struct Profile {
   /// (so a grid axis wins over an override of the same parameter). Kept
   /// in insertion order for byte-stable serialization.
   std::vector<std::pair<std::string, std::string>> overrides;
-  std::size_t series_stride = 1;
   sweep::ShardSpec shard;
 
   /// Parse and fully validate a profile document. Throws
@@ -97,7 +95,7 @@ struct Profile {
   /// identity, and dumping a loaded canonical file reproduces its bytes.
   [[nodiscard]] util::JsonValue to_json() const;
 
-  /// Re-validate the semantic constraints (horizons, stride, scenario
+  /// Re-validate the semantic constraints (horizons, shard, scenario
   /// expression, grid/override values against the applier registry).
   /// from_json validates on entry; call this again after mutating fields
   /// in code, as the benches do. SweepSpec::from_profile always calls it.

@@ -27,49 +27,34 @@ util::JsonValue header_line(const sweep::SweepResult& header) {
   shard["count"] = static_cast<double>(header.shard_count);
   shard["total_cells"] = static_cast<double>(header.total_cells);
   root["shard"] = std::move(shard);
-  util::JsonValue grid = util::JsonValue::array();
-  for (const sweep::ParamAxis& axis : header.axes) {
-    util::JsonValue entry = util::JsonValue::object();
-    entry["name"] = axis.name;
-    util::JsonValue values = util::JsonValue::array();
-    for (const std::string& value : axis.values) values.push_back(value);
-    entry["values"] = std::move(values);
-    grid.push_back(std::move(entry));
-  }
-  root["grid"] = std::move(grid);
+  root["grid"] = sweep::axes_to_json(header.axes);
   return root;
 }
 
-std::string join_csv(const std::vector<std::string>& fields) {
-  std::string line;
-  for (std::size_t i = 0; i < fields.size(); ++i) {
-    if (i) line += ',';
-    line += util::CsvWriter::escape(fields[i]);
-  }
-  line += '\n';
-  return line;
-}
+/// Counts a row inside push() for as long as it is there.
+class InsidePush {
+ public:
+  explicit InsidePush(std::atomic<std::size_t>& count)
+      : count_(count), now_(++count) {}
+  ~InsidePush() { --count_; }
+  InsidePush(const InsidePush&) = delete;
+  InsidePush& operator=(const InsidePush&) = delete;
+  [[nodiscard]] std::size_t now() const noexcept { return now_; }
+
+ private:
+  std::atomic<std::size_t>& count_;
+  std::size_t now_;
+};
 
 }  // namespace
 
 ResultsStore::ResultsStore(StoreOptions options, const sweep::SweepSpec& spec)
-    : options_(std::move(options)) {
-  CM_EXPECTS(!options_.base.empty());
-  CM_EXPECTS(options_.buffer_capacity >= 1);
-  CM_EXPECTS(options_.batch_rows >= 1);
-
-  header_.scenario = spec.scenario;
-  header_.base_seed = spec.base_seed;
-  header_.axes = spec.grid.axes();
-  header_.shard_index = spec.shard.index;
-  header_.shard_count = spec.shard.count;
-  header_.total_cells = spec.grid.num_points();
-  header_.spec_hash = spec.spec_hash();
-  expected_cells_ =
-      sweep::SweepRunner::shard_cells(header_.total_cells, spec.shard);
-
-  jsonl_path_ = options_.base + ".jsonl";
-  csv_path_ = options_.base + ".stream.csv";
+    : header_(sweep::SweepResult::from_spec(spec)),
+      expected_cells_(sweep::SweepRunner::shard_cells(header_.total_cells,
+                                                      spec.shard)),
+      jsonl_path_(options.base + ".jsonl"),
+      csv_path_(options.base + ".stream.csv") {
+  CM_EXPECTS(!options.base.empty());
   util::ensure_parent_directory(jsonl_path_);
   jsonl_.open(jsonl_path_, std::ios::trunc);
   if (!jsonl_) {
@@ -83,125 +68,51 @@ ResultsStore::ResultsStore(StoreOptions options, const sweep::SweepSpec& spec)
   }
 
   jsonl_ << header_line(header_).dump(-1) << '\n';
-  std::vector<std::string> csv_header = {"cell"};
-  for (std::string& column : header_.csv_header()) {
-    csv_header.push_back(std::move(column));
-  }
-  csv_ << join_csv(csv_header);
-
-  writer_ = std::thread(&ResultsStore::writer_loop, this);
+  csv_ << "cell," << util::CsvWriter::line(header_.csv_header());
 }
 
-ResultsStore::~ResultsStore() {
-  // Best-effort shutdown for the unwind path; errors were either already
-  // rethrown from push()/finish() or are not worth terminating over now.
-  try {
-    finish();
-  } catch (...) {  // NOLINT(bugprone-empty-catch)
-  }
-}
+void ResultsStore::push(std::size_t cell, const sweep::RunSummary& row) {
+  const InsidePush inside(inside_push_);
+  // Format outside the lock, so concurrent workers serialize in parallel
+  // and hold the mutex only for the two appends.
+  const std::string jsonl_line = row.to_json(cell).dump(-1) + '\n';
+  const std::string csv_line = std::to_string(cell) + ',' +
+                               util::CsvWriter::line(header_.csv_row(row));
 
-void ResultsStore::push(std::size_t cell, sweep::RunSummary row) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  space_available_.wait(lock, [this] {
-    return queue_.size() < options_.buffer_capacity || failed_;
-  });
-  if (failed_) std::rethrow_exception(error_);
-  CM_EXPECTS(!done_);  // push after finish() is a caller bug
-  queue_.push_back(Row{cell, std::move(row)});
-  peak_buffered_ = std::max(peak_buffered_, queue_.size());
-  rows_available_.notify_one();
+  std::lock_guard<std::mutex> lock(mutex_);
+  peak_buffered_ = std::max(peak_buffered_, inside.now());
+  if (error_) std::rethrow_exception(error_);
+  CM_EXPECTS(!finished_);  // push after finish() is a caller bug
+  jsonl_ << jsonl_line;
+  csv_ << csv_line;
+  note_failure_locked("write to");
+  if (error_) std::rethrow_exception(error_);
+  ++rows_written_;
 }
 
 std::function<void(std::size_t, sweep::RunSummary)> ResultsStore::sink() {
-  return [this](std::size_t cell, sweep::RunSummary row) {
-    push(cell, std::move(row));
-  };
+  return [this](std::size_t cell, sweep::RunSummary row) { push(cell, row); };
 }
 
-void ResultsStore::writer_loop() {
-  for (;;) {
-    std::vector<Row> batch;
-    bool failed = false;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      rows_available_.wait(lock, [this] { return !queue_.empty() || done_; });
-      if (queue_.empty() && done_) return;
-      const std::size_t take = std::min(options_.batch_rows, queue_.size());
-      batch.reserve(take);
-      for (std::size_t i = 0; i < take; ++i) {
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
-      failed = failed_;
-    }
-    space_available_.notify_all();
-
-    if (failed) continue;  // drain-and-discard so producers unblock
-
-    std::string jsonl_chunk;
-    std::string csv_chunk;
-    for (const Row& row : batch) {
-      util::JsonValue entry = util::JsonValue::object();
-      entry["cell"] = static_cast<double>(row.cell);
-      const util::JsonValue fields = row.summary.to_json();
-      for (const auto& [key, value] : fields.members()) entry[key] = value;
-      jsonl_chunk += entry.dump(-1);
-      jsonl_chunk += '\n';
-
-      std::vector<std::string> csv_fields = {std::to_string(row.cell)};
-      for (std::string& field : header_.csv_row(row.summary)) {
-        csv_fields.push_back(std::move(field));
-      }
-      csv_chunk += join_csv(csv_fields);
-    }
-    jsonl_ << jsonl_chunk;
-    csv_ << csv_chunk;
-    if (!jsonl_ || !csv_) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      fail_locked(std::make_exception_ptr(std::runtime_error(
-          "ResultsStore: write to '" + (!jsonl_ ? jsonl_path_ : csv_path_) +
-          "' failed: " + std::strerror(errno))));
-      continue;
-    }
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      rows_written_ += batch.size();
-    }
-  }
-}
-
-void ResultsStore::fail_locked(std::exception_ptr error) {
-  if (!failed_) {
-    failed_ = true;
-    error_ = std::move(error);
-  }
-  queue_.clear();
-  space_available_.notify_all();
+void ResultsStore::note_failure_locked(const char* action) {
+  if (error_ || (jsonl_ && csv_)) return;
+  error_ = std::make_exception_ptr(std::runtime_error(
+      std::string("ResultsStore: ") + action + " '" +
+      (!jsonl_ ? jsonl_path_ : csv_path_) + "' failed: " +
+      std::strerror(errno)));
 }
 
 void ResultsStore::finish() {
+  std::lock_guard<std::mutex> lock(mutex_);
   if (!finished_) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      done_ = true;
-    }
-    rows_available_.notify_all();
-    space_available_.notify_all();
-    if (writer_.joinable()) writer_.join();
+    finished_ = true;
     jsonl_.flush();
     csv_.flush();
-    if ((!jsonl_ || !csv_) && !failed_) {
-      failed_ = true;
-      error_ = std::make_exception_ptr(std::runtime_error(
-          "ResultsStore: flush of '" + (!jsonl_ ? jsonl_path_ : csv_path_) +
-          "' failed: " + std::strerror(errno)));
-    }
+    note_failure_locked("flush of");
     jsonl_.close();
     csv_.close();
-    finished_ = true;
   }
-  if (failed_) std::rethrow_exception(error_);
+  if (error_) std::rethrow_exception(error_);
 }
 
 sweep::SweepResult ResultsStore::finalize() {
@@ -253,7 +164,6 @@ sweep::SweepResult ResultsStore::finalize() {
   sweep::SweepResult result = header_;
   result.runs.reserve(rows.size());
   for (auto& [cell, summary] : rows) result.runs.push_back(std::move(summary));
-  if (result.shard_count > 1) result.cell_indices = expected_cells_;
   return result;
 }
 

@@ -1,14 +1,12 @@
 #pragma once
 
-#include <condition_variable>
+#include <atomic>
 #include <cstddef>
-#include <deque>
 #include <exception>
 #include <fstream>
 #include <functional>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "sweep/run_summary.h"
@@ -16,28 +14,21 @@
 
 namespace cloudmedia::store {
 
-/// Knobs for one ResultsStore. `base` is the output stem: the store
+/// Where one ResultsStore writes. `base` is the output stem: the store
 /// streams `<base>.jsonl` (one row per line, plus a header line) and
 /// `<base>.stream.csv` (completion-order rows with a leading `cell`
 /// column) while the sweep runs.
 struct StoreOptions {
   std::string base;
-  /// Rows the producer side may buffer before push() blocks — the
-  /// backpressure bound that keeps a sweep's resident row count flat no
-  /// matter how large the grid is.
-  std::size_t buffer_capacity = 256;
-  /// Rows the writer drains per wake-up (amortizes lock traffic).
-  std::size_t batch_rows = 64;
 };
 
-/// Asynchronous producer/consumer results writer — the streaming
-/// alternative to buffering a whole SweepResult in RAM. Worker threads
-/// push completed RunSummary rows into a bounded, lock-guarded buffer; a
-/// dedicated writer thread drains batches to disk (CSV + JSONL) as the
-/// sweep runs. Rows land on disk in completion order, each tagged with
-/// its global grid cell, so finalize() can reassemble the deterministic
-/// grid-order output afterwards without the sweep ever holding more than
-/// `buffer_capacity` rows resident.
+/// Write-through results store — the streaming alternative to buffering a
+/// whole SweepResult in RAM. Worker threads push completed RunSummary
+/// rows; each push() formats its row and appends it to disk (CSV + JSONL)
+/// under one mutex, so the store never holds a row after push() returns.
+/// Rows land on disk in completion order, each tagged with its global
+/// grid cell, so finalize() can reassemble the deterministic grid-order
+/// output afterwards.
 ///
 ///   store::ResultsStore store({.base = "results/big"}, spec);
 ///   sweep::SweepSpec streaming = spec;
@@ -51,27 +42,24 @@ struct StoreOptions {
 class ResultsStore {
  public:
   /// Opens the output files (creating missing parent directories — throws
-  /// std::runtime_error naming the path when it cannot), writes the JSONL
-  /// and CSV headers, and starts the writer thread. The spec provides the
-  /// header metadata (scenario, seed, grid, shard, spec hash) and the
-  /// expected cell set.
+  /// std::runtime_error naming the path when it cannot) and writes the
+  /// JSONL and CSV headers. The spec provides the header metadata
+  /// (scenario, seed, grid, shard, spec hash) and the expected cell set.
   ResultsStore(StoreOptions options, const sweep::SweepSpec& spec);
-  ~ResultsStore();
 
   ResultsStore(const ResultsStore&) = delete;
   ResultsStore& operator=(const ResultsStore&) = delete;
 
-  /// Hand one completed row to the writer. Thread-safe; blocks while the
-  /// buffer is full. Rethrows the writer's error if the writer thread has
-  /// failed (e.g. disk full), so the sweep aborts instead of silently
-  /// dropping rows.
-  void push(std::size_t cell, sweep::RunSummary row);
+  /// Append one completed row to both files. Thread-safe. The first write
+  /// or flush failure (e.g. disk full) throws std::runtime_error naming
+  /// the file, and every later push() or finish() rethrows it, so the
+  /// sweep aborts instead of silently dropping rows.
+  void push(std::size_t cell, const sweep::RunSummary& row);
 
   /// Adapter for SweepSpec::sink.
   [[nodiscard]] std::function<void(std::size_t, sweep::RunSummary)> sink();
 
-  /// Drain the buffer, stop and join the writer, flush and close the
-  /// files. Idempotent. Rethrows any writer-side I/O error.
+  /// Flush and close the files. Idempotent. Rethrows any I/O error.
   void finish();
 
   /// After finish(): read `<base>.jsonl` back, verify every expected cell
@@ -85,39 +73,29 @@ class ResultsStore {
   [[nodiscard]] const std::string& stream_csv_path() const noexcept {
     return csv_path_;
   }
-  /// Rows the writer has committed to disk so far.
+  /// Rows appended to the files so far.
   [[nodiscard]] std::size_t rows_written() const;
-  /// High-water mark of rows buffered at once (<= buffer_capacity).
+  /// High-water mark of rows inside push() at once (at most one per
+  /// sweep worker).
   [[nodiscard]] std::size_t peak_buffered() const;
 
  private:
-  struct Row {
-    std::size_t cell = 0;
-    sweep::RunSummary summary;
-  };
+  /// Record a failed stream as the store's error (the first one sticks).
+  void note_failure_locked(const char* action);
 
-  void writer_loop();
-  void fail_locked(std::exception_ptr error);
-
-  StoreOptions options_;
   sweep::SweepResult header_;  ///< runs empty; metadata + csv_row helper
   std::vector<std::size_t> expected_cells_;
   std::string jsonl_path_;
   std::string csv_path_;
+  std::atomic<std::size_t> inside_push_{0};
+
+  mutable std::mutex mutex_;  ///< guards the files and the fields below
   std::ofstream jsonl_;
   std::ofstream csv_;
-
-  mutable std::mutex mutex_;
-  std::condition_variable rows_available_;
-  std::condition_variable space_available_;
-  std::deque<Row> queue_;
-  std::exception_ptr error_;
-  bool failed_ = false;
-  bool done_ = false;
+  std::exception_ptr error_;  ///< first I/O failure, rethrown from then on
   bool finished_ = false;
   std::size_t rows_written_ = 0;
   std::size_t peak_buffered_ = 0;
-  std::thread writer_;
 };
 
 }  // namespace cloudmedia::store

@@ -49,6 +49,13 @@ sweep::SweepResult merge_shards(const std::vector<util::JsonValue>& docs,
            "tool_sweep --shard=k/N, so there is nothing to stitch "
            "(an unsharded output is already complete)");
     }
+    if (shard.shard_index >= shard.shard_count) {
+      fail(doc_label(labels, i) + " claims to be shard " +
+           std::to_string(shard.shard_index) + "/" +
+           std::to_string(shard.shard_count) +
+           ", but a k/N shard header needs k < N — the document was "
+           "edited or corrupted; rerun that shard");
+    }
     shards.push_back(std::move(shard));
   }
 
@@ -96,7 +103,7 @@ sweep::SweepResult merge_shards(const std::vector<util::JsonValue>& docs,
   std::vector<const sweep::SweepResult*> by_index(count, nullptr);
   for (std::size_t i = 0; i < shards.size(); ++i) {
     const std::size_t k = shards[i].shard_index;
-    CM_EXPECTS(k < count);  // from_json admits only what to_json wrote
+    CM_EXPECTS(k < count);  // every header was checked for k < N above
     if (by_index[k] != nullptr) {
       fail("shard " + std::to_string(k) + "/" + std::to_string(count) +
            " appears more than once (" + doc_label(labels, i) + ")");

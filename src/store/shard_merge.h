@@ -17,10 +17,10 @@ namespace cloudmedia::store {
 ///
 /// Validates before stitching and throws util::PreconditionError with a
 /// teaching message when the inputs are not the complete shard set of one
-/// sweep: a document without a shard header, mismatched scenario / seed /
-/// spec hash / grid across documents, duplicate or missing shard indices,
-/// and per-shard cell sequences that do not match the deterministic k/N
-/// partition. `labels` names each document in errors (file paths when
+/// sweep: a document without a shard header or with a shard index k >= N,
+/// mismatched scenario / seed / spec hash / grid across documents,
+/// duplicate or missing shard indices, and per-shard cell sequences that
+/// do not match the deterministic k/N partition. `labels` names each document in errors (file paths when
 /// merging files); it may be empty or shorter than `docs`.
 [[nodiscard]] sweep::SweepResult merge_shards(
     const std::vector<util::JsonValue>& docs,

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "sweep/sweep_runner.h"
 #include "util/check.h"
 #include "util/csv.h"
 
@@ -62,6 +63,35 @@ std::vector<std::string> metric_values(const RunSummary& run) {
 
 }  // namespace
 
+util::JsonValue axes_to_json(const std::vector<ParamAxis>& axes) {
+  util::JsonValue grid = util::JsonValue::array();
+  for (const ParamAxis& axis : axes) {
+    util::JsonValue entry = util::JsonValue::object();
+    entry["name"] = axis.name;
+    util::JsonValue values = util::JsonValue::array();
+    for (const std::string& value : axis.values) values.push_back(value);
+    entry["values"] = std::move(values);
+    grid.push_back(std::move(entry));
+  }
+  return grid;
+}
+
+SweepResult SweepResult::from_spec(const SweepSpec& spec) {
+  SweepResult result;
+  result.scenario = spec.scenario;
+  result.base_seed = spec.base_seed;
+  result.axes = spec.grid.axes();
+  result.shard_index = spec.shard.index;
+  result.shard_count = spec.shard.count;
+  result.total_cells = spec.grid.num_points();
+  result.spec_hash = spec.spec_hash();
+  if (!spec.shard.whole()) {
+    result.cell_indices =
+        SweepRunner::shard_cells(result.total_cells, spec.shard);
+  }
+  return result;
+}
+
 std::vector<std::string> SweepResult::csv_header() const {
   std::vector<std::string> header;
   header.emplace_back("scenario");
@@ -82,21 +112,14 @@ std::vector<std::string> SweepResult::csv_row(const RunSummary& run) const {
 }
 
 std::string SweepResult::to_csv() const {
-  std::string out;
-  auto append_line = [&out](const std::vector<std::string>& fields) {
-    for (std::size_t i = 0; i < fields.size(); ++i) {
-      if (i) out += ',';
-      out += util::CsvWriter::escape(fields[i]);
-    }
-    out += '\n';
-  };
-  append_line(csv_header());
-  for (const RunSummary& run : runs) append_line(csv_row(run));
+  std::string out = util::CsvWriter::line(csv_header());
+  for (const RunSummary& run : runs) out += util::CsvWriter::line(csv_row(run));
   return out;
 }
 
-util::JsonValue RunSummary::to_json() const {
+util::JsonValue RunSummary::to_json(std::optional<std::size_t> cell) const {
   util::JsonValue entry = util::JsonValue::object();
+  if (cell) entry["cell"] = static_cast<double>(*cell);
   util::JsonValue params = util::JsonValue::object();
   for (const auto& [name, value] : point.coords) params[name] = value;
   entry["params"] = std::move(params);
@@ -155,26 +178,13 @@ util::JsonValue SweepResult::to_json() const {
     shard["spec_hash"] = spec_hash;
     root["shard"] = std::move(shard);
   }
-  util::JsonValue grid = util::JsonValue::array();
-  for (const ParamAxis& axis : axes) {
-    util::JsonValue entry = util::JsonValue::object();
-    entry["name"] = axis.name;
-    util::JsonValue values = util::JsonValue::array();
-    for (const std::string& value : axis.values) values.push_back(value);
-    entry["values"] = std::move(values);
-    grid.push_back(std::move(entry));
-  }
-  root["grid"] = std::move(grid);
+  root["grid"] = axes_to_json(axes);
+  if (shard_count > 1) CM_EXPECTS(cell_indices.size() == runs.size());
   util::JsonValue run_array = util::JsonValue::array();
   for (std::size_t i = 0; i < runs.size(); ++i) {
-    util::JsonValue entry = util::JsonValue::object();
-    if (shard_count > 1) {
-      CM_EXPECTS(cell_indices.size() == runs.size());
-      entry["cell"] = static_cast<double>(cell_indices[i]);
-    }
-    const util::JsonValue row = runs[i].to_json();
-    for (const auto& [key, value] : row.members()) entry[key] = value;
-    run_array.push_back(std::move(entry));
+    std::optional<std::size_t> cell;
+    if (shard_count > 1) cell = cell_indices[i];
+    run_array.push_back(runs[i].to_json(cell));
   }
   root["runs"] = std::move(run_array);
   return root;

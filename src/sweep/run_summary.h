@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -10,6 +11,8 @@
 #include "util/json.h"
 
 namespace cloudmedia::sweep {
+
+struct SweepSpec;  // sweep/sweep_runner.h
 
 /// One run's SystemMetrics reduced to scalar summaries over the
 /// measurement window. This is the machine-readable unit the sweep engine
@@ -38,20 +41,27 @@ struct RunSummary {
                                               const expr::ExperimentResult& r);
 
   /// The run as one JSON object — the entry schema of SweepResult::to_json
-  /// "runs" and of the streaming store's JSONL rows: params (in axis
-  /// order), seed (decimal string: 64 bits do not survive a double
-  /// round-trip), then every metric column. Counters ride as JSON numbers,
-  /// exact below 2^53 — far beyond any single run's event count.
-  [[nodiscard]] util::JsonValue to_json() const;
+  /// "runs" and of the streaming store's JSONL rows: the global grid
+  /// `cell` when given (shard documents and the JSONL rows carry it),
+  /// params (in axis order), seed (decimal string: 64 bits do not survive
+  /// a double round-trip), then every metric column. Counters ride as
+  /// JSON numbers, exact below 2^53 — far beyond any single run's event
+  /// count.
+  [[nodiscard]] util::JsonValue to_json(
+      std::optional<std::size_t> cell = std::nullopt) const;
 
-  /// Inverse of to_json(): rebuild a row from an entry (unknown members —
-  /// e.g. a shard "cell" index — are ignored; the scenario comes from the
+  /// Inverse of to_json(): rebuild a row from an entry (a "cell" member
+  /// is ignored — the caller reads it; the scenario comes from the
   /// document header). from_json(to_json()) round-trips byte-identically
   /// through format_number, which is what makes merged shard output
   /// byte-match the single-process run.
   [[nodiscard]] static RunSummary from_json(const util::JsonValue& entry,
                                             std::string scenario);
 };
+
+/// A grid's axes as JSON, `[{"name": ..., "values": [...]}, ...]` — the
+/// "grid" member of sweep documents, JSONL headers and profiles.
+[[nodiscard]] util::JsonValue axes_to_json(const std::vector<ParamAxis>& axes);
 
 /// A whole sweep: grid metadata plus one RunSummary per cell, in grid
 /// order (deterministic regardless of worker count). Full per-run
@@ -74,6 +84,12 @@ struct SweepResult {
   std::size_t total_cells = 0;  ///< full-grid cell count (all shards)
   std::string spec_hash;        ///< SweepSpec::spec_hash() of the producer
   std::vector<std::size_t> cell_indices;  ///< global cell per run (sharded)
+
+  /// The result `spec` produces, before any run: scenario, seed, axes,
+  /// shard provenance, spec hash and, for a shard, its owned cells. The
+  /// one place a spec becomes a result header (SweepRunner::run and the
+  /// streaming store both start from it).
+  [[nodiscard]] static SweepResult from_spec(const SweepSpec& spec);
 
   /// "scenario,<axis...>,seed,mean_quality,..." — axis columns in grid
   /// order.

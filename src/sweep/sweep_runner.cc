@@ -86,12 +86,6 @@ void SweepSpec::apply_flags(const expr::Flags& flags) {
         "--hours must be a finite number of hours > 0");
   }
   measure_hours = hours;
-  const long long stride = flags.get_ll(
-      "series-stride", static_cast<long long>(series_stride));
-  if (stride < 1) {
-    throw util::PreconditionError("--series-stride must be >= 1");
-  }
-  series_stride = static_cast<std::size_t>(stride);
   if (flags.has("shard")) {
     shard = ShardSpec::parse(flags.get("shard", std::string()));
   }
@@ -171,22 +165,13 @@ std::vector<std::size_t> SweepRunner::shard_cells(std::size_t total,
 SweepResult SweepRunner::run(const SweepSpec& spec,
                              const ScenarioCatalog& catalog) {
   CM_EXPECTS(spec.warmup_hours >= 0.0 && spec.measure_hours > 0.0);
-  CM_EXPECTS(spec.series_stride >= 1);
   // Series cannot stream: a sink takes scalar rows only.
   CM_EXPECTS(!(spec.keep_results && spec.sink));
   const std::vector<std::size_t> cells =
       shard_cells(spec.grid.num_points(), spec.shard);
   const std::size_t n = cells.size();
 
-  SweepResult result;
-  result.scenario = spec.scenario;
-  result.base_seed = spec.base_seed;
-  result.axes = spec.grid.axes();
-  result.shard_index = spec.shard.index;
-  result.shard_count = spec.shard.count;
-  result.total_cells = spec.grid.num_points();
-  result.spec_hash = spec.spec_hash();
-  if (!spec.shard.whole()) result.cell_indices = cells;
+  SweepResult result = SweepResult::from_spec(spec);
   if (!spec.sink) result.runs.resize(n);
   if (spec.keep_results) result.results.resize(n);
 
@@ -207,12 +192,7 @@ SweepResult SweepRunner::run(const SweepSpec& spec,
       return;
     }
     result.runs[slot] = std::move(summary);
-    if (spec.keep_results) {
-      // Summaries above already captured the full-resolution window stats;
-      // retained series only need the shape.
-      run_result.metrics.downsample(spec.series_stride);
-      result.results[slot] = std::move(run_result);
-    }
+    if (spec.keep_results) result.results[slot] = std::move(run_result);
   };
 
   const unsigned threads =

@@ -16,8 +16,8 @@ struct Profile;  // src/profile/profile.h — the declarative JSON schema
 namespace cloudmedia::sweep {
 
 /// A deterministic `k/N` slice of the flattened grid: shard k owns every
-/// cell whose global index i satisfies `i % count == index` (strided, so
-/// neighbouring — similarly expensive — cells spread across shards). The
+/// cell whose global index i satisfies `i % count == index` (interleaved,
+/// so neighbouring — similarly expensive — cells spread across shards). The
 /// N shards are disjoint and covering for every grid size, including
 /// N > cells (trailing shards are then empty but still valid). Because
 /// per-run seeds depend only on (base_seed, workload coordinates), a
@@ -60,11 +60,6 @@ struct SweepSpec {
   /// SweepResult::results. Off by default: summaries are cheap, series for
   /// a big grid are not.
   bool keep_results = false;
-  /// With keep_results, retain only every k-th sample of each run's series
-  /// (1 = full resolution). RunSummary scalars are computed from the full
-  /// series *before* downsampling, so CSV/JSON output is unaffected — this
-  /// only bounds the memory a big-grid keep_results sweep holds resident.
-  std::size_t series_stride = 1;
   /// Which slice of the grid this process runs (default: all of it). The
   /// slice is schedule-neutral: it changes which cells run here, never
   /// what any cell computes, so shard outputs merge byte-identically.
@@ -98,21 +93,20 @@ struct SweepSpec {
   [[nodiscard]] static SweepSpec from_profile(const profile::Profile& p);
 
   /// Read the shared schedule flags — --seed, --threads, --warmup,
-  /// --hours, --series-stride, --shard — with the spec's current values
-  /// as defaults. The one place the string-to-spec conversion (and its
-  /// validation: --threads must be >= 0, 0 meaning "hardware";
-  /// --series-stride must be >= 1; --shard must be k/N) lives for every
-  /// sweep binary. A binary that reads every cell at full resolution
-  /// (bench_paper_figures) leaves --shard and --series-stride out of its
-  /// Flags::require_known list, so those flags are rejected there.
+  /// --hours, --shard — with the spec's current values as defaults. The
+  /// one place the string-to-spec conversion (and its validation:
+  /// --threads must be in [0, 1024], 0 meaning "hardware"; --shard must be
+  /// k/N) lives for every sweep binary. A binary that reads every cell
+  /// (bench_paper_figures) leaves --shard out of its Flags::require_known
+  /// list, so the flag is rejected there.
   void apply_flags(const expr::Flags& flags);
 
   /// Hash of what the sweep *computes*: scenario expression, base seed,
   /// horizon, and the full grid (axis names + values, in order).
-  /// Schedule-neutral knobs (threads, shard, keep_results, series_stride)
-  /// are excluded, so every shard of one logical sweep shares the hash —
-  /// the header `tool_sweep --merge` uses to refuse mixing shards of
-  /// different sweeps. 16 lowercase hex digits (FNV-1a 64).
+  /// Schedule-neutral knobs (threads, shard, keep_results) are excluded,
+  /// so every shard of one logical sweep shares the hash — the header
+  /// `tool_sweep --merge` uses to refuse mixing shards of different
+  /// sweeps. 16 lowercase hex digits (FNV-1a 64).
   [[nodiscard]] std::string spec_hash() const;
 };
 

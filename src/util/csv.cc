@@ -23,22 +23,28 @@ std::string CsvWriter::escape(const std::string& field) {
   return quoted;
 }
 
-void CsvWriter::write_row(const std::vector<std::string>& fields) {
+std::string CsvWriter::line(const std::vector<std::string>& fields) {
+  std::string out;
   for (std::size_t i = 0; i < fields.size(); ++i) {
-    if (i) out_ << ',';
-    out_ << escape(fields[i]);
+    if (i) out += ',';
+    out += escape(fields[i]);
   }
-  out_ << '\n';
+  out += '\n';
+  return out;
+}
+
+void CsvWriter::write_row(const std::vector<std::string>& fields) {
+  out_ << line(fields);
 }
 
 void CsvWriter::write_row(const std::vector<double>& fields) {
-  std::ostringstream line;
-  line.precision(10);
+  std::ostringstream text;
+  text.precision(10);
   for (std::size_t i = 0; i < fields.size(); ++i) {
-    if (i) line << ',';
-    line << fields[i];
+    if (i) text << ',';
+    text << fields[i];
   }
-  out_ << line.str() << '\n';
+  out_ << text.str() << '\n';
 }
 
 bool ensure_directory(const std::string& path) {

@@ -22,6 +22,8 @@ class CsvWriter {
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
 
   [[nodiscard]] static std::string escape(const std::string& field);
+  /// One CSV line: the escaped fields joined by ',' and a trailing '\n'.
+  [[nodiscard]] static std::string line(const std::vector<std::string>& fields);
 
  private:
   std::string path_;

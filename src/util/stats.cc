@@ -124,16 +124,6 @@ TimeSeries TimeSeries::resample(double t0, double width) const {
   return out;
 }
 
-TimeSeries TimeSeries::strided(std::size_t stride) const {
-  CM_EXPECTS(stride >= 1);
-  if (stride == 1) return *this;
-  TimeSeries out;
-  for (std::size_t i = 0; i < times_.size(); i += stride) {
-    out.add(times_[i], values_[i]);
-  }
-  return out;
-}
-
 double percentile(std::vector<double> values, double p) {
   CM_EXPECTS(p >= 0.0 && p <= 100.0);
   if (values.empty()) return 0.0;

@@ -59,11 +59,6 @@ class TimeSeries {
   /// skipped.
   [[nodiscard]] TimeSeries resample(double t0, double width) const;
 
-  /// Every `stride`-th sample (indices 0, stride, 2*stride, ...); the
-  /// downsampled-retention primitive for memory-bounded sweeps. stride 1
-  /// returns the series unchanged; stride must be >= 1.
-  [[nodiscard]] TimeSeries strided(std::size_t stride) const;
-
  private:
   std::vector<double> times_;
   std::vector<double> values_;

@@ -215,21 +215,4 @@ std::size_t SystemMetrics::total_samples() const noexcept {
   return n;
 }
 
-void SystemMetrics::downsample(std::size_t stride) {
-  CM_EXPECTS(stride >= 1);
-  if (stride == 1) return;
-  for (util::TimeSeries* series :
-       {&reserved_mbps, &used_cloud_mbps, &used_peer_mbps, &quality,
-        &vm_cost_rate, &storage_cost_rate, &concurrent_users}) {
-    *series = series->strided(stride);
-  }
-  for (ChannelSeries& series : channels) {
-    series.size = series.size.strided(stride);
-    series.quality = series.quality.strided(stride);
-    series.provisioned_mbps = series.provisioned_mbps.strided(stride);
-    series.storage_utility = series.storage_utility.strided(stride);
-    series.vm_utility = series.vm_utility.strided(stride);
-  }
-}
-
 }  // namespace cloudmedia::vod

@@ -71,13 +71,8 @@ struct SystemMetrics {
   SystemCounters counters;
 
   /// Total samples retained across every series (system + per-channel) —
-  /// the memory-footprint proxy the sweep retention tests assert on.
+  /// the memory-footprint proxy bench_store_smoke reports.
   [[nodiscard]] std::size_t total_samples() const noexcept;
-
-  /// Keep every `stride`-th sample of every series (counters untouched).
-  /// This is the `keep_results` memory valve: a big-grid sweep that only
-  /// needs series *shapes* can shrink its resident results ~stride-fold.
-  void downsample(std::size_t stride);
 };
 
 /// The CloudMedia deployment of Fig. 3, shared by both simulation engines:

@@ -152,11 +152,6 @@ TEST(ProfileSchema, ShardMustBeAProperSlice) {
   EXPECT_EQ(p.shard.count, 4u);
 }
 
-TEST(ProfileSchema, SeriesStrideMustBePositiveInteger) {
-  expect_rejected(R"({"series_stride": 0})", {"series_stride"});
-  expect_rejected(R"({"series_stride": 2.5})", {"series_stride"});
-}
-
 TEST(ProfileSchema, DuplicateKeysAreLastWinsAtTheParser) {
   // util::JsonValue's object semantics: a repeated key overwrites (the
   // parser dedups before from_json sees the document). Pin it so a parser

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <set>
 #include <string>
 #include <vector>
@@ -65,14 +66,10 @@ sweep::SweepResult run_shard(sweep::SweepSpec spec, std::size_t k,
 TEST(ResultsStore, StreamingMatchesBufferedByteForByte) {
   const sweep::SweepResult buffered = sweep::SweepRunner::run(small_spec());
 
-  sweep::SweepSpec spec = small_spec();
-  StoreOptions options;
-  options.base = temp_path("store_test_stream");
-  // A 2-row buffer on a 4-cell sweep forces push() through the
-  // backpressure path, not just the happy path.
-  options.buffer_capacity = 2;
-  options.batch_rows = 1;
-  ResultsStore results_store(options, spec);
+  // Four workers on a 4-cell sweep: push() runs concurrently, and the
+  // rows still reassemble into the buffered bytes.
+  sweep::SweepSpec spec = small_spec(4);
+  ResultsStore results_store({.base = temp_path("store_test_stream")}, spec);
   spec.sink = results_store.sink();
   (void)sweep::SweepRunner::run(spec);
   const sweep::SweepResult streamed = results_store.finalize();
@@ -80,14 +77,14 @@ TEST(ResultsStore, StreamingMatchesBufferedByteForByte) {
   EXPECT_EQ(streamed.to_csv(), buffered.to_csv());
   EXPECT_EQ(streamed.to_json().dump(), buffered.to_json().dump());
   EXPECT_EQ(results_store.rows_written(), 4u);
-  EXPECT_LE(results_store.peak_buffered(), options.buffer_capacity);
+  // A row is resident only inside push(): at most one per worker.
+  EXPECT_GE(results_store.peak_buffered(), 1u);
+  EXPECT_LE(results_store.peak_buffered(), 4u);
 }
 
 TEST(ResultsStore, StreamFilesCarryHeaderAndEveryRow) {
   sweep::SweepSpec spec = small_spec();
-  StoreOptions options;
-  options.base = temp_path("store_test_files");
-  ResultsStore results_store(options, spec);
+  ResultsStore results_store({.base = temp_path("store_test_files")}, spec);
   spec.sink = results_store.sink();
   (void)sweep::SweepRunner::run(spec);
   results_store.finish();
@@ -167,6 +164,51 @@ TEST(ResultsStore, UnwritablePathFailsNamingThePath) {
     EXPECT_NE(std::string(e.what()).find(blocker), std::string::npos);
   }
   std::filesystem::remove(blocker);
+}
+
+TEST(ResultsStore, WriteFailureIsStickyAndSurfacesThroughTheSweep) {
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "needs /dev/full";
+  }
+  const std::string base = temp_path("store_test_full");
+  const std::string jsonl = base + ".jsonl";
+  std::filesystem::remove(jsonl);
+  std::filesystem::create_symlink("/dev/full", jsonl);
+  sweep::SweepSpec spec = small_spec();
+  ResultsStore results_store({.base = base}, spec);
+
+  // Every append fails once the stream's buffer spills onto the full
+  // device (or at the latest when finish() flushes it). The error names
+  // the file.
+  sweep::RunSummary row;
+  row.scenario = spec.scenario;
+  row.point = spec.grid.point(0);
+  std::string first;
+  try {
+    for (int i = 0; i < 1000; ++i) results_store.push(0, row);
+    results_store.finish();
+    FAIL() << "writing to /dev/full did not fail";
+  } catch (const std::runtime_error& e) {
+    first = e.what();
+  }
+  EXPECT_NE(first.find(jsonl), std::string::npos) << first;
+
+  // Every later push() and finish() rethrows that same error...
+  const auto expect_first = [&](const std::function<void()>& call) {
+    try {
+      call();
+      ADD_FAILURE() << "a failed store accepted a later call";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), first);
+    }
+  };
+  expect_first([&] { results_store.push(1, row); });
+  expect_first([&] { results_store.finish(); });
+  expect_first([&] { results_store.finish(); });
+  // ...and a sweep streaming into the store surfaces it.
+  spec.sink = results_store.sink();
+  expect_first([&] { (void)sweep::SweepRunner::run(spec); });
+  std::filesystem::remove(jsonl);
 }
 
 TEST(ResultsStore, SinkAndKeepResultsAreMutuallyExclusive) {
@@ -286,6 +328,12 @@ TEST(ShardMerge, RejectsIncompatibleShardSets) {
 
   // A missing shard.
   expect_merge_error({docs[0]}, "exactly one");
+
+  // A shard header whose index is not below its count names the document
+  // instead of tripping an internal precondition.
+  tampered = docs;
+  tampered[1]["shard"]["index"] = 2.0;
+  expect_merge_error(tampered, "shard document #1 claims to be shard 2/2");
 
   // An unsharded document has nothing to stitch.
   const sweep::SweepResult whole = sweep::SweepRunner::run(small_spec());

@@ -633,54 +633,6 @@ TEST(SweepRunner, MalformedCompositeFailsFast) {
   EXPECT_THROW((void)SweepRunner::run(spec), util::PreconditionError);
 }
 
-// ----------------------------------------- downsampled series retention
-
-TEST(SweepRunner, SeriesStrideShrinksRetainedSeriesNotSummaries) {
-  SweepSpec spec = small_grid_spec(2);
-  spec.keep_results = true;
-  const SweepResult full = SweepRunner::run(spec);
-  spec.series_stride = 8;
-  const SweepResult strided = SweepRunner::run(spec);
-
-  // Summaries are computed before downsampling: CSV/JSON byte-identical.
-  EXPECT_EQ(full.to_csv(), strided.to_csv());
-  EXPECT_EQ(full.to_json().dump(), strided.to_json().dump());
-
-  std::size_t full_samples = 0, strided_samples = 0;
-  for (const expr::ExperimentResult& r : full.results) {
-    full_samples += r.metrics.total_samples();
-  }
-  for (const expr::ExperimentResult& r : strided.results) {
-    strided_samples += r.metrics.total_samples();
-    EXPECT_FALSE(r.metrics.quality.empty());  // shape survives
-  }
-  // ceil(n/8) per series: at least a 4x drop on any non-trivial horizon.
-  EXPECT_GT(strided_samples, 0u);
-  EXPECT_LE(strided_samples * 4, full_samples);
-  // Stride-retained samples are a prefix-stride subset: first sample kept.
-  ASSERT_FALSE(strided.results.empty());
-  EXPECT_EQ(strided.results[0].metrics.quality.time_at(0),
-            full.results[0].metrics.quality.time_at(0));
-}
-
-TEST(SweepSpec, SeriesStrideFlagParsesAndValidates) {
-  {
-    const char* argv[] = {"prog", "--series-stride=16"};
-    SweepSpec spec;
-    spec.apply_flags(expr::Flags(2, argv));
-    EXPECT_EQ(spec.series_stride, 16u);
-  }
-  {
-    const char* argv[] = {"prog", "--series-stride=0"};
-    SweepSpec spec;
-    EXPECT_THROW(spec.apply_flags(expr::Flags(2, argv)),
-                 util::PreconditionError);
-  }
-  SweepSpec spec;
-  spec.series_stride = 0;
-  EXPECT_THROW((void)SweepRunner::run(spec), util::PreconditionError);
-}
-
 TEST(SweepSpec, ApplyFlagsReadsScheduleAndValidatesThreads) {
   {
     const char* argv[] = {"prog", "--seed=7", "--threads=3", "--hours=2.5"};
@@ -757,7 +709,7 @@ TEST(SweepRunner, ShardCellsPartitionEveryGridExactlyOnce) {
         std::size_t prev = 0;
         for (std::size_t i = 0; i < cells.size(); ++i) {
           EXPECT_LT(cells[i], total);
-          EXPECT_EQ(cells[i] % n, k);  // strided ownership
+          EXPECT_EQ(cells[i] % n, k);  // interleaved ownership
           if (i) {
             EXPECT_GT(cells[i], prev);
           }
@@ -784,7 +736,6 @@ TEST(SweepSpec, SpecHashPinsScheduleButNotExecutionKnobs) {
   SweepSpec knobs = small_grid_spec(1);
   knobs.threads = 8;
   knobs.shard = ShardSpec{1, 4};
-  knobs.series_stride = 8;
   EXPECT_EQ(knobs.spec_hash(), hash);
 
   // Every schedule-shaping field does.

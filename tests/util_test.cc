@@ -361,22 +361,6 @@ TEST(TimeSeries, ResampleSkipsLeadingSamples) {
   EXPECT_DOUBLE_EQ(out.value_at(0), 1.0);
 }
 
-TEST(TimeSeries, StridedKeepsEveryKthSample) {
-  TimeSeries ts;
-  for (int i = 0; i < 10; ++i) ts.add(i * 1.0, i * 10.0);
-  const TimeSeries out = ts.strided(3);
-  ASSERT_EQ(out.size(), 4u);  // indices 0, 3, 6, 9
-  EXPECT_DOUBLE_EQ(out.time_at(0), 0.0);
-  EXPECT_DOUBLE_EQ(out.time_at(3), 9.0);
-  EXPECT_DOUBLE_EQ(out.value_at(1), 30.0);
-  // Stride 1 is the identity; stride beyond the size keeps the first
-  // sample; the empty series stays empty.
-  EXPECT_EQ(ts.strided(1).size(), ts.size());
-  EXPECT_EQ(ts.strided(100).size(), 1u);
-  EXPECT_TRUE(TimeSeries().strided(4).empty());
-  EXPECT_THROW((void)ts.strided(0), PreconditionError);
-}
-
 TEST(LinearFit, RecoversLine) {
   std::vector<double> x, y;
   for (int i = 0; i < 20; ++i) {

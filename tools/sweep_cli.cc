@@ -29,10 +29,11 @@
 //        --profile=<file.json> (load a declarative experiment profile —
 //                               see src/profile/profile.h for the schema;
 //                               other flags apply on top: profile < flags)
-//        --dump-profile (print the effective profile as canonical JSON and
-//                        exit without running; --profile x --dump-profile
-//                        round-trips a canonical file byte-identically,
-//                        which CI checks for every golden preset)
+//        --dump-profile (print the effective profile, schedule flags
+//                        included, as canonical JSON and exit without
+//                        running; --profile x --dump-profile round-trips
+//                        a canonical file byte-identically, which CI
+//                        checks for every golden preset)
 //        --golden=<preset> (run a frozen golden preset; grid/scenario/seed/
 //                           horizon come from its profiles/<name>.json,
 //                           --threads still applies — output must not
@@ -41,13 +42,12 @@
 //                presets and exit)
 //        --list-goldens (print one golden preset name per line, for scripts)
 //
-// Unknown flags are rejected with a did-you-mean suggestion (so
-// --serie-stride teaches instead of being ignored). Precedence, weakest
-// to strongest: profile file < --scenario/--grid/--set < --seed/--warmup/
-// --hours/--threads/--series-stride/--shard. A bad command line, or an
-// unreadable --profile/--diff/--merge input, prints `tool_sweep: <message>`
-// and exits 2; an exception inside a sweep's runs is an engine failure and
-// aborts.
+// Unknown flags are rejected with a did-you-mean suggestion (so --thread=4
+// teaches instead of being ignored). Precedence, weakest to strongest:
+// profile file < --scenario/--grid/--set < --seed/--warmup/--hours/
+// --threads/--shard. A bad command line, or an unreadable
+// --profile/--diff/--merge input, prints `tool_sweep: <message>` and exits
+// 2; an exception inside a sweep's runs is an engine failure and aborts.
 //
 // Every figure and ablation of the paper's evaluation is a golden preset
 // (fig04_provisioning ... ablation_prediction, see --list); CI and
@@ -217,8 +217,7 @@ std::optional<SweepJob> parse_sweep(int argc, char** argv) {
   const expr::Flags flags(argc, argv);
   flags.require_known({"list", "help", "list-goldens", "golden", "profile",
                        "dump-profile", "set", "scenario", "grid", "seed",
-                       "threads", "hours", "warmup", "series-stride", "shard",
-                       "out"});
+                       "threads", "hours", "warmup", "shard", "out"});
   if (flags.has("list") || flags.has("help")) {
     print_listing();
     return std::nullopt;
@@ -293,32 +292,21 @@ std::optional<SweepJob> parse_sweep(int argc, char** argv) {
     }
   }
 
+  // Schedule flags override the profile (profile < flags). Under --golden
+  // the frozen ones were refused above, so only --threads and --shard
+  // reach the spec.
+  sweep::SweepSpec spec = sweep::SweepSpec::from_profile(prof);
+  spec.apply_flags(flags);
+
   if (flags.has("dump-profile")) {
     // Canonical round trip, deliberately THROUGH the spec: JSON ->
-    // Profile -> SweepSpec -> Profile -> JSON. cmp'ing the output
-    // against a committed profiles/<name>.json proves the spec layer
-    // loses nothing.
-    const sweep::SweepSpec spec = sweep::SweepSpec::from_profile(prof);
+    // Profile -> SweepSpec -> Profile -> JSON, so the dump shows what
+    // would actually run. cmp'ing the output against a committed
+    // profiles/<name>.json proves the spec layer loses nothing.
     const profile::Profile round =
         profile::Profile::from_spec(spec, prof.name, prof.description);
     std::fputs((round.to_json().dump(2) + "\n").c_str(), stdout);
     return std::nullopt;
-  }
-
-  sweep::SweepSpec spec = sweep::SweepSpec::from_profile(prof);
-  if (flags.has("golden")) {
-    const long long requested = flags.get_ll("threads", 0);
-    if (requested < 0 || requested > 1024) {
-      throw util::PreconditionError(
-          "--threads must be in [0, 1024] (0 = hardware)");
-    }
-    spec.threads = static_cast<unsigned>(requested);
-    if (flags.has("shard")) {
-      spec.shard = sweep::ShardSpec::parse(flags.get("shard", std::string()));
-    }
-  } else {
-    // Schedule flags override the profile (profile < flags).
-    spec.apply_flags(flags);
   }
 
   if (!spec.shard.whole()) {
@@ -352,9 +340,7 @@ int run_sweep(const SweepJob& job) {
   // never holds the whole result resident, and <out>.jsonl survives an
   // interrupted run. finalize() reassembles the deterministic grid-order
   // result the CSV/JSON outputs (and the golden gate) expect.
-  store::StoreOptions store_options;
-  store_options.base = out;
-  store::ResultsStore results_store(store_options, spec);
+  store::ResultsStore results_store({.base = out}, spec);
   sweep::SweepSpec streaming = spec;
   streaming.sink = results_store.sink();
   const auto t0 = std::chrono::steady_clock::now();
