@@ -3,7 +3,8 @@
 // core. This bench runs one flash_crowd day in P2P mode (the heaviest
 // discrete path: per-peer walks, rarest-first rebalances, pool churn) at a
 // population far above the golden presets', and emits BENCH_discrete.json
-// (events per viewer, events/s, peers simulated, peak RSS, rebalance work).
+// (events per viewer, events/s, peers simulated, peak RSS, rebalance work,
+// the hot peer record's size and the ownership bitmap's words per peer).
 //
 // The gates are deterministic and hold on every build, sanitized ones
 // included: simulator events per simulated viewer must stay at or below
@@ -11,7 +12,8 @@
 // default arguments, rounded up at the third decimal), and the owner-list
 // entries the rarest-first rebalance reads per tick must stay below the
 // member×chunk bitmap cells a per-tick ownership rebuild would scan. All
-// three counts are exact for a seed. Peak RSS must stay under --max-rss-mb
+// three counts are exact for a seed. The hot peer record (vod::Peer) must
+// fit one 64-byte cache line. Peak RSS must stay under --max-rss-mb
 // (skipped on sanitizer builds, whose allocators inflate it). Events/s and
 // wall seconds are reported, not gated: wall-clock claims come from
 // perfbench/, so a slower runner cannot make this gate flaky.
@@ -31,6 +33,7 @@
 #include "util/csv.h"
 #include "util/json.h"
 #include "util/rss.h"
+#include "vod/streaming_system.h"
 
 using namespace cloudmedia;
 
@@ -84,6 +87,9 @@ int main(int argc, char** argv) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   CM_ENSURES(!result.used_cohort_engine);
+  const std::size_t peer_record_bytes = sizeof(vod::Peer);
+  const std::size_t owned_words =
+      vod::StreamingSystem::owned_words(cfg.vod.chunks_per_video);
 
   const auto events = static_cast<double>(result.sim_events);
   const double events_per_sec = events / wall;
@@ -102,6 +108,9 @@ int main(int argc, char** argv) {
       events, wall, events_per_sec, viewers, rss_mb);
   std::printf("  gate: %.4f events/viewer <= %.4f, rss <= %.0f MB\n",
               events_per_viewer, max_events_per_viewer, max_rss_mb);
+  std::printf("  peer record: %zu bytes (<= 64), %zu ownership word(s) "
+              "per peer\n",
+              peer_record_bytes, owned_words);
   std::printf("  rebalance: %.0f ticks, %.4g owner-list visits/tick < %.4g "
               "member x chunk cells/tick (%.2fx fewer)\n",
               ticks, visits_per_tick, cells_per_tick,
@@ -110,6 +119,8 @@ int main(int argc, char** argv) {
   // Extra events per viewer (a redundant timer, a lost retime) fail CI on
   // any runner and any build.
   CM_ENSURES(events_per_viewer <= max_events_per_viewer);
+  // A field added to the hot record spills peer events onto a second line.
+  CM_ENSURES(peer_record_bytes <= 64);
 
   if (sanitized_build()) {
     std::printf("  sanitizer build: RSS gate skipped\n");
@@ -134,6 +145,8 @@ int main(int argc, char** argv) {
   bench["rebalance_ticks"] = ticks;
   bench["rebalance_visits_per_tick"] = visits_per_tick;
   bench["rebalance_member_cells_per_tick"] = cells_per_tick;
+  bench["peer_record_bytes"] = static_cast<double>(peer_record_bytes);
+  bench["owned_words"] = static_cast<double>(owned_words);
   bench["max_rss_mb"] = max_rss_mb;
   bench["rss_gate_enforced"] = !sanitized_build();
   const std::string out = flags.get("out", std::string("BENCH_discrete.json"));

@@ -284,14 +284,16 @@ BENCHMARK(BM_CallbackSBOLifecycleStd);
 // the unordered_map<id, Peer> it replaced. The workload mirrors the
 // discrete engine's churn — a stable population where every event resolves
 // its peer by handle/id and each arrival recycles a departed peer's
-// storage. Items processed = peer resolutions.
+// storage. Items processed = peer resolutions. BenchPeer is a 64-byte,
+// line-aligned record like vod::Peer, so a resolution touches one line.
 
-struct BenchPeer {
+struct alignas(64) BenchPeer {
   std::uint64_t id = 0;
   std::uint32_t generation = 0;
   bool live = false;
   double payload[6] = {};
 };
+static_assert(sizeof(BenchPeer) == 64, "mirrors the 64-byte vod::Peer");
 
 void BM_PeerSlabChurn(benchmark::State& state) {
   const auto population = static_cast<std::size_t>(state.range(0));

@@ -67,7 +67,7 @@ bool Simulator::is_pending(EventId id) const noexcept {
          slots_[slot].generation == generation_of(id);
 }
 
-std::uint64_t Simulator::acquire(Callback&& fn) {
+std::uint64_t Simulator::acquire(Callback&& fn, std::uintptr_t prefetch) {
   // Pack the key and bump the generation before touching the free list or
   // the slab: an overflow leaves both intact.
   if (!free_.empty()) {
@@ -76,12 +76,14 @@ std::uint64_t Simulator::acquire(Callback&& fn) {
     slots_[slot].generation = detail::next_generation(slots_[slot].generation);
     free_.pop_back();
     callbacks_[slot] = std::move(fn);
+    prefetch_[slot] = prefetch;
     ++next_seq_;
     return key;
   }
   const std::uint64_t key = detail::heap_key(next_seq_, slots_.size());
   slots_.push_back(SlotState{1, kNotQueued});
   callbacks_.push_back(std::move(fn));
+  prefetch_.push_back(prefetch);
   // release() pushes onto free_ from noexcept paths, so keep room for
   // every slot up front; this allocates only when the slab grows.
   free_.reserve(slots_.capacity());
@@ -155,19 +157,21 @@ void Simulator::sift(std::size_t pos) noexcept {
   }
 }
 
-EventId Simulator::schedule_at(double t, Callback fn) {
+EventId Simulator::schedule_at(double t, Callback fn, const void* prefetch) {
   CM_EXPECTS(t >= now_);
   CM_EXPECTS(fn != nullptr);
-  const std::uint64_t key = acquire(std::move(fn));
+  const std::uint64_t key =
+      acquire(std::move(fn), reinterpret_cast<std::uintptr_t>(prefetch));
   heap_.push_back(Entry{t, key});
   sift_up(heap_.size() - 1);
   const std::uint32_t slot = key_slot(key);
   return make_id(slot, slots_[slot].generation);
 }
 
-EventId Simulator::schedule_in(double delay, Callback fn) {
+EventId Simulator::schedule_in(double delay, Callback fn,
+                               const void* prefetch) {
   CM_EXPECTS(delay >= 0.0);
-  return schedule_at(now_ + delay, std::move(fn));
+  return schedule_at(now_ + delay, std::move(fn), prefetch);
 }
 
 std::vector<EventId> Simulator::schedule_bulk(
@@ -182,7 +186,7 @@ std::vector<EventId> Simulator::schedule_bulk(
   const std::size_t old_size = heap_.size();
   heap_.reserve(old_size + batch.size());
   for (auto& [t, fn] : batch) {
-    const std::uint64_t key = acquire(std::move(fn));
+    const std::uint64_t key = acquire(std::move(fn), 0);
     heap_.push_back(Entry{t, key});
     const std::uint32_t slot = key_slot(key);
     slots_[slot].heap_pos = static_cast<std::uint32_t>(heap_.size() - 1);
@@ -220,6 +224,15 @@ void Simulator::retime(EventId id, double t) {
 void Simulator::pop_and_run() {
   const Entry top = heap_.front();
   Callback fn = release(key_slot(top.key));
+  // Load the next event's lines while this one runs. A prefetch never
+  // faults, so a hint to freed or reused memory is harmless.
+  if (!heap_.empty()) {
+    const std::uint32_t next = key_slot(heap_.front().key);
+    __builtin_prefetch(&callbacks_[next]);
+    if (prefetch_[next] != 0) {
+      __builtin_prefetch(reinterpret_cast<const void*>(prefetch_[next]));
+    }
+  }
   now_ = top.time;
   ++processed_;
   fn();

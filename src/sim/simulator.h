@@ -53,7 +53,13 @@ std::uint64_t heap_key(std::uint64_t seq, std::uint64_t slot);
 /// Every slot records its heap position: cancel() removes the entry in
 /// place and retime() sifts it in place, so the heap holds exactly the
 /// pending events — no tombstones. With the small-buffer Callback the
-/// steady-state schedule→pop→run cycle performs no allocation.
+/// steady-state schedule→pop→run cycle performs no allocation. Once a pop
+/// has unlinked its event, and before running it, pop_and_run prefetches
+/// the new top's callback slot and the address its scheduler named as
+/// the prefetch hint (the peer record the event will read), so both lines
+/// load while the current callback runs. A hint is only an address
+/// handed to a prefetch instruction, never dereferenced: one left stale by
+/// slot reuse or slab growth costs a wasted prefetch, not a wrong read.
 class Simulator {
  public:
   /// Scheduled events use the move-only small-buffer callback; every
@@ -66,17 +72,21 @@ class Simulator {
 
   [[nodiscard]] double now() const noexcept { return now_; }
 
-  /// Schedule `fn` at absolute time `t` (must be >= now()).
-  EventId schedule_at(double t, Callback fn);
+  /// Schedule `fn` at absolute time `t` (must be >= now()). `prefetch`
+  /// names memory `fn` will read; it is prefetched when the event reaches
+  /// the top of the queue and has no effect on order or outcome.
+  EventId schedule_at(double t, Callback fn, const void* prefetch = nullptr);
   /// Schedule `fn` after `delay` seconds (delay >= 0).
-  EventId schedule_in(double delay, Callback fn);
+  EventId schedule_in(double delay, Callback fn,
+                      const void* prefetch = nullptr);
 
   /// Schedule a whole batch in one call. Entries take their FIFO order
   /// from their batch position, so equal-time events fire in batch order
   /// (the same guarantee as a loop of schedule_at), but storage is
   /// reserved once and a batch that rivals the pending set is heapified in
   /// O(pending + batch) instead of O(batch · log pending). Returns the
-  /// entries' ids in batch order (empty for an empty batch).
+  /// entries' ids in batch order (empty for an empty batch). Batch
+  /// entries carry no prefetch hint.
   std::vector<EventId> schedule_bulk(
       std::vector<std::pair<double, Callback>> batch);
 
@@ -147,9 +157,9 @@ class Simulator {
   /// True while `id` is scheduled and has neither run nor been cancelled.
   [[nodiscard]] bool is_pending(EventId id) const noexcept;
   void pop_and_run();
-  /// Take a free slot (or grow the slab) for `fn`; returns the heap key
-  /// of that slot under a fresh seq.
-  std::uint64_t acquire(Callback&& fn);
+  /// Take a free slot (or grow the slab) for `fn` and its prefetch hint;
+  /// returns the heap key of that slot under a fresh seq.
+  std::uint64_t acquire(Callback&& fn, std::uintptr_t prefetch);
   /// Unlink `slot`'s heap entry, free the slot and hand back its
   /// callback, so the caller destroys it on a consistent simulator.
   Callback release(std::uint32_t slot) noexcept;
@@ -169,6 +179,7 @@ class Simulator {
   std::vector<Entry> heap_;  ///< binary min-heap on (time, key)
   std::vector<Callback> callbacks_;  ///< by slot; null while free
   std::vector<SlotState> slots_;     ///< by slot, parallel to callbacks_
+  std::vector<std::uintptr_t> prefetch_;  ///< by slot: hint address or 0
   std::vector<std::uint32_t> free_;  ///< LIFO; capacity kept >= slab size
 };
 

@@ -1,6 +1,7 @@
 #include "vod/streaming_system.h"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 
 #include "util/check.h"
@@ -32,6 +33,12 @@ std::vector<std::uint64_t> handles_of(const std::vector<std::uint32_t>& slots,
   }
   return handles;
 }
+
+/// Smooth share of `users` peers (1.0 when there are none).
+double smooth_share(std::size_t smooth, std::size_t users) {
+  return users == 0 ? 1.0
+                    : static_cast<double>(smooth) / static_cast<double>(users);
+}
 }  // namespace
 
 StreamingSystem::StreamingSystem(sim::Simulator& simulator,
@@ -49,6 +56,7 @@ StreamingSystem::StreamingSystem(sim::Simulator& simulator,
   members_.resize(static_cast<std::size_t>(num_channels_));
   owners_.resize(pools_.size());
   position_count_.assign(pools_.size(), 0);
+  words_ = owned_words(num_chunks_);
   uplink_sum_.assign(static_cast<std::size_t>(num_channels_), 0.0);
   next_user_index_.assign(static_cast<std::size_t>(num_channels_), 0);
   last_arrival_time_.assign(static_cast<std::size_t>(num_channels_), 0.0);
@@ -74,6 +82,16 @@ double StreamingSystem::peer_uplink(const Peer& peer) const noexcept {
 
 int StreamingSystem::owned_count(const Peer& peer) const noexcept {
   return owned_count_[slot_of(peer)];
+}
+
+bool StreamingSystem::owns(const Peer& peer, int chunk) const {
+  CM_EXPECTS(chunk >= 0 && chunk < num_chunks_);
+  const auto j = static_cast<std::size_t>(chunk);
+  return (owned_bits_[slot_of(peer) * words_ + j / 64] >> (j % 64) & 1) != 0;
+}
+
+double StreamingSystem::arrival_time(const Peer& peer) const noexcept {
+  return arrival_time_[slot_of(peer)];
 }
 
 Peer* StreamingSystem::find_peer_mut(std::uint64_t handle) noexcept {
@@ -142,26 +160,33 @@ void StreamingSystem::handle_arrival(int channel, double time) {
     peer_id_.push_back(0);
     peer_uplink_.push_back(0.0);
     owned_count_.push_back(0);
+    last_late_.push_back(0.0);
+    download_start_.push_back(0.0);
+    arrival_time_.push_back(0.0);
+    owned_bits_.resize(owned_bits_.size() + words_);
   }
   Peer& peer = slab_[slot];
   CM_ENSURES(!peer.live);
   peer_id_[slot] = id;
   peer_uplink_[slot] = script.uplink;
   owned_count_[slot] = 0;
+  last_late_[slot] = -1e300;
+  download_start_[slot] = 0.0;
+  arrival_time_[slot] = time;
+  const auto row =
+      owned_bits_.begin() + static_cast<std::ptrdiff_t>(slot * words_);
+  std::fill(row, row + static_cast<std::ptrdiff_t>(words_), std::uint64_t{0});
   peer.channel = channel;
-  peer.arrival_time = time;
-  // assign() (not =) so a recycled slot reuses its walk/owned capacity.
+  // assign() (not =) so a recycled slot reuses its walk capacity.
   peer.walk.assign(script.chunks.begin(), script.chunks.end());
   peer.position = 0;
-  peer.owned.assign(static_cast<std::size_t>(num_chunks_), false);
-  peer.last_late = -1e300;
+  peer.chunk = peer.walk.front();
   peer.downloading = false;
-  peer.download_start = 0.0;
   peer.job_id = 0;
   peer.live = true;  // generation was bumped when the slot was freed
   members_[ch].push_back(slot);  // id is the largest yet: stays sorted
   ++live_peers_;
-  const int entry = peer.walk.front();
+  const int entry = peer.chunk;
 
   uplink_sum_[ch] += script.uplink;
   ++position_count_[pool_index(channel, entry)];
@@ -174,19 +199,18 @@ void StreamingSystem::handle_arrival(int channel, double time) {
 }
 
 void StreamingSystem::begin_chunk(Peer& peer) {
-  const int chunk = peer.walk[peer.position];
-  if (peer.owned[static_cast<std::size_t>(chunk)]) {
+  if (owns(peer, peer.chunk)) {
     // Replay from the local buffer: instant retrieval, watch for T0.
     ++metrics_.counters.buffered_replays;
     const std::uint64_t handle = peer_handle(peer);
     sim_->schedule_in(params_.chunk_duration,
-                      [this, handle] { handle_dwell_end(handle); });
+                      [this, handle] { handle_dwell_end(handle); }, &peer);
     return;
   }
   peer.downloading = true;
-  peer.download_start = sim_->now();
-  peer.job_id =
-      pool(peer.channel, chunk).add_job(params_.chunk_bytes(), peer_handle(peer));
+  download_start_[slot_of(peer)] = sim_->now();
+  peer.job_id = pool(peer.channel, peer.chunk)
+                    .add_job(params_.chunk_bytes(), peer_handle(peer));
 }
 
 void StreamingSystem::handle_completion(int channel, int chunk,
@@ -200,15 +224,18 @@ void StreamingSystem::handle_completion(int channel, int chunk,
   peer.downloading = false;
   peer.job_id = 0;
   ++metrics_.counters.chunk_downloads;
+  const std::uint32_t slot = slot_of(peer);
   const bool late = completion.sojourn > params_.chunk_duration + 1e-9;
   if (late) {
-    peer.last_late = sim_->now();
+    last_late_[slot] = sim_->now();
     ++metrics_.counters.late_downloads;
   }
 
-  if (!peer.owned[static_cast<std::size_t>(chunk)]) {
-    peer.owned[static_cast<std::size_t>(chunk)] = true;
-    const std::uint32_t slot = slot_of(peer);
+  const auto j = static_cast<std::size_t>(chunk);
+  std::uint64_t& word = owned_bits_[slot * words_ + j / 64];
+  const std::uint64_t bit = std::uint64_t{1} << (j % 64);
+  if ((word & bit) == 0) {
+    word |= bit;
     ++owned_count_[slot];
     std::vector<std::uint32_t>& owners = owners_[pool_index(channel, chunk)];
     owners.insert(id_position(owners, peer_id_, peer_id_[slot]), slot);
@@ -219,7 +246,8 @@ void StreamingSystem::handle_completion(int channel, int chunk,
   const double dwell_end =
       std::max(completion.enqueue_time + params_.chunk_duration, sim_->now());
   const std::uint64_t handle = completion.tag;
-  sim_->schedule_at(dwell_end, [this, handle] { handle_dwell_end(handle); });
+  sim_->schedule_at(dwell_end, [this, handle] { handle_dwell_end(handle); },
+                    &peer);
 }
 
 void StreamingSystem::handle_dwell_end(std::uint64_t handle) {
@@ -229,12 +257,13 @@ void StreamingSystem::handle_dwell_end(std::uint64_t handle) {
 }
 
 void StreamingSystem::advance_walk(Peer& peer) {
-  const int from = peer.walk[peer.position];
+  const int from = peer.chunk;
   --position_count_[pool_index(peer.channel, from)];
 
   if (peer.position + 1 < peer.walk.size()) {
     ++peer.position;
     const int to = peer.walk[peer.position];
+    peer.chunk = to;
     ++position_count_[pool_index(peer.channel, to)];
     tracker_.record_transition(peer.channel, from, to);
     begin_chunk(peer);
@@ -250,7 +279,7 @@ void StreamingSystem::depart(Peer& peer) {
     // Abort the in-flight retrieval: without this the pool keeps a ghost
     // job that holds a per-job capacity share forever and inflates
     // cloud_bytes_served (its completion would fire into a missing peer).
-    pool(peer.channel, peer.walk[peer.position]).remove_job(peer.job_id);
+    pool(peer.channel, peer.chunk).remove_job(peer.job_id);
     peer.downloading = false;
   }
   // Erase from the id-sorted member and owner vectors (binary search on
@@ -262,9 +291,14 @@ void StreamingSystem::depart(Peer& peer) {
     CM_ENSURES(it != slots.end() && peer_id_[*it] == id);
     slots.erase(it);
   };
-  for (int i = 0; i < num_chunks_; ++i) {
-    if (peer.owned[static_cast<std::size_t>(i)]) {
-      erase_slot(owners_[pool_index(peer.channel, i)]);
+  // Set bits in ascending chunk order, the order the owner lists are
+  // erased from.
+  const std::size_t base = pool_index(peer.channel, 0);
+  for (std::size_t w = 0; w < words_; ++w) {
+    for (std::uint64_t bits = owned_bits_[slot * words_ + w]; bits != 0;
+         bits &= bits - 1) {
+      const auto bit = static_cast<std::size_t>(std::countr_zero(bits));
+      erase_slot(owners_[base + w * 64 + bit]);
     }
   }
   uplink_sum_[ch] -= peer_uplink_[slot];
@@ -273,8 +307,8 @@ void StreamingSystem::depart(Peer& peer) {
   ++metrics_.counters.departures;
 
   // Free the slot: bump the generation so outstanding handles (pending
-  // dwell events, aborted pool jobs) go stale; walk/owned keep their
-  // capacity for the next occupant.
+  // dwell events, aborted pool jobs) go stale; walk keeps its capacity
+  // for the next occupant.
   peer.live = false;
   ++peer.generation;
   free_slots_.push_back(slot);
@@ -288,7 +322,7 @@ std::size_t StreamingSystem::evict_channel(int channel) {
   const std::vector<std::uint32_t> slots = members_[ch];
   for (const std::uint32_t slot : slots) {
     Peer& peer = slab_[slot];
-    const int current = peer.walk[peer.position];
+    const int current = peer.chunk;
     --position_count_[pool_index(channel, current)];
     tracker_.record_transition(channel, current, std::nullopt);
     depart(peer);
@@ -402,42 +436,50 @@ void StreamingSystem::rebalance_capacity() {
 
 // --- metrics ---------------------------------------------------------------
 
-bool StreamingSystem::peer_is_smooth(const Peer& peer) const {
+bool StreamingSystem::peer_is_smooth(std::uint32_t slot) const {
   const double now = sim_->now();
-  if (peer.last_late > now - options_.quality_window) return false;
+  if (last_late_[slot] > now - options_.quality_window) return false;
   // An in-flight download already past its deadline is a stall in progress.
-  if (peer.downloading && now - peer.download_start > params_.chunk_duration) {
+  if (slab_[slot].downloading &&
+      now - download_start_[slot] > params_.chunk_duration) {
     return false;
   }
   return true;
 }
 
-double StreamingSystem::system_quality_now() const {
-  if (live_peers_ == 0) return 1.0;
+std::size_t StreamingSystem::smooth_members(std::size_t channel) const {
   std::size_t smooth = 0;
-  for (const Peer& peer : slab_) {
-    if (peer.live && peer_is_smooth(peer)) ++smooth;
+  for (const std::uint32_t slot : members_[channel]) {
+    if (peer_is_smooth(slot)) ++smooth;
   }
-  return static_cast<double>(smooth) / static_cast<double>(live_peers_);
+  return smooth;
+}
+
+double StreamingSystem::system_quality_now() const {
+  std::size_t smooth = 0;
+  for (std::size_t ch = 0; ch < members_.size(); ++ch) {
+    smooth += smooth_members(ch);
+  }
+  return smooth_share(smooth, live_peers_);
 }
 
 double StreamingSystem::channel_quality_now(int channel) const {
   CM_EXPECTS(channel >= 0 && channel < num_channels_);
   const auto ch = static_cast<std::size_t>(channel);
-  if (members_[ch].empty()) return 1.0;
-  std::size_t smooth = 0;
-  for (const std::uint32_t slot : members_[ch]) {
-    if (peer_is_smooth(slab_[slot])) ++smooth;
-  }
-  return static_cast<double>(smooth) / static_cast<double>(members_[ch].size());
+  return smooth_share(smooth_members(ch), members_[ch].size());
 }
 
 void StreamingSystem::sample_quality(double now) {
-  metrics_.quality.add(now, system_quality_now());
-  for (int c = 0; c < num_channels_; ++c) {
-    metrics_.channels[static_cast<std::size_t>(c)].quality.add(
-        now, channel_quality_now(c));
+  // One smoothness test per peer: every live peer is a member of exactly
+  // one channel, so the channel counts sum to the system's exactly.
+  std::size_t smooth = 0;
+  for (std::size_t ch = 0; ch < members_.size(); ++ch) {
+    const std::size_t channel_smooth = smooth_members(ch);
+    smooth += channel_smooth;
+    metrics_.channels[ch].quality.add(
+        now, smooth_share(channel_smooth, members_[ch].size()));
   }
+  metrics_.quality.add(now, smooth_share(smooth, live_peers_));
 }
 
 std::size_t StreamingSystem::channel_users(int channel) const {

@@ -13,30 +13,28 @@
 
 namespace cloudmedia::vod {
 
-/// One peer (VoD user). Owned chunks stay buffered until departure
-/// (Sec. III-B: the playback buffer caches any one video entirely).
+/// One peer (VoD user): the hot record every peer event reads. Owned
+/// chunks stay buffered until departure (Sec. III-B: the playback buffer
+/// caches any one video entirely), in StreamingSystem's ownership bitmap.
 ///
-/// Peers live in a slab (see StreamingSystem): the object is recycled
-/// across sessions, and `generation`/`live` are slab bookkeeping. The
-/// peer's monotone id, uplink and owned-chunk count are per-slot keys
-/// of the system (StreamingSystem::peer_id, peer_uplink, owned_count),
-/// not fields here. `walk` and `owned` keep their capacity across reuse,
-/// so steady-state arrivals allocate nothing.
-struct Peer {
-  int channel = 0;
-  double arrival_time = 0.0;
+/// Peers live in a slab (see StreamingSystem): the record is recycled
+/// across sessions, and `generation`/`live` are slab bookkeeping. It is
+/// one cache line and holds only what the arrival, completion, dwell-end
+/// and departure handlers read; the peer's id, uplink, owned-chunk count,
+/// ownership bits and its quality-sampling times are per-slot state of the
+/// system, not fields here. `walk` keeps its capacity across reuse, so
+/// steady-state arrivals allocate nothing.
+struct alignas(64) Peer {
   std::vector<int> walk;        ///< predetermined chunk walk
   std::size_t position = 0;     ///< index into walk
-  std::vector<bool> owned;      ///< buffered chunks
-  double last_late = -1e300;    ///< completion time of last late retrieval
-  bool downloading = false;
-  double download_start = 0.0;
   std::uint64_t job_id = 0;     ///< in-flight pool job (when downloading)
-
-  // --- slab bookkeeping (maintained by StreamingSystem) ----------------
+  int channel = 0;
+  int chunk = 0;                ///< walk[position], cached
   std::uint32_t generation = 0; ///< bumped on free; stale handles miss
   bool live = false;
+  bool downloading = false;
 };
+static_assert(sizeof(Peer) == 64, "Peer is one cache line");
 
 /// Rarest-first rebalance work: observer tallies (no RNG, no events).
 struct RebalanceCounters {
@@ -62,12 +60,18 @@ struct RebalanceCounters {
 /// (eviction, rarest-first rebalance) sorts by, so iteration order — and
 /// therefore every float summation — is explicit, not hash-accidental.
 ///
-/// Per-slot keys: the fields the hot paths read — peer id (every owner-
-/// and member-list binary search), uplink (the rebalance's init) and
-/// owned-chunk count (its standby split) — live in dense slot-indexed
-/// arrays beside the slab, not in Peer, so a search probe or a rebalance
-/// read walks a dense array instead of gathering a cache line of the
-/// Peer slab per peer. The standby pass adds every owner's share without
+/// Hot record and cold arrays: a Peer is one 64-byte line holding what
+/// the per-event handlers read, its current chunk cached beside the walk
+/// so no event chases the walk's heap buffer for it. Everything else
+/// lives in dense slot-indexed arrays beside the slab: the peer id (every
+/// owner- and member-list binary search), uplink (the rebalance's init),
+/// owned-chunk count (its standby split), the last late completion and
+/// download start (read only by quality sampling) and the arrival time
+/// (tests). Ownership is one dense bitmap, `W = ceil(J / 64)` words per
+/// slot, so a completion tests one word and a departure visits its set
+/// bits in ascending chunk order. A search probe or a rebalance read
+/// walks a dense array instead of gathering a line of the Peer slab per
+/// peer. The standby pass adds every owner's share without
 /// testing it for zero: shares are +0.0 or positive, and each pool's
 /// accumulator starts at +0.0 or at a positive waterfall supply, so
 /// adding +0.0 leaves it bit-identical. The test
@@ -105,6 +109,14 @@ class StreamingSystem final : public Deployment {
   [[nodiscard]] std::uint64_t peer_id(const Peer& peer) const noexcept;
   [[nodiscard]] double peer_uplink(const Peer& peer) const noexcept;
   [[nodiscard]] int owned_count(const Peer& peer) const noexcept;
+  /// Whether `peer` has buffered `chunk` (its bit in the ownership bitmap).
+  [[nodiscard]] bool owns(const Peer& peer, int chunk) const;
+  /// Simulated time `peer` arrived.
+  [[nodiscard]] double arrival_time(const Peer& peer) const noexcept;
+  /// Words of ownership bitmap per peer slot for `chunks` chunks.
+  [[nodiscard]] static constexpr std::size_t owned_words(int chunks) noexcept {
+    return (static_cast<std::size_t>(chunks) + 63) / 64;
+  }
   /// Member handles of `channel`, sorted by monotone peer id — the
   /// deterministic order eviction and the standby-share pass use.
   [[nodiscard]] std::vector<std::uint64_t> channel_peer_handles(int channel) const;
@@ -153,7 +165,9 @@ class StreamingSystem final : public Deployment {
 
   [[nodiscard]] Peer* find_peer_mut(std::uint64_t handle) noexcept;
   [[nodiscard]] std::uint32_t slot_of(const Peer& peer) const noexcept;
-  [[nodiscard]] bool peer_is_smooth(const Peer& peer) const;
+  [[nodiscard]] bool peer_is_smooth(std::uint32_t slot) const;
+  /// Smooth-playback members of `channel`.
+  [[nodiscard]] std::size_t smooth_members(std::size_t channel) const;
 
   // Peer slab: slot-indexed, LIFO free list, generation-guarded handles
   // (see the class comment). members_ (per channel) and owners_ (per
@@ -164,7 +178,14 @@ class StreamingSystem final : public Deployment {
   std::vector<Peer> slab_;
   std::vector<std::uint64_t> peer_id_;   ///< per slot (the lists' sort key)
   std::vector<double> peer_uplink_;      ///< per slot
-  std::vector<int> owned_count_;         ///< per slot: set bits in `owned`
+  std::vector<int> owned_count_;         ///< per slot: set bits in its row
+  std::vector<double> last_late_;        ///< per slot: last late completion
+  std::vector<double> download_start_;   ///< per slot
+  std::vector<double> arrival_time_;     ///< per slot
+  /// Ownership bitmap: slot s owns chunk j iff bit j % 64 of word
+  /// s * words_ + j / 64 is set.
+  std::vector<std::uint64_t> owned_bits_;
+  std::size_t words_ = 0;
   std::vector<std::uint32_t> free_slots_;
   std::size_t live_peers_ = 0;
   std::vector<std::vector<std::uint32_t>> members_;         ///< per channel

@@ -3,7 +3,9 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -378,6 +380,127 @@ TEST(Simulator, PackedKeyKeepsFifoAcrossSlotReuse) {
   EXPECT_EQ(slot(mid), 1u);
   sim.run_all();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+/// Replay one randomized schedule/cancel/retime/bulk script, with events
+/// that schedule further events as they run, and return the (time, id) of
+/// every event fired. With `hints`, schedule_at/schedule_in name prefetch
+/// addresses the way the vod layer does: records in a slab that is
+/// reallocated now and then, so older hints point at freed memory, plus
+/// addresses of freed heap objects. Cancels and firings recycle event
+/// slots, so later events (bulk ones included, which carry no hint) reuse
+/// slots whose earlier events had hints. The script draws the same random
+/// numbers either way.
+std::vector<std::pair<double, EventId>> replay_prefetch_script(bool hints) {
+  Simulator sim;
+  std::vector<std::pair<double, EventId>> fired;
+  std::vector<EventId> ids;     // by tag
+  std::vector<bool> pending;    // by tag
+  std::vector<std::size_t> live;  // tags that may still be pending
+  std::uint64_t state = 987654321;
+  const auto next = [&state] {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return state >> 33;
+  };
+  std::vector<double> records(4, 0.0);
+  std::vector<const void*> freed;  // addresses of released storage
+  const auto hint = [&]() -> const void* {
+    const auto pick = next();
+    const void* address = &records[pick % records.size()];
+    if (pick % 5 == 0 && !freed.empty()) address = freed[pick % freed.size()];
+    return hints ? address : nullptr;
+  };
+  const auto churn_records = [&] {
+    freed.push_back(records.data());
+    records = std::vector<double>(4 + next() % 8, 0.0);  // old hints dangle
+    freed.push_back(std::make_unique<double>(0.0).get());
+  };
+
+  std::function<void(double, bool)> schedule = [&](double t, bool relative) {
+    const std::size_t tag = ids.size();
+    ids.push_back(kInvalidEvent);
+    pending.push_back(true);
+    live.push_back(tag);
+    Callback fn = [&, tag] {
+      pending[tag] = false;
+      fired.emplace_back(sim.now(), ids[tag]);
+      if (next() % 3 == 0) schedule(static_cast<double>(next() % 50), true);
+    };
+    ids[tag] = relative ? sim.schedule_in(t, std::move(fn), hint())
+                        : sim.schedule_at(t, std::move(fn), hint());
+  };
+  const auto random_live = [&]() -> std::size_t {
+    while (!live.empty()) {
+      const std::size_t k = next() % live.size();
+      if (pending[live[k]]) return live[k];
+      live[k] = live.back();
+      live.pop_back();
+    }
+    return ids.size();
+  };
+
+  for (int step = 0; step < 3000; ++step) {
+    switch (next() % 7) {
+      case 0:
+        schedule(sim.now() + static_cast<double>(next() % 200), false);
+        break;
+      case 1:
+        schedule(static_cast<double>(next() % 200), true);
+        break;
+      case 2:
+        if (const std::size_t tag = random_live(); tag < ids.size()) {
+          EXPECT_TRUE(sim.cancel(ids[tag]));
+          pending[tag] = false;
+        }
+        break;
+      case 3:
+        if (const std::size_t tag = random_live(); tag < ids.size()) {
+          sim.retime(ids[tag], sim.now() + static_cast<double>(next() % 200));
+        }
+        break;
+      case 4: {
+        std::vector<std::pair<double, Callback>> batch;
+        const std::size_t first = ids.size();
+        const auto n = static_cast<std::size_t>(next() % 8);
+        for (std::size_t k = 0; k < n; ++k) {
+          const std::size_t tag = first + k;
+          batch.emplace_back(sim.now() + static_cast<double>(next() % 200),
+                             [&, tag] {
+                               pending[tag] = false;
+                               fired.emplace_back(sim.now(), ids[tag]);
+                             });
+        }
+        ids.resize(first + n, kInvalidEvent);
+        pending.resize(first + n, true);
+        const std::vector<EventId> batch_ids =
+            sim.schedule_bulk(std::move(batch));
+        for (std::size_t k = 0; k < n; ++k) {
+          ids[first + k] = batch_ids[k];
+          live.push_back(first + k);
+        }
+        break;
+      }
+      case 5:
+        sim.run_until(sim.now() + static_cast<double>(next() % 30));
+        break;
+      default:
+        churn_records();
+        break;
+    }
+  }
+  sim.run_all();
+  EXPECT_EQ(sim.pending(), 0u);
+  return fired;
+}
+
+TEST(Simulator, PrefetchHintDoesNotChangeOrder) {
+  // A prefetch hint is an address handed to a prefetch instruction, never
+  // read: hints to live, freed and recycled memory must leave the firing
+  // sequence exactly as it is without hints.
+  const auto plain = replay_prefetch_script(false);
+  const auto hinted = replay_prefetch_script(true);
+  EXPECT_GT(plain.size(), 1000u);
+  EXPECT_EQ(hinted, plain);
 }
 
 TEST(Simulator, CallbackExceptionPropagates) {

@@ -15,6 +15,7 @@
 #include "core/controller.h"
 #include "expr/config.h"
 #include "sim/simulator.h"
+#include "sweep/param_grid.h"
 #include "sweep/scenario_catalog.h"
 #include "util/check.h"
 #include "vod/service_pool.h"
@@ -687,10 +688,10 @@ TEST(StreamingSystem, ConservationInvariantsAfterGoldenPresetRun) {
     const auto ch = static_cast<std::size_t>(peer.channel);
     ++members[ch];
     uplink[ch] += h.system.peer_uplink(peer);
+    EXPECT_EQ(peer.chunk, peer.walk[peer.position]) << "stale cached chunk";
     ++at_position[ch][static_cast<std::size_t>(peer.walk[peer.position])];
     for (int j = 0; j < chunks; ++j) {
-      owned[ch][static_cast<std::size_t>(j)] +=
-          peer.owned[static_cast<std::size_t>(j)] ? 1 : 0;
+      owned[ch][static_cast<std::size_t>(j)] += h.system.owns(peer, j) ? 1 : 0;
     }
   });
   for (int c = 0; c < channels; ++c) {
@@ -831,7 +832,7 @@ std::vector<double> bitmap_waterfall(StreamingSystem& system, int channel,
   for (std::size_t p = 0; p < members.size(); ++p) {
     remaining.push_back(system.peer_uplink(*members[p]));
     for (std::size_t j = 0; j < J; ++j) {
-      if (members[p]->owned[j]) owners[j].push_back(p);
+      if (system.owns(*members[p], static_cast<int>(j))) owners[j].push_back(p);
     }
   }
   std::vector<int> order(J);
@@ -856,14 +857,87 @@ std::vector<double> bitmap_waterfall(StreamingSystem& system, int channel,
     alloc[j] = supply;
   }
   for (std::size_t p = 0; p < members.size(); ++p) {
-    const int owned =
-        std::accumulate(members[p]->owned.begin(), members[p]->owned.end(), 0);
+    int owned = 0;
+    for (std::size_t j = 0; j < J; ++j) {
+      owned += system.owns(*members[p], static_cast<int>(j)) ? 1 : 0;
+    }
     if (remaining[p] <= 0.0 || owned == 0) continue;
     for (std::size_t j = 0; j < J; ++j) {
-      if (members[p]->owned[j]) alloc[j] += remaining[p] / owned;
+      if (system.owns(*members[p], static_cast<int>(j))) {
+        alloc[j] += remaining[p] / owned;
+      }
     }
   }
   return alloc;
+}
+
+/// What a run of check_rebalance_tick calls exercised: ticks whose owner
+/// lists' slot order disagreed with id order, and pools given peer
+/// capacity.
+struct TickCoverage {
+  std::size_t slot_order_differs = 0;
+  std::size_t peer_supplied = 0;
+};
+
+/// Run `h` to the rebalance tick at `tick` and compare every owner list and
+/// every pool's peer capacity with a from-scratch bitmap waterfall —
+/// exactly, not approximately. The tick's work counters must match the
+/// lists it read.
+void check_rebalance_tick(SystemHarness& h, const expr::ExperimentConfig& cfg,
+                          const StreamingOptions& options, double tick,
+                          TickCoverage& coverage) {
+  const int channels = cfg.workload.num_channels;
+  const int chunks = cfg.vod.chunks_per_video;
+  ASSERT_EQ(std::fmod(tick, options.rebalance_interval), 0.0);
+  h.sim.run_until(tick - 1e-6);
+  const RebalanceCounters before = h.system.rebalance_counters();
+  h.sim.run_until(tick);  // exactly the tick at `tick` has run since
+  ASSERT_EQ(h.system.rebalance_counters().ticks, before.ticks + 1);
+  std::uint64_t visits = 0;
+  std::uint64_t cells = 0;
+  for (int c = 0; c < channels; ++c) {
+    const std::vector<std::uint64_t> members = h.system.channel_peer_handles(c);
+    const std::vector<double> expected =
+        bitmap_waterfall(h.system, c, chunks, cfg.vod.streaming_rate);
+    if (!members.empty()) cells += members.size() * static_cast<std::size_t>(chunks);
+    for (int j = 0; j < chunks; ++j) {
+      std::vector<std::uint64_t> owners;
+      for (const std::uint64_t handle : members) {
+        if (h.system.owns(*h.system.find_peer(handle), j)) {
+          owners.push_back(handle);
+        }
+      }
+      const std::vector<std::uint64_t> kept = h.system.owner_handles(c, j);
+      EXPECT_EQ(kept, owners) << "channel " << c << " chunk " << j << " t=" << tick;
+      // Read once by the standby split, once more by the waterfall when
+      // the chunk has demand.
+      visits += kept.size() * (h.system.pool(c, j).active_jobs() > 0 ? 2u : 1u);
+      if (!std::is_sorted(kept.begin(), kept.end(), [](auto a, auto b) {
+            return (a & 0xffffffffull) < (b & 0xffffffffull);
+          })) {
+        ++coverage.slot_order_differs;
+      }
+      EXPECT_EQ(h.system.pool(c, j).peer_capacity(),
+                expected[static_cast<std::size_t>(j)])
+          << "channel " << c << " chunk " << j << " t=" << tick;
+      coverage.peer_supplied += expected[static_cast<std::size_t>(j)] > 0.0 ? 1u : 0u;
+    }
+  }
+  EXPECT_EQ(h.system.rebalance_visits() - before.visits, visits) << "t=" << tick;
+  EXPECT_EQ(h.system.rebalance_counters().member_cells - before.member_cells, cells);
+}
+
+/// Evict channel 0 of `h` at `t`, mid-download for some of its members;
+/// afterwards it owns no chunk anywhere.
+void evict_mid_download(SystemHarness& h, int chunks, double t) {
+  h.sim.run_until(t);
+  std::size_t downloading = 0;
+  for (const std::uint64_t handle : h.system.channel_peer_handles(0)) {
+    downloading += h.system.find_peer(handle)->downloading ? 1u : 0u;
+  }
+  ASSERT_GT(downloading, 0u);
+  ASSERT_GT(h.system.evict_channel(0), downloading);
+  for (int j = 0; j < chunks; ++j) EXPECT_TRUE(h.system.owner_handles(0, j).empty());
 }
 
 TEST(StreamingSystem, OwnerListsMatchBitmapRebuildUnderChurn) {
@@ -873,8 +947,7 @@ TEST(StreamingSystem, OwnerListsMatchBitmapRebuildUnderChurn) {
   // evict one channel mid-run (mid-download departures, and a LIFO free
   // list that hands the freed slots back reversed), and at several 30 s
   // tick instants compare the lists and every pool's peer capacity with
-  // a from-scratch bitmap waterfall — exactly, not approximately. The
-  // tick's work counters must match the lists it read.
+  // a from-scratch bitmap waterfall.
   expr::ExperimentConfig cfg = sweep::ScenarioCatalog::global().make_config(
       "flash_crowd", core::StreamingMode::kP2p);
   cfg.workload.num_channels = 4;
@@ -886,68 +959,57 @@ TEST(StreamingSystem, OwnerListsMatchBitmapRebuildUnderChurn) {
   SystemHarness h(cfg, options, model_policy(cfg, core::StreamingMode::kP2p));
   h.system.start();
 
-  const int channels = cfg.workload.num_channels;
-  const int chunks = cfg.vod.chunks_per_video;
-  std::size_t slot_order_differs = 0;
-  std::size_t peer_supplied = 0;
-  const auto check_tick = [&](double tick) {
-    ASSERT_EQ(std::fmod(tick, options.rebalance_interval), 0.0);
-    h.sim.run_until(tick - 1e-6);
-    const RebalanceCounters before = h.system.rebalance_counters();
-    h.sim.run_until(tick);  // exactly the tick at `tick` has run since
-    ASSERT_EQ(h.system.rebalance_counters().ticks, before.ticks + 1);
-    std::uint64_t visits = 0;
-    std::uint64_t cells = 0;
-    for (int c = 0; c < channels; ++c) {
-      const std::vector<std::uint64_t> members = h.system.channel_peer_handles(c);
-      const std::vector<double> expected =
-          bitmap_waterfall(h.system, c, chunks, cfg.vod.streaming_rate);
-      if (!members.empty()) cells += members.size() * static_cast<std::size_t>(chunks);
-      for (int j = 0; j < chunks; ++j) {
-        std::vector<std::uint64_t> owners;
-        for (const std::uint64_t handle : members) {
-          if (h.system.find_peer(handle)->owned[static_cast<std::size_t>(j)]) {
-            owners.push_back(handle);
-          }
-        }
-        const std::vector<std::uint64_t> kept = h.system.owner_handles(c, j);
-        EXPECT_EQ(kept, owners) << "channel " << c << " chunk " << j << " t=" << tick;
-        // Read once by the standby split, once more by the waterfall when
-        // the chunk has demand.
-        visits += kept.size() * (h.system.pool(c, j).active_jobs() > 0 ? 2u : 1u);
-        if (!std::is_sorted(kept.begin(), kept.end(), [](auto a, auto b) {
-              return (a & 0xffffffffull) < (b & 0xffffffffull);
-            })) {
-          ++slot_order_differs;
-        }
-        EXPECT_EQ(h.system.pool(c, j).peer_capacity(),
-                  expected[static_cast<std::size_t>(j)])
-            << "channel " << c << " chunk " << j << " t=" << tick;
-        peer_supplied += expected[static_cast<std::size_t>(j)] > 0.0 ? 1u : 0u;
-      }
-    }
-    EXPECT_EQ(h.system.rebalance_visits() - before.visits, visits) << "t=" << tick;
-    EXPECT_EQ(h.system.rebalance_counters().member_cells - before.member_cells, cells);
-  };
-
-  for (const double tick : {10.5 * 3600.0, 11.5 * 3600.0 + 30.0}) check_tick(tick);
-
-  // Mid-spike eviction: some evicted peers are mid-download.
-  h.sim.run_until(11.75 * 3600.0 + 10.0);
-  std::size_t downloading = 0;
-  for (const std::uint64_t handle : h.system.channel_peer_handles(0)) {
-    downloading += h.system.find_peer(handle)->downloading ? 1u : 0u;
+  TickCoverage coverage;
+  for (const double tick : {10.5 * 3600.0, 11.5 * 3600.0 + 30.0}) {
+    check_rebalance_tick(h, cfg, options, tick, coverage);
   }
-  ASSERT_GT(downloading, 0u);
-  ASSERT_GT(h.system.evict_channel(0), downloading);
-  for (int j = 0; j < chunks; ++j) EXPECT_TRUE(h.system.owner_handles(0, j).empty());
-
+  // Mid-spike eviction: some evicted peers are mid-download.
+  evict_mid_download(h, cfg.vod.chunks_per_video, 11.75 * 3600.0 + 10.0);
   for (const double tick : {11.75 * 3600.0 + 30.0, 12.0 * 3600.0 + 330.0,
                             12.5 * 3600.0 + 90.0, 13.5 * 3600.0 + 30.0}) {
-    check_tick(tick);
+    check_rebalance_tick(h, cfg, options, tick, coverage);
   }
-  EXPECT_GT(slot_order_differs, 0u) << "slot order never disagreed with id order";
-  EXPECT_GT(peer_supplied, 0u) << "no pool ever got peer capacity";
+  EXPECT_GT(coverage.slot_order_differs, 0u)
+      << "slot order never disagreed with id order";
+  EXPECT_GT(coverage.peer_supplied, 0u) << "no pool ever got peer capacity";
+}
+
+TEST(StreamingSystem, OwnerListsMatchBitmapRebuildAcrossTwoWordRows) {
+  // One-minute chunks of a 100-minute video: J = 100, so each peer's
+  // ownership row spans two bitmap words and a departure walks the set
+  // bits of both, in ascending chunk order. The same eviction and exact
+  // tick checks as OwnerListsMatchBitmapRebuildUnderChurn, on a flat-rate
+  // P2P day with chunks owned on both sides of the word boundary.
+  expr::ExperimentConfig cfg =
+      expr::ExperimentConfig::make_default(core::StreamingMode::kP2p);
+  sweep::apply_parameter(cfg, "chunk_minutes", "1");
+  cfg.workload.num_channels = 3;
+  cfg.workload.total_arrival_rate = 0.2;
+  cfg.workload.diurnal = workload::DiurnalPattern::flat();
+  cfg.seed = 23;
+  ASSERT_EQ(cfg.vod.chunks_per_video, 100);
+  ASSERT_EQ(StreamingSystem::owned_words(cfg.vod.chunks_per_video), 2u);
+
+  StreamingOptions options;
+  options.mode = core::StreamingMode::kP2p;
+  SystemHarness h(cfg, options, model_policy(cfg, core::StreamingMode::kP2p));
+  h.system.start();
+
+  TickCoverage coverage;
+  check_rebalance_tick(h, cfg, options, 3600.0 + 30.0, coverage);
+  // Both words of some row are in use before the eviction.
+  std::size_t high_word_owners = 0;
+  for (int j = 64; j < cfg.vod.chunks_per_video; ++j) {
+    high_word_owners += static_cast<std::size_t>(h.system.owner_count(0, j));
+  }
+  EXPECT_GT(high_word_owners, 0u) << "no chunk >= 64 owned in channel 0";
+  evict_mid_download(h, cfg.vod.chunks_per_video, 1.25 * 3600.0 + 10.0);
+  for (const double tick : {1.25 * 3600.0 + 30.0, 1.75 * 3600.0 + 90.0}) {
+    check_rebalance_tick(h, cfg, options, tick, coverage);
+  }
+  EXPECT_GT(coverage.slot_order_differs, 0u)
+      << "slot order never disagreed with id order";
+  EXPECT_GT(coverage.peer_supplied, 0u) << "no pool ever got peer capacity";
 }
 
 TEST(StreamingSystem, SlotKeysTrackPeersAcrossRecycling) {
@@ -989,15 +1051,18 @@ TEST(StreamingSystem, SlotKeysTrackPeersAcrossRecycling) {
     std::size_t owned_peers = 0;
     h.system.for_each_peer([&](const Peer& peer) {
       const std::uint64_t id = h.system.peer_id(peer);
-      id_arrivals.emplace_back(id, peer.arrival_time);
+      id_arrivals.emplace_back(id, h.system.arrival_time(peer));
       const auto& indices = index_at[static_cast<std::size_t>(peer.channel)];
-      const auto it = indices.find(peer.arrival_time);
+      const auto it = indices.find(h.system.arrival_time(peer));
       ASSERT_NE(it, indices.end()) << "peer " << id;
       const workload::SessionScript script =
           h.workload.make_session(peer.channel, it->second);
       EXPECT_EQ(h.system.peer_uplink(peer), script.uplink) << "peer " << id;
       EXPECT_EQ(peer.walk, script.chunks) << "peer " << id;
-      const auto owned = std::count(peer.owned.begin(), peer.owned.end(), true);
+      int owned = 0;
+      for (int j = 0; j < cfg.vod.chunks_per_video; ++j) {
+        owned += h.system.owns(peer, j) ? 1 : 0;
+      }
       EXPECT_EQ(h.system.owned_count(peer), owned) << "peer " << id;
       owned_peers += owned > 0 ? 1u : 0u;
       const std::uint64_t slot = h.system.peer_handle(peer) & kSlotMask;
