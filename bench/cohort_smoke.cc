@@ -2,7 +2,9 @@
 // target peak concurrent population (10M by default — two orders beyond
 // what the discrete engine can touch), run on the cohort core, emitting
 // BENCH_cohort.json (viewers-simulated/s, realized peak, peak RSS) so the
-// ROADMAP's scaling claim is measured, not asserted.
+// ROADMAP's scaling claim is measured, not asserted. It also reports, and
+// does not gate, the mean quality and late-download share the day was
+// served at: a fast day on a saturated cloud shows as low quality there.
 //
 // Work gates: cohort steps report nothing to the tracker themselves; each
 // (channel, row)'s stepped mass reaches it as one row call per window tick
@@ -97,6 +99,8 @@ int main(int argc, char** argv) {
               transitions, tracker_rows, tracker_row_bound);
   std::printf("  %.3g cohorts admitted  |  %.3g download rows computed\n",
               cohorts, download_rows);
+  std::printf("  served: mean quality %.4f  |  late share %.4f\n",
+              result.mean_quality(), result.late_share());
 
   // The scaling gate: the realized concurrent peak must reach the target
   // population (re-tune --calibration if the workload shape changes).
@@ -124,6 +128,8 @@ int main(int argc, char** argv) {
   bench["cohorts"] = cohorts;
   bench["download_rows"] = download_rows;
   bench["peak_rss_mb"] = rss_mb;
+  bench["mean_quality"] = result.mean_quality();
+  bench["late_share"] = result.late_share();
   const std::string out = flags.get("out", std::string("BENCH_cohort.json"));
   const std::size_t slash = out.find_last_of('/');
   if (slash != std::string::npos) util::ensure_directory(out.substr(0, slash));

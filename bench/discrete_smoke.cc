@@ -4,7 +4,8 @@
 // discrete path: per-peer walks, rarest-first rebalances, pool churn) at a
 // population far above the golden presets', and emits BENCH_discrete.json
 // (events per viewer, events/s, peers simulated, peak RSS, rebalance work,
-// the hot peer record's size and the ownership bitmap's words per peer).
+// the hot peer record's size, the ownership bitmap's words per peer, and
+// the mean quality and late-download share the day was served at).
 //
 // The gates are deterministic and hold on every build, sanitized ones
 // included: simulator events per simulated viewer must stay at or below
@@ -16,7 +17,8 @@
 // fit one 64-byte cache line. Peak RSS must stay under --max-rss-mb
 // (skipped on sanitizer builds, whose allocators inflate it). Events/s and
 // wall seconds are reported, not gated: wall-clock claims come from
-// perfbench/, so a slower runner cannot make this gate flaky.
+// perfbench/, so a slower runner cannot make this gate flaky. Quality and
+// the late share are reported, not gated.
 //
 // Flags: --rate=6.0 --hours=10 --warmup=0 --seed=42
 //        --max-events-per-viewer=13.07 --max-rss-mb=2048
@@ -106,6 +108,8 @@ int main(int argc, char** argv) {
       "  %.3g events in %.2f s  |  %.3g events/s  |  %.3g viewers  |  "
       "peak rss %.1f MB\n",
       events, wall, events_per_sec, viewers, rss_mb);
+  std::printf("  served: mean quality %.4f  |  late share %.4f\n",
+              result.mean_quality(), result.late_share());
   std::printf("  gate: %.4f events/viewer <= %.4f, rss <= %.0f MB\n",
               events_per_viewer, max_events_per_viewer, max_rss_mb);
   std::printf("  peer record: %zu bytes (<= 64), %zu ownership word(s) "
@@ -142,6 +146,8 @@ int main(int argc, char** argv) {
   bench["max_events_per_viewer"] = max_events_per_viewer;
   bench["events_per_sec"] = events_per_sec;
   bench["peak_rss_mb"] = rss_mb;
+  bench["mean_quality"] = result.mean_quality();
+  bench["late_share"] = result.late_share();
   bench["rebalance_ticks"] = ticks;
   bench["rebalance_visits_per_tick"] = visits_per_tick;
   bench["rebalance_member_cells_per_tick"] = cells_per_tick;

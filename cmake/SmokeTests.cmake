@@ -44,7 +44,6 @@ if(CLOUDMEDIA_BUILD_EXAMPLES)
   add_smoke_test(flash_crowd example_flash_crowd --hours=2 --warmup=1 --seed=42)
   add_smoke_test(forecasting example_forecasting --days=2 --seed=42)
   add_smoke_test(geo_distributed example_geo_distributed --hours=2 --seed=42)
-  add_smoke_test(trace_replay example_trace_replay --hours=2 --seed=42)
 endif()
 
 if(CLOUDMEDIA_BUILD_TOOLS)
@@ -102,6 +101,11 @@ if(CLOUDMEDIA_BUILD_TOOLS)
   add_usage_error_test(diag_hourly_usage_error tool_diag_hourly
     "^tool_diag_hourly: --p2p expects true/false/1/0/yes/no, got 'ture'"
     --p2p=ture)
+  # A schedule that would loop forever or step the clock backwards.
+  add_usage_error_test(diag_hourly_step_zero tool_diag_hourly
+    "^tool_diag_hourly: --step must be > 0 seconds" --step=0)
+  add_usage_error_test(diag_hourly_from_negative tool_diag_hourly
+    "^tool_diag_hourly: --from must be in \\[0, --hours\\) hours" --from=-1)
   # Distributed path, end to end: the same demo grid as two --shard halves,
   # stitched with --merge, then diffed against the committed golden — the
   # shard/merge round-trip must reproduce the single-process bytes.

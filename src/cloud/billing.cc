@@ -10,7 +10,6 @@ void CostMeter::set_rate(const std::string& category, double dollars_per_hour) {
   account.accrued = accrued_to_now(account);
   account.last_change = sim_->now();
   account.rate = dollars_per_hour;
-  account.series.add(sim_->now(), dollars_per_hour);
 }
 
 double CostMeter::accrued_to_now(const Account& account) const {
@@ -32,12 +31,6 @@ double CostMeter::grand_total() const {
   double total = 0.0;
   for (const auto& [name, account] : accounts_) total += accrued_to_now(account);
   return total;
-}
-
-const util::TimeSeries& CostMeter::rate_series(const std::string& category) const {
-  static const util::TimeSeries kEmpty;
-  const auto it = accounts_.find(category);
-  return it == accounts_.end() ? kEmpty : it->second.series;
 }
 
 }  // namespace cloudmedia::cloud

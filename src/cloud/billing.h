@@ -4,7 +4,6 @@
 #include <unordered_map>
 
 #include "sim/simulator.h"
-#include "util/stats.h"
 
 namespace cloudmedia::cloud {
 
@@ -12,8 +11,7 @@ namespace cloudmedia::cloud {
 /// following the charging model of ... Amazon EC2 and S3").
 ///
 /// Each category (e.g. "vm", "storage") has a piecewise-constant $/hour
-/// rate; the meter integrates dollars over simulated time and records the
-/// rate series that Fig. 10 plots.
+/// rate; the meter integrates dollars over simulated time.
 class CostMeter {
  public:
   explicit CostMeter(sim::Simulator& simulator) : sim_(&simulator) {}
@@ -26,15 +24,12 @@ class CostMeter {
   [[nodiscard]] double total(const std::string& category) const;
   /// Total across all categories.
   [[nodiscard]] double grand_total() const;
-  /// The recorded (time, $/h) rate-change series.
-  [[nodiscard]] const util::TimeSeries& rate_series(const std::string& category) const;
 
  private:
   struct Account {
     double rate = 0.0;          ///< $/h
     double accrued = 0.0;       ///< $ up to last_change
     double last_change = 0.0;   ///< seconds
-    util::TimeSeries series;
   };
 
   [[nodiscard]] double accrued_to_now(const Account& account) const;

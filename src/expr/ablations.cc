@@ -37,14 +37,6 @@ const std::string& swept_value(const sweep::RunSummary& run) {
   return run.point.coords.back().second;
 }
 
-/// Late chunk retrievals over all retrievals (0 with none).
-double late_fraction(const ExperimentResult& r) {
-  return r.metrics.counters.chunk_downloads > 0
-             ? static_cast<double>(r.metrics.counters.late_downloads) /
-                   static_cast<double>(r.metrics.counters.chunk_downloads)
-             : 0.0;
-}
-
 double total(const std::vector<double>& xs) {
   return std::accumulate(xs.begin(), xs.end(), 0.0);
 }
@@ -181,7 +173,7 @@ void report_ablation_boot_delay(const FigureRun& run) {
     const sweep::RunSummary& row = run.result.runs[k];
     const ExperimentResult& r = run.result.results[k];
     std::printf("%10s s %9.3f %12.4f %9.0f Mb %10.2f\n",
-                swept_value(row).c_str(), row.mean_quality, late_fraction(r),
+                swept_value(row).c_str(), row.mean_quality, r.late_share(),
                 row.mean_reserved_mbps, r.mean_vm_cost_rate());
   }
 
@@ -217,7 +209,7 @@ void report_ablation_chunk_size(const FigureRun& run) {
     std::printf("%8.1f %6d %10.1f %9.3f %7.0f Mb %10.2f %10ld %12.4f\n",
                 t0_minutes, chunks, vod.chunk_bytes() / 1e6, row.mean_quality,
                 row.mean_reserved_mbps, r.mean_vm_cost_rate(), r.vm_boots,
-                late_fraction(r));
+                r.late_share());
   }
 
   std::printf(

@@ -249,6 +249,14 @@ double ExperimentResult::reserved_covers_used_fraction() const {
   return total ? static_cast<double>(covered) / static_cast<double>(total) : 1.0;
 }
 
+double ExperimentResult::late_share() const {
+  const vod::SystemCounters& counters = metrics.counters;
+  return counters.chunk_downloads > 0
+             ? static_cast<double>(counters.late_downloads) /
+                   static_cast<double>(counters.chunk_downloads)
+             : 0.0;
+}
+
 Experiment::Experiment(const ExperimentConfig& config)
     : live_(sorted_live_config(config)),
       baseline_(without_timeline(live_)),

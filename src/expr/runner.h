@@ -46,6 +46,9 @@ struct ExperimentResult {
   /// Fraction of bandwidth samples where reserved >= used (prediction
   /// sufficiency, the Fig.-4 claim).
   [[nodiscard]] double reserved_covers_used_fraction() const;
+  /// Late chunk downloads over all chunk downloads in the whole run (0
+  /// with none).
+  [[nodiscard]] double late_share() const;
 };
 
 /// Dry-run config.timeline against a scratch copy without simulating:

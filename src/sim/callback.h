@@ -11,12 +11,13 @@ namespace cloudmedia::sim {
 
 /// Move-only type-erased `void()` callable with inline small-buffer
 /// storage, sized for the captures the vod layer actually schedules
-/// (this + a channel/chunk pair + a timestamp, a shared_ptr + a double —
-/// all well under 48 bytes). std::function heap-allocates every one of
-/// those on libstdc++ (its inline buffer is two words), which made the
-/// allocator the top entry in the discrete engine's event-path profile;
-/// this type keeps the hot schedule→run→destroy cycle allocation-free and
-/// falls back to the heap only for oversized or throwing-move captures.
+/// (this + a channel/chunk pair + a timestamp, this + a periodic task +
+/// its firing time — all well under 48 bytes). std::function
+/// heap-allocates every one of those on libstdc++ (its inline buffer is
+/// two words), which made the allocator the top entry in the discrete
+/// engine's event-path profile; this type keeps the hot
+/// schedule→run→destroy cycle allocation-free and falls back to the heap
+/// only for oversized or throwing-move captures.
 ///
 /// Move-only on purpose: simulator callbacks are scheduled once and run
 /// once, so requiring copyability (as std::function does) would only

@@ -250,33 +250,19 @@ std::size_t Simulator::run_all(std::size_t max_events) {
   return n;
 }
 
-Simulator::PeriodicHandle Simulator::schedule_periodic(
-    double start, double interval, std::function<void(double)> fn) {
+void Simulator::schedule_periodic(double start, double interval,
+                                  std::function<void(double)> fn) {
   CM_EXPECTS(interval > 0.0);
   CM_EXPECTS(start >= now_);
   CM_EXPECTS(fn != nullptr);
-  auto active = std::make_shared<bool>(true);
-  // Self-rescheduling closure; the shared flag decouples cancellation from
-  // the (changing) per-firing event id. The closure must hold itself only
-  // weakly — a strong self-capture is a shared_ptr cycle that outlives the
-  // simulator and leaks every periodic task ever scheduled. Ownership lives
-  // in the pending event's callback: while a firing is queued (or running)
-  // the lock() below succeeds, and when the last pending event is dropped
-  // the whole closure chain is freed.
-  auto tick = std::make_shared<std::function<void(double)>>();
-  std::weak_ptr<std::function<void(double)>> weak_tick = tick;
-  *tick = [this, active, interval, fn = std::move(fn),
-           weak_tick](double fire_time) {
-    if (!*active) return;
-    fn(fire_time);
-    if (!*active) return;
-    const double next = fire_time + interval;
-    if (auto self = weak_tick.lock()) {
-      schedule_at(next, [self, next] { (*self)(next); });
-    }
-  };
-  schedule_at(start, [tick, start] { (*tick)(start); });
-  return PeriodicHandle(std::move(active));
+  Periodic& task = periodics_.emplace_back(Periodic{interval, std::move(fn)});
+  schedule_at(start, [this, &task, start] { fire(task, start); });
+}
+
+void Simulator::fire(Periodic& task, double t) {
+  task.fn(t);
+  const double next = t + task.interval;
+  schedule_at(next, [this, &task, next] { fire(task, next); });
 }
 
 }  // namespace cloudmedia::sim

@@ -1,8 +1,8 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -116,27 +116,12 @@ class Simulator {
     return callbacks_.size();
   }
 
-  /// Handle controlling a periodic task; destroying the handle does NOT
-  /// cancel the task (call cancel()). Copyable (shared control block).
-  class PeriodicHandle {
-   public:
-    PeriodicHandle() = default;
-    void cancel() noexcept {
-      if (active_) *active_ = false;
-    }
-    [[nodiscard]] bool active() const noexcept { return active_ && *active_; }
-
-   private:
-    friend class Simulator;
-    explicit PeriodicHandle(std::shared_ptr<bool> active)
-        : active_(std::move(active)) {}
-    std::shared_ptr<bool> active_;
-  };
-
-  /// Fire `fn(fire_time)` at `start`, `start + interval`, ... until the
-  /// returned handle is cancelled. interval must be > 0.
-  PeriodicHandle schedule_periodic(double start, double interval,
-                                   std::function<void(double)> fn);
+  /// Fire `fn(fire_time)` at `start`, `start + interval`, ... for the
+  /// simulator's lifetime. interval must be > 0. Each firing runs `fn`
+  /// before it schedules the next one, so an event `fn` schedules at the
+  /// next firing time runs ahead of that firing.
+  void schedule_periodic(double start, double interval,
+                         std::function<void(double)> fn);
 
  private:
   struct Entry {
@@ -149,6 +134,10 @@ class Simulator {
     }
   };
   static_assert(sizeof(Entry) == 16);
+  struct Periodic {
+    double interval;
+    std::function<void(double)> fn;
+  };
   struct SlotState {
     std::uint32_t generation;
     std::uint32_t heap_pos;  ///< kNotQueued while the slot is free
@@ -157,6 +146,8 @@ class Simulator {
   /// True while `id` is scheduled and has neither run nor been cancelled.
   [[nodiscard]] bool is_pending(EventId id) const noexcept;
   void pop_and_run();
+  /// Run `task` at `t`, then schedule its firing at `t + interval`.
+  void fire(Periodic& task, double t);
   /// Take a free slot (or grow the slab) for `fn` and its prefetch hint;
   /// returns the heap key of that slot under a fresh seq.
   std::uint64_t acquire(Callback&& fn, std::uintptr_t prefetch);
@@ -181,6 +172,7 @@ class Simulator {
   std::vector<SlotState> slots_;     ///< by slot, parallel to callbacks_
   std::vector<std::uintptr_t> prefetch_;  ///< by slot: hint address or 0
   std::vector<std::uint32_t> free_;  ///< LIFO; capacity kept >= slab size
+  std::deque<Periodic> periodics_;  ///< stable addresses the firings name
 };
 
 }  // namespace cloudmedia::sim

@@ -42,19 +42,6 @@ TEST(CostMeter, UnknownCategoryIsZero) {
   const CostMeter meter(sim);
   EXPECT_DOUBLE_EQ(meter.total("nope"), 0.0);
   EXPECT_DOUBLE_EQ(meter.current_rate("nope"), 0.0);
-  EXPECT_TRUE(meter.rate_series("nope").empty());
-}
-
-TEST(CostMeter, SeriesRecordsRateChanges) {
-  sim::Simulator sim;
-  CostMeter meter(sim);
-  meter.set_rate("vm", 1.0);
-  sim.run_until(3600.0);
-  meter.set_rate("vm", 2.0);
-  const util::TimeSeries& series = meter.rate_series("vm");
-  ASSERT_EQ(series.size(), 2u);
-  EXPECT_DOUBLE_EQ(series.value_at(0), 1.0);
-  EXPECT_DOUBLE_EQ(series.time_at(1), 3600.0);
 }
 
 TEST(CostMeter, RejectsNegativeRate) {

@@ -3,8 +3,8 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -143,28 +143,29 @@ TEST(Simulator, PeriodicFiresAtFixedCadence) {
   EXPECT_EQ(fires, (std::vector<double>{10.0, 15.0, 20.0, 25.0}));
 }
 
-TEST(Simulator, PeriodicCancelStops) {
+TEST(Simulator, PeriodicKeepsFifoWithEqualTimeEvents) {
+  // One-shot events at the periodic's own firing times run in scheduling
+  // order around it: those scheduled before it first, then the firing, then
+  // those scheduled after it. A firing schedules its successor only after
+  // fn returns, so what fn schedules at the next firing time runs first.
   Simulator sim;
-  int count = 0;
-  Simulator::PeriodicHandle handle =
-      sim.schedule_periodic(1.0, 1.0, [&](double) { ++count; });
-  sim.run_until(3.5);
-  EXPECT_EQ(count, 3);
-  handle.cancel();
-  EXPECT_FALSE(handle.active());
-  sim.run_until(10.0);
-  EXPECT_EQ(count, 3);
-}
-
-TEST(Simulator, PeriodicCancelFromInsideCallback) {
-  Simulator sim;
-  int count = 0;
-  Simulator::PeriodicHandle handle;
-  handle = sim.schedule_periodic(1.0, 1.0, [&](double) {
-    if (++count == 2) handle.cancel();
+  std::vector<std::string> log;
+  auto note = [&log](std::string entry) {
+    return [&log, entry = std::move(entry)] { log.push_back(entry); };
+  };
+  auto at = [](double t) { return std::to_string(static_cast<int>(t)); };
+  sim.schedule_at(1.0, note("before@1"));
+  sim.schedule_at(2.0, note("before@2"));
+  sim.schedule_periodic(1.0, 1.0, [&](double t) {
+    log.push_back("tick@" + at(t));
+    sim.schedule_at(t + 1.0, note("inside@" + at(t + 1.0)));
   });
-  sim.run_until(10.0);
-  EXPECT_EQ(count, 2);
+  sim.schedule_at(1.0, note("after@1"));
+  sim.schedule_at(2.0, note("after@2"));
+  sim.run_until(2.5);
+  EXPECT_EQ(log, (std::vector<std::string>{"before@1", "tick@1", "after@1",
+                                           "before@2", "after@2", "inside@2",
+                                           "tick@2"}));
 }
 
 TEST(Simulator, PeriodicValidatesArguments) {

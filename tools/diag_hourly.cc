@@ -10,6 +10,8 @@
 #include "expr/config.h"
 #include "expr/flags.h"
 #include "expr/runner.h"
+#include "util/check.h"
+#include "util/json.h"
 
 using namespace cloudmedia;
 
@@ -33,7 +35,24 @@ Options parse_options(int argc, char** argv) {
       p2p ? core::StreamingMode::kP2p : core::StreamingMode::kClientServer);
   options.config.seed = static_cast<std::uint64_t>(flags.get_ll("seed", 42));
   options.step = flags.get("step", options.step);
-  options.from = flags.get("from", 0.0) * 3600.0;
+  const double from_hours = flags.get("from", 0.0);
+  options.from = from_hours * 3600.0;
+  // Negated comparisons so that NaN is refused too.
+  if (!(options.step > 0.0)) {
+    throw util::PreconditionError(
+        "--step must be > 0 seconds between rows (3600 prints hourly), got " +
+        util::format_number(options.step));
+  }
+  if (!(options.hours > 0.0)) {
+    throw util::PreconditionError("--hours must be > 0 simulated hours, got " +
+                                  util::format_number(options.hours));
+  }
+  if (!(from_hours >= 0.0 && from_hours < options.hours)) {
+    throw util::PreconditionError(
+        "--from must be in [0, --hours) hours, the point the rows start at; "
+        "got " + util::format_number(from_hours) +
+        " with --hours=" + util::format_number(options.hours));
+  }
   return options;
 }
 
