@@ -106,6 +106,14 @@ if(CLOUDMEDIA_BUILD_TOOLS)
     "^tool_diag_hourly: --step must be > 0 seconds" --step=0)
   add_usage_error_test(diag_hourly_from_negative tool_diag_hourly
     "^tool_diag_hourly: --from must be in \\[0, --hours\\) hours" --from=-1)
+  # A step that does not divide the span, and a start within one step of
+  # the horizon: the last row must still land at --hours.
+  add_smoke_test(diag_hourly_partial_step tool_diag_hourly --hours=1
+    --step=2400)
+  add_smoke_test(diag_hourly_late_start tool_diag_hourly --hours=1 --from=0.5)
+  set_tests_properties(smoke.diag_hourly_partial_step
+    smoke.diag_hourly_late_start PROPERTIES
+    PASS_REGULAR_EXPRESSION "\n +1\\.000 +[0-9]")
   # Distributed path, end to end: the same demo grid as two --shard halves,
   # stitched with --merge, then diffed against the committed golden — the
   # shard/merge round-trip must reproduce the single-process bytes.

@@ -8,9 +8,10 @@
 // different hours, so the provider's *aggregate* spend is far smoother
 // than any single region's — the multiplexing argument for going global.
 //
-// This is the example-sized tour of `src/geo`; `bench_paper_figures
-// --figure=ablation_geo` runs the quantified federated-vs-consolidated
-// comparison.
+// The regions are the three cells of a sweep's `region` axis, so they run
+// in parallel. This is the example-sized tour of `src/geo`;
+// `bench_paper_figures --figure=ablation_geo` runs the quantified
+// federated-vs-consolidated comparison.
 //
 // Run: ./build/examples/example_geo_distributed [--hours=24] [--seed=42]
 
@@ -18,6 +19,7 @@
 
 #include "expr/flags.h"
 #include "geo/federation.h"
+#include "sweep/sweep_runner.h"
 
 using namespace cloudmedia;
 
@@ -27,18 +29,26 @@ int main(int argc, char** argv) {
   const double hours = flags.get("hours", 24.0);
   const auto seed = static_cast<std::uint64_t>(flags.get_ll("seed", 42));
 
-  geo::FederationConfig cfg =
-      geo::FederationConfig::make_default(core::StreamingMode::kP2p);
-  cfg.base.warmup_hours = 4.0;
-  cfg.base.measure_hours = hours;
-  cfg.base.seed = seed;
+  sweep::SweepSpec spec;
+  spec.overrides = {{"mode", "p2p"}};
+  spec.grid.add_axis("region", {"asia", "europe", "americas"});
+  spec.base_seed = seed;
+  spec.threads = 0;  // one region per core
+  spec.warmup_hours = 4.0;
+  spec.measure_hours = hours;
+  spec.keep_results = true;
 
   std::printf("Geo-distributed CloudMedia: %zu regions x full P2P stack, "
               "%.0f h (seed %llu)\n\n",
-              cfg.regions.size(), hours,
+              spec.grid.num_points(), hours,
               static_cast<unsigned long long>(seed));
 
-  const geo::FederationResult fed = geo::FederationRunner::run(cfg);
+  const sweep::SweepResult cells = sweep::SweepRunner::run(spec);
+  geo::FederationResult fed;
+  for (std::size_t k = 0; k < cells.runs.size(); ++k) {
+    const std::string& name = cells.runs[k].point.coords.back().second;
+    fed.regions.push_back({*geo::find_region(name), cells.results[k]});
+  }
 
   std::printf("%6s", "hour");
   for (const geo::RegionResult& region : fed.regions) {
@@ -46,8 +56,9 @@ int main(int argc, char** argv) {
   }
   std::printf(" %12s\n", "global $/h");
 
-  const double t0 = fed.measure_start;
-  for (double t = t0; t + 3600.0 <= fed.measure_end + 1e-9; t += 3600.0) {
+  const double t0 = fed.regions.front().result.measure_start;
+  const double t1 = fed.regions.front().result.measure_end;
+  for (double t = t0; t + 3600.0 <= t1 + 1e-9; t += 3600.0) {
     std::printf("%6.0f", (t - t0) / 3600.0);
     double global = 0.0;
     for (const geo::RegionResult& region : fed.regions) {

@@ -55,7 +55,8 @@ int main() {
   std::printf("  total servers m = %d, total bandwidth = %.1f Mbps\n",
               cs.total_servers, util::to_mbps(cs.total_bandwidth));
 
-  // Channel-pooled refinement (what the experiments use; DESIGN.md).
+  // Channel-pooled refinement (what the experiments use; README
+  // "Modelling choices").
   core::CapacityPlanner pooled(params, core::CapacityModel::kChannelPooled);
   const core::ChannelCapacityPlan cs_pooled = pooled.plan(lambdas);
   std::printf("  pooled sizing: M = %d VMs = %.1f Mbps\n",

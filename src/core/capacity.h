@@ -13,7 +13,7 @@ enum class CapacityModel {
   /// integer m_i = min { m : E[n] <= λ_i T0 }. Faithful to the analysis,
   /// but reserves at least one whole VM-bandwidth R per active chunk.
   kPerChunkLiteral,
-  /// Channel-pooled refinement (see DESIGN.md): the paper lets one VM
+  /// Channel-pooled refinement (README "Modelling choices"): one VM may
   /// serve several consecutive chunks of a channel (Sec. V-A2), i.e. a
   /// channel's VMs form one pool. We size one M/M/M queue on the channel's
   /// aggregate load (same Erlang machinery, same sojourn target T0) and

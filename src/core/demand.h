@@ -39,8 +39,8 @@ struct DemandEstimatorConfig {
   CapacityModel capacity_model = CapacityModel::kChannelPooled;
   /// Also size demand on current queue occupancy (λ_i >= n_i / T0): keeps
   /// channels with lingering viewers but no fresh arrivals provisioned.
-  /// See DESIGN.md; ablated by the ablation_strategies entry of
-  /// `bench_paper_figures`.
+  /// See README "Modelling choices"; ablated by the ablation_strategies
+  /// entry of `bench_paper_figures`.
   bool occupancy_floor = true;
   /// How Eqn. (5) caps peer supply per chunk (see core/p2p.h).
   P2pOptions p2p;

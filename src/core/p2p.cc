@@ -1,6 +1,7 @@
 #include "core/p2p.h"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 
 #include "core/jackson.h"
@@ -57,20 +58,66 @@ ChunkAvailability solve_chunk_availability(const util::Matrix& transfer,
   return out;
 }
 
+void validate_peer_classes(const std::vector<PeerClass>& classes) {
+  CM_EXPECTS(!classes.empty());
+  double total = 0.0;
+  for (const PeerClass& c : classes) {
+    CM_EXPECTS(!c.name.empty());
+    CM_EXPECTS(c.upload >= 0.0);
+    CM_EXPECTS(c.fraction > 0.0 && c.fraction <= 1.0);
+    total += c.fraction;
+  }
+  CM_EXPECTS(std::abs(total - 1.0) < 1e-9);
+}
+
+double mean_upload(const std::vector<PeerClass>& classes) {
+  validate_peer_classes(classes);
+  double mean = 0.0;
+  for (const PeerClass& c : classes) mean += c.fraction * c.upload;
+  return mean;
+}
+
+std::vector<PeerClass> classes_from_quantiles(
+    const std::function<double(double)>& quantile, int num_classes,
+    int resolution) {
+  CM_EXPECTS(quantile != nullptr);
+  CM_EXPECTS(num_classes >= 1);
+  CM_EXPECTS(resolution >= 1);
+
+  std::vector<PeerClass> classes;
+  classes.reserve(static_cast<std::size_t>(num_classes));
+  const double bin = 1.0 / num_classes;
+  for (int g = 0; g < num_classes; ++g) {
+    // Conditional mean over the bin via midpoint sampling (exact enough for
+    // provisioning; the overall mean is preserved to the same resolution).
+    double acc = 0.0;
+    for (int s = 0; s < resolution; ++s) {
+      const double u = (g + (s + 0.5) / resolution) * bin;
+      const double value = quantile(u);
+      CM_ENSURES(value >= 0.0);
+      acc += value;
+    }
+    classes.push_back(PeerClass{"q" + std::to_string(g + 1),
+                                acc / resolution, bin});
+  }
+  return classes;
+}
+
 P2pSupply solve_p2p_supply(const util::Matrix& transfer,
                            const ChannelCapacityPlan& capacity,
                            const std::vector<double>& population,
-                           double peer_upload_mean, double streaming_rate,
-                           const P2pOptions& options) {
-  CM_EXPECTS(peer_upload_mean >= 0.0);
+                           const std::vector<PeerClass>& classes,
+                           double streaming_rate, const P2pOptions& options) {
+  validate_peer_classes(classes);
   CM_EXPECTS(streaming_rate > 0.0);
   const std::size_t j = transfer.rows();
+  const std::size_t g_count = classes.size();
   CM_EXPECTS(capacity.chunks.size() == j);
-  const std::vector<double>& en = population;
 
   P2pSupply out;
-  out.availability = solve_chunk_availability(transfer, en);
+  out.availability = solve_chunk_availability(transfer, population);
   out.peer_supply.assign(j, 0.0);
+  out.class_supply = util::Matrix(g_count, j);
   out.cloud_residual.assign(j, 0.0);
 
   // Rarest first: ascending expected owner count (Sec. IV-C), index
@@ -82,28 +129,43 @@ P2pSupply solve_p2p_supply(const util::Matrix& transfer,
                      return out.availability.owners[a] < out.availability.owners[b];
                    });
 
-  const double total_population = std::accumulate(en.begin(), en.end(), 0.0);
+  const double total_population =
+      std::accumulate(population.begin(), population.end(), 0.0);
 
-  // Eqn. (5) with the independence form of Ψ: a peer's expected upload
-  // already pledged to rarer chunks is (Σ_{served so far} Γ)/N, so chunk
-  // π_k can draw at most ν_{π_k} · (u − pledged_per_peer).
-  double pledged_total = 0.0;
+  // Per-class running pledges (Σ of class g's Γ shares so far) and the
+  // upload each class can still offer the current chunk.
+  std::vector<double> pledged(g_count, 0.0);
+  std::vector<double> avail(g_count, 0.0);
   for (std::size_t k = 0; k < j; ++k) {
     const std::size_t chunk = out.rarest_order[k];
     const double nu_k = out.availability.owners[chunk];
-    double gamma = 0.0;
-    if (nu_k > 0.0 && total_population > 0.0) {
-      const double demand_cap =
-          options.demand_cap == P2pDemandCap::kStreamingRateLiteral
-              ? capacity.chunks[chunk].servers * streaming_rate
-              : capacity.chunks[chunk].bandwidth;
-      const double pledged_per_peer = pledged_total / total_population;
-      const double available =
-          nu_k * std::max(0.0, peer_upload_mean - pledged_per_peer);
-      gamma = std::clamp(std::min(demand_cap, available), 0.0, available);
+    if (nu_k <= 0.0 || total_population <= 0.0) continue;
+
+    const double demand_cap =
+        options.demand_cap == P2pDemandCap::kStreamingRateLiteral
+            ? capacity.chunks[chunk].servers * streaming_rate
+            : capacity.chunks[chunk].bandwidth;
+
+    // f_g·ν_k class-g owners, each with headroom u_g − (class pledges per
+    // class member).
+    double total_avail = 0.0;
+    for (std::size_t g = 0; g < g_count; ++g) {
+      const double pledged_per_peer =
+          pledged[g] / (classes[g].fraction * total_population);
+      avail[g] = classes[g].fraction * nu_k *
+                 std::max(0.0, classes[g].upload - pledged_per_peer);
+      total_avail += avail[g];
     }
+    if (total_avail <= 0.0) continue;
+
+    const double gamma = std::min(demand_cap, total_avail);
     out.peer_supply[chunk] = gamma;
-    pledged_total += gamma;
+    for (std::size_t g = 0; g < g_count; ++g) {
+      // gamma · (avail_g / total) is exactly gamma for a one-class mix.
+      const double share = gamma * (avail[g] / total_avail);
+      out.class_supply(g, chunk) = share;
+      pledged[g] += share;
+    }
   }
 
   for (std::size_t i = 0; i < j; ++i) {

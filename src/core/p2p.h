@@ -1,5 +1,7 @@
 #pragma once
 
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "core/capacity.h"
@@ -39,7 +41,7 @@ enum class P2pDemandCap {
   kStreamingRateLiteral,
   /// Bandwidth-consistent cap: Γ_i <= s_i = m_i · R, i.e. peers may cover
   /// up to the chunk's full provisioned requirement. Default; reproduces
-  /// the paper's reported P2P savings. See DESIGN.md.
+  /// the paper's reported P2P savings. See README "Modelling choices".
   kProvisionedBandwidth,
 };
 
@@ -47,30 +49,75 @@ struct P2pOptions {
   P2pDemandCap demand_cap = P2pDemandCap::kProvisionedBandwidth;
 };
 
+/// One class of peers sharing an upload capacity (DSL / cable / fiber…).
+/// The paper's Sec. IV-C analysis assumes one homogeneous upload u and
+/// notes it "can be readily extended to cases with heterogeneous
+/// bandwidths"; a class mix is that extension.
+struct PeerClass {
+  std::string name;
+  double upload = 0.0;    ///< u_g, bytes/s
+  double fraction = 0.0;  ///< population share; fractions must sum to 1
+};
+
+/// Validate a class mix: every class named, with upload >= 0 and a
+/// fraction in (0, 1]; fractions sum to 1.
+void validate_peer_classes(const std::vector<PeerClass>& classes);
+
+/// Population-weighted mean upload Σ_g f_g u_g — the homogeneous u that a
+/// mean-field reduction of the mix would use.
+[[nodiscard]] double mean_upload(const std::vector<PeerClass>& classes);
+
+/// Build `num_classes` equal-population classes from an upload-capacity
+/// quantile function (inverse CDF on [0,1)). Class g's upload is the
+/// conditional mean of the distribution over its quantile bin (numeric,
+/// `resolution` samples per bin), so the class mix preserves the
+/// distribution's overall mean. Use with BoundedPareto::quantile to
+/// discretize the paper's Pareto uplinks.
+[[nodiscard]] std::vector<PeerClass> classes_from_quantiles(
+    const std::function<double(double)>& quantile, int num_classes,
+    int resolution = 64);
+
 /// Result of the rarest-first peer-upload waterfall (the paper's Eqn. (5)).
 struct P2pSupply {
   ChunkAvailability availability;
   std::vector<std::size_t> rarest_order;  ///< chunk indices, rarest first
   std::vector<double> peer_supply;        ///< Γ_i, bytes/s
+  util::Matrix class_supply;              ///< [class][chunk] share of Γ_i
   std::vector<double> cloud_residual;     ///< Δ_i = max(0, s_i − Γ_i), bytes/s
 };
 
 /// Compute Γ_i and the cloud residual Δ_i for one channel.
 ///
 /// Eqn. (5): chunks are served rarest-first; the upload available to chunk
-/// π_k is the owners' total capacity ν_{π_k}·u minus what those owners
-/// already pledged to rarer chunks. The probability Ψ(π_j, π_k) that a peer
-/// owns both chunks is approximated by ownership independence,
-/// Ψ = (ν_j/N)(ν_k/N), under which the deduction collapses to
-/// ν_{π_k} · Σ_{j<k} Γ_{π_j}/N (each peer's expected pledged upload).
+/// π_k is the owners' total capacity minus what those owners already
+/// pledged to rarer chunks. The probability Ψ(π_j, π_k) that a peer owns
+/// both chunks is approximated by ownership independence,
+/// Ψ = (ν_j/N)(ν_k/N), under which the deduction collapses to each peer's
+/// expected pledged upload Σ_{j<k} Γ_{π_j}/N.
+///
+/// Class membership is independent of a peer's position in the channel, so
+/// chunk i has f_g · ν_i expected class-g owners, each with headroom u_g
+/// minus its class's pledges per member. Within one chunk Γ is split across
+/// classes in proportion to their headroom (every owner pledges the same
+/// fraction of it), so a one-class mix is exactly the homogeneous Eqn. (5).
 ///
 /// `capacity` supplies m_i and s_i = R·m_i; `population` the queue
-/// occupancies (see solve_chunk_availability); `peer_upload_mean` is u.
+/// occupancies (see solve_chunk_availability).
 [[nodiscard]] P2pSupply solve_p2p_supply(const util::Matrix& transfer,
                                          const ChannelCapacityPlan& capacity,
                                          const std::vector<double>& population,
-                                         double peer_upload_mean,
+                                         const std::vector<PeerClass>& classes,
                                          double streaming_rate,
                                          const P2pOptions& options = {});
+
+/// The paper's homogeneous Eqn. (5): every peer uploads `peer_upload_mean`.
+[[nodiscard]] inline P2pSupply solve_p2p_supply(
+    const util::Matrix& transfer, const ChannelCapacityPlan& capacity,
+    const std::vector<double>& population, double peer_upload_mean,
+    double streaming_rate, const P2pOptions& options = {}) {
+  return solve_p2p_supply(transfer, capacity, population,
+                          {{"uniform", peer_upload_mean, 1.0}},
+                          streaming_rate, options);
+}
 
 }  // namespace cloudmedia::core

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/capacity.h"
-#include "core/hetero.h"
 #include "core/jackson.h"
 #include "core/p2p.h"
 #include "core/params.h"
@@ -74,7 +73,7 @@ Channel make_channel(const core::VodParameters& params, double arrival_rate) {
 //   static       : permanent peak provisioning (no elasticity);
 //   clairvoyant  : the paper's model fed the *true* next-hour arrival rate
 //                  (isolates the cost of predicting from last-hour stats);
-//   model-nofloor: DESIGN.md's lingering-viewer guard off.
+//   model-nofloor: the occupancy floor (lingering-viewer guard) off.
 // Strategy is a system-side axis, so every row faces the byte-identical
 // workload. Other workloads: `tool_sweep --scenario=X --grid
 // strategy=model,reactive,...`.
@@ -147,7 +146,8 @@ void report_ablation_pooling(const FigureRun& run) {
   // sell — it pins against the cap instead (and quality pays for it).
   std::printf("  => literal sizing %s Table II's capacity; pooled fits with\n"
               "     headroom. The paper's Fig. 4 reserved curve (~1-2.2 Gbps)\n"
-              "     is only reachable with pooling — see DESIGN.md.\n",
+              "     is only reachable with pooling — see README,\n"
+              "     \"Modelling choices\".\n",
               paper_literal.mean_reserved_mbps > 0.95 * table2_mbps
                   ? "SATURATES"
                   : "fits within");
@@ -222,22 +222,19 @@ void report_ablation_chunk_size(const FigureRun& run) {
 // Geo-distributed federation — Sec. VII's ongoing work ("expanding to cloud
 // systems spanning different geographic locations"), quantified: three
 // regional stacks with staggered diurnal crowds vs one consolidated
-// deployment of the same global audience. The region applier
-// (sweep/param_grid.cc) reuses FederationRunner::regional_config, so each
-// row is one region's full stack and "global" is the consolidated
-// baseline; the regional rows aggregate as a geo::FederationResult.
+// deployment of the same global audience. Each regional row is one cell
+// of the sweep's `region` axis (geo::apply_region) and "global" is the
+// consolidated baseline; the regional rows aggregate as a
+// geo::FederationResult over the sweep's own results.
 void report_ablation_geo(const FigureRun& run) {
-  const geo::FederationConfig federation =
-      geo::FederationConfig::make_default(core::StreamingMode::kP2p);
   std::printf("Ablation: geo federation (%zu regions, P2P, %.0f h measured, "
               "seed %llu)\n\n",
-              federation.regions.size(), run.spec.measure_hours,
+              geo::default_regions().size(), run.spec.measure_hours,
               run.seed());
 
   // Pair rows with their RegionSpec by the region coordinate, not by
-  // position — the preset's axis order and the federation's region list
-  // need not stay in lockstep. The report reads results only, so each
-  // RegionResult's config stays default.
+  // position — the preset's axis order and the region table need not stay
+  // in lockstep.
   const ExperimentResult* mono = nullptr;
   geo::FederationResult federated;
   for (std::size_t k = 0; k < run.result.runs.size(); ++k) {
@@ -246,14 +243,11 @@ void report_ablation_geo(const FigureRun& run) {
       mono = &run.result.results[k];
       continue;
     }
-    const auto index = federation.region_index(name);
-    CM_EXPECTS(index.has_value());
-    federated.regions.push_back(
-        {federation.regions[*index], {}, run.result.results[k]});
+    const geo::RegionSpec* region = geo::find_region(name);
+    CM_EXPECTS(region != nullptr);
+    federated.regions.push_back({*region, run.result.results[k]});
   }
   CM_EXPECTS(mono != nullptr && !federated.regions.empty());
-  federated.measure_start = federated.regions.front().result.measure_start;
-  federated.measure_end = federated.regions.front().result.measure_end;
 
   std::printf("%-10s %8s %7s %12s %12s %9s\n", "region", "share", "tz",
               "mean $/h", "peak $/h", "quality");
@@ -315,7 +309,7 @@ void report_ablation_hetero(const FigureRun& run) {
   const double requirement = ch.capacity.total_bandwidth / 1e6 * 8.0;
 
   // The paper's Pareto uplink, rescaled to mean = streaming rate (the
-  // Fig.-11 midpoint; see DESIGN.md).
+  // Fig.-11 midpoint; see README "Modelling choices").
   const workload::BoundedPareto pareto =
       workload::BoundedPareto(22'500.0, 1'250'000.0, 3.0)
           .scaled_to_mean(params.streaming_rate);
@@ -332,7 +326,7 @@ void report_ablation_hetero(const FigureRun& run) {
   for (int g = 1; g <= kMaxClasses; g *= 2) {
     const auto classes = core::classes_from_quantiles(
         [&](double u) { return pareto.quantile(u); }, g, 256);
-    const auto out = core::solve_hetero_p2p_supply(
+    const auto out = core::solve_p2p_supply(
         ch.transfer, ch.capacity, ch.population, classes,
         params.streaming_rate);
     const double supply = total(out.peer_supply) / 1e6 * 8.0;
@@ -366,7 +360,7 @@ void report_ablation_hetero(const FigureRun& run) {
       classes = {{"slow", mix.slow_upload, mix.slow_share},
                  {"fast", fast_upload, 1.0 - mix.slow_share}};
     }
-    const auto out = core::solve_hetero_p2p_supply(
+    const auto out = core::solve_p2p_supply(
         ch.transfer, ch.capacity, ch.population, classes,
         params.streaming_rate);
     double fast_share = 0.0;
@@ -418,7 +412,7 @@ void report_ablation_hetero(const FigureRun& run) {
 // requirement m_i * R — contradicting the paper's headline ~11x P2P saving
 // (Figs. 4/10). The cloud residual under both readings across peer-uplink
 // ratios, then end to end: both p2p_cap cells face the byte-identical
-// workload (the cap is system-side), which is why DESIGN.md adopts the
+// workload (the cap is system-side), which is why the model adopts the
 // bandwidth-consistent cap as the default.
 void report_ablation_p2p_cap(const FigureRun& run) {
   const core::VodParameters params;

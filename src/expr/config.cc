@@ -45,9 +45,9 @@ ExperimentConfig ExperimentConfig::make_default(core::StreamingMode mode) {
   // is calibrated so peak client–server demand fits Table II's actual VM
   // capacity of 150 VMs × 10 Mbps — the paper's "around 2500" users could
   // not be served by its own Table II at flash-crowd peaks; see
-  // EXPERIMENTS.md. The mean peer uplink defaults to 1.0× the streaming
-  // rate, the midpoint of the paper's own Fig.-11 sweep (DESIGN.md
-  // explains why the literal Pareto parameters are rescaled).
+  // README "Modelling choices". The mean peer uplink defaults to 1.0×
+  // the streaming rate, the midpoint of the paper's own Fig.-11 sweep (the
+  // same section explains why the literal Pareto parameters are rescaled).
   cfg.workload.num_channels = 20;
   cfg.workload.chunks_per_video = cfg.vod.chunks_per_video;
   cfg.workload.zipf_exponent = 1.0;

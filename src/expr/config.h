@@ -70,7 +70,7 @@ struct TimedConfigOp {
 
 /// A complete experiment: workload, VoD model, cloud menu, controller
 /// policy, and schedule. Defaults reproduce the paper's Sec. VI-A setup;
-/// see EXPERIMENTS.md for the two documented calibrations (population
+/// see README "Modelling choices" for the two calibrations (population
 /// scaled to Table II's actual VM capacity; peer-uplink mean expressed as
 /// a ratio of r).
 struct ExperimentConfig {

@@ -1,7 +1,6 @@
 #include "geo/federation.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/check.h"
 
@@ -14,89 +13,43 @@ void RegionSpec::validate() const {
   CM_EXPECTS(storage_price_multiplier > 0.0);
 }
 
-std::string to_string(BudgetSplit split) {
-  switch (split) {
-    case BudgetSplit::kUncoordinated: return "uncoordinated";
-    case BudgetSplit::kProportional: return "proportional";
-  }
-  return "?";
-}
-
-FederationConfig FederationConfig::make_default(core::StreamingMode mode) {
-  FederationConfig cfg;
-  cfg.base = expr::ExperimentConfig::make_default(mode);
-  cfg.regions = {
+const std::vector<RegionSpec>& default_regions() {
+  static const std::vector<RegionSpec> regions = {
       {"asia", 0.0, 0.45, 1.0, 1.0},
       {"europe", -7.0, 0.30, 1.1, 1.1},
       {"americas", -15.0, 0.25, 1.05, 1.05},
   };
-  return cfg;
+  return regions;
 }
 
-std::optional<std::size_t> FederationConfig::region_index(
-    const std::string& name) const {
-  for (std::size_t k = 0; k < regions.size(); ++k) {
-    if (regions[k].name == name) return k;
+const RegionSpec* find_region(const std::string& name) {
+  for (const RegionSpec& region : default_regions()) {
+    if (region.name == name) return &region;
   }
-  return std::nullopt;
+  return nullptr;
 }
 
-void FederationConfig::validate() const {
-  base.validate();
-  CM_EXPECTS(!regions.empty());
-  double total_share = 0.0;
-  for (const RegionSpec& region : regions) {
-    region.validate();
-    total_share += region.audience_share;
-  }
-  // Shares describe how the one global audience is partitioned.
-  CM_EXPECTS(std::abs(total_share - 1.0) < 1e-9);
-}
-
-expr::ExperimentConfig FederationRunner::regional_config(
-    const FederationConfig& config, std::size_t region_index) {
-  CM_EXPECTS(region_index < config.regions.size());
-  const RegionSpec& region = config.regions[region_index];
-
-  expr::ExperimentConfig out = config.base;
-  out.workload.total_arrival_rate *= region.audience_share;
+void apply_region(expr::ExperimentConfig& config, const RegionSpec& region) {
+  region.validate();
+  config.workload.total_arrival_rate *= region.audience_share;
   // A region `utc_offset` hours east of the reference hits its local noon
   // `utc_offset` hours *earlier* in reference time.
-  out.workload.diurnal =
-      config.base.workload.diurnal.shifted(-region.utc_offset_hours);
-  for (core::VmClusterSpec& cluster : out.vm_clusters) {
+  config.workload.diurnal =
+      config.workload.diurnal.shifted(-region.utc_offset_hours);
+  for (core::VmClusterSpec& cluster : config.vm_clusters) {
     cluster.price_per_hour *= region.vm_price_multiplier;
   }
-  for (core::NfsClusterSpec& cluster : out.nfs_clusters) {
+  for (core::NfsClusterSpec& cluster : config.nfs_clusters) {
     cluster.price_per_gb_hour *= region.storage_price_multiplier;
   }
-  if (config.budget_split == BudgetSplit::kProportional) {
-    out.vm_budget_per_hour *= region.audience_share;
-    out.storage_budget_per_hour *= region.audience_share;
-  }
-  // Independent populations per region, deterministic in the base seed.
-  out.seed = config.base.seed + 1000003 * (region_index + 1);
-  return out;
-}
-
-FederationResult FederationRunner::run(const FederationConfig& config) {
-  config.validate();
-
-  FederationResult out;
-  out.regions.reserve(config.regions.size());
-  for (std::size_t k = 0; k < config.regions.size(); ++k) {
-    RegionResult region;
-    region.spec = config.regions[k];
-    region.config = regional_config(config, k);
-    region.result = expr::ExperimentRunner::run(region.config);
-    out.regions.push_back(std::move(region));
-  }
-  out.measure_start = out.regions.front().result.measure_start;
-  out.measure_end = out.regions.front().result.measure_end;
-  return out;
+  config.vm_budget_per_hour *= region.audience_share;
+  config.storage_budget_per_hour *= region.audience_share;
 }
 
 util::TimeSeries FederationResult::global_cost_series() const {
+  CM_EXPECTS(!regions.empty());
+  const double measure_start = regions.front().result.measure_start;
+  const double measure_end = regions.front().result.measure_end;
   util::TimeSeries global;
   for (double t = measure_start; t + 3600.0 <= measure_end + 1e-9;
        t += 3600.0) {
@@ -122,6 +75,8 @@ double FederationResult::global_peak_cost() const {
 }
 
 double FederationResult::sum_of_regional_peaks() const {
+  CM_EXPECTS(!regions.empty());
+  const double measure_start = regions.front().result.measure_start;
   double sum = 0.0;
   for (const RegionResult& region : regions) {
     const util::TimeSeries hourly =

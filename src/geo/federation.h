@@ -1,7 +1,5 @@
 #pragma once
 
-#include <cstddef>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -18,6 +16,7 @@ namespace cloudmedia::geo {
 /// A region is a full CloudMedia stack (cloud + swarm + controller) serving
 /// the slice of the global audience whose local time drives its diurnal
 /// pattern. Regional clouds may price differently (spot/zone economics).
+/// Regions run as cells of a sweep's `region` axis (sweep/param_grid.cc).
 struct RegionSpec {
   std::string name;
   /// Shift of the diurnal pattern relative to the reference region, in
@@ -33,48 +32,30 @@ struct RegionSpec {
   void validate() const;
 };
 
-/// How the provider splits its global budget across regional controllers.
-enum class BudgetSplit {
-  /// Every region gets the full global budget (budgets are caps, not
-  /// spending — the baseline for "no coordination").
-  kUncoordinated,
-  /// Budget proportional to the region's audience share.
-  kProportional,
-};
+/// The paper-shaped default federation: three regions (Asia / Europe /
+/// Americas) with staggered time zones and a 45/30/25 audience split.
+[[nodiscard]] const std::vector<RegionSpec>& default_regions();
 
-[[nodiscard]] std::string to_string(BudgetSplit split);
+/// The region of default_regions() called `name`, or nullptr.
+[[nodiscard]] const RegionSpec* find_region(const std::string& name);
 
-struct FederationConfig {
-  /// Template experiment: workload scale, VoD model, cluster menus and
-  /// budgets of the *global* service. Each region runs a copy with its
-  /// share of the arrival rate, its shifted diurnal pattern, its price
-  /// multipliers, and its budget slice.
-  expr::ExperimentConfig base;
-  std::vector<RegionSpec> regions;
-  BudgetSplit budget_split = BudgetSplit::kProportional;
+/// Reshape `config` (the global service) into one region's stack: its
+/// share of the arrival rate, its shifted diurnal clock, its price
+/// multipliers, and its audience-proportional slice of the VM and storage
+/// budgets. The seed is left alone; the sweep seeds every cell.
+void apply_region(expr::ExperimentConfig& config, const RegionSpec& region);
 
-  /// The paper-shaped default federation: three regions (Asia / Europe /
-  /// Americas) with staggered time zones and a 45/30/25 audience split.
-  [[nodiscard]] static FederationConfig make_default(core::StreamingMode mode);
-
-  /// Index of the region called `name` in `regions`, if there is one.
-  [[nodiscard]] std::optional<std::size_t> region_index(
-      const std::string& name) const;
-
-  void validate() const;
-};
-
+/// One region's run, borrowed from the sweep result that owns it.
 struct RegionResult {
   RegionSpec spec;
-  expr::ExperimentConfig config;  ///< the regional config actually run
-  expr::ExperimentResult result;
+  const expr::ExperimentResult& result;
 };
 
-/// Aggregate view of a federated run.
+/// Aggregate view of a federated run: its regions share no infrastructure
+/// and interact only through the budget split and this accounting. The
+/// measurement window is the first region's.
 struct FederationResult {
   std::vector<RegionResult> regions;
-  double measure_start = 0.0;
-  double measure_end = 0.0;
 
   /// Hourly global VM bill: sum of regional vm_cost_rate means per hour.
   [[nodiscard]] util::TimeSeries global_cost_series() const;
@@ -92,19 +73,6 @@ struct FederationResult {
   [[nodiscard]] double min_quality() const;
   /// Mean streaming quality weighted by audience share.
   [[nodiscard]] double weighted_quality() const;
-};
-
-/// Run every region's full stack on its own simulator (regions share no
-/// infrastructure in this model — they interact only through the budget
-/// split and the aggregate accounting).
-class FederationRunner {
- public:
-  [[nodiscard]] static FederationResult run(const FederationConfig& config);
-
-  /// The regional config derived from (base, region, split) — exposed so
-  /// tests can check the derivation without paying for a simulation.
-  [[nodiscard]] static expr::ExperimentConfig regional_config(
-      const FederationConfig& config, std::size_t region_index);
 };
 
 }  // namespace cloudmedia::geo

@@ -148,22 +148,17 @@ void apply_chunk_minutes(expr::ExperimentConfig& cfg, const std::string& v) {
 
 // The geo axis (ablation_geo, paper Sec. VII): reshape the experiment into
 // one region of the default three-region federation — its audience share,
-// shifted diurnal clock, regional prices, and proportional budget slice —
-// via the same derivation FederationRunner uses. "global" keeps the whole
-// audience on one clock (the consolidated baseline).
+// shifted diurnal clock, regional prices, and proportional budget slice.
+// "global" keeps the whole audience on one clock (the consolidated
+// baseline).
 void apply_region(expr::ExperimentConfig& cfg, const std::string& value) {
   if (value == "global") return;
-  geo::FederationConfig federation =
-      geo::FederationConfig::make_default(cfg.mode);
-  federation.base = cfg;
-  if (const auto k = federation.region_index(value)) {
-    const std::uint64_t seed = cfg.seed;
-    cfg = geo::FederationRunner::regional_config(federation, *k);
-    cfg.seed = seed;  // seeding stays the runner's job, not the applier's
+  if (const geo::RegionSpec* region = geo::find_region(value)) {
+    geo::apply_region(cfg, *region);
     return;
   }
   std::string known = "global";
-  for (const geo::RegionSpec& region : federation.regions) {
+  for (const geo::RegionSpec& region : geo::default_regions()) {
     known += "|" + region.name;
   }
   throw util::PreconditionError("sweep parameter region: expected " + known +

@@ -144,7 +144,7 @@ ScenarioCatalog build_builtins() {
          }},
         {"budget.survivor_slice",
          "cut VM and storage budgets to the surviving region's 55% "
-         "proportional share (geo::BudgetSplit::kProportional)",
+         "proportional share (as geo::apply_region slices budgets)",
          kSystem,
          [](expr::ExperimentConfig& cfg) {
            cfg.vm_budget_per_hour *= 0.55;

@@ -14,7 +14,7 @@ namespace cloudmedia::vod {
 /// progress at min(per_job_cap, capacity / n) — what an Apache-style
 /// streaming server actually does, as opposed to the M/M/m FIFO of the
 /// paper's *model* (the model-vs-system gap is part of what the evaluation
-/// validates; see DESIGN.md).
+/// validates; see README "Modelling choices").
 ///
 /// Capacity has two components: peer upload (P2P overlay) and cloud VMs.
 /// Peers are drawn on first ("resort to streaming servers only when deemed

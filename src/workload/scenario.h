@@ -31,7 +31,8 @@ struct WorkloadConfig {
   double uplink_shape = 3.0;
   /// If > 0, rescale the uplink distribution so its mean equals
   /// `uplink_mean_ratio * streaming_rate`. This is the Fig.-11 knob; see
-  /// DESIGN.md for why the paper's literal Pareto parameters are rescaled.
+  /// README "Modelling choices" for why the paper's literal Pareto
+  /// parameters are rescaled.
   double uplink_mean_ratio = 1.0;
   double streaming_rate = 50'000.0;  // bytes/s; r = 400 kbps
   /// Catalog-refresh reshuffle (the catalog_refresh scenario): every

@@ -184,7 +184,8 @@ TEST(EngineKnob, ParsesAndPrints) {
   EXPECT_EQ(expr::to_string(expr::Engine::kCohort), "cohort");
   EXPECT_EQ(expr::engine_from_string(expr::to_string(expr::Engine::kAuto)),
             expr::Engine::kAuto);
-  EXPECT_THROW(expr::engine_from_string("hybrid"), util::PreconditionError);
+  EXPECT_THROW((void)expr::engine_from_string("hybrid"),
+               util::PreconditionError);
 }
 
 TEST(EngineKnob, EstimatedPeakScalesLinearlyWithArrivalRate) {

@@ -94,7 +94,7 @@ TEST(DemandEstimator, OccupancyFloorKeepsLingeringViewersServed) {
 }
 
 TEST(DemandEstimator, LiteralEqnFiveCapRaisesCloudDemand) {
-  // Plumb check for the DESIGN.md cap option: the verbatim m·r cap leaves
+  // Plumb check for the Eqn. (5) cap option: the verbatim m·r cap leaves
   // peers nearly unused, so the cloud residual grows to almost the full
   // client-server requirement.
   DemandEstimatorConfig bandwidth_cfg;

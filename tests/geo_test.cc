@@ -7,19 +7,33 @@
 #include <gtest/gtest.h>
 
 #include "geo/federation.h"
+#include "sweep/sweep_runner.h"
 #include "util/check.h"
 
 namespace cloudmedia {
 namespace {
 
-geo::FederationConfig tiny_federation(core::StreamingMode mode) {
-  geo::FederationConfig cfg = geo::FederationConfig::make_default(mode);
-  cfg.base.warmup_hours = 1.0;
-  cfg.base.measure_hours = 4.0;
-  cfg.base.workload.num_channels = 4;
-  cfg.base.workload.total_arrival_rate = 0.25;
-  cfg.base.seed = 7;
-  return cfg;
+// A tiny three-region federation: the `region` axis of a P2P sweep over 4
+// channels at 0.25 users/s (global), each region a cell with its share.
+sweep::SweepSpec tiny_federation(double measure_hours) {
+  sweep::SweepSpec spec;
+  spec.grid.add_axis("region", {"asia", "europe", "americas"});
+  spec.overrides = {{"mode", "p2p"}, {"channels", "4"}, {"arrival", "0.25"}};
+  spec.base_seed = 7;
+  spec.warmup_hours = 1.0;
+  spec.measure_hours = measure_hours;
+  spec.keep_results = true;
+  return spec;
+}
+
+geo::FederationResult federate(const sweep::SweepResult& result) {
+  geo::FederationResult out;
+  for (std::size_t k = 0; k < result.runs.size(); ++k) {
+    const geo::RegionSpec* region =
+        geo::find_region(result.runs[k].point.coords.back().second);
+    if (region != nullptr) out.regions.push_back({*region, result.results[k]});
+  }
+  return out;
 }
 
 TEST(RegionSpec, ValidationCatchesBadRegions) {
@@ -33,67 +47,51 @@ TEST(RegionSpec, ValidationCatchesBadRegions) {
   EXPECT_NO_THROW(region.validate());
 }
 
-TEST(FederationConfig, SharesMustPartitionTheAudience) {
-  geo::FederationConfig cfg =
-      geo::FederationConfig::make_default(core::StreamingMode::kClientServer);
-  EXPECT_NO_THROW(cfg.validate());
-  cfg.regions[0].audience_share = 0.5;  // now sums to 1.05
-  EXPECT_THROW(cfg.validate(), util::PreconditionError);
-  cfg.regions.clear();
-  EXPECT_THROW(cfg.validate(), util::PreconditionError);
-}
-
-TEST(FederationConfig, DefaultHasThreeStaggeredRegions) {
-  const geo::FederationConfig cfg =
-      geo::FederationConfig::make_default(core::StreamingMode::kP2p);
-  ASSERT_EQ(cfg.regions.size(), 3u);
+TEST(DefaultRegions, HasThreeStaggeredRegions) {
+  const std::vector<geo::RegionSpec>& regions = geo::default_regions();
+  ASSERT_EQ(regions.size(), 3u);
   double share = 0.0;
-  for (const geo::RegionSpec& region : cfg.regions) share += region.audience_share;
+  for (const geo::RegionSpec& region : regions) share += region.audience_share;
   EXPECT_NEAR(share, 1.0, 1e-12);
   // Offsets differ so the diurnal peaks stagger.
-  EXPECT_NE(cfg.regions[0].utc_offset_hours, cfg.regions[1].utc_offset_hours);
-  EXPECT_NE(cfg.regions[1].utc_offset_hours, cfg.regions[2].utc_offset_hours);
+  EXPECT_NE(regions[0].utc_offset_hours, regions[1].utc_offset_hours);
+  EXPECT_NE(regions[1].utc_offset_hours, regions[2].utc_offset_hours);
+  for (const geo::RegionSpec& region : regions) {
+    EXPECT_EQ(geo::find_region(region.name), &region);
+  }
+  EXPECT_EQ(geo::find_region("atlantis"), nullptr);
 }
 
 TEST(RegionalConfig, ScalesArrivalsAndPricesAndBudgets) {
-  geo::FederationConfig cfg = tiny_federation(core::StreamingMode::kP2p);
-  cfg.regions = {{"east", 0.0, 0.6, 1.0, 1.0}, {"west", -8.0, 0.4, 1.5, 2.0}};
-  cfg.budget_split = geo::BudgetSplit::kProportional;
+  const expr::ExperimentConfig base =
+      expr::ExperimentConfig::make_default(core::StreamingMode::kP2p);
+  const geo::RegionSpec region{"west", -8.0, 0.4, 1.5, 2.0};
+  expr::ExperimentConfig west = base;
+  geo::apply_region(west, region);
 
-  const expr::ExperimentConfig west =
-      geo::FederationRunner::regional_config(cfg, 1);
   EXPECT_NEAR(west.workload.total_arrival_rate,
-              cfg.base.workload.total_arrival_rate * 0.4, 1e-12);
-  EXPECT_NEAR(west.vm_budget_per_hour, cfg.base.vm_budget_per_hour * 0.4,
-              1e-12);
+              base.workload.total_arrival_rate * 0.4, 1e-12);
+  EXPECT_NEAR(west.vm_budget_per_hour, base.vm_budget_per_hour * 0.4, 1e-12);
   EXPECT_NEAR(west.storage_budget_per_hour,
-              cfg.base.storage_budget_per_hour * 0.4, 1e-12);
+              base.storage_budget_per_hour * 0.4, 1e-12);
   for (std::size_t v = 0; v < west.vm_clusters.size(); ++v) {
     EXPECT_NEAR(west.vm_clusters[v].price_per_hour,
-                cfg.base.vm_clusters[v].price_per_hour * 1.5, 1e-12);
+                base.vm_clusters[v].price_per_hour * 1.5, 1e-12);
   }
   for (std::size_t f = 0; f < west.nfs_clusters.size(); ++f) {
     EXPECT_NEAR(west.nfs_clusters[f].price_per_gb_hour,
-                cfg.base.nfs_clusters[f].price_per_gb_hour * 2.0, 1e-12);
+                base.nfs_clusters[f].price_per_gb_hour * 2.0, 1e-12);
   }
-  EXPECT_NE(west.seed, cfg.base.seed);
-}
-
-TEST(RegionalConfig, UncoordinatedSplitKeepsFullBudgets) {
-  geo::FederationConfig cfg = tiny_federation(core::StreamingMode::kP2p);
-  cfg.budget_split = geo::BudgetSplit::kUncoordinated;
-  const expr::ExperimentConfig region =
-      geo::FederationRunner::regional_config(cfg, 1);
-  EXPECT_NEAR(region.vm_budget_per_hour, cfg.base.vm_budget_per_hour, 1e-12);
+  // Seeding is the sweep's job (SweepRunner::cell_config), not the region's.
+  EXPECT_EQ(west.seed, base.seed);
 }
 
 TEST(RegionalConfig, DiurnalPatternIsShiftedByUtcOffset) {
-  geo::FederationConfig cfg = tiny_federation(core::StreamingMode::kP2p);
-  cfg.regions = {{"ref", 0.0, 0.5, 1.0, 1.0}, {"west7", -7.0, 0.5, 1.0, 1.0}};
-  const expr::ExperimentConfig ref =
-      geo::FederationRunner::regional_config(cfg, 0);
-  const expr::ExperimentConfig west =
-      geo::FederationRunner::regional_config(cfg, 1);
+  expr::ExperimentConfig ref =
+      expr::ExperimentConfig::make_default(core::StreamingMode::kP2p);
+  expr::ExperimentConfig west = ref;
+  geo::apply_region(ref, {"ref", 0.0, 0.5, 1.0, 1.0});
+  geo::apply_region(west, {"west7", -7.0, 0.5, 1.0, 1.0});
   // The west region sees the reference pattern 7 hours later.
   for (double hour : {0.0, 6.0, 12.5, 20.5}) {
     EXPECT_NEAR(west.workload.diurnal.multiplier((hour + 7.0) * 3600.0),
@@ -112,10 +110,11 @@ TEST(DiurnalShift, ShiftIsPeriodicAndInvertible) {
 }
 
 TEST(FederationRun, EndToEndAggregatesAreConsistent) {
-  geo::FederationConfig cfg = tiny_federation(core::StreamingMode::kP2p);
-  const geo::FederationResult result = geo::FederationRunner::run(cfg);
+  const sweep::SweepResult cells =
+      sweep::SweepRunner::run(tiny_federation(4.0));
+  const geo::FederationResult result = federate(cells);
 
-  ASSERT_EQ(result.regions.size(), cfg.regions.size());
+  ASSERT_EQ(result.regions.size(), geo::default_regions().size());
   for (const geo::RegionResult& region : result.regions) {
     EXPECT_GT(region.result.mean_quality(), 0.5) << region.spec.name;
   }
@@ -134,24 +133,31 @@ TEST(FederationRun, EndToEndAggregatesAreConsistent) {
   EXPECT_LE(result.weighted_quality(), 1.0);
 
   // Cost series spans the measurement window hourly.
+  const expr::ExperimentResult& first = result.regions.front().result;
   const util::TimeSeries series = result.global_cost_series();
   EXPECT_EQ(series.size(),
             static_cast<std::size_t>(std::lround(
-                (result.measure_end - result.measure_start) / 3600.0)));
+                (first.measure_end - first.measure_start) / 3600.0)));
 }
 
 TEST(FederationRun, DeterministicForAGivenSeed) {
-  geo::FederationConfig cfg = tiny_federation(core::StreamingMode::kP2p);
-  cfg.base.measure_hours = 2.0;
-  const geo::FederationResult a = geo::FederationRunner::run(cfg);
-  const geo::FederationResult b = geo::FederationRunner::run(cfg);
-  EXPECT_DOUBLE_EQ(a.global_mean_cost(), b.global_mean_cost());
-  EXPECT_DOUBLE_EQ(a.min_quality(), b.min_quality());
-}
-
-TEST(BudgetSplitName, RoundTrips) {
-  EXPECT_EQ(geo::to_string(geo::BudgetSplit::kUncoordinated), "uncoordinated");
-  EXPECT_EQ(geo::to_string(geo::BudgetSplit::kProportional), "proportional");
+  // Regions run as parallel sweep cells: the aggregates must not depend on
+  // the thread count any more than on the run.
+  sweep::SweepSpec spec = tiny_federation(2.0);
+  spec.threads = 1;
+  const sweep::SweepResult serial = sweep::SweepRunner::run(spec);
+  spec.threads = 2;
+  const sweep::SweepResult parallel = sweep::SweepRunner::run(spec);
+  const geo::FederationResult a = federate(serial);
+  const geo::FederationResult b = federate(parallel);
+  ASSERT_EQ(a.regions.size(), 3u);
+  ASSERT_EQ(b.regions.size(), 3u);
+  EXPECT_EQ(a.global_mean_cost(), b.global_mean_cost());
+  EXPECT_EQ(a.global_peak_cost(), b.global_peak_cost());
+  EXPECT_EQ(a.sum_of_regional_peaks(), b.sum_of_regional_peaks());
+  EXPECT_EQ(a.multiplexing_gain(), b.multiplexing_gain());
+  EXPECT_EQ(a.min_quality(), b.min_quality());
+  EXPECT_EQ(a.weighted_quality(), b.weighted_quality());
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Tests for the heterogeneous-peer extension of Eqn. (5) (src/core/hetero)
-// — the paper's "the analysis can be readily extended to cases with
+// Tests for the peer-class mix of Eqn. (5) (core::solve_p2p_supply) — the
+// paper's "the analysis can be readily extended to cases with
 // heterogeneous bandwidths" (Sec. IV-C).
 
 #include <cmath>
@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include "core/capacity.h"
-#include "core/hetero.h"
 #include "core/jackson.h"
 #include "core/p2p.h"
 #include "util/check.h"
@@ -111,12 +110,19 @@ TEST_P(HomogeneousDegeneracy, MatchesHomogeneousSolverExactly) {
 
   const core::P2pSupply homogeneous = core::solve_p2p_supply(
       s.transfer, s.capacity, s.population, u, s.streaming_rate);
-  const core::HeteroP2pSupply hetero = core::solve_hetero_p2p_supply(
+  const core::P2pSupply hetero = core::solve_p2p_supply(
       s.transfer, s.capacity, s.population, uniform_classes(GetParam(), u),
       s.streaming_rate);
 
   ASSERT_EQ(hetero.peer_supply.size(), homogeneous.peer_supply.size());
   for (std::size_t i = 0; i < hetero.peer_supply.size(); ++i) {
+    if (GetParam() == 1) {
+      // One class is the uniform-uplink overload's own mix: bitwise equal.
+      EXPECT_EQ(hetero.peer_supply[i], homogeneous.peer_supply[i])
+          << "chunk " << i;
+      EXPECT_EQ(hetero.cloud_residual[i], homogeneous.cloud_residual[i]);
+      continue;
+    }
     EXPECT_NEAR(hetero.peer_supply[i], homogeneous.peer_supply[i], 1e-6)
         << "chunk " << i;
     EXPECT_NEAR(hetero.cloud_residual[i], homogeneous.cloud_residual[i], 1e-6);
@@ -134,7 +140,7 @@ TEST(HeteroWaterfall, ClassContributionsSumToChunkSupply) {
   const Scenario s = make_scenario(12, 0.1);
   const std::vector<core::PeerClass> classes = {
       {"dsl", 20'000.0, 0.5}, {"cable", 60'000.0, 0.3}, {"fiber", 300'000.0, 0.2}};
-  const auto out = core::solve_hetero_p2p_supply(
+  const auto out = core::solve_p2p_supply(
       s.transfer, s.capacity, s.population, classes, s.streaming_rate);
 
   for (std::size_t i = 0; i < out.peer_supply.size(); ++i) {
@@ -151,7 +157,7 @@ TEST(HeteroWaterfall, SupplyNeverExceedsChunkRequirement) {
   const Scenario s = make_scenario(12, 0.1);
   const std::vector<core::PeerClass> classes = {
       {"slow", 10'000.0, 0.6}, {"fast", 500'000.0, 0.4}};
-  const auto out = core::solve_hetero_p2p_supply(
+  const auto out = core::solve_p2p_supply(
       s.transfer, s.capacity, s.population, classes, s.streaming_rate);
   for (std::size_t i = 0; i < out.peer_supply.size(); ++i) {
     EXPECT_LE(out.peer_supply[i],
@@ -168,7 +174,7 @@ TEST(HeteroWaterfall, NoClassPledgesMoreThanItsCapacity) {
   const Scenario s = make_scenario(10, 0.12);
   const std::vector<core::PeerClass> classes = {
       {"dsl", 15'000.0, 0.7}, {"fiber", 400'000.0, 0.3}};
-  const auto out = core::solve_hetero_p2p_supply(
+  const auto out = core::solve_p2p_supply(
       s.transfer, s.capacity, s.population, classes, s.streaming_rate);
 
   const double population =
@@ -191,7 +197,7 @@ TEST(HeteroWaterfall, MeanPreservingSpreadShiftsLoadTowardFastClass) {
       {"slow", 12'500.0, 0.8}, {"fast", 200'000.0, 0.2}};
   ASSERT_NEAR(core::mean_upload(spread), 50'000.0, 1e-9);
 
-  const auto out = core::solve_hetero_p2p_supply(
+  const auto out = core::solve_p2p_supply(
       s.transfer, s.capacity, s.population, spread, s.streaming_rate);
 
   double slow_total = 0.0, fast_total = 0.0;
@@ -214,7 +220,7 @@ TEST(HeteroWaterfall, TotalSupplyWeaklyBelowHomogeneousMeanField) {
       {"slow", 5'000.0, 0.9}, {"fast", 455'000.0, 0.1}};
   ASSERT_NEAR(core::mean_upload(spread), mean, 1e-9);
 
-  const auto hetero = core::solve_hetero_p2p_supply(
+  const auto hetero = core::solve_p2p_supply(
       s.transfer, s.capacity, s.population, spread, s.streaming_rate);
   const auto homogeneous = core::solve_p2p_supply(
       s.transfer, s.capacity, s.population, mean, s.streaming_rate);
@@ -230,7 +236,7 @@ TEST(HeteroWaterfall, ZeroUploadClassesContributeNothing) {
   const Scenario s = make_scenario(8, 0.1);
   const std::vector<core::PeerClass> classes = {
       {"freerider", 0.0, 0.5}, {"seed", 100'000.0, 0.5}};
-  const auto out = core::solve_hetero_p2p_supply(
+  const auto out = core::solve_p2p_supply(
       s.transfer, s.capacity, s.population, classes, s.streaming_rate);
   for (std::size_t i = 0; i < out.peer_supply.size(); ++i) {
     EXPECT_DOUBLE_EQ(out.class_supply(0, i), 0.0);
@@ -239,7 +245,7 @@ TEST(HeteroWaterfall, ZeroUploadClassesContributeNothing) {
 
 TEST(HeteroWaterfall, AllZeroUploadMeansCloudServesEverything) {
   const Scenario s = make_scenario(8, 0.1);
-  const auto out = core::solve_hetero_p2p_supply(
+  const auto out = core::solve_p2p_supply(
       s.transfer, s.capacity, s.population, uniform_classes(3, 0.0),
       s.streaming_rate);
   for (std::size_t i = 0; i < out.peer_supply.size(); ++i) {
@@ -250,7 +256,7 @@ TEST(HeteroWaterfall, AllZeroUploadMeansCloudServesEverything) {
 
 TEST(HeteroWaterfall, RarestOrderMatchesAvailabilityOrdering) {
   const Scenario s = make_scenario(10, 0.1);
-  const auto out = core::solve_hetero_p2p_supply(
+  const auto out = core::solve_p2p_supply(
       s.transfer, s.capacity, s.population, uniform_classes(2, 50'000.0),
       s.streaming_rate);
   for (std::size_t k = 1; k < out.rarest_order.size(); ++k) {
@@ -263,7 +269,7 @@ TEST(HeteroWaterfall, LiteralCapOptionBindsAtStreamingRate) {
   const Scenario s = make_scenario(8, 0.15);
   core::P2pOptions options;
   options.demand_cap = core::P2pDemandCap::kStreamingRateLiteral;
-  const auto out = core::solve_hetero_p2p_supply(
+  const auto out = core::solve_p2p_supply(
       s.transfer, s.capacity, s.population, uniform_classes(2, 500'000.0),
       s.streaming_rate, options);
   for (std::size_t i = 0; i < out.peer_supply.size(); ++i) {

@@ -281,7 +281,7 @@ TEST(P2pSupply, ZeroUploadMeansCloudServesEverything) {
 
 TEST(P2pSupply, LiteralCapLimitsOffloadToStreamingRate) {
   // The paper-literal cap Γ <= m·r can never exceed (r/R)·s_i — the
-  // inconsistency documented in DESIGN.md and core/p2p.h.
+  // inconsistency documented in README "Modelling choices" and core/p2p.h.
   const SupplyFixture f;
   P2pOptions literal;
   literal.demand_cap = P2pDemandCap::kStreamingRateLiteral;

@@ -334,7 +334,7 @@ TEST(Percentile, LinearInterpolation) {
   EXPECT_DOUBLE_EQ(percentile({1.0, 2.0, 3.0, 4.0}, 100.0), 4.0);
   EXPECT_DOUBLE_EQ(percentile({4.0, 1.0, 3.0, 2.0}, 50.0), 2.5);  // sorts
   EXPECT_DOUBLE_EQ(percentile({1.0, 2.0, 3.0, 4.0}, 25.0), 1.75);
-  EXPECT_THROW(percentile({1.0}, 101.0), PreconditionError);
+  EXPECT_THROW((void)percentile({1.0}, 101.0), PreconditionError);
 }
 
 TEST(TimeSeries, RejectsBackwardTime) {

@@ -58,8 +58,8 @@ TEST(BoundedPareto, EmpiricalMeanMatchesAnalytic) {
 }
 
 TEST(BoundedPareto, PaperParametersMeanIsBelowStreamingRate) {
-  // The inconsistency DESIGN.md documents: the paper's literal Pareto
-  // parameters give a mean uplink of ~0.27 Mbps = 0.67 r.
+  // The inconsistency README "Modelling choices" documents: the paper's
+  // literal Pareto parameters give a mean uplink of ~0.27 Mbps = 0.67 r.
   BoundedPareto dist(22'500.0, 1'250'000.0, 3.0);
   EXPECT_NEAR(dist.mean() / 50'000.0, 0.675, 0.01);
 }

@@ -73,7 +73,10 @@ void step_hourly(const Options& options) {
   std::printf("%9s %10s %10s %12s %12s %10s\n", "time(h)", "wall(s)", "users",
               "events", "pending", "quality");
   std::uint64_t prev_events = simulator.events_processed();
-  for (double t = from + step; t <= hours * 3600.0 + 1e-9; t += step) {
+  const double end = hours * 3600.0;
+  for (double t = from; t < end;) {
+    // The last step is clamped so the final row lands at the horizon.
+    t = t + step >= end - 1e-9 ? end : t + step;
     const auto t0 = std::chrono::steady_clock::now();
     experiment.run_until(t);
     const auto t1 = std::chrono::steady_clock::now();
