@@ -88,6 +88,14 @@ if(CLOUDMEDIA_BUILD_TOOLS)
   add_usage_error_test(sweep_usage_error tool_sweep
     "^tool_sweep: --seed conflicts with --golden"
     --golden=ablation_strategies --seed=42)
+  # A grid or --set value that leaves an invalid cell config fails at load
+  # time, naming the cell, instead of aborting mid-sweep.
+  add_usage_error_test(sweep_invalid_cell tool_sweep
+    "^tool_sweep: grid cell 0 \\(vm_budget=-1\\)"
+    --grid vm_budget=-1 --hours=0.05 --warmup=0)
+  add_usage_error_test(sweep_invalid_override_cell tool_sweep
+    "^tool_sweep: grid cell 0 \\(strategy=reactive\\)"
+    --set reactive_margin=0.5 --grid strategy=reactive)
   # --dump-profile prints what would run, schedule flags included.
   add_smoke_test(sweep_dump_profile tool_sweep --scenario=flash_crowd
     --seed=7 --hours=0.5 --warmup=0 --shard=1/2 --dump-profile)

@@ -39,11 +39,7 @@ int main(int argc, char** argv) {
 
   // True hourly mean arrival rate of the chosen channel.
   const auto true_rate = [&](int hour) {
-    double acc = 0.0;
-    for (int m = 0; m < 60; ++m) {
-      acc += workload.channel_rate(channel, 3600.0 * hour + 60.0 * m);
-    }
-    return acc / 60.0;
+    return workload.mean_rate(channel, 3600.0 * hour, 3600.0 * (hour + 1));
   };
 
   struct Entry {
@@ -56,11 +52,8 @@ int main(int argc, char** argv) {
                           predict::ForecasterKind::kHolt,
                           predict::ForecasterKind::kSeasonalEwma,
                           predict::ForecasterKind::kHoltWinters}) {
-    predict::ForecasterSpec spec;
-    spec.kind = kind;
-    spec.period = 24;
     entries.push_back(
-        {predict::to_string(kind), predict::make_forecaster(spec), {}});
+        {predict::to_string(kind), predict::make_forecaster(kind), {}});
   }
 
   std::printf("Forecasting channel %d of the paper workload over %d days "
@@ -113,10 +106,9 @@ int main(int argc, char** argv) {
   std::printf("%-14s %16s %16s\n", "forecaster", "over-buy (Mbps·h)",
               "short (Mbps·h)");
   for (Entry& e : entries) {
-    predict::ForecasterSpec spec;  // fresh pass, same kinds
-    spec.kind = predict::forecaster_kind_from_string(e.label);
-    spec.period = 24;
-    const auto f = predict::make_forecaster(spec);
+    // A fresh pass, same kinds.
+    const auto f =
+        predict::make_forecaster(predict::forecaster_kind_from_string(e.label));
     double over = 0.0, under = 0.0;
     for (int h = 0; h < 24 * days; ++h) {
       const double actual = true_rate(h);

@@ -11,16 +11,27 @@ ModelBasedPolicy::ModelBasedPolicy(VodParameters params,
                                    DemandEstimatorConfig config)
     : estimator_(params, config) {}
 
-DemandSet ModelBasedPolicy::estimate(const TrackerReport& report) {
+DemandSet estimate_channels(
+    const DemandEstimator& estimator, const TrackerReport& report,
+    const std::function<double(std::size_t, double)>& rate) {
   DemandSet out;
   out.cloud_demand.reserve(report.channels.size());
   out.estimates.reserve(report.channels.size());
-  for (const ChannelObservation& obs : report.channels) {
-    ChannelDemandEstimate est = estimator_.estimate(obs);
+  for (std::size_t c = 0; c < report.channels.size(); ++c) {
+    const ChannelObservation& obs = report.channels[c];
+    ChannelDemandEstimate est =
+        estimator.estimate(obs, rate(c, obs.arrival_rate));
     out.cloud_demand.push_back(est.cloud_demand);
     out.estimates.push_back(std::move(est));
   }
   return out;
+}
+
+DemandSet ModelBasedPolicy::estimate(const TrackerReport& report) {
+  return estimate_channels(estimator_, report,
+                           [](std::size_t, double measured) {
+                             return measured;
+                           });
 }
 
 ReactivePolicy::ReactivePolicy(VodParameters params, double margin)
@@ -71,59 +82,40 @@ DemandSet StaticPolicy::estimate(const TrackerReport& report) {
 }
 
 SeasonalPolicy::SeasonalPolicy(VodParameters params,
-                               DemandEstimatorConfig config, double period,
-                               double blend, double ewma)
-    : estimator_(params, config), period_(period), blend_(blend), ewma_(ewma) {
-  CM_EXPECTS(period_ > 0.0);
-  CM_EXPECTS(blend_ >= 0.0 && blend_ <= 1.0);
-  CM_EXPECTS(ewma_ > 0.0 && ewma_ <= 1.0);
-}
-
-double SeasonalPolicy::seasonal_rate(int channel, int slot) const {
-  if (channel < 0 || static_cast<std::size_t>(channel) >= history_.size())
-    return -1.0;
-  const auto& row = history_[static_cast<std::size_t>(channel)];
-  if (slot < 0 || static_cast<std::size_t>(slot) >= row.size()) return -1.0;
-  return row[static_cast<std::size_t>(slot)];
-}
+                               DemandEstimatorConfig config)
+    : estimator_(params, config) {}
 
 DemandSet SeasonalPolicy::estimate(const TrackerReport& report) {
   CM_EXPECTS(report.interval_length > 0.0);
   if (slots_ == 0) {
-    slots_ = std::max(1, static_cast<int>(std::lround(period_ / report.interval_length)));
+    slots_ = std::max(
+        1, static_cast<int>(std::lround(kPeriod / report.interval_length)));
     history_.assign(report.channels.size(),
                     std::vector<double>(static_cast<std::size_t>(slots_), -1.0));
   }
   CM_EXPECTS(history_.size() == report.channels.size());
 
   const auto slot_of = [&](double t) {
-    const double phase = std::fmod(t, period_);
-    return static_cast<int>(phase / report.interval_length) % slots_;
+    const double phase = std::fmod(t, kPeriod);
+    return static_cast<std::size_t>(
+        static_cast<int>(phase / report.interval_length) % slots_);
   };
-  const int measured_slot = slot_of(report.interval_start);
-  const int next_slot = slot_of(report.interval_start + report.interval_length);
+  const std::size_t measured_slot = slot_of(report.interval_start);
+  const std::size_t next_slot =
+      slot_of(report.interval_start + report.interval_length);
 
-  DemandSet out;
-  out.cloud_demand.reserve(report.channels.size());
-  out.estimates.reserve(report.channels.size());
-  for (std::size_t c = 0; c < report.channels.size(); ++c) {
-    std::vector<double>& row = history_[c];
-    double& slot_rate = row[static_cast<std::size_t>(measured_slot)];
-    const double measured = report.channels[c].arrival_rate;
-    slot_rate = slot_rate < 0.0 ? measured
-                                : (1.0 - ewma_) * slot_rate + ewma_ * measured;
-
-    ChannelObservation obs = report.channels[c];
-    const double seasonal = row[static_cast<std::size_t>(next_slot)];
-    // Persistence until the same slot has been seen at least once.
-    obs.arrival_rate = seasonal < 0.0
-                           ? measured
-                           : (1.0 - blend_) * measured + blend_ * seasonal;
-    ChannelDemandEstimate est = estimator_.estimate(obs);
-    out.cloud_demand.push_back(est.cloud_demand);
-    out.estimates.push_back(std::move(est));
-  }
-  return out;
+  return estimate_channels(
+      estimator_, report, [&](std::size_t c, double measured) {
+        std::vector<double>& row = history_[c];
+        double& slot_rate = row[measured_slot];
+        slot_rate = slot_rate < 0.0
+                        ? measured
+                        : (1.0 - kEwma) * slot_rate + kEwma * measured;
+        const double seasonal = row[next_slot];
+        // Persistence until the same slot has been seen at least once.
+        return seasonal < 0.0 ? measured
+                              : (1.0 - kBlend) * measured + kBlend * seasonal;
+      });
 }
 
 ClairvoyantPolicy::ClairvoyantPolicy(
@@ -136,19 +128,11 @@ ClairvoyantPolicy::ClairvoyantPolicy(
 DemandSet ClairvoyantPolicy::estimate(const TrackerReport& report) {
   const double t0 = report.interval_start + report.interval_length;
   const double t1 = t0 + report.interval_length;
-  DemandSet out;
-  out.cloud_demand.reserve(report.channels.size());
-  out.estimates.reserve(report.channels.size());
-  for (std::size_t c = 0; c < report.channels.size(); ++c) {
-    // The oracle swaps the measured rate for the true mean rate of the
-    // interval the plan will serve; viewing patterns stay as measured.
-    ChannelObservation obs = report.channels[c];
-    obs.arrival_rate = future_rate_(static_cast<int>(c), t0, t1);
-    ChannelDemandEstimate est = estimator_.estimate(obs);
-    out.cloud_demand.push_back(est.cloud_demand);
-    out.estimates.push_back(std::move(est));
-  }
-  return out;
+  // The oracle swaps the measured rate for the true mean rate of the
+  // interval the plan will serve; viewing patterns stay as measured.
+  return estimate_channels(estimator_, report, [&](std::size_t c, double) {
+    return future_rate_(static_cast<int>(c), t0, t1);
+  });
 }
 
 void ControllerConfig::validate() const {

@@ -36,6 +36,14 @@ class DemandPolicy {
   [[nodiscard]] virtual std::string name() const = 0;
 };
 
+/// The Sec.-IV loop under every model-driven policy: each channel's
+/// observation runs through `estimator` with its measured viewing patterns
+/// P̂ at the arrival rate `rate(channel, measured Λ̂)` — the policy's
+/// prediction for the next interval. Observations are read in place.
+[[nodiscard]] DemandSet estimate_channels(
+    const DemandEstimator& estimator, const TrackerReport& report,
+    const std::function<double(std::size_t, double)>& rate);
+
 /// The paper's policy: queueing-model demand from measured Λ̂ and P̂.
 class ModelBasedPolicy final : public DemandPolicy {
  public:
@@ -82,24 +90,18 @@ class StaticPolicy final : public DemandPolicy {
 /// flash crowds instead of trailing them by one interval.
 class SeasonalPolicy final : public DemandPolicy {
  public:
-  /// `period` is the seasonality period (default one day); `blend` is the
-  /// weight on the seasonal estimate vs persistence once history exists;
-  /// `ewma` is the day-over-day smoothing factor.
-  SeasonalPolicy(VodParameters params, DemandEstimatorConfig config,
-                 double period = 86'400.0, double blend = 0.7,
-                 double ewma = 0.4);
+  /// Seasonality period (one day), weight on the seasonal estimate vs
+  /// persistence once history exists, and day-over-day smoothing factor.
+  static constexpr double kPeriod = 86'400.0;
+  static constexpr double kBlend = 0.7;
+  static constexpr double kEwma = 0.4;
+
+  SeasonalPolicy(VodParameters params, DemandEstimatorConfig config);
   [[nodiscard]] DemandSet estimate(const TrackerReport& report) override;
   [[nodiscard]] std::string name() const override { return "seasonal"; }
 
-  /// Current seasonal rate estimate for (channel, slot); negative = no
-  /// history yet. Exposed for tests.
-  [[nodiscard]] double seasonal_rate(int channel, int slot) const;
-
  private:
   DemandEstimator estimator_;
-  double period_;
-  double blend_;
-  double ewma_;
   int slots_ = 0;
   /// [channel][slot] EWMA of measured rates; -1 marks "never observed".
   std::vector<std::vector<double>> history_;

@@ -14,11 +14,11 @@ DemandEstimator::DemandEstimator(VodParameters params,
 }
 
 ChannelDemandEstimate DemandEstimator::estimate(
-    const ChannelObservation& observation) const {
+    const ChannelObservation& observation, double arrival_rate) const {
   const auto j = static_cast<std::size_t>(params_.chunks_per_video);
   CM_EXPECTS(observation.transfer.rows() == j);
   CM_EXPECTS(observation.entry.size() == j);
-  CM_EXPECTS(observation.arrival_rate >= 0.0);
+  CM_EXPECTS(arrival_rate >= 0.0);
 
   // Measured P̂ can be degenerate: in a quiet hour every observed departure
   // from some chunk may lead to another chunk, so rows sum to 1 and the
@@ -44,7 +44,7 @@ ChannelDemandEstimate DemandEstimator::estimate(
 
   ChannelDemandEstimate out;
   out.arrival_rates = solve_traffic_equations(
-      damped, observation.entry, observation.arrival_rate);
+      damped, observation.entry, arrival_rate);
 
   if (config_.occupancy_floor && !observation.occupancy.empty()) {
     CM_EXPECTS(observation.occupancy.size() == j);

@@ -53,7 +53,13 @@ class DemandEstimator {
   DemandEstimator(VodParameters params, DemandEstimatorConfig config);
 
   [[nodiscard]] ChannelDemandEstimate estimate(
-      const ChannelObservation& observation) const;
+      const ChannelObservation& observation) const {
+    return estimate(observation, observation.arrival_rate);
+  }
+  /// The same pipeline at `arrival_rate` in place of the measured Λ̂ (a
+  /// policy's prediction for the next interval), with the measured P̂.
+  [[nodiscard]] ChannelDemandEstimate estimate(
+      const ChannelObservation& observation, double arrival_rate) const;
 
   [[nodiscard]] const VodParameters& params() const noexcept { return params_; }
   [[nodiscard]] const DemandEstimatorConfig& config() const noexcept {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <utility>
 
 #include "core/jackson.h"
 #include "util/check.h"
@@ -97,8 +98,11 @@ std::vector<PeerClass> classes_from_quantiles(
       CM_ENSURES(value >= 0.0);
       acc += value;
     }
-    classes.push_back(PeerClass{"q" + std::to_string(g + 1),
-                                acc / resolution, bin});
+    // Appended, not `"q" + std::to_string(...)`: GCC 12 at -O3 warns
+    // -Wrestrict on the latter.
+    std::string name = "q";
+    name += std::to_string(g + 1);
+    classes.push_back(PeerClass{std::move(name), acc / resolution, bin});
   }
   return classes;
 }

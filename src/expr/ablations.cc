@@ -485,19 +485,12 @@ void report_ablation_prediction(const FigureRun& run) {
               "MAE(/s)", "RMSE(/s)", "MAPE", "bias(/s)", "under-%");
 
   for (const predict::ForecasterKind kind : predict::all_forecaster_kinds()) {
-    predict::ForecasterSpec spec;
-    spec.kind = kind;
-    spec.period = 24;  // hourly cadence, daily season
     predict::ForecastScore score;
     for (int c = 0; c < workload.num_channels(); ++c) {
-      const auto f = predict::make_forecaster(spec);
+      const auto f = predict::make_forecaster(kind);
       for (int h = 0; h < 24 * kDays; ++h) {
-        // True mean rate of channel c over hour h (1-minute resolution).
-        double actual = 0.0;
-        for (int m = 0; m < 60; ++m) {
-          actual += workload.channel_rate(c, 3600.0 * h + 60.0 * m);
-        }
-        actual /= 60.0;
+        const double actual =
+            workload.mean_rate(c, 3600.0 * h, 3600.0 * (h + 1));
         if (h >= 24) score.add(f->forecast(), actual);  // skip day-1 warmup
         f->observe(actual);
       }

@@ -56,14 +56,12 @@ struct ExperimentConfig;
 ///
 /// `apply(live, baseline)` mutates the running config in place; `baseline`
 /// is a snapshot taken before any timeline op fired, so ops like the
-/// `recovery` primitive can restore pre-outage values. `workload_shaping`
-/// mirrors the scenario-op tag and is introspective only: timed ops never
+/// `recovery` primitive can restore pre-outage values. Timed ops never
 /// enter ParamGrid::workload_hash / SweepRunner::run_seed, so a timeline
 /// replays the byte-identical viewer population at any thread count.
 struct TimedConfigOp {
   double fire_time = 0.0;   ///< seconds of simulated time; must be > 0
   std::string name;         ///< the scenario op's name, for errors and logs
-  bool workload_shaping = true;
   std::function<void(ExperimentConfig& live, const ExperimentConfig& baseline)>
       apply;
 };
@@ -87,7 +85,8 @@ struct ExperimentConfig {
   core::P2pOptions p2p;                       ///< Eqn.-(5) cap variant
   Strategy strategy = Strategy::kModelBased;
   double reactive_margin = 1.2;               ///< for Strategy::kReactive
-  predict::ForecasterSpec forecaster;         ///< for Strategy::kForecast
+  predict::ForecasterKind forecaster =
+      predict::ForecasterKind::kPersistence;  ///< for Strategy::kForecast
 
   double vm_boot_delay = 25.0;                ///< Sec. VI-C measurement
   vod::StreamingOptions streaming;            ///< mode is overridden by `mode`

@@ -72,15 +72,7 @@ std::unique_ptr<core::DemandPolicy> make_policy(
       return std::make_unique<core::ClairvoyantPolicy>(
           config.vod, estimator,
           [&workload](int channel, double t0, double t1) {
-            // True mean rate over the interval, 1-minute resolution.
-            CM_EXPECTS(t1 > t0);
-            double acc = 0.0;
-            int n = 0;
-            for (double t = t0; t < t1; t += 60.0) {
-              acc += workload.channel_rate(channel, t);
-              ++n;
-            }
-            return n > 0 ? acc / n : workload.channel_rate(channel, t0);
+            return workload.mean_rate(channel, t0, t1);
           });
   }
   throw util::PreconditionError("unknown strategy");

@@ -13,19 +13,6 @@ double clamp_rate(double x) noexcept { return x > 0.0 ? x : 0.0; }
 
 }  // namespace
 
-// --- persistence -----------------------------------------------------------
-
-void PersistenceForecaster::observe(double value) {
-  CM_EXPECTS(value >= 0.0);
-  last_ = value;
-}
-
-double PersistenceForecaster::forecast() const { return last_; }
-
-std::unique_ptr<Forecaster> PersistenceForecaster::clone() const {
-  return std::make_unique<PersistenceForecaster>(*this);
-}
-
 // --- moving average ---------------------------------------------------------
 
 MovingAverageForecaster::MovingAverageForecaster(int window)
@@ -48,14 +35,6 @@ double MovingAverageForecaster::forecast() const {
   return sum / static_cast<double>(filled_);
 }
 
-std::string MovingAverageForecaster::name() const {
-  return "ma" + std::to_string(window_);
-}
-
-std::unique_ptr<Forecaster> MovingAverageForecaster::clone() const {
-  return std::make_unique<MovingAverageForecaster>(*this);
-}
-
 // --- EWMA -------------------------------------------------------------------
 
 EwmaForecaster::EwmaForecaster(double alpha) : alpha_(alpha) {
@@ -69,12 +48,6 @@ void EwmaForecaster::observe(double value) {
 }
 
 double EwmaForecaster::forecast() const { return seen_ ? level_ : 0.0; }
-
-std::string EwmaForecaster::name() const { return "ewma"; }
-
-std::unique_ptr<Forecaster> EwmaForecaster::clone() const {
-  return std::make_unique<EwmaForecaster>(*this);
-}
 
 // --- Holt linear ------------------------------------------------------------
 
@@ -104,39 +77,6 @@ void HoltForecaster::observe(double value) {
 double HoltForecaster::forecast() const {
   if (seen_ == 0) return 0.0;
   return clamp_rate(level_ + trend_);
-}
-
-std::string HoltForecaster::name() const { return "holt"; }
-
-std::unique_ptr<Forecaster> HoltForecaster::clone() const {
-  return std::make_unique<HoltForecaster>(*this);
-}
-
-// --- seasonal naive ---------------------------------------------------------
-
-SeasonalNaiveForecaster::SeasonalNaiveForecaster(int period) : period_(period) {
-  CM_EXPECTS(period >= 1);
-}
-
-void SeasonalNaiveForecaster::observe(double value) {
-  CM_EXPECTS(value >= 0.0);
-  history_.push_back(value);
-}
-
-double SeasonalNaiveForecaster::forecast() const {
-  if (history_.empty()) return 0.0;
-  const auto p = static_cast<std::size_t>(period_);
-  // The next observation is history_[n]; its seasonal twin is n − period.
-  if (history_.size() < p) return history_.back();
-  return history_[history_.size() - p];
-}
-
-std::string SeasonalNaiveForecaster::name() const {
-  return "seasonal-naive" + std::to_string(period_);
-}
-
-std::unique_ptr<Forecaster> SeasonalNaiveForecaster::clone() const {
-  return std::make_unique<SeasonalNaiveForecaster>(*this);
 }
 
 // --- seasonal EWMA profile ---------------------------------------------------
@@ -171,12 +111,6 @@ double SeasonalEwmaForecaster::forecast() const {
 double SeasonalEwmaForecaster::profile(int slot) const {
   CM_EXPECTS(slot >= 0 && slot < period_);
   return profile_[static_cast<std::size_t>(slot)];
-}
-
-std::string SeasonalEwmaForecaster::name() const { return "seasonal-ewma"; }
-
-std::unique_ptr<Forecaster> SeasonalEwmaForecaster::clone() const {
-  return std::make_unique<SeasonalEwmaForecaster>(*this);
 }
 
 // --- Holt–Winters additive ---------------------------------------------------
@@ -241,12 +175,6 @@ double HoltWintersForecaster::seasonal(int slot) const {
   return seasonal_[static_cast<std::size_t>(slot)];
 }
 
-std::string HoltWintersForecaster::name() const { return "holt-winters"; }
-
-std::unique_ptr<Forecaster> HoltWintersForecaster::clone() const {
-  return std::make_unique<HoltWintersForecaster>(*this);
-}
-
 // --- factory ------------------------------------------------------------------
 
 std::string to_string(ForecasterKind kind) {
@@ -283,35 +211,26 @@ const std::vector<ForecasterKind>& all_forecaster_kinds() {
   return kinds;
 }
 
-void ForecasterSpec::validate() const {
-  CM_EXPECTS(window >= 1);
-  CM_EXPECTS(alpha > 0.0 && alpha <= 1.0);
-  CM_EXPECTS(beta >= 0.0 && beta <= 1.0);
-  CM_EXPECTS(gamma >= 0.0 && gamma <= 1.0);
-  CM_EXPECTS(blend >= 0.0 && blend <= 1.0);
-  CM_EXPECTS(period >= 1);
-  if (kind == ForecasterKind::kHoltWinters) CM_EXPECTS(period >= 2);
-}
-
-std::unique_ptr<Forecaster> make_forecaster(const ForecasterSpec& spec) {
-  spec.validate();
-  switch (spec.kind) {
+std::unique_ptr<Forecaster> make_forecaster(ForecasterKind kind) {
+  constexpr int kPeriod = 24;  // hourly cadence, daily season
+  constexpr double kAlpha = 0.5;
+  constexpr double kBeta = 0.2;
+  switch (kind) {
     case ForecasterKind::kPersistence:
-      return std::make_unique<PersistenceForecaster>();
+      return std::make_unique<EwmaForecaster>(1.0);
     case ForecasterKind::kMovingAverage:
-      return std::make_unique<MovingAverageForecaster>(spec.window);
+      return std::make_unique<MovingAverageForecaster>(3);
     case ForecasterKind::kEwma:
-      return std::make_unique<EwmaForecaster>(spec.alpha);
+      return std::make_unique<EwmaForecaster>(kAlpha);
     case ForecasterKind::kHolt:
-      return std::make_unique<HoltForecaster>(spec.alpha, spec.beta);
+      return std::make_unique<HoltForecaster>(kAlpha, kBeta);
     case ForecasterKind::kSeasonalNaive:
-      return std::make_unique<SeasonalNaiveForecaster>(spec.period);
+      return std::make_unique<SeasonalEwmaForecaster>(kPeriod, 1.0, 1.0);
     case ForecasterKind::kSeasonalEwma:
-      return std::make_unique<SeasonalEwmaForecaster>(spec.period, spec.alpha,
-                                                      spec.blend);
+      return std::make_unique<SeasonalEwmaForecaster>(kPeriod, kAlpha, 0.7);
     case ForecasterKind::kHoltWinters:
-      return std::make_unique<HoltWintersForecaster>(spec.alpha, spec.beta,
-                                                     spec.gamma, spec.period);
+      return std::make_unique<HoltWintersForecaster>(kAlpha, kBeta, 0.3,
+                                                     kPeriod);
   }
   throw util::PreconditionError("unknown ForecasterKind");
 }

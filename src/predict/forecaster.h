@@ -32,24 +32,6 @@ class Forecaster {
   /// returns 0 (no information — the controller's bootstrap plan covers
   /// the first interval).
   [[nodiscard]] virtual double forecast() const = 0;
-
-  [[nodiscard]] virtual std::string name() const = 0;
-
-  /// Fresh copy with identical state (one forecaster per channel is cloned
-  /// from a prototype).
-  [[nodiscard]] virtual std::unique_ptr<Forecaster> clone() const = 0;
-};
-
-/// The paper's predictor: next interval = last interval.
-class PersistenceForecaster final : public Forecaster {
- public:
-  void observe(double value) override;
-  [[nodiscard]] double forecast() const override;
-  [[nodiscard]] std::string name() const override { return "persistence"; }
-  [[nodiscard]] std::unique_ptr<Forecaster> clone() const override;
-
- private:
-  double last_ = 0.0;
 };
 
 /// Mean of the last `window` observations.
@@ -58,8 +40,6 @@ class MovingAverageForecaster final : public Forecaster {
   explicit MovingAverageForecaster(int window);
   void observe(double value) override;
   [[nodiscard]] double forecast() const override;
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] std::unique_ptr<Forecaster> clone() const override;
 
  private:
   int window_;
@@ -69,14 +49,13 @@ class MovingAverageForecaster final : public Forecaster {
 };
 
 /// Exponentially weighted moving average with smoothing factor `alpha`
-/// (weight on the newest observation).
+/// (weight on the newest observation). At alpha = 1 it is the paper's
+/// predictor: next interval = last interval.
 class EwmaForecaster final : public Forecaster {
  public:
   explicit EwmaForecaster(double alpha);
   void observe(double value) override;
   [[nodiscard]] double forecast() const override;
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] std::unique_ptr<Forecaster> clone() const override;
 
  private:
   double alpha_;
@@ -92,8 +71,6 @@ class HoltForecaster final : public Forecaster {
   HoltForecaster(double alpha, double beta);
   void observe(double value) override;
   [[nodiscard]] double forecast() const override;
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] std::unique_ptr<Forecaster> clone() const override;
 
   [[nodiscard]] double level() const noexcept { return level_; }
   [[nodiscard]] double trend() const noexcept { return trend_; }
@@ -106,32 +83,17 @@ class HoltForecaster final : public Forecaster {
   int seen_ = 0;
 };
 
-/// Last value observed at the same slot of the previous period (the value
-/// this hour yesterday). Falls back to persistence until a full period has
-/// been observed.
-class SeasonalNaiveForecaster final : public Forecaster {
- public:
-  explicit SeasonalNaiveForecaster(int period);
-  void observe(double value) override;
-  [[nodiscard]] double forecast() const override;
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] std::unique_ptr<Forecaster> clone() const override;
-
- private:
-  int period_;
-  std::vector<double> history_;  ///< all observations, in order
-};
-
 /// Per-slot EWMA over previous periods, blended with persistence:
 ///   forecast = blend · profile[next slot] + (1 − blend) · last value.
-/// The library form of `core::SeasonalPolicy`'s predictor.
+/// The library form of `core::SeasonalPolicy`'s predictor. At alpha = 1,
+/// blend = 1 it is seasonal-naive: the value observed at the same slot of
+/// the previous period (this hour yesterday), and persistence until a full
+/// period has been observed.
 class SeasonalEwmaForecaster final : public Forecaster {
  public:
   SeasonalEwmaForecaster(int period, double alpha, double blend);
   void observe(double value) override;
   [[nodiscard]] double forecast() const override;
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] std::unique_ptr<Forecaster> clone() const override;
 
   /// Profile estimate for a slot; negative = that slot never observed.
   [[nodiscard]] double profile(int slot) const;
@@ -154,8 +116,6 @@ class HoltWintersForecaster final : public Forecaster {
   HoltWintersForecaster(double alpha, double beta, double gamma, int period);
   void observe(double value) override;
   [[nodiscard]] double forecast() const override;
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] std::unique_ptr<Forecaster> clone() const override;
 
   [[nodiscard]] double level() const noexcept { return level_; }
   [[nodiscard]] double trend() const noexcept { return trend_; }
@@ -191,21 +151,11 @@ enum class ForecasterKind {
 /// All kinds, for parameterized tests and comparison benches.
 [[nodiscard]] const std::vector<ForecasterKind>& all_forecaster_kinds();
 
-/// Value-semantic description of a forecaster; defaults are sensible for
-/// the paper's hourly cadence and daily seasonality.
-struct ForecasterSpec {
-  ForecasterKind kind = ForecasterKind::kPersistence;
-  int window = 3;        ///< moving average
-  double alpha = 0.5;    ///< level smoothing (EWMA / Holt / HW / profile)
-  double beta = 0.2;     ///< trend smoothing (Holt / HW)
-  double gamma = 0.3;    ///< seasonal smoothing (HW)
-  double blend = 0.7;    ///< seasonal-vs-persistence weight (seasonal EWMA)
-  int period = 24;       ///< slots per season (hours per day)
-
-  void validate() const;
-};
-
-[[nodiscard]] std::unique_ptr<Forecaster> make_forecaster(
-    const ForecasterSpec& spec);
+/// A fresh forecaster of `kind`, parameterized for the paper's hourly
+/// cadence and daily season: period 24, window 3, level smoothing
+/// alpha 0.5, trend beta 0.2, seasonal gamma 0.3, seasonal blend 0.7.
+/// persistence is EWMA at alpha 1; seasonal-naive is seasonal EWMA at
+/// alpha 1, blend 1.
+[[nodiscard]] std::unique_ptr<Forecaster> make_forecaster(ForecasterKind kind);
 
 }  // namespace cloudmedia::predict

@@ -1,59 +1,31 @@
 #include "predict/policy.h"
 
-#include <utility>
-
 #include "util/check.h"
 
 namespace cloudmedia::predict {
 
 ForecastPolicy::ForecastPolicy(core::VodParameters params,
                                core::DemandEstimatorConfig config,
-                               ForecasterSpec spec)
-    : estimator_(params, config), spec_(spec) {
-  spec_.validate();
-}
+                               ForecasterKind kind)
+    : estimator_(params, config), kind_(kind) {}
 
 std::string ForecastPolicy::name() const {
-  return "forecast:" + to_string(spec_.kind);
-}
-
-double ForecastPolicy::last_forecast(int channel) const {
-  if (channel < 0 || static_cast<std::size_t>(channel) >= pending_.size())
-    return -1.0;
-  return pending_[static_cast<std::size_t>(channel)];
+  return "forecast:" + to_string(kind_);
 }
 
 core::DemandSet ForecastPolicy::estimate(const core::TrackerReport& report) {
   if (bank_.empty()) {
     bank_.reserve(report.channels.size());
-    const auto prototype = make_forecaster(spec_);
     for (std::size_t c = 0; c < report.channels.size(); ++c) {
-      bank_.push_back(prototype->clone());
+      bank_.push_back(make_forecaster(kind_));
     }
-    pending_.assign(report.channels.size(), -1.0);
   }
   CM_EXPECTS(bank_.size() == report.channels.size());
-
-  core::DemandSet out;
-  out.cloud_demand.reserve(report.channels.size());
-  out.estimates.reserve(report.channels.size());
-  for (std::size_t c = 0; c < report.channels.size(); ++c) {
-    const double measured = report.channels[c].arrival_rate;
-    // Score the forecast this channel ran on during the interval that just
-    // ended, now that its actual is known.
-    if (pending_[c] >= 0.0) score_.add(pending_[c], measured);
-
-    bank_[c]->observe(measured);
-    const double predicted = bank_[c]->forecast();
-    pending_[c] = predicted;
-
-    core::ChannelObservation obs = report.channels[c];
-    obs.arrival_rate = predicted;
-    core::ChannelDemandEstimate est = estimator_.estimate(obs);
-    out.cloud_demand.push_back(est.cloud_demand);
-    out.estimates.push_back(std::move(est));
-  }
-  return out;
+  return core::estimate_channels(
+      estimator_, report, [&](std::size_t c, double measured) {
+        bank_[c]->observe(measured);
+        return bank_[c]->forecast();
+      });
 }
 
 }  // namespace cloudmedia::predict

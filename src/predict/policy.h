@@ -6,7 +6,6 @@
 
 #include "core/controller.h"
 #include "core/demand.h"
-#include "predict/accuracy.h"
 #include "predict/forecaster.h"
 
 namespace cloudmedia::predict {
@@ -14,7 +13,7 @@ namespace cloudmedia::predict {
 /// Demand policy that drives the paper's Sec.-IV queueing model with a
 /// pluggable arrival-rate forecaster instead of last-interval persistence.
 ///
-/// Each channel gets its own forecaster (cloned from the spec). Every
+/// Each channel gets its own forecaster of the configured kind. Every
 /// interval the measured rate Λ̂ is fed to the channel's forecaster, the
 /// next interval's rate is forecast, and the Sec.-IV pipeline (traffic
 /// equations → Erlang sizing → peer-supply subtraction) runs on the
@@ -22,30 +21,21 @@ namespace cloudmedia::predict {
 /// paper's controller with the predictor swapped out.
 ///
 /// With ForecasterKind::kPersistence this is behaviourally identical to
-/// core::ModelBasedPolicy (a test asserts so); the other kinds implement
-/// the paper's deferred "more accurate prediction" future work.
+/// core::ModelBasedPolicy; the other kinds implement the paper's deferred
+/// "more accurate prediction" future work.
 class ForecastPolicy final : public core::DemandPolicy {
  public:
   ForecastPolicy(core::VodParameters params,
-                 core::DemandEstimatorConfig config, ForecasterSpec spec);
+                 core::DemandEstimatorConfig config, ForecasterKind kind);
 
   [[nodiscard]] core::DemandSet estimate(
       const core::TrackerReport& report) override;
   [[nodiscard]] std::string name() const override;
 
-  /// One-step accuracy pooled over all channels: each interval's forecast
-  /// is scored against the next interval's measurement.
-  [[nodiscard]] const ForecastScore& score() const noexcept { return score_; }
-  /// The rate the policy used for `channel` in the last estimate() call;
-  /// negative before the first call.
-  [[nodiscard]] double last_forecast(int channel) const;
-
  private:
   core::DemandEstimator estimator_;
-  ForecasterSpec spec_;
+  ForecasterKind kind_;
   std::vector<std::unique_ptr<Forecaster>> bank_;  ///< one per channel
-  std::vector<double> pending_;  ///< forecasts awaiting their actuals
-  ForecastScore score_;
 };
 
 }  // namespace cloudmedia::predict

@@ -110,7 +110,11 @@ Profile compose_profile(util::Rng& rng, const FuzzOptions& options) {
        sample_distinct(rng, names.size(), num_parts)) {
     std::string part = names[index];
     if (timed < options.max_timed_parts && rng.bernoulli(0.4)) {
-      part += "@" + std::to_string(rng.uniform_int(10, 120)) + "m";
+      // Appended piecewise: GCC 12 at -O3 warns -Wrestrict on
+      // `"@" + std::to_string(...)`.
+      part += '@';
+      part += std::to_string(rng.uniform_int(10, 120));
+      part += 'm';
       ++timed;
     }
     parts.push_back(std::move(part));

@@ -283,31 +283,32 @@ void Profile::validate(const sweep::ScenarioCatalog& catalog) const {
   // against the catalog — unknown parts and malformed times throw the
   // resolver's teaching errors.
   const sweep::Scenario resolved = catalog.resolve(scenario);
-  // Every override and grid value must apply cleanly to a scratch config,
-  // so a typo'd mode or out-of-range chunk size fails at load time with
-  // the applier registry's error, not mid-sweep on a worker thread.
-  const expr::ExperimentConfig base =
-      expr::ExperimentConfig::make_default(core::StreamingMode::kClientServer);
-  for (const auto& [parameter, value] : overrides) {
-    expr::ExperimentConfig scratch = base;
-    sweep::apply_parameter(scratch, parameter, value);
-  }
-  for (const sweep::ParamAxis& axis : grid.axes()) {
-    for (const std::string& value : axis.values) {
-      expr::ExperimentConfig scratch = base;
-      sweep::apply_parameter(scratch, axis.name, value);
+  // Every grid cell's assembled config (scenario, overrides, then the
+  // cell's coordinates) must apply and validate, so a typo'd mode or an
+  // out-of-range value fails at load time with the cell named, not
+  // mid-sweep on a worker thread. Cells, not single values: an axis value
+  // may be valid only together with another axis's value.
+  sweep::SweepSpec spec;
+  spec.grid = grid;
+  spec.warmup_hours = warmup_hours;
+  spec.measure_hours = measure_hours;
+  spec.overrides = overrides;
+  for (std::size_t cell = 0; cell < grid.num_points(); ++cell) {
+    const sweep::GridPoint point = grid.point(cell);
+    try {
+      const expr::ExperimentConfig config =
+          sweep::SweepRunner::cell_config(spec, resolved, point);
+      config.validate();
+      // The timed ops a composite like `catalog_refresh@90m` schedules
+      // must pass the runner's dry pass (no frozen-field mutations, valid
+      // intermediate workloads).
+      expr::validate_timeline(config);
+    } catch (const util::PreconditionError& e) {
+      if (point.coords.empty()) throw;
+      throw util::PreconditionError("grid cell " + std::to_string(cell) +
+                                    " (" + point.label() + "): " + e.what());
     }
   }
-  // And the timed ops a composite like `catalog_refresh@90m` schedules
-  // must pass the runner's dry pass (no frozen-field mutations, valid
-  // intermediate workloads) — again so the error arrives at load time
-  // with the profile named, not mid-sweep.
-  expr::ExperimentConfig effective = base;
-  resolved.apply(effective);
-  for (const auto& [parameter, value] : overrides) {
-    sweep::apply_parameter(effective, parameter, value);
-  }
-  expr::validate_timeline(effective);
 }
 
 }  // namespace cloudmedia::profile

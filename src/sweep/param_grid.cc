@@ -115,8 +115,7 @@ void apply_forecaster(expr::ExperimentConfig& cfg, const std::string& value) {
                                   known + ", got '" + value + "'");
   }
   cfg.strategy = expr::Strategy::kForecast;
-  cfg.forecaster.kind = kind;
-  cfg.forecaster.period = 24;  // hourly cadence, daily season
+  cfg.forecaster = kind;
 }
 
 // The chunk-size axis (ablation_chunk_size, paper footnote 3): T0 in

@@ -276,7 +276,6 @@ void Scenario::apply(expr::ExperimentConfig& config) const {
       expr::TimedConfigOp timed;
       timed.fire_time = op.fire_time;
       timed.name = op.name;
-      timed.workload_shaping = op.workload_shaping;
       if (op.apply_at_fire) {
         timed.apply = op.apply_at_fire;
       } else {

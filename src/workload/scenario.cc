@@ -76,6 +76,17 @@ double Workload::channel_rate(int channel, double t) const {
          config_.diurnal.multiplier(t);
 }
 
+double Workload::mean_rate(int channel, double t0, double t1) const {
+  CM_EXPECTS(t1 > t0);
+  double acc = 0.0;
+  int n = 0;
+  for (double t = t0; t < t1; t += 60.0) {
+    acc += channel_rate(channel, t);
+    ++n;
+  }
+  return acc / n;
+}
+
 double Workload::channel_max_rate(int channel) const {
   CM_EXPECTS(channel >= 0 && channel < config_.num_channels);
   // Under a refresh the channel can rotate onto any rank, so the top Zipf

@@ -81,6 +81,9 @@ class Workload {
   [[nodiscard]] double channel_weight_at(int channel, double t) const;
   /// Instantaneous external arrival rate of channel c at time t.
   [[nodiscard]] double channel_rate(int channel, double t) const;
+  /// True mean arrival rate of channel c over [t0, t1), sampled at
+  /// 1-minute resolution.
+  [[nodiscard]] double mean_rate(int channel, double t0, double t1) const;
   /// Envelope for thinning (an upper bound on channel_rate over all t; the
   /// top Zipf weight when a catalog refresh can rotate the channel there).
   [[nodiscard]] double channel_max_rate(int channel) const;

@@ -200,56 +200,52 @@ TEST(SeasonalPolicy, FallsBackToPersistenceWithoutHistory) {
   }
 }
 
+/// What ModelBasedPolicy plans for one channel whose measured rate is
+/// `rate`: the demand a model-driven policy must plan when it predicts
+/// `rate`.
+std::vector<double> model_demand_at(double rate, double interval_start) {
+  ModelBasedPolicy reference(VodParameters{}, DemandEstimatorConfig{});
+  TrackerReport report = make_report({rate});
+  report.interval_start = interval_start;
+  return reference.estimate(report).cloud_demand[0];
+}
+
 TEST(SeasonalPolicy, LearnsDayOverDaySlotRates) {
-  SeasonalPolicy policy(VodParameters{}, DemandEstimatorConfig{},
-                        /*period=*/86'400.0, /*blend=*/1.0, /*ewma=*/1.0);
-  // Day 1, hour 5: measured 0.4. Day 2, hour 5 report should predict the
-  // hour-6 slot; first teach it hour 6 too.
+  SeasonalPolicy policy(VodParameters{}, DemandEstimatorConfig{});
+  // Day 1: hour 5 measures 0.4, hour 6 measures 0.9.
   TrackerReport hour5 = make_report({0.4});
   hour5.interval_start = 5.0 * 3600.0;
   (void)policy.estimate(hour5);
-  EXPECT_NEAR(policy.seasonal_rate(0, 5), 0.4, 1e-12);
-
   TrackerReport hour6 = make_report({0.9});
   hour6.interval_start = 6.0 * 3600.0;
   (void)policy.estimate(hour6);
-  EXPECT_NEAR(policy.seasonal_rate(0, 6), 0.9, 1e-12);
 
-  // Next day, hour 5, measured only 0.1 — with blend=1 the prediction for
-  // hour 6 must equal yesterday's hour-6 rate (0.9), not 0.1.
+  // Next day, hour 5, measured only 0.1: the plan for hour 6 blends in
+  // yesterday's hour-6 rate (0.9).
   TrackerReport next_day = make_report({0.1});
   next_day.interval_start = 86'400.0 + 5.0 * 3600.0;
-  const DemandSet predicted = policy.estimate(next_day);
-  ModelBasedPolicy reference(VodParameters{}, DemandEstimatorConfig{});
-  TrackerReport expected = make_report({0.9});
-  const DemandSet ref = reference.estimate(expected);
-  double total_pred = 0.0, total_ref = 0.0;
-  for (double d : predicted.cloud_demand[0]) total_pred += d;
-  for (double d : ref.cloud_demand[0]) total_ref += d;
-  EXPECT_NEAR(total_pred, total_ref, 1e-6);
+  const double blend = SeasonalPolicy::kBlend;
+  EXPECT_EQ(policy.estimate(next_day).cloud_demand[0],
+            model_demand_at((1.0 - blend) * 0.1 + blend * 0.9,
+                            next_day.interval_start));
 }
 
 TEST(SeasonalPolicy, EwmaSmoothsAcrossDays) {
-  SeasonalPolicy policy(VodParameters{}, DemandEstimatorConfig{}, 86'400.0,
-                        0.5, 0.5);
+  SeasonalPolicy policy(VodParameters{}, DemandEstimatorConfig{});
   for (int day = 0; day < 2; ++day) {
     TrackerReport report = make_report({day == 0 ? 0.2 : 0.6});
     report.interval_start = day * 86'400.0 + 3.0 * 3600.0;
     (void)policy.estimate(report);
   }
-  // EWMA(0.5): 0.2 then 0.5*0.2 + 0.5*0.6 = 0.4.
-  EXPECT_NEAR(policy.seasonal_rate(0, 3), 0.4, 1e-12);
-}
-
-TEST(SeasonalPolicy, ValidatesParameters) {
-  EXPECT_THROW(SeasonalPolicy(VodParameters{}, DemandEstimatorConfig{}, -1.0),
-               util::PreconditionError);
-  EXPECT_THROW(SeasonalPolicy(VodParameters{}, DemandEstimatorConfig{},
-                              86'400.0, 2.0),
-               util::PreconditionError);
-  EXPECT_THROW(SeasonalPolicy(VodParameters{}, DemandEstimatorConfig{},
-                              86'400.0, 0.5, 0.0),
-               util::PreconditionError);
+  // Day 3, hour 2 plans hour 3 from the smoothed slot rate.
+  const double ewma = SeasonalPolicy::kEwma;
+  const double slot3 = (1.0 - ewma) * 0.2 + ewma * 0.6;
+  TrackerReport hour2 = make_report({0.3});
+  hour2.interval_start = 2.0 * 86'400.0 + 2.0 * 3600.0;
+  const double blend = SeasonalPolicy::kBlend;
+  EXPECT_EQ(policy.estimate(hour2).cloud_demand[0],
+            model_demand_at((1.0 - blend) * 0.3 + blend * slot3,
+                            hour2.interval_start));
 }
 
 // -------------------------------------------------------------- controller

@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <numeric>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -49,8 +51,11 @@ Scenario make_scenario(int chunks, double arrival_rate) {
 std::vector<core::PeerClass> uniform_classes(int n, double upload) {
   std::vector<core::PeerClass> classes;
   for (int g = 0; g < n; ++g) {
-    classes.push_back(
-        core::PeerClass{"c" + std::to_string(g), upload, 1.0 / n});
+    // Appended, not `"c" + std::to_string(g)`: GCC 12 at -O3 warns
+    // -Wrestrict on the latter.
+    std::string name = "c";
+    name += std::to_string(g);
+    classes.push_back(core::PeerClass{std::move(name), upload, 1.0 / n});
   }
   return classes;
 }

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <numeric>
+#include <string>
+#include <utility>
 
 #include "core/clusters.h"
 #include "core/storage_rental.h"
@@ -349,7 +351,11 @@ TEST_P(VmRandomSweep, GreedyNeverBeatsExact) {
   p.vm_bandwidth = 1'250'000.0;
   const int clusters = 2 + GetParam() % 3;
   for (int v = 0; v < clusters; ++v) {
-    p.clusters.push_back({"v" + std::to_string(v), rng.uniform(0.4, 1.0),
+    // Appended, not `"v" + std::to_string(v)`: GCC 12 at -O3 warns
+    // -Wrestrict on the latter.
+    std::string name = "v";
+    name += std::to_string(v);
+    p.clusters.push_back({std::move(name), rng.uniform(0.4, 1.0),
                           rng.uniform(0.2, 1.0),
                           static_cast<int>(rng.uniform(10.0, 60.0))});
   }

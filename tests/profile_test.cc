@@ -143,6 +143,26 @@ TEST(ProfileSchema, OverridesRejectBadParametersAndValues) {
                util::PreconditionError);
 }
 
+TEST(ProfileSchema, EveryGridCellIsValidatedAtLoadTime) {
+  // Values that apply cleanly but leave an invalid config: the error names
+  // the cell.
+  expect_rejected(
+      R"({"grid": [{"name": "vm_budget", "values": ["100", "-1"]}]})",
+      {"grid cell 1 (vm_budget=-1)"});
+  expect_rejected(R"({"overrides": {"reactive_margin": "0.5"},
+                      "grid": [{"name": "strategy", "values": ["reactive"]}]})",
+                  {"grid cell 0 (strategy=reactive)"});
+  expect_rejected(R"({"grid": [{"name": "zipf", "values": ["nan"]}]})",
+                  {"grid cell 0 (zipf=nan)"});
+  // Cells, not single values: jump=0.9 alone leaves no room to leave, but
+  // with leave=0.05 the cell is valid.
+  expect_rejected(R"({"grid": [{"name": "jump", "values": ["0.9"]}]})",
+                  {"grid cell 0 (jump=0.9)"});
+  const Profile p = parse(R"({"grid": [{"name": "jump", "values": ["0.9"]},
+                                 {"name": "leave", "values": ["0.05"]}]})");
+  EXPECT_EQ(p.grid.num_points(), 1u);
+}
+
 TEST(ProfileSchema, ShardMustBeAProperSlice) {
   EXPECT_THROW((void)parse(R"({"shard": "3/2"})"), util::PreconditionError);
   EXPECT_THROW((void)parse(R"({"shard": "2/2"})"), util::PreconditionError);

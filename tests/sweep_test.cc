@@ -129,8 +129,7 @@ TEST(ParamGrid, P2pCapAndForecasterApply) {
 
   apply_parameter(cfg, "forecaster", "holt-winters");
   EXPECT_EQ(cfg.strategy, expr::Strategy::kForecast);
-  EXPECT_EQ(cfg.forecaster.kind, predict::ForecasterKind::kHoltWinters);
-  EXPECT_EQ(cfg.forecaster.period, 24);
+  EXPECT_EQ(cfg.forecaster, predict::ForecasterKind::kHoltWinters);
 }
 
 TEST(ParamGrid, RegionAppliesFederationDerivation) {

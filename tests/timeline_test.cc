@@ -138,9 +138,6 @@ TEST(Timeline, TimedOpsQueueOnTheConfigInsteadOfApplyingAtBuild) {
   EXPECT_DOUBLE_EQ(timed.timeline[2].fire_time, 18.0 * 3600.0);
   EXPECT_DOUBLE_EQ(timed.timeline[3].fire_time, 18.0 * 3600.0);
   EXPECT_FALSE(timed.timeline[0].name.empty());
-  // The system/workload tag rides along (outage = workload + system op).
-  EXPECT_TRUE(timed.timeline[0].workload_shaping);
-  EXPECT_FALSE(timed.timeline[1].workload_shaping);
 }
 
 TEST(Timeline, RecoveryOpsRestoreThePreTimelineSnapshot) {
@@ -198,7 +195,6 @@ TEST(Timeline, FrozenFieldMutationIsRejectedBeforeTheRunStarts) {
   expr::TimedConfigOp grow;
   grow.fire_time = 3600.0;
   grow.name = "test.grow_catalog";
-  grow.workload_shaping = true;
   grow.apply = [](expr::ExperimentConfig& live,
                   const expr::ExperimentConfig&) {
     live.workload.num_channels += 1;
@@ -254,7 +250,6 @@ TEST(Timeline, TimedSystemOpReplaysTheExactViewerPopulation) {
   expr::TimedConfigOp op;
   op.fire_time = 3600.0;
   op.name = "test.budget_cut";
-  op.workload_shaping = false;
   op.apply = [](expr::ExperimentConfig& live, const expr::ExperimentConfig&) {
     live.vm_budget_per_hour *= 0.25;
   };
@@ -299,7 +294,6 @@ TEST(Timeline, ControllerDipsAndReconvergesAroundABudgetOutage) {
   expr::TimedConfigOp collapse;
   collapse.fire_time = 40.0 * 60.0;  // lands at the 1h boundary
   collapse.name = "test.budget_collapse";
-  collapse.workload_shaping = false;
   collapse.apply = [](expr::ExperimentConfig& live,
                       const expr::ExperimentConfig&) {
     live.vm_budget_per_hour *= 0.05;
@@ -307,7 +301,6 @@ TEST(Timeline, ControllerDipsAndReconvergesAroundABudgetOutage) {
   expr::TimedConfigOp restore;
   restore.fire_time = 2.0 * 3600.0;
   restore.name = "test.budget_restore";
-  restore.workload_shaping = false;
   restore.apply = [](expr::ExperimentConfig& live,
                      const expr::ExperimentConfig& baseline) {
     live.vm_budget_per_hour = baseline.vm_budget_per_hour;
