@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   const expr::Flags flags(argc, argv);
   flags.require_known({"instances", "seed"});
   const int instances = flags.get("instances", 25);
-  util::Rng rng(static_cast<std::uint64_t>(flags.get_ll("seed", 42)));
+  util::Rng rng(flags.get_u64("seed", 42));
 
   std::printf("Ablation: paper heuristics vs exact optima (%d random "
               "instances each)\n", instances);

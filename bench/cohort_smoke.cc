@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
       sweep::ScenarioCatalog::global().make_config("live_event_cliff");
   cfg.warmup_hours = warmup;
   cfg.measure_hours = hours;
-  cfg.seed = static_cast<std::uint64_t>(flags.get_ll("seed", 42));
+  cfg.seed = flags.get_u64("seed", 42);
   cfg.engine = expr::Engine::kCohort;
 
   cfg.workload.total_arrival_rate = 1.0;

@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
       "flash_crowd", core::StreamingMode::kP2p);
   cfg.warmup_hours = warmup;
   cfg.measure_hours = hours;
-  cfg.seed = static_cast<std::uint64_t>(flags.get_ll("seed", 42));
+  cfg.seed = flags.get_u64("seed", 42);
   cfg.engine = expr::Engine::kDiscrete;
   cfg.workload.total_arrival_rate = rate;
 

@@ -58,7 +58,10 @@ void BM_MinServers(benchmark::State& state) {
         core::min_servers(lambda, mu, lambda * kParams.chunk_duration));
   }
 }
-BENCHMARK(BM_MinServers)->Arg(5)->Arg(50)->Arg(500);
+// Arg = 100·λ at µ = 1/12: a = 0.6, 6, 60, and the cohort-scale pools
+// a ≈ 6e3 and 6e4. At the paper's target λT0 = 25a the first stable m
+// already meets it, so each call is one O(m) Erlang-B walk.
+BENCHMARK(BM_MinServers)->Arg(5)->Arg(50)->Arg(500)->Arg(50'000)->Arg(500'000);
 
 void BM_TrafficEquations(benchmark::State& state) {
   const util::Matrix transfer = paper_transfer();
@@ -96,7 +99,9 @@ void BM_P2pSupply(benchmark::State& state) {
 }
 BENCHMARK(BM_P2pSupply);
 
-core::TrackerReport paper_report(int channels) {
+/// With `distinct_p`, each channel's P moves a little of chunk 0's jump
+/// mass, as a measured P̂ would, so no two channels share factors.
+core::TrackerReport paper_report(int channels, bool distinct_p = false) {
   const workload::ViewingBehavior behavior;
   core::TrackerReport report;
   report.interval_length = 3600.0;
@@ -104,6 +109,7 @@ core::TrackerReport paper_report(int channels) {
     core::ChannelObservation obs;
     obs.arrival_rate = 0.3 / (c + 1);
     obs.transfer = behavior.transfer_matrix(kParams.chunks_per_video);
+    if (distinct_p) obs.transfer(0, 2) *= 1.0 - 1e-3 * (c + 1);
     obs.entry = behavior.entry_distribution(kParams.chunks_per_video);
     obs.occupancy.assign(kParams.chunks_per_video, 5.0);
     obs.served_cloud_bandwidth.assign(kParams.chunks_per_video, 1e6);
@@ -176,6 +182,24 @@ void BM_ControllerFullPlan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ControllerFullPlan)->Unit(benchmark::kMillisecond);
+
+// The hourly case: every channel reports its own measured P̂, so each one
+// factors its own systems (BM_ControllerFullPlan's shared P is the
+// bootstrap plan).
+void BM_ControllerFullPlanDistinctP(benchmark::State& state) {
+  core::DemandEstimatorConfig est;
+  est.mode = core::StreamingMode::kP2p;
+  core::Controller controller(
+      kParams,
+      core::ControllerConfig{core::paper_vm_clusters(),
+                             core::paper_nfs_clusters(), 100.0, 1.0},
+      std::make_unique<core::ModelBasedPolicy>(kParams, est));
+  const core::TrackerReport report = paper_report(20, true);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(controller.plan(report));
+  }
+}
+BENCHMARK(BM_ControllerFullPlanDistinctP)->Unit(benchmark::kMillisecond);
 
 // Simulator event engine: the hot schedule→pop→run path, in-place
 // cancellation and in-place retime. Callbacks live in a slab of recycled

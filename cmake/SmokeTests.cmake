@@ -88,6 +88,10 @@ if(CLOUDMEDIA_BUILD_TOOLS)
   add_usage_error_test(sweep_usage_error tool_sweep
     "^tool_sweep: --seed conflicts with --golden"
     --golden=ablation_strategies --seed=42)
+  # A negative seed is refused, not wrapped to 2^64 - 5.
+  add_usage_error_test(sweep_negative_seed tool_sweep
+    "^tool_sweep: --seed expects an unsigned integer, got '-5'"
+    --scenario=baseline_diurnal --hours=0.5 --seed=-5)
   # A grid or --set value that leaves an invalid cell config fails at load
   # time, naming the cell, instead of aborting mid-sweep.
   add_usage_error_test(sweep_invalid_cell tool_sweep

@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   const expr::Flags flags(argc, argv);
   flags.require_known({"hours", "seed"});
   const double hours = flags.get("hours", 12.0);
-  const auto seed = static_cast<std::uint64_t>(flags.get_ll("seed", 42));
+  const auto seed = flags.get_u64("seed", 42);
 
   auto run_mode = [&](core::StreamingMode mode) {
     expr::ExperimentConfig cfg = expr::ExperimentConfig::make_default(mode);

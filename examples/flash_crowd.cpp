@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   cfg.workload.diurnal = workload::DiurnalPattern(0.8, {{18.0, 2.4, 1.0}});
   cfg.warmup_hours = flags.get("warmup", 4.0);
   cfg.measure_hours = flags.get("hours", 24.0);
-  cfg.seed = static_cast<std::uint64_t>(flags.get_ll("seed", 42));
+  cfg.seed = flags.get_u64("seed", 42);
 
   std::printf("Flash crowd demo: P2P CloudMedia, 3x arrival spike at hour 18\n");
   const expr::ExperimentResult r = expr::ExperimentRunner::run(cfg);

@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
   flags.require_known({"days", "channel", "seed"});
   const int days = flags.get("days", 5);
   const int channel = flags.get("channel", 0);
-  const auto seed = static_cast<std::uint64_t>(flags.get_ll("seed", 42));
+  const auto seed = flags.get_u64("seed", 42);
 
   const expr::ExperimentConfig cfg =
       expr::ExperimentConfig::make_default(core::StreamingMode::kClientServer);

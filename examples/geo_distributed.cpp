@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   const expr::Flags flags(argc, argv);
   flags.require_known({"hours", "seed"});
   const double hours = flags.get("hours", 24.0);
-  const auto seed = static_cast<std::uint64_t>(flags.get_ll("seed", 42));
+  const auto seed = flags.get_u64("seed", 42);
 
   sweep::SweepSpec spec;
   spec.overrides = {{"mode", "p2p"}};

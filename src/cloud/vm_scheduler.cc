@@ -1,5 +1,6 @@
 #include "cloud/vm_scheduler.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "util/check.h"
@@ -15,6 +16,7 @@ VmScheduler::VmScheduler(sim::Simulator& simulator,
   CM_EXPECTS(config_.boot_delay >= 0.0);
   CM_EXPECTS(config_.vm_bandwidth > 0.0);
   states_.resize(clusters_.size());
+  readiness_.assign(clusters_.size(), 0.0);
 }
 
 const core::VmClusterSpec& VmScheduler::cluster(std::size_t v) const {
@@ -82,15 +84,10 @@ double VmScheduler::chunk_capacity(int channel, int chunk) const {
   const std::size_t key = static_cast<std::size_t>(channel) *
                               static_cast<std::size_t>(chunks_per_video_) +
                           static_cast<std::size_t>(chunk);
+  const std::vector<double>& bandwidth = chunk_bandwidth_[key];
   double capacity = 0.0;
   for (std::size_t v = 0; v < clusters_.size(); ++v) {
-    const ClusterState& state = states_[v];
-    const double readiness =
-        state.billed > 0
-            ? static_cast<double>(std::min(state.ready, state.billed)) /
-                  static_cast<double>(state.billed)
-            : 0.0;
-    capacity += chunk_bandwidth_[key][v] * readiness;
+    capacity += bandwidth[v] * readiness_[v];
   }
   return capacity;
 }
@@ -126,6 +123,13 @@ void VmScheduler::set_capacity_listener(std::function<void()> listener) {
 }
 
 void VmScheduler::notify() {
+  for (std::size_t v = 0; v < states_.size(); ++v) {
+    const ClusterState& state = states_[v];
+    readiness_[v] = state.billed > 0
+                        ? static_cast<double>(std::min(state.ready, state.billed)) /
+                              static_cast<double>(state.billed)
+                        : 0.0;
+  }
   if (listener_) listener_();
 }
 

@@ -60,6 +60,9 @@ class VmScheduler {
     sim::EventId pending_boot = sim::kInvalidEvent;
   };
   std::vector<ClusterState> states_;
+  /// Per cluster, min(ready, billed) / billed (0 with nothing billed):
+  /// refreshed from states_ before every notify().
+  std::vector<double> readiness_;
 
   int num_channels_ = 0;
   int chunks_per_video_ = 0;

@@ -1,6 +1,8 @@
 #include "core/controller.h"
 
 #include <cmath>
+#include <cstring>
+#include <optional>
 #include <utility>
 
 #include "util/check.h"
@@ -11,16 +13,39 @@ ModelBasedPolicy::ModelBasedPolicy(VodParameters params,
                                    DemandEstimatorConfig config)
     : estimator_(params, config) {}
 
+namespace {
+
+bool same_bits(const util::Matrix& a, const util::Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         (a.rows() == 0 ||
+          std::memcmp(a.row(0), b.row(0),
+                      a.rows() * a.cols() * sizeof(double)) == 0);
+}
+
+}  // namespace
+
 DemandSet estimate_channels(
     const DemandEstimator& estimator, const TrackerReport& report,
     const std::function<double(std::size_t, double)>& rate) {
   DemandSet out;
   out.cloud_demand.reserve(report.channels.size());
   out.estimates.reserve(report.channels.size());
+  // A run of channels reporting the same P̂ (the bootstrap plan gives every
+  // channel the ground-truth P) shares one set of factors. A P̂ no other
+  // channel repeats (the hourly plans) leaves Proposition 1's systems
+  // unfactored: solved once, each is eliminated in one pass.
+  std::optional<ChannelFactors> factors;
+  const util::Matrix* factored = nullptr;
   for (std::size_t c = 0; c < report.channels.size(); ++c) {
     const ChannelObservation& obs = report.channels[c];
-    ChannelDemandEstimate est =
-        estimator.estimate(obs, rate(c, obs.arrival_rate));
+    const double arrival_rate = rate(c, obs.arrival_rate);
+    if (factored == nullptr || !same_bits(obs.transfer, *factored)) {
+      const bool shared = c + 1 < report.channels.size() &&
+                          same_bits(report.channels[c + 1].transfer, obs.transfer);
+      factors = estimator.factor(obs, shared);
+      factored = &obs.transfer;
+    }
+    ChannelDemandEstimate est = estimator.estimate(obs, arrival_rate, *factors);
     out.cloud_demand.push_back(est.cloud_demand);
     out.estimates.push_back(std::move(est));
   }

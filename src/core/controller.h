@@ -39,7 +39,9 @@ class DemandPolicy {
 /// The Sec.-IV loop under every model-driven policy: each channel's
 /// observation runs through `estimator` with its measured viewing patterns
 /// P̂ at the arrival rate `rate(channel, measured Λ̂)` — the policy's
-/// prediction for the next interval. Observations are read in place.
+/// prediction for the next interval. Observations are read in place, and
+/// a channel whose P̂ is bitwise the previous channel's reuses its factors
+/// (DemandEstimator::factor), so the result equals per-channel estimates.
 [[nodiscard]] DemandSet estimate_channels(
     const DemandEstimator& estimator, const TrackerReport& report,
     const std::function<double(std::size_t, double)>& rate);

@@ -1,6 +1,7 @@
 #include "core/demand.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "core/jackson.h"
 #include "util/check.h"
@@ -13,12 +14,10 @@ DemandEstimator::DemandEstimator(VodParameters params,
   params_.validate();
 }
 
-ChannelDemandEstimate DemandEstimator::estimate(
-    const ChannelObservation& observation, double arrival_rate) const {
+ChannelFactors DemandEstimator::factor(const ChannelObservation& observation,
+                                       bool availability) const {
   const auto j = static_cast<std::size_t>(params_.chunks_per_video);
   CM_EXPECTS(observation.transfer.rows() == j);
-  CM_EXPECTS(observation.entry.size() == j);
-  CM_EXPECTS(arrival_rate >= 0.0);
 
   // Measured P̂ can be degenerate: in a quiet hour every observed departure
   // from some chunk may lead to another chunk, so rows sum to 1 and the
@@ -42,9 +41,26 @@ ChannelDemandEstimate DemandEstimator::estimate(
     }
   }
 
+  util::LuFactors traffic = factor_traffic_equations(damped);
+  std::vector<util::LuFactors> systems;
+  if (availability && config_.mode == StreamingMode::kP2p) {
+    systems = factor_chunk_availability(damped);
+  }
+  return ChannelFactors{std::move(damped), std::move(traffic),
+                        std::move(systems)};
+}
+
+ChannelDemandEstimate DemandEstimator::estimate(
+    const ChannelObservation& observation, double arrival_rate,
+    const ChannelFactors& factors) const {
+  const auto j = static_cast<std::size_t>(params_.chunks_per_video);
+  CM_EXPECTS(factors.transfer.rows() == j);
+  CM_EXPECTS(observation.entry.size() == j);
+  CM_EXPECTS(arrival_rate >= 0.0);
+
   ChannelDemandEstimate out;
   out.arrival_rates = solve_traffic_equations(
-      damped, observation.entry, arrival_rate);
+      factors.traffic, observation.entry, arrival_rate);
 
   if (config_.occupancy_floor && !observation.occupancy.empty()) {
     CM_EXPECTS(observation.occupancy.size() == j);
@@ -70,11 +86,15 @@ ChannelDemandEstimate DemandEstimator::estimate(
     for (std::size_t i = 0; i < j; ++i) {
       population[i] = out.arrival_rates[i] * params_.chunk_duration;
     }
-    const P2pSupply supply = solve_p2p_supply(
-        damped, out.capacity, population, observation.mean_peer_uplink,
+    P2pSupply supply = solve_p2p_supply(
+        factors.availability.empty()
+            ? solve_chunk_availability(factors.transfer, population)
+            : solve_chunk_availability(factors.transfer, factors.availability,
+                                       population),
+        out.capacity, population, uniform_peers(observation.mean_peer_uplink),
         params_.streaming_rate, config_.p2p);
-    out.peer_supply = supply.peer_supply;
-    out.cloud_demand = supply.cloud_residual;
+    out.peer_supply = std::move(supply.peer_supply);
+    out.cloud_demand = std::move(supply.cloud_residual);
   } else {
     for (std::size_t i = 0; i < j; ++i) {
       out.cloud_demand[i] = out.capacity.chunks[i].bandwidth;

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cstddef>
+#include <functional>
 #include <vector>
 
 #include "core/capacity.h"
@@ -46,6 +48,20 @@ struct DemandEstimatorConfig {
   P2pOptions p2p;
 };
 
+/// What the Sec.-IV pipeline derives from a channel's P̂ alone, whatever
+/// the arrival rate and queue populations: channels that report the same
+/// P̂ can share one.
+struct ChannelFactors {
+  util::Matrix transfer;        ///< P̂ with the minimum exit leak enforced
+  util::LuFactors traffic;      ///< I − Pᵀ of the traffic equations
+  /// Proposition 1's reduced systems, when factored (P2P mode, for a P̂
+  /// that more than one channel shares); empty otherwise.
+  std::vector<util::LuFactors> availability;
+};
+
+struct DemandSet;
+struct TrackerReport;
+
 /// Sec. IV end-to-end for one channel: traffic equations → Erlang sizing →
 /// (P2P only) peer-supply subtraction.
 class DemandEstimator {
@@ -59,7 +75,9 @@ class DemandEstimator {
   /// The same pipeline at `arrival_rate` in place of the measured Λ̂ (a
   /// policy's prediction for the next interval), with the measured P̂.
   [[nodiscard]] ChannelDemandEstimate estimate(
-      const ChannelObservation& observation, double arrival_rate) const;
+      const ChannelObservation& observation, double arrival_rate) const {
+    return estimate(observation, arrival_rate, factor(observation, false));
+  }
 
   [[nodiscard]] const VodParameters& params() const noexcept { return params_; }
   [[nodiscard]] const DemandEstimatorConfig& config() const noexcept {
@@ -67,6 +85,24 @@ class DemandEstimator {
   }
 
  private:
+  // Shares one factor() across channels whose P̂ is bitwise the same.
+  friend DemandSet estimate_channels(
+      const DemandEstimator& estimator, const TrackerReport& report,
+      const std::function<double(std::size_t, double)>& rate);
+
+  /// Damp observation.transfer and factor the traffic equations, and with
+  /// `availability` (P2P mode) Proposition 1's systems. Factoring those
+  /// only pays when the factors are solved for more than one channel: a
+  /// single solve runs each elimination once either way, in one pass.
+  [[nodiscard]] ChannelFactors factor(const ChannelObservation& observation,
+                                      bool availability) const;
+  /// The same pipeline on `factors` of a P̂ bitwise equal to
+  /// observation.transfer (from factor()), so the result is bitwise the
+  /// two-argument estimate's.
+  [[nodiscard]] ChannelDemandEstimate estimate(
+      const ChannelObservation& observation, double arrival_rate,
+      const ChannelFactors& factors) const;
+
   VodParameters params_;
   DemandEstimatorConfig config_;
   CapacityPlanner planner_;

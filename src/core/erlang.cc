@@ -67,8 +67,9 @@ int min_servers(double lambda, double mu, double target_system_size,
   // (Sec. IV-B); values of m <= a are unstable (E[n] = ∞), so start just
   // above the stability threshold. E[n] is strictly decreasing in m, so a
   // gallop + binary search finds the same minimal m as the paper's linear
-  // scan in O(log(m - a)) evaluations instead of O(m - a) — each
-  // evaluation is itself O(m), which matters for million-server loads.
+  // scan in O(log(m - a)) evaluations instead of O(m - a). Each evaluation
+  // restarts the O(m) Erlang-B recursion; at the planner's target λT0 the
+  // first stable m almost always meets it, so a sizing is one evaluation.
   constexpr int kMaxServers = 1 << 24;
   // Each successful probe lowers the smallest m known to meet the target,
   // so the last metrics written to *at_min belong to the m returned.

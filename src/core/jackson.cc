@@ -1,5 +1,7 @@
 #include "core/jackson.h"
 
+#include <utility>
+
 #include "util/check.h"
 
 namespace cloudmedia::core {
@@ -17,11 +19,29 @@ void validate_transfer_matrix(const util::Matrix& transfer) {
   }
 }
 
+util::LuFactors factor_traffic_equations(const util::Matrix& transfer) {
+  validate_transfer_matrix(transfer);
+  const std::size_t n = transfer.rows();
+  util::Matrix a(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t k = 0; k < n; ++k) {
+      a(i, k) = (i == k ? 1.0 : 0.0) - transfer(k, i);
+    }
+  }
+  return util::LuFactors(std::move(a));
+}
+
 std::vector<double> solve_traffic_equations(const util::Matrix& transfer,
                                             const std::vector<double>& entry,
                                             double external_rate) {
-  validate_transfer_matrix(transfer);
-  CM_EXPECTS(entry.size() == transfer.rows());
+  return solve_traffic_equations(factor_traffic_equations(transfer), entry,
+                                 external_rate);
+}
+
+std::vector<double> solve_traffic_equations(const util::LuFactors& traffic,
+                                            const std::vector<double>& entry,
+                                            double external_rate) {
+  CM_EXPECTS(entry.size() == traffic.size());
   CM_EXPECTS(external_rate >= 0.0);
   double entry_sum = 0.0;
   for (double e : entry) {
@@ -30,12 +50,9 @@ std::vector<double> solve_traffic_equations(const util::Matrix& transfer,
   }
   CM_EXPECTS(entry_sum <= 1.0 + 1e-9);
 
-  const std::size_t n = transfer.rows();
-  util::Matrix a = util::Matrix::identity(n);
-  a -= transfer.transpose();
-  std::vector<double> b(n);
-  for (std::size_t i = 0; i < n; ++i) b[i] = external_rate * entry[i];
-  std::vector<double> lambdas = util::solve_linear_system(std::move(a), std::move(b));
+  std::vector<double> b(entry.size());
+  for (std::size_t i = 0; i < b.size(); ++i) b[i] = external_rate * entry[i];
+  std::vector<double> lambdas = traffic.solve(std::move(b));
   for (double& l : lambdas) {
     // Guard against -0 / tiny negative round-off; genuine negatives would
     // mean the transfer matrix was not sub-stochastic.

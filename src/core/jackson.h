@@ -22,6 +22,17 @@ namespace cloudmedia::core {
     const util::Matrix& transfer, const std::vector<double>& entry,
     double external_rate);
 
+/// The traffic equations' I − Pᵀ for a validated `transfer`, factored once
+/// for any number of (entry, Λ) right-hand sides. Throws like
+/// solve_traffic_equations on an invalid or closed network.
+[[nodiscard]] util::LuFactors factor_traffic_equations(
+    const util::Matrix& transfer);
+
+/// Eqn. (1) on factors from factor_traffic_equations.
+[[nodiscard]] std::vector<double> solve_traffic_equations(
+    const util::LuFactors& traffic, const std::vector<double>& entry,
+    double external_rate);
+
 /// Total external departure flow Σ_i λ_i (1 − Σ_j P_ij). At equilibrium
 /// this equals the external arrival rate Λ (conservation); exposed for
 /// validation and tests.

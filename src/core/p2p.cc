@@ -10,9 +10,35 @@
 
 namespace cloudmedia::core {
 
-ChunkAvailability solve_chunk_availability(const util::Matrix& transfer,
-                                           const std::vector<double>& population) {
-  validate_transfer_matrix(transfer);
+namespace {
+
+/// The q-th of the J-1 chunk queues other than queue i.
+std::size_t other_queue(std::size_t q, std::size_t i) { return q + (q >= i ? 1 : 0); }
+
+/// Proposition 1's reduced system for chunk i. Unknowns x_q = ν_{i,q'} for
+/// the J-1 queues q' = other_queue(q, i):
+///   x_q = Σ_l ν_{i,l} P_{l,q'}
+///       = ν_{i,i} P_{i,q'} + Σ_p x_p P_{p',q'}
+/// i.e. (I − P̃ᵀ) x = E[n_i] · P_{i,·restricted}, with P̃ the transfer
+/// matrix restricted to the non-i queues.
+util::Matrix reduced_system(const util::Matrix& transfer, std::size_t i) {
+  const std::size_t j = transfer.rows();
+  util::Matrix a(j - 1, j - 1);
+  for (std::size_t q = 0; q < j - 1; ++q) {
+    for (std::size_t p = 0; p < j - 1; ++p) {
+      a(q, p) = (p == q ? 1.0 : 0.0) -
+                transfer(other_queue(p, i), other_queue(q, i));
+    }
+  }
+  return a;
+}
+
+/// Proposition 1 for every chunk, with `solve(i, b)` the solution of chunk
+/// i's reduced system for the right-hand side b.
+template <typename Solve>
+ChunkAvailability availability(const util::Matrix& transfer,
+                               const std::vector<double>& population,
+                               const Solve& solve) {
   const std::size_t j = transfer.rows();
   CM_EXPECTS(population.size() == j);
   for (double n : population) CM_EXPECTS(n >= 0.0);
@@ -26,37 +52,58 @@ ChunkAvailability solve_chunk_availability(const util::Matrix& transfer,
     return out;
   }
 
+  std::vector<double> b(j - 1);
   for (std::size_t i = 0; i < j; ++i) {
-    // Unknowns x_q = ν_{i, cols[q]} for the J-1 queues other than i:
-    //   x_q = Σ_l ν_{i,l} P_{l,cols[q]}
-    //       = ν_{i,i} P_{i,cols[q]} + Σ_p x_p P_{cols[p],cols[q]}
-    // i.e. (I − P̃ᵀ) x = E[n_i] · P_{i,·restricted}, with P̃ the transfer
-    // matrix restricted to the non-i queues.
-    std::vector<std::size_t> cols;
-    cols.reserve(j - 1);
-    for (std::size_t q = 0; q < j; ++q)
-      if (q != i) cols.push_back(q);
-
-    util::Matrix a(j - 1, j - 1);
-    std::vector<double> b(j - 1, 0.0);
     for (std::size_t q = 0; q < j - 1; ++q) {
-      for (std::size_t p = 0; p < j - 1; ++p) {
-        a(q, p) = (p == q ? 1.0 : 0.0) - transfer(cols[p], cols[q]);
-      }
-      b[q] = expected_in_queue[i] * transfer(i, cols[q]);
+      b[q] = expected_in_queue[i] * transfer(i, other_queue(q, i));
     }
-    const std::vector<double> x = util::solve_linear_system(std::move(a), std::move(b));
+    const std::vector<double> x = solve(i, b);
 
     out.nu(i, i) = expected_in_queue[i];
     double total = 0.0;
     for (std::size_t q = 0; q < j - 1; ++q) {
       const double v = std::max(0.0, x[q]);  // clamp round-off
-      out.nu(i, cols[q]) = v;
+      out.nu(i, other_queue(q, i)) = v;
       total += v;
     }
     out.owners[i] = total;
   }
   return out;
+}
+
+}  // namespace
+
+ChunkAvailability solve_chunk_availability(const util::Matrix& transfer,
+                                           const std::vector<double>& population) {
+  validate_transfer_matrix(transfer);
+  return availability(transfer, population,
+                      [&](std::size_t i, const std::vector<double>& b) {
+                        return util::solve_linear_system(
+                            reduced_system(transfer, i), b);
+                      });
+}
+
+std::vector<util::LuFactors> factor_chunk_availability(
+    const util::Matrix& transfer) {
+  validate_transfer_matrix(transfer);
+  const std::size_t j = transfer.rows();
+  std::vector<util::LuFactors> systems;
+  if (j == 1) return systems;
+  systems.reserve(j);
+  for (std::size_t i = 0; i < j; ++i) {
+    systems.emplace_back(reduced_system(transfer, i));
+  }
+  return systems;
+}
+
+ChunkAvailability solve_chunk_availability(
+    const util::Matrix& transfer, const std::vector<util::LuFactors>& systems,
+    const std::vector<double>& population) {
+  CM_EXPECTS(systems.size() == (transfer.rows() == 1 ? 0 : transfer.rows()));
+  return availability(transfer, population,
+                      [&](std::size_t i, const std::vector<double>& b) {
+                        return systems[i].solve(b);
+                      });
 }
 
 void validate_peer_classes(const std::vector<PeerClass>& classes) {
@@ -107,19 +154,20 @@ std::vector<PeerClass> classes_from_quantiles(
   return classes;
 }
 
-P2pSupply solve_p2p_supply(const util::Matrix& transfer,
+P2pSupply solve_p2p_supply(ChunkAvailability availability,
                            const ChannelCapacityPlan& capacity,
                            const std::vector<double>& population,
                            const std::vector<PeerClass>& classes,
                            double streaming_rate, const P2pOptions& options) {
   validate_peer_classes(classes);
   CM_EXPECTS(streaming_rate > 0.0);
-  const std::size_t j = transfer.rows();
+  const std::size_t j = availability.owners.size();
   const std::size_t g_count = classes.size();
   CM_EXPECTS(capacity.chunks.size() == j);
+  CM_EXPECTS(population.size() == j);
 
   P2pSupply out;
-  out.availability = solve_chunk_availability(transfer, population);
+  out.availability = std::move(availability);
   out.peer_supply.assign(j, 0.0);
   out.class_supply = util::Matrix(g_count, j);
   out.cloud_residual.assign(j, 0.0);

@@ -27,8 +27,22 @@ struct ChunkAvailability {
 /// E[n_i] — the expected users occupying chunk queue i. At the paper's
 /// equilibrium the sojourn in queue i is the playback time T0, so
 /// E[n_i] = λ_i · T0 by Little's law; pass that (or a measured occupancy).
+/// Each system is eliminated and solved in one pass (solve_linear_system).
 [[nodiscard]] ChunkAvailability solve_chunk_availability(
     const util::Matrix& transfer, const std::vector<double>& population);
+
+/// Proposition 1's J reduced systems (I − P̃ᵀ) for a validated `transfer`,
+/// one per chunk, factored once for a P solved more than once: they depend
+/// on P alone, not on the populations. Empty for a one-chunk channel,
+/// which has no system.
+[[nodiscard]] std::vector<util::LuFactors> factor_chunk_availability(
+    const util::Matrix& transfer);
+
+/// Proposition 1 on the factors of the same `transfer`
+/// (factor_chunk_availability).
+[[nodiscard]] ChunkAvailability solve_chunk_availability(
+    const util::Matrix& transfer, const std::vector<util::LuFactors>& systems,
+    const std::vector<double>& population);
 
 /// How the per-chunk peer supply is capped in Eqn. (5).
 enum class P2pDemandCap {
@@ -101,14 +115,31 @@ struct P2pSupply {
 /// classes in proportion to their headroom (every owner pledges the same
 /// fraction of it), so a one-class mix is exactly the homogeneous Eqn. (5).
 ///
-/// `capacity` supplies m_i and s_i = R·m_i; `population` the queue
-/// occupancies (see solve_chunk_availability).
-[[nodiscard]] P2pSupply solve_p2p_supply(const util::Matrix& transfer,
+/// `availability` is Proposition 1 solved for `population`, the queue
+/// occupancies (see solve_chunk_availability); `capacity` supplies m_i and
+/// s_i = R·m_i.
+[[nodiscard]] P2pSupply solve_p2p_supply(ChunkAvailability availability,
                                          const ChannelCapacityPlan& capacity,
                                          const std::vector<double>& population,
                                          const std::vector<PeerClass>& classes,
                                          double streaming_rate,
                                          const P2pOptions& options = {});
+
+/// The same, solving Proposition 1 for `transfer` first.
+[[nodiscard]] inline P2pSupply solve_p2p_supply(
+    const util::Matrix& transfer, const ChannelCapacityPlan& capacity,
+    const std::vector<double>& population,
+    const std::vector<PeerClass>& classes, double streaming_rate,
+    const P2pOptions& options = {}) {
+  return solve_p2p_supply(solve_chunk_availability(transfer, population),
+                          capacity, population, classes, streaming_rate,
+                          options);
+}
+
+/// The paper's homogeneous mix: every peer uploads `upload`.
+[[nodiscard]] inline std::vector<PeerClass> uniform_peers(double upload) {
+  return {{"uniform", upload, 1.0}};
+}
 
 /// The paper's homogeneous Eqn. (5): every peer uploads `peer_upload_mean`.
 [[nodiscard]] inline P2pSupply solve_p2p_supply(
@@ -116,8 +147,8 @@ struct P2pSupply {
     const std::vector<double>& population, double peer_upload_mean,
     double streaming_rate, const P2pOptions& options = {}) {
   return solve_p2p_supply(transfer, capacity, population,
-                          {{"uniform", peer_upload_mean, 1.0}},
-                          streaming_rate, options);
+                          uniform_peers(peer_upload_mean), streaming_rate,
+                          options);
 }
 
 }  // namespace cloudmedia::core

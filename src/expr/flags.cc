@@ -37,10 +37,11 @@ T parse_whole(const std::string& key, const std::string& value) {
   const char* end = value.data() + value.size();
   const auto [stop, error] = std::from_chars(value.data(), end, parsed);
   if (error == std::errc() && stop == end) return parsed;
-  throw util::PreconditionError(
-      "--" + key + " expects " +
-      (std::is_integral_v<T> ? "an integer" : "a number") + ", got '" + value +
-      "'");
+  const char* kind = std::is_floating_point_v<T> ? "a number"
+                     : std::is_signed_v<T>         ? "an integer"
+                                                   : "an unsigned integer";
+  throw util::PreconditionError("--" + key + " expects " + kind + ", got '" +
+                                value + "'");
 }
 
 }  // namespace
@@ -90,6 +91,13 @@ long long Flags::get_ll(const std::string& key, long long fallback) const {
   const auto it = values_.find(key);
   return it == values_.end() ? fallback
                              : parse_whole<long long>(key, it->second.back());
+}
+
+std::uint64_t Flags::get_u64(const std::string& key,
+                             std::uint64_t fallback) const {
+  const auto it = values_.find(key);
+  return it == values_.end() ? fallback
+                             : parse_whole<std::uint64_t>(key, it->second.back());
 }
 
 bool Flags::get(const std::string& key, bool fallback) const {

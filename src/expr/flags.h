@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -30,6 +31,10 @@ class Flags {
   [[nodiscard]] double get(const std::string& key, double fallback) const;
   [[nodiscard]] int get(const std::string& key, int fallback) const;
   [[nodiscard]] long long get_ll(const std::string& key, long long fallback) const;
+  /// Any decimal in [0, 2^64 − 1], as a profile's seed: a sign ("-5",
+  /// "+5") or a larger value throws instead of wrapping.
+  [[nodiscard]] std::uint64_t get_u64(const std::string& key,
+                                      std::uint64_t fallback) const;
   /// Accepts true/false/1/0/yes/no (a bare `--key` reads "true"); any
   /// other value throws util::PreconditionError naming the flag.
   [[nodiscard]] bool get(const std::string& key, bool fallback) const;

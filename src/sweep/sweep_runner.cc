@@ -63,8 +63,7 @@ std::string ShardSpec::label() const {
 }
 
 void SweepSpec::apply_flags(const expr::Flags& flags) {
-  base_seed = static_cast<std::uint64_t>(
-      flags.get_ll("seed", static_cast<long long>(base_seed)));
+  base_seed = flags.get_u64("seed", base_seed);
   const long long requested =
       flags.get_ll("threads", static_cast<long long>(threads));
   if (requested < 0 || requested > 1024) {

@@ -1,5 +1,6 @@
 #include "util/matrix.h"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -85,37 +86,73 @@ double Matrix::inf_norm() const noexcept {
   return best;
 }
 
-std::vector<double> solve_linear_system(Matrix a, std::vector<double> b) {
-  CM_EXPECTS(a.rows() == a.cols());
-  CM_EXPECTS(b.size() == a.rows());
-  const std::size_t n = a.rows();
-
+LuFactors::LuFactors(Matrix a, std::vector<double>* rhs) : lu_(std::move(a)) {
+  CM_EXPECTS(lu_.rows() == lu_.cols());
+  const std::size_t n = lu_.rows();
+  pivots_.resize(n);
+  double* const m = n == 0 ? nullptr : lu_.row(0);
   for (std::size_t col = 0; col < n; ++col) {
     std::size_t pivot = col;
     for (std::size_t r = col + 1; r < n; ++r)
-      if (std::abs(a(r, col)) > std::abs(a(pivot, col))) pivot = r;
-    if (std::abs(a(pivot, col)) < 1e-12) {
+      if (std::abs(m[r * n + col]) > std::abs(m[pivot * n + col])) pivot = r;
+    if (std::abs(m[pivot * n + col]) < 1e-12) {
       throw InvariantError("solve_linear_system: singular matrix");
     }
+    pivots_[col] = pivot;
+    double* const top = m + col * n;
+    // Whole rows, multipliers included, so each stored multiplier stays
+    // with the right-hand-side element it was applied to.
     if (pivot != col) {
-      for (std::size_t c = 0; c < n; ++c) std::swap(a(pivot, c), a(col, c));
-      std::swap(b[pivot], b[col]);
+      std::swap_ranges(top, top + n, m + pivot * n);
+      if (rhs != nullptr) std::swap((*rhs)[pivot], (*rhs)[col]);
     }
-    const double inv = 1.0 / a(col, col);
+    const double inv = 1.0 / top[col];
     for (std::size_t r = col + 1; r < n; ++r) {
-      const double factor = a(r, col) * inv;
+      double* const row = m + r * n;
+      const double factor = row[col] * inv;
+      row[col] = factor;
       if (factor == 0.0) continue;
-      for (std::size_t c = col; c < n; ++c) a(r, c) -= factor * a(col, c);
+      for (std::size_t c = col + 1; c < n; ++c) row[c] -= factor * top[c];
+      if (rhs != nullptr) (*rhs)[r] -= factor * (*rhs)[col];
+    }
+  }
+}
+
+std::vector<double> LuFactors::solve(std::vector<double> b) const {
+  const std::size_t n = lu_.rows();
+  CM_EXPECTS(b.size() == n);
+  for (std::size_t col = 0; col < n; ++col) {
+    if (pivots_[col] != col) std::swap(b[pivots_[col]], b[col]);
+  }
+  const double* const m = n == 0 ? nullptr : lu_.row(0);
+  for (std::size_t col = 0; col < n; ++col) {
+    for (std::size_t r = col + 1; r < n; ++r) {
+      const double factor = m[r * n + col];
+      if (factor == 0.0) continue;
       b[r] -= factor * b[col];
     }
   }
+  return back_substitute(b);
+}
+
+std::vector<double> LuFactors::back_substitute(
+    const std::vector<double>& b) const {
+  const std::size_t n = lu_.rows();
   std::vector<double> x(n, 0.0);
   for (std::size_t ri = n; ri-- > 0;) {
+    const double* const row = lu_.row(ri);
     double acc = b[ri];
-    for (std::size_t c = ri + 1; c < n; ++c) acc -= a(ri, c) * x[c];
-    x[ri] = acc / a(ri, ri);
+    for (std::size_t c = ri + 1; c < n; ++c) acc -= row[c] * x[c];
+    x[ri] = acc / row[ri];
   }
   return x;
+}
+
+std::vector<double> solve_linear_system(Matrix a, std::vector<double> b) {
+  CM_EXPECTS(a.rows() == a.cols());
+  CM_EXPECTS(b.size() == a.rows());
+  const LuFactors factors(std::move(a), &b);
+  return factors.back_substitute(b);
 }
 
 }  // namespace cloudmedia::util

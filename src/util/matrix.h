@@ -8,7 +8,7 @@ namespace cloudmedia::util {
 /// Small dense row-major matrix of doubles, sized for the paper's
 /// per-channel systems (J ≈ 20 chunks). Not a general linear-algebra
 /// library: just what the Jackson traffic equations and Proposition 1
-/// need — construction, transpose, mat-vec, and a pivoted linear solve.
+/// need — construction, transpose, mat-vec, and a pivoted LU solve.
 class Matrix {
  public:
   Matrix() = default;
@@ -27,6 +27,9 @@ class Matrix {
   [[nodiscard]] const double* row(std::size_t r) const noexcept {
     return data_.data() + r * cols_;
   }
+  [[nodiscard]] double* row(std::size_t r) noexcept {
+    return data_.data() + r * cols_;
+  }
 
   [[nodiscard]] Matrix transpose() const;
   [[nodiscard]] std::vector<double> multiply(const std::vector<double>& v) const;
@@ -43,6 +46,43 @@ class Matrix {
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<double> data_;
+};
+
+/// Gaussian elimination with partial pivoting, split into its two halves:
+/// the constructor eliminates A once, and solve() replays the elimination
+/// on each right-hand side. A system whose matrix repeats (the same P in
+/// every channel, the same P at every population) factors once.
+///
+/// Each multiplier is kept in the strictly lower cell that elimination
+/// zeroes, so the factors take no more room than A. solve(b) applies the
+/// recorded row swaps to b in step order, then unit-lower forward
+/// substitution in column order, then back substitution: every element of
+/// b gets the same subtractions, with the same operands and in the same
+/// order, as in a single interleaved elimination of [A | b] — which is what
+/// solve_linear_system runs, in one pass, for a matrix solved only once.
+class LuFactors {
+ public:
+  /// Throws InvariantError if A is (numerically) singular.
+  explicit LuFactors(Matrix a) : LuFactors(std::move(a), nullptr) {}
+
+  [[nodiscard]] std::size_t size() const noexcept { return lu_.rows(); }
+  /// The solution x of A x = b.
+  [[nodiscard]] std::vector<double> solve(std::vector<double> b) const;
+
+ private:
+  friend std::vector<double> solve_linear_system(Matrix a,
+                                                 std::vector<double> b);
+
+  /// With `rhs`, each elimination step is applied to it as it runs, so a
+  /// single solve needs only back_substitute(*rhs), not a second pass over
+  /// the multipliers.
+  LuFactors(Matrix a, std::vector<double>* rhs);
+  /// x from U x = b, for b already carried through the elimination.
+  [[nodiscard]] std::vector<double> back_substitute(
+      const std::vector<double>& b) const;
+
+  Matrix lu_;                        ///< U on and above the diagonal, L below
+  std::vector<std::size_t> pivots_;  ///< row swapped into place at each step
 };
 
 /// Solve A x = b by Gaussian elimination with partial pivoting.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "util/check.h"
 #include "util/log.h"
@@ -136,13 +137,13 @@ void Deployment::run_provisioning(double now) {
   record_plan_series(now);
 }
 
-void Deployment::apply_plan(const core::ProvisioningPlan& plan) {
+void Deployment::apply_plan(core::ProvisioningPlan plan) {
   if (!cloud_->submit_plan(plan, num_channels_, num_chunks_)) {
     ++metrics_.counters.rejected_plans;
     CM_LOG(kWarn) << "cloud rejected provisioning plan at t=" << sim_->now();
     return;
   }
-  last_plan_ = plan;
+  last_plan_ = std::move(plan);
   // Pool capacities refresh through the VM scheduler's listener.
 }
 

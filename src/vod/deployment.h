@@ -197,7 +197,7 @@ class Deployment {
 
  private:
   void run_provisioning(double now);
-  void apply_plan(const core::ProvisioningPlan& plan);
+  void apply_plan(core::ProvisioningPlan plan);
   void record_plan_series(double now);
   void sample_bandwidth(double now);
 

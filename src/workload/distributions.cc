@@ -1,5 +1,6 @@
 #include "workload/distributions.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/check.h"
@@ -61,12 +62,15 @@ BoundedPareto BoundedPareto::scaled_to_mean(double target_mean) const {
 }
 
 DiurnalPattern::DiurnalPattern(double base, std::vector<Peak> peaks)
-    : base_(base), peaks_(std::move(peaks)) {
+    : base_(base), peaks_(std::move(peaks)), max_multiplier_(base) {
   CM_EXPECTS(base >= 0.0);
   for (const Peak& p : peaks_) {
     CM_EXPECTS(p.hour >= 0.0 && p.hour < 24.0);
     CM_EXPECTS(p.amplitude >= 0.0);
     CM_EXPECTS(p.width > 0.0);
+  }
+  for (int minute = 0; minute < 24 * 60; ++minute) {
+    max_multiplier_ = std::max(max_multiplier_, multiplier(minute * 60.0));
   }
 }
 
@@ -96,14 +100,6 @@ double DiurnalPattern::multiplier(double t) const noexcept {
     m += p.amplitude * std::exp(-0.5 * (d / p.width) * (d / p.width));
   }
   return m;
-}
-
-double DiurnalPattern::max_multiplier() const noexcept {
-  double best = base_;
-  for (int minute = 0; minute < 24 * 60; ++minute) {
-    best = std::max(best, multiplier(minute * 60.0));
-  }
-  return best;
 }
 
 double DiurnalPattern::mean_multiplier() const {

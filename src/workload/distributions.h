@@ -68,14 +68,18 @@ class DiurnalPattern {
 
   /// Multiplier at absolute time t (seconds); periodic with period 24 h.
   [[nodiscard]] double multiplier(double t) const noexcept;
-  /// Maximum multiplier over the day (used as the thinning envelope).
-  [[nodiscard]] double max_multiplier() const noexcept;
+  /// Maximum multiplier over the day at 1-minute resolution (used as the
+  /// thinning envelope); scanned once, at construction.
+  [[nodiscard]] double max_multiplier() const noexcept {
+    return max_multiplier_;
+  }
   /// Mean multiplier over one day (numeric, 1-minute resolution).
   [[nodiscard]] double mean_multiplier() const;
 
  private:
   double base_;
   std::vector<Peak> peaks_;
+  double max_multiplier_;
 };
 
 /// Non-homogeneous Poisson arrival stream via thinning. Deterministic for

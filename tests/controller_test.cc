@@ -399,5 +399,47 @@ TEST(DemandEstimator, WellMeasuredMatrixIsNotDamped) {
   }
 }
 
+void expect_bitwise_equal(const ChannelDemandEstimate& a,
+                          const ChannelDemandEstimate& b) {
+  EXPECT_EQ(a.arrival_rates, b.arrival_rates);
+  EXPECT_EQ(a.peer_supply, b.peer_supply);
+  EXPECT_EQ(a.cloud_demand, b.cloud_demand);
+  EXPECT_EQ(a.total_cloud_demand, b.total_cloud_demand);
+  EXPECT_EQ(a.capacity.total_servers, b.capacity.total_servers);
+  EXPECT_EQ(a.capacity.total_bandwidth, b.capacity.total_bandwidth);
+  EXPECT_EQ(a.capacity.total_arrival_rate, b.capacity.total_arrival_rate);
+  ASSERT_EQ(a.capacity.chunks.size(), b.capacity.chunks.size());
+  for (std::size_t i = 0; i < a.capacity.chunks.size(); ++i) {
+    EXPECT_EQ(a.capacity.chunks[i].arrival_rate, b.capacity.chunks[i].arrival_rate);
+    EXPECT_EQ(a.capacity.chunks[i].servers, b.capacity.chunks[i].servers);
+    EXPECT_EQ(a.capacity.chunks[i].bandwidth, b.capacity.chunks[i].bandwidth);
+    EXPECT_EQ(a.capacity.chunks[i].expected_in_queue,
+              b.capacity.chunks[i].expected_in_queue);
+  }
+}
+
+TEST(EstimateChannels, SharedFactorsEqualPerChannelEstimates) {
+  // The bootstrap report's shape: every channel carries the same
+  // ground-truth P, with Zipf-like rates and empty occupancy. Channel 3
+  // reports a perturbed P, so the factors are rebuilt for it and again for
+  // channel 4, which is back on the shared P.
+  TrackerReport report = make_report({0.3, 0.15, 0.1, 0.075, 0.06, 0.05});
+  report.channels[3].transfer(2, 5) += 1e-3;
+  for (const auto mode : {StreamingMode::kP2p, StreamingMode::kClientServer}) {
+    DemandEstimatorConfig config;
+    config.mode = mode;
+    const DemandEstimator estimator(VodParameters{}, config);
+    const DemandSet set = estimate_channels(
+        estimator, report, [](std::size_t, double measured) { return measured; });
+    ASSERT_EQ(set.estimates.size(), report.channels.size());
+    for (std::size_t c = 0; c < report.channels.size(); ++c) {
+      SCOPED_TRACE(c);
+      const ChannelDemandEstimate own = estimator.estimate(report.channels[c]);
+      expect_bitwise_equal(set.estimates[c], own);
+      EXPECT_EQ(set.cloud_demand[c], own.cloud_demand);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace cloudmedia::core

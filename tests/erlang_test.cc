@@ -178,6 +178,34 @@ TEST(MinServers, UnreachableTargetThrows) {
   EXPECT_THROW((void)min_servers(1.0, 0.1, 9.0), util::PreconditionError);
 }
 
+TEST(MinServers, EqualsThePapersLinearScanBitForBit) {
+  // Sec. IV-B verbatim: m = floor(a) + 1 upward, each m sized afresh by
+  // mmm_metrics. The gallop and bisection skip most of those m, but both
+  // the m returned and the metrics at it must be exactly the scan's.
+  const double mu = 1.0 / 12.0;
+  for (double a : {1e-3, 0.37, 3.2, 47.5, 612.3, 6000.5, 50000.25}) {
+    for (double slack : {1.0005, 1.05, 1.5, 25.0}) {
+      const double lambda = a * mu;
+      const double target = (lambda / mu) * slack;
+      int scan = static_cast<int>(lambda / mu) + 1;
+      MmmMetrics expected = mmm_metrics(lambda, mu, scan);
+      while (expected.expected_system > target) {
+        expected = mmm_metrics(lambda, mu, ++scan);
+      }
+      MmmMetrics at_min;
+      ASSERT_EQ(min_servers(lambda, mu, target, &at_min), scan)
+          << "a=" << a << " slack=" << slack;
+      EXPECT_EQ(at_min.offered_load, expected.offered_load);
+      EXPECT_EQ(at_min.utilization, expected.utilization);
+      EXPECT_EQ(at_min.prob_wait, expected.prob_wait);
+      EXPECT_EQ(at_min.expected_queue, expected.expected_queue);
+      EXPECT_EQ(at_min.expected_system, expected.expected_system);
+      EXPECT_EQ(at_min.expected_wait, expected.expected_wait);
+      EXPECT_EQ(at_min.expected_sojourn, expected.expected_sojourn);
+    }
+  }
+}
+
 // A parameterized sweep: for every (λ, ρ-target) combination the sizing
 // must return a stable minimal pool.
 class MinServersSweep

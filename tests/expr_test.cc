@@ -91,6 +91,26 @@ TEST(Flags, NumericGettersParseTheWholeToken) {
   EXPECT_EQ(ok.get_ll("seed", 0), -3);
 }
 
+TEST(Flags, UnsignedGetterTakesTheWholeSeedRange) {
+  const auto message = [](const std::string& value) -> std::string {
+    try {
+      const std::string arg = "--seed=" + value;
+      (void)make_flags({arg.c_str()}).get_u64("seed", 1);
+    } catch (const util::PreconditionError& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  // A sign is refused, not wrapped to 2^64 - 3.
+  EXPECT_EQ(message("-3"), "--seed expects an unsigned integer, got '-3'");
+  EXPECT_EQ(message("+3"), "--seed expects an unsigned integer, got '+3'");
+  EXPECT_EQ(message("18446744073709551616"),
+            "--seed expects an unsigned integer, got '18446744073709551616'");
+  EXPECT_EQ(make_flags({"--seed=18446744073709551615"}).get_u64("seed", 1),
+            18446744073709551615ULL);
+  EXPECT_EQ(make_flags({}).get_u64("seed", 42), 42U);
+}
+
 TEST(Flags, RejectsPositionalArguments) {
   EXPECT_THROW(make_flags({"positional"}), std::invalid_argument);
 }

@@ -200,6 +200,90 @@ TEST(Matrix, SingularThrows) {
   a(1, 0) = 2;
   a(1, 1) = 4;
   EXPECT_THROW((void)solve_linear_system(a, {1.0, 2.0}), InvariantError);
+  EXPECT_THROW((void)LuFactors(a), InvariantError);  // at factoring time
+}
+
+/// The interleaved elimination of [A | b] that LuFactors splits in two,
+/// kept verbatim as the bitwise reference.
+std::vector<double> interleaved_solve(Matrix a, std::vector<double> b) {
+  const std::size_t n = a.rows();
+  for (std::size_t col = 0; col < n; ++col) {
+    std::size_t pivot = col;
+    for (std::size_t r = col + 1; r < n; ++r)
+      if (std::abs(a(r, col)) > std::abs(a(pivot, col))) pivot = r;
+    if (pivot != col) {
+      for (std::size_t c = 0; c < n; ++c) std::swap(a(pivot, c), a(col, c));
+      std::swap(b[pivot], b[col]);
+    }
+    const double inv = 1.0 / a(col, col);
+    for (std::size_t r = col + 1; r < n; ++r) {
+      const double factor = a(r, col) * inv;
+      if (factor == 0.0) continue;
+      for (std::size_t c = col; c < n; ++c) a(r, c) -= factor * a(col, c);
+      b[r] -= factor * b[col];
+    }
+  }
+  std::vector<double> x(n, 0.0);
+  for (std::size_t ri = n; ri-- > 0;) {
+    double acc = b[ri];
+    for (std::size_t c = ri + 1; c < n; ++c) acc -= a(ri, c) * x[c];
+    x[ri] = acc / a(ri, ri);
+  }
+  return x;
+}
+
+void expect_lu_matches_interleaved(const Matrix& a) {
+  const LuFactors lu(a);
+  const std::size_t n = a.rows();
+  std::vector<std::vector<double>> rhs(3, std::vector<double>(n));
+  for (std::size_t i = 0; i < n; ++i) {
+    rhs[0][i] = 1.0;
+    rhs[1][i] = 0.1 * static_cast<double>(i + 1) - 0.37;
+    rhs[2][i] = std::sin(1.7 * static_cast<double>(i)) * 1e3;
+  }
+  for (const std::vector<double>& b : rhs) {
+    const std::vector<double> expected = interleaved_solve(a, b);
+    const std::vector<double> x = lu.solve(b);
+    ASSERT_EQ(x.size(), n);
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(x[i], expected[i]) << i;
+    // The one-pass path: b carried through the factoring elimination.
+    const std::vector<double> once = solve_linear_system(a, b);
+    ASSERT_EQ(once.size(), n);
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(once[i], expected[i]) << i;
+  }
+}
+
+TEST(LuFactors, BitwiseEqualsInterleavedElimination) {
+  // Row 2 has the largest entry of column 1, so step 1 swaps rows 1 and 2
+  // after step 0 stored their multipliers: the stored multipliers must
+  // travel with their rows.
+  Matrix swaps_late(4, 4);
+  const double late[4][4] = {{4.0, 1.0, 0.3, -2.0},
+                             {1.0, 0.1, 2.0, 0.7},
+                             {-2.0, 5.0, 1.0, 0.2},
+                             {0.5, -1.0, 0.4, 3.0}};
+  for (std::size_t r = 0; r < 4; ++r)
+    for (std::size_t c = 0; c < 4; ++c) swaps_late(r, c) = late[r][c];
+  expect_lu_matches_interleaved(swaps_late);
+
+  // Rows 1 and 3 start with an exact zero in column 0 (zero multipliers the
+  // elimination skips); column 0's pivot is row 2.
+  Matrix zero_multipliers(4, 4);
+  const double zeros[4][4] = {{1.0, 2.0, 0.0, 1.0},
+                              {0.0, 3.0, 1.0, -1.0},
+                              {-6.0, 0.5, 2.0, 0.0},
+                              {0.0, 1.0, -4.0, 2.5}};
+  for (std::size_t r = 0; r < 4; ++r)
+    for (std::size_t c = 0; c < 4; ++c) zero_multipliers(r, c) = zeros[r][c];
+  expect_lu_matches_interleaved(zero_multipliers);
+
+  // The traffic-equation shape at paper size: I − Pᵀ of a dense 20×20
+  // sub-stochastic P.
+  Matrix traffic = Matrix::identity(20);
+  for (std::size_t r = 0; r < 20; ++r)
+    for (std::size_t c = 0; c < 20; ++c)
+      traffic(c, r) -= 0.04 + 0.003 * static_cast<double>((r * 7 + c * 3) % 5);
+  expect_lu_matches_interleaved(traffic);
 }
 
 TEST(Matrix, TransposeAndMultiply) {

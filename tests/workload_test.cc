@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/check.h"
@@ -120,6 +121,21 @@ TEST(Diurnal, MaxBoundsAllSamples) {
   const double cap = p.max_multiplier();
   for (int m = 0; m < 24 * 60; ++m) {
     EXPECT_LE(p.multiplier(m * 60.0), cap + 1e-12);
+  }
+}
+
+TEST(Diurnal, CachedMaxEqualsTheMinuteScan) {
+  // The maximum is scanned once at construction; copies carry it.
+  for (const DiurnalPattern& p :
+       {DiurnalPattern::paper_default(), DiurnalPattern::flat(),
+        DiurnalPattern::paper_default().shifted(-7.5)}) {
+    double scan = p.base();
+    for (int minute = 0; minute < 24 * 60; ++minute) {
+      scan = std::max(scan, p.multiplier(minute * 60.0));
+    }
+    EXPECT_EQ(p.max_multiplier(), scan);
+    const DiurnalPattern copy = p;
+    EXPECT_EQ(copy.max_multiplier(), scan);
   }
 }
 

@@ -33,7 +33,7 @@ Options parse_options(int argc, char** argv) {
   const bool p2p = flags.get("p2p", false);
   options.config = expr::ExperimentConfig::make_default(
       p2p ? core::StreamingMode::kP2p : core::StreamingMode::kClientServer);
-  options.config.seed = static_cast<std::uint64_t>(flags.get_ll("seed", 42));
+  options.config.seed = flags.get_u64("seed", 42);
   options.step = flags.get("step", options.step);
   const double from_hours = flags.get("from", 0.0);
   options.from = from_hours * 3600.0;

@@ -84,7 +84,7 @@ std::optional<Options> parse_options(int argc, char** argv) {
   }
   options.runs = flags.get_ll("runs", options.runs);
   if (options.runs < 1) throw util::PreconditionError("--runs must be >= 1");
-  options.seed = static_cast<std::uint64_t>(flags.get_ll("seed", 1));
+  options.seed = flags.get_u64("seed", 1);
   options.out = flags.get("out", std::string("results/fuzz"));
   return options;
 }
