@@ -203,17 +203,20 @@ StorageAssignment audit_storage_assignment(const StorageProblem& problem,
   return out;
 }
 
-double channel_storage_utility(const StorageProblem& problem,
-                               const StorageAssignment& assignment,
-                               int channel) {
+std::vector<double> storage_utility_by_channel(
+    const StorageProblem& problem, const StorageAssignment& assignment,
+    int num_channels) {
   CM_EXPECTS(assignment.cluster_of.size() == problem.chunks.size());
-  double utility = 0.0;
+  CM_EXPECTS(num_channels >= 0);
+  std::vector<double> utility(static_cast<std::size_t>(num_channels), 0.0);
   for (std::size_t i = 0; i < problem.chunks.size(); ++i) {
-    if (problem.chunks[i].ref.channel != channel) continue;
+    const int channel = problem.chunks[i].ref.channel;
+    CM_EXPECTS(channel >= 0 && channel < num_channels);
     const int f = assignment.cluster_of[i];
     if (f < 0) continue;
-    utility += problem.clusters[static_cast<std::size_t>(f)].utility *
-               problem.chunks[i].demand;
+    utility[static_cast<std::size_t>(channel)] +=
+        problem.clusters[static_cast<std::size_t>(f)].utility *
+        problem.chunks[i].demand;
   }
   return utility;
 }

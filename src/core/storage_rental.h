@@ -56,10 +56,11 @@ struct StorageAssignment {
 [[nodiscard]] StorageAssignment audit_storage_assignment(
     const StorageProblem& problem, const std::vector<int>& cluster_of);
 
-/// Aggregate storage utility of one channel under an assignment —
-/// the per-channel series plotted in Fig. 8.
-[[nodiscard]] double channel_storage_utility(const StorageProblem& problem,
-                                             const StorageAssignment& assignment,
-                                             int channel);
+/// Aggregate storage utility of each of `num_channels` channels under an
+/// assignment — the per-channel series plotted in Fig. 8 — in one pass
+/// over the chunks; each channel sums its chunks in chunk order.
+[[nodiscard]] std::vector<double> storage_utility_by_channel(
+    const StorageProblem& problem, const StorageAssignment& assignment,
+    int num_channels);
 
 }  // namespace cloudmedia::core

@@ -231,14 +231,18 @@ VmAllocation audit_vm_allocation(const VmProblem& problem,
   return out;
 }
 
-double channel_vm_utility(const VmProblem& problem,
-                          const VmAllocation& allocation, int channel) {
+std::vector<double> vm_utility_by_channel(const VmProblem& problem,
+                                          const VmAllocation& allocation,
+                                          int num_channels) {
   CM_EXPECTS(allocation.z.size() == problem.chunks.size());
-  double utility = 0.0;
+  CM_EXPECTS(num_channels >= 0);
+  std::vector<double> utility(static_cast<std::size_t>(num_channels), 0.0);
   for (std::size_t i = 0; i < problem.chunks.size(); ++i) {
-    if (problem.chunks[i].ref.channel != channel) continue;
+    const int channel = problem.chunks[i].ref.channel;
+    CM_EXPECTS(channel >= 0 && channel < num_channels);
+    double& sum = utility[static_cast<std::size_t>(channel)];
     for (std::size_t c = 0; c < problem.clusters.size(); ++c) {
-      utility += allocation.z[i][c] * problem.clusters[c].utility;
+      sum += allocation.z[i][c] * problem.clusters[c].utility;
     }
   }
   return utility;

@@ -55,10 +55,12 @@ struct VmAllocation {
 [[nodiscard]] VmAllocation audit_vm_allocation(
     const VmProblem& problem, const std::vector<std::vector<double>>& z);
 
-/// Aggregate VM utility of one channel (Fig. 9's per-channel series).
-[[nodiscard]] double channel_vm_utility(const VmProblem& problem,
-                                        const VmAllocation& allocation,
-                                        int channel);
+/// Aggregate VM utility of each of `num_channels` channels (Fig. 9's
+/// per-channel series) in one pass over the chunks; each channel sums its
+/// chunks in chunk order.
+[[nodiscard]] std::vector<double> vm_utility_by_channel(
+    const VmProblem& problem, const VmAllocation& allocation,
+    int num_channels);
 
 /// A concrete packing of fractional z_iv onto integer VM instances.
 /// The paper: "its integer part corresponds to the number of VMs which will

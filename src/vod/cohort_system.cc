@@ -87,16 +87,8 @@ double CohortSystem::channel_viewer_mass(int channel) const {
 
 void CohortSystem::refresh_behavior_cache() {
   const workload::ViewingBehavior& behavior = workload_->config().behavior;
-  transfer_ = behavior.transfer_matrix(num_chunks_);
+  chain_ = behavior.chain(num_chunks_);
   entry_dist_ = behavior.entry_distribution(num_chunks_);
-  leave_row_.assign(static_cast<std::size_t>(num_chunks_), 0.0);
-  for (int j = 0; j < num_chunks_; ++j) {
-    double row = 0.0;
-    for (int k = 0; k < num_chunks_; ++k) {
-      row += transfer_(static_cast<std::size_t>(j), static_cast<std::size_t>(k));
-    }
-    leave_row_[static_cast<std::size_t>(j)] = std::max(0.0, 1.0 - row);
-  }
 }
 
 void CohortSystem::schedule_start() {
@@ -134,13 +126,14 @@ void CohortSystem::flush_row_mass() {
   for (int c = 0; c < num_channels_; ++c) {
     double* const row_mass =
         row_mass_.data() + static_cast<std::size_t>(c) * j_count;
-    for (std::size_t j = 0; j < j_count; ++j) {
-      const double m = row_mass[j];
+    for (int j = 0; j < num_chunks_; ++j) {
+      const double m = row_mass[static_cast<std::size_t>(j)];
       if (m <= 0.0) continue;
-      const double* const row = transfer_.row(j);
-      for (std::size_t k = 0; k < j_count; ++k) flows_[k] = m * row[k];
-      tracker_.record_flows(c, static_cast<int>(j), flows_, m * leave_row_[j]);
-      row_mass[j] = 0.0;
+      for (int k = 0; k < num_chunks_; ++k) {
+        flows_[static_cast<std::size_t>(k)] = m * chain_.transfer(j, k);
+      }
+      tracker_.record_flows(c, j, flows_, m * chain_.leave(j));
+      row_mass[static_cast<std::size_t>(j)] = 0.0;
       ++counters_.tracker_rows;
     }
   }
@@ -207,8 +200,8 @@ void CohortSystem::transition(std::size_t slot, std::uint32_t generation) {
   double* const dl = download_.data() + slot * j_count;
   const std::unique_ptr<ServicePool>* const pools =
       pools_.data() + pool_index(c, 0);
-  double* const next_occ = next_occ_.data();
-  std::fill(next_occ_.begin(), next_occ_.end(), 0.0);
+  double* const row_mass =
+      row_mass_.data() + static_cast<std::size_t>(c) * j_count;
   const double chunk_bytes = params_.chunk_bytes();
   const double t0 = params_.chunk_duration;
   double dl_total = 0.0;
@@ -219,9 +212,13 @@ void CohortSystem::transition(std::size_t slot, std::uint32_t generation) {
   // fresh downloads (the cached download row) vs buffered replays, estimate
   // the dwell the download cost (the pool's current fluid rate decides
   // whether it stalled), and absorb the downloaded chunks into ownership.
+  // The tracker needs only each row's stepped mass: the chain is fixed
+  // until the next flush_row_mass, which reports M·P(j,·) once per
+  // (channel, row).
   for (std::size_t j = 0; j < j_count; ++j) {
     const double o = occ[j];
     if (o <= 0.0) continue;
+    row_mass[j] += o;
     const double d = dl[j];
     const double replay = o - d;
     dl_total += d;
@@ -238,24 +235,11 @@ void CohortSystem::transition(std::size_t slot, std::uint32_t generation) {
   downloads_mass_ += dl_total;
   replays_mass_ += replay_total;
 
-  // Phase 2 — advance every viewer through the ground-truth transfer
-  // matrix at once. The tracker needs only each row's stepped mass: P is
-  // fixed until the next flush_row_mass, which reports M·P(j,·) once per
-  // (channel, row).
-  double* const row_mass =
-      row_mass_.data() + static_cast<std::size_t>(c) * j_count;
-  double stay_total = 0.0;
-  for (std::size_t j = 0; j < j_count; ++j) {
-    const double o = occ[j];
-    if (o <= 0.0) continue;
-    const double* const row = transfer_.row(j);
-    for (std::size_t k = 0; k < j_count; ++k) {
-      const double flow = o * row[k];
-      next_occ[k] += flow;
-      stay_total += flow;
-    }
-    row_mass[j] += o;
-  }
+  // Phase 2 — advance every viewer along the ground-truth viewing chain at
+  // once, in O(J).
+  const double* const next_occ = next_occ_.data();
+  const double stay_total =
+      chain_.step(std::span<const double>(occ, j_count), next_occ_);
   const double departed = std::max(0.0, alive - stay_total);
   departures_mass_ += departed;
 

@@ -8,10 +8,10 @@
 #include "cloud/cloud_service.h"
 #include "core/controller.h"
 #include "sim/simulator.h"
-#include "util/matrix.h"
 #include "vod/deployment.h"
 #include "workload/cohort.h"
 #include "workload/scenario.h"
+#include "workload/viewing.h"
 
 namespace cloudmedia::vod {
 
@@ -49,18 +49,20 @@ struct CohortCounters {
 /// form one cohort: a struct-of-arrays arena slot holding the cohort's
 /// occupancy mass per chunk position and its expected ownership mass per
 /// chunk. One heap event per cohort *transition* advances every viewer in
-/// the cohort through the ground-truth transfer matrix at once; download
-/// demand drives the pools as fluid job counts (ServicePool::set_fluid_jobs)
-/// rather than per-viewer discrete jobs. Cost: O(cohorts · J²) per window
-/// instead of O(viewers) heap events — a 10M-peak-viewer day runs in
-/// seconds (bench/cohort_smoke.cc).
+/// the cohort along the ground-truth viewing chain at once
+/// (workload::ViewingChain::step: the structured P in O(J), no dense
+/// matrix); download demand drives the pools as fluid job counts
+/// (ServicePool::set_fluid_jobs) rather than per-viewer discrete jobs.
+/// Cost: O(cohorts · J) per window instead of O(viewers) heap events — a
+/// 10M-peak-viewer day runs in seconds (bench/cohort_smoke.cc).
 ///
 /// The per-cohort passes are flat row kernels over the arena and allocate
 /// nothing: their row buffers are reused member scratch. A step tells the
 /// tracker nothing by itself; it adds each occupied position's mass to a
 /// per-(channel, row) accumulator, and flush_row_mass reports that mass M
 /// as one Tracker::record_flows(M·P(j,·), M·leave_j) row call per
-/// (channel, row, window): at each window tick, before the behaviour
+/// (channel, row, window), with each row read off the chain bit for bit as
+/// transfer_matrix stores it: at each window tick, before the behaviour
 /// cache can change P, and right before each harvest. P is fixed between
 /// two flushes and the flush touches no engine state, so only the
 /// tracker's P̂ rounds differently from per-step recording, and outputs
@@ -76,7 +78,7 @@ struct CohortCounters {
 ///    loop (same Tracker/Controller/CloudService code paths, weighted
 ///    tracker flows), cost accounting, pool byte accounting.
 ///  - fluid approximations: per-chunk flows use expected values of the
-///    transfer matrix instead of sampled walks; ownership within a cohort
+///    viewing chain instead of sampled walks; ownership within a cohort
 ///    uses an independence approximation (owned/alive as a probability);
 ///    quality is mass-based (stalled mass over total mass) instead of
 ///    per-viewer smoothness bookkeeping.
@@ -130,7 +132,8 @@ class CohortSystem final : public Deployment {
 
   void window_tick(double now);
   /// Report every (channel, row) accumulated mass M to the tracker as
-  /// M·P(j,·) and M·leave_j under the cached P, and zero the accumulator.
+  /// M·P(j,·) and M·leave_j under the cached chain, and zero the
+  /// accumulator.
   void flush_row_mass();
   void transition(std::size_t slot, std::uint32_t generation);
   void retire(std::size_t slot);
@@ -161,9 +164,8 @@ class CohortSystem final : public Deployment {
 
   // Ground-truth behaviour cache (refreshed every window tick: set_config
   // can reshape it mid-run).
-  util::Matrix transfer_;
+  workload::ViewingChain chain_;
   std::vector<double> entry_dist_;
-  std::vector<double> leave_row_;
 
   std::vector<workload::CohortArrivals> arrivals_;  ///< per channel
   std::vector<double> channel_mass_;                ///< per channel

@@ -152,16 +152,17 @@ void Deployment::record_plan_series(double now) {
   const core::ProvisioningPlan& plan = *last_plan_;
   metrics_.vm_cost_rate.add(now, cloud_->vm_cost_rate());
   metrics_.storage_cost_rate.add(now, cloud_->storage_cost_rate());
-  for (int c = 0; c < num_channels_; ++c) {
-    const auto ch = static_cast<std::size_t>(c);
+  const std::vector<double> storage_utility = core::storage_utility_by_channel(
+      plan.storage_problem, plan.storage, num_channels_);
+  const std::vector<double> vm_utility =
+      core::vm_utility_by_channel(plan.vm_problem, plan.vm, num_channels_);
+  for (std::size_t ch = 0; ch < metrics_.channels.size(); ++ch) {
     ChannelSeries& series = metrics_.channels[ch];
     double provisioned = 0.0;
     for (double b : plan.chunk_cloud_bandwidth[ch]) provisioned += b;
     series.provisioned_mbps.add(now, util::to_mbps(provisioned));
-    series.storage_utility.add(
-        now, core::channel_storage_utility(plan.storage_problem, plan.storage, c));
-    series.vm_utility.add(now,
-                          core::channel_vm_utility(plan.vm_problem, plan.vm, c));
+    series.storage_utility.add(now, storage_utility[ch]);
+    series.vm_utility.add(now, vm_utility[ch]);
   }
 }
 

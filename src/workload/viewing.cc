@@ -1,5 +1,7 @@
 #include "workload/viewing.h"
 
+#include <algorithm>
+
 #include "util/check.h"
 
 namespace cloudmedia::workload {
@@ -11,18 +13,52 @@ void ViewingBehavior::validate() const {
   CM_EXPECTS(leave_prob > 0.0);  // sessions must terminate
 }
 
-util::Matrix ViewingBehavior::transfer_matrix(int num_chunks) const {
+double ViewingChain::leave(int from) const {
+  double row = 0.0;
+  for (int k = 0; k < num_chunks; ++k) row += transfer(from, k);
+  return std::max(0.0, 1.0 - row);
+}
+
+double ViewingChain::step(std::span<const double> occ,
+                          std::span<double> next) const {
+  const auto j = static_cast<std::size_t>(num_chunks);
+  CM_EXPECTS(occ.size() == j && next.size() == j);
+  double occupied = 0.0;
+  for (const double o : occ) occupied += o;
+  double stay = 0.0;
+  double before = 0.0;  // occ[k − 1]; nothing plays on into chunk 0
+  for (std::size_t k = 0; k < j; ++k) {
+    const double o = occ[k];
+    const double n = jump_each * (occupied - o) + play * before;
+    next[k] = n;
+    stay += n;
+    before = o;
+  }
+  return stay;
+}
+
+ViewingChain ViewingBehavior::chain(int num_chunks) const {
   validate();
   CM_EXPECTS(num_chunks >= 1);
+  ViewingChain chain;
+  chain.num_chunks = num_chunks;
+  // A single chunk has no other chunk to seek to: any transition leaves.
+  if (num_chunks > 1) {
+    chain.jump_each = jump_prob / static_cast<double>(num_chunks - 1);
+  }
+  chain.play = 1.0 - jump_prob - leave_prob;
+  chain.advance = chain.jump_each + chain.play;
+  return chain;
+}
+
+util::Matrix ViewingBehavior::transfer_matrix(int num_chunks) const {
+  const ViewingChain c = chain(num_chunks);
   const auto j = static_cast<std::size_t>(num_chunks);
   util::Matrix p(j, j);
-  if (num_chunks == 1) return p;  // single chunk: any transition is a leave
-  const double jump_each = jump_prob / static_cast<double>(num_chunks - 1);
   for (std::size_t i = 0; i < j; ++i) {
     for (std::size_t k = 0; k < j; ++k) {
-      if (k != i) p(i, k) = jump_each;
+      p(i, k) = c.transfer(static_cast<int>(i), static_cast<int>(k));
     }
-    if (i + 1 < j) p(i, i + 1) += 1.0 - jump_prob - leave_prob;
   }
   return p;
 }

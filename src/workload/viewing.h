@@ -1,12 +1,38 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "util/matrix.h"
 #include "util/rng.h"
 
 namespace cloudmedia::workload {
+
+/// The Sec. III-B viewing chain over J chunks, held as the constants its
+/// transfer matrix is made of: from chunk j a viewer seeks to each other
+/// chunk with probability `jump_each` and plays on to j + 1 with `play`
+/// more, so P = jump_each·(11ᵀ − I) + play·shift. A row reads in O(1) per
+/// cell and a mass row steps in O(J), where a dense P takes J².
+struct ViewingChain {
+  int num_chunks = 1;
+  double jump_each = 0.0;  ///< c = jump_prob / (J − 1); 0 when J = 1
+  double play = 0.0;       ///< s = 1 − jump_prob − leave_prob
+  double advance = 0.0;    ///< P(j, j + 1) = jump_each + play
+
+  /// P(from, to), the double transfer_matrix stores there.
+  [[nodiscard]] double transfer(int from, int to) const noexcept {
+    if (to == from) return 0.0;
+    return to == from + 1 ? advance : jump_each;
+  }
+  /// Leave probability from chunk `from`: 1 − Σ_k P(from, k), the row
+  /// summed in k order, floored at 0.
+  [[nodiscard]] double leave(int from) const;
+  /// One step of a row of occupancy mass (all ≥ 0) through P:
+  /// next[k] = jump_each·(S − occ[k]) + play·occ[k − 1] with S = Σ occ.
+  /// Returns Σ_k next[k], summed in k order: the mass that stays.
+  double step(std::span<const double> occ, std::span<double> next) const;
+};
 
 /// Parameters of the per-chunk viewing behaviour that induces the paper's
 /// chunk transfer probability matrix P (Sec. III-B / IV-A).
@@ -26,8 +52,12 @@ struct ViewingBehavior {
 
   void validate() const;
 
-  /// The J×J chunk transfer matrix P with P(i,j) = P_ij. Rows are
-  /// sub-stochastic: 1 - Σ_j P_ij is the leave probability from chunk i.
+  /// The viewing chain over `num_chunks` chunks: the constants of P.
+  [[nodiscard]] ViewingChain chain(int num_chunks) const;
+
+  /// The J×J chunk transfer matrix P with P(i,j) = P_ij, filled from
+  /// chain(). Rows are sub-stochastic: 1 - Σ_j P_ij is the leave
+  /// probability from chunk i.
   [[nodiscard]] util::Matrix transfer_matrix(int num_chunks) const;
 
   /// External entry distribution over chunks: alpha at chunk 0, the rest

@@ -197,12 +197,15 @@ TEST(StorageChannelUtility, SumsOnlyTheChannel) {
   p.chunks[3].ref.channel = 1;
   p.chunks[4].ref.channel = 1;
   const StorageAssignment a = solve_storage_greedy(p);
-  const double total = channel_storage_utility(p, a, 0) +
-                       channel_storage_utility(p, a, 1);
-  EXPECT_NEAR(total, a.total_utility, 1e-9);
-  EXPECT_GT(channel_storage_utility(p, a, 0), 0.0);
-  EXPECT_GT(channel_storage_utility(p, a, 1), 0.0);
-  EXPECT_DOUBLE_EQ(channel_storage_utility(p, a, 7), 0.0);
+  const std::vector<double> u = storage_utility_by_channel(p, a, 8);
+  ASSERT_EQ(u.size(), 8u);
+  EXPECT_NEAR(u[0] + u[1], a.total_utility, 1e-9);
+  EXPECT_GT(u[0], 0.0);
+  EXPECT_GT(u[1], 0.0);
+  EXPECT_DOUBLE_EQ(u[7], 0.0);
+  // A chunk on a channel past num_channels is a caller error.
+  EXPECT_THROW((void)storage_utility_by_channel(p, a, 1),
+               util::PreconditionError);
 }
 
 class StorageRandomSweep : public ::testing::TestWithParam<int> {};
@@ -380,8 +383,9 @@ TEST(VmChannelUtility, PartitionsTotal) {
   VmProblem p = small_vm_problem();
   p.chunks[0].ref.channel = 1;
   const VmAllocation a = solve_vm_greedy(p);
-  EXPECT_NEAR(channel_vm_utility(p, a, 0) + channel_vm_utility(p, a, 1),
-              a.total_utility, 1e-9);
+  const std::vector<double> u = vm_utility_by_channel(p, a, 2);
+  ASSERT_EQ(u.size(), 2u);
+  EXPECT_NEAR(u[0] + u[1], a.total_utility, 1e-9);
 }
 
 // ------------------------------------------------------------- packing

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "util/check.h"
+#include "util/matrix.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "workload/distributions.h"
@@ -214,6 +218,98 @@ TEST(Viewing, SingleChunkChannel) {
   const util::Matrix p = b.transfer_matrix(1);
   EXPECT_DOUBLE_EQ(p(0, 0), 0.0);
   EXPECT_DOUBLE_EQ(b.entry_distribution(1)[0], 1.0);
+}
+
+// --------------------------------------------------------- viewing chain
+
+/// The (J, jump) grid both chain tests run on, with the default leave.
+template <typename Check>
+void for_each_chain(const Check& check) {
+  for (const int j : {1, 2, 3, 20}) {
+    for (const double jump : {0.0, 0.05, 0.4}) {
+      SCOPED_TRACE(testing::Message() << "J=" << j << " jump=" << jump);
+      ViewingBehavior b;
+      b.jump_prob = jump;
+      check(b, j);
+    }
+  }
+}
+
+TEST(ViewingChain, RowsAndLeaveMatchTransferMatrixBitwise) {
+  // The cohort engine reads P and each row's leave off the chain, the
+  // planner off transfer_matrix: both must be the doubles of the dense
+  // construction, spelled out here as the matrix was always built.
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for_each_chain([&](const ViewingBehavior& b, int j_count) {
+    const auto n = static_cast<std::size_t>(j_count);
+    util::Matrix dense(n, n);
+    if (j_count > 1) {
+      const double jump_each = b.jump_prob / static_cast<double>(j_count - 1);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t k = 0; k < n; ++k) {
+          if (k != i) dense(i, k) = jump_each;
+        }
+        if (i + 1 < n) dense(i, i + 1) += 1.0 - b.jump_prob - b.leave_prob;
+      }
+    }
+    const util::Matrix p = b.transfer_matrix(j_count);
+    const ViewingChain chain = b.chain(j_count);
+    for (int i = 0; i < j_count; ++i) {
+      const auto row = static_cast<std::size_t>(i);
+      double sum = 0.0;
+      for (int k = 0; k < j_count; ++k) {
+        const auto col = static_cast<std::size_t>(k);
+        EXPECT_EQ(bits(p(row, col)), bits(dense(row, col)))
+            << "row " << i << " column " << k;
+        EXPECT_EQ(bits(chain.transfer(i, k)), bits(dense(row, col)))
+            << "row " << i << " column " << k;
+        sum += dense(row, col);
+      }
+      EXPECT_EQ(bits(chain.leave(i)), bits(std::max(0.0, 1.0 - sum)))
+          << "row " << i;
+    }
+  });
+}
+
+TEST(ViewingChain, StepMatchesDenseReferenceStep) {
+  // One O(J) step against next[k] = Σ_j occ[j]·P(j,k) through the dense
+  // matrix, on random rows with empty positions. Swapping the seek and
+  // play constants, or shifting the wrong way, fails every row.
+  util::Rng rng(20260);
+  for_each_chain([&](const ViewingBehavior& b, int j_count) {
+    const auto n = static_cast<std::size_t>(j_count);
+    const util::Matrix p = b.transfer_matrix(j_count);
+    const ViewingChain chain = b.chain(j_count);
+    std::vector<double> occ(n), next(n), ref(n);
+    for (int trial = 0; trial < 50; ++trial) {
+      double alive = 0.0;
+      for (double& o : occ) {
+        o = rng.uniform() < 0.3 ? 0.0 : rng.uniform(0.0, 1e6);
+        alive += o;
+      }
+      std::fill(ref.begin(), ref.end(), 0.0);
+      double ref_stay = 0.0;
+      double departed = 0.0;
+      for (std::size_t j = 0; j < n; ++j) {
+        for (std::size_t k = 0; k < n; ++k) ref[k] += occ[j] * p(j, k);
+        departed += occ[j] * chain.leave(static_cast<int>(j));
+      }
+      for (const double r : ref) ref_stay += r;
+
+      const double stay = chain.step(occ, next);
+      const double tol = 1e-13 * alive;
+      double next_sum = 0.0;
+      for (std::size_t k = 0; k < n; ++k) {
+        EXPECT_NEAR(next[k], ref[k], tol) << "trial " << trial << " k=" << k;
+        EXPECT_GE(next[k], 0.0);
+        next_sum += next[k];
+      }
+      EXPECT_NEAR(stay, ref_stay, tol) << "trial " << trial;
+      EXPECT_EQ(stay, next_sum) << "stay is Σ next in k order";
+      // Mass is conserved: what stays plus what leaves is what was there.
+      EXPECT_NEAR(stay + departed, alive, 1e-12 * alive) << "trial " << trial;
+    }
+  });
 }
 
 TEST(Viewing, SampleNextFrequenciesMatchMatrix) {
