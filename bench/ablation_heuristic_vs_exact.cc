@@ -8,10 +8,15 @@
 // table when the budget is slack — the exact optimum then buys the
 // higher-utility clusters outright.
 //
+// A bad flag value exits 2 with `bench_ablation_heuristic_vs_exact:
+// <message>`.
+//
 // Flags: --instances=25 --seed=42
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <exception>
 
 #include "core/clusters.h"
 #include "core/storage_rental.h"
@@ -23,10 +28,22 @@
 using namespace cloudmedia;
 
 int main(int argc, char** argv) {
-  const expr::Flags flags(argc, argv);
-  flags.require_known({"instances", "seed"});
-  const int instances = flags.get("instances", 25);
-  util::Rng rng(flags.get_u64("seed", 42));
+  int instances = 25;
+  std::uint64_t seed = 42;
+  try {
+    const expr::Flags flags(argc, argv);
+    flags.require_known({"instances", "seed"});
+    instances = flags.get("instances", instances);
+    seed = flags.get_u64("seed", seed);
+    if (instances < 1) {
+      expr::refuse_value("--instances must be >= 1",
+                         static_cast<double>(instances));
+    }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bench_ablation_heuristic_vs_exact: %s\n", e.what());
+    return 2;
+  }
+  util::Rng rng(seed);
 
   std::printf("Ablation: paper heuristics vs exact optima (%d random "
               "instances each)\n", instances);

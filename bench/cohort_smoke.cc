@@ -24,12 +24,16 @@
 // --calibration scales the rate to compensate and the gate asserts the
 // realized peak reaches the target.
 //
+// A bad flag value exits 2 with `bench_cohort_smoke: <message>`; a tripped
+// gate aborts.
+//
 // Flags: --viewers=10000000 --hours=24 --warmup=0 --seed=42
 //        --calibration=<factor> --out=BENCH_cohort.json
 
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <exception>
 #include <string>
 
 #include "expr/flags.h"
@@ -42,18 +46,39 @@
 
 using namespace cloudmedia;
 
-int main(int argc, char** argv) {
+namespace {
+
+struct Options {
+  expr::ExperimentConfig cfg;
+  double target = 10'000'000.0;
+  std::string out;
+};
+
+Options parse_options(int argc, char** argv) {
   const expr::Flags flags(argc, argv);
   flags.require_known({"viewers", "hours", "warmup", "calibration", "seed",
                        "out"});
-  const double target = flags.get("viewers", 10'000'000.0);
+  Options options;
+  options.target = flags.get("viewers", options.target);
   const double hours = flags.get("hours", 24.0);
   const double warmup = flags.get("warmup", 0.0);
   const double calibration = flags.get("calibration", 1.3);
-  CM_EXPECTS(target > 0.0 && hours > 0.0 && calibration > 0.0);
+  // Negated comparisons so that NaN is refused too.
+  if (!(options.target > 0.0)) {
+    expr::refuse_value("--viewers must be > 0 peak viewers", options.target);
+  }
+  if (!(hours > 0.0)) {
+    expr::refuse_value("--hours must be > 0 simulated hours", hours);
+  }
+  if (!(warmup >= 0.0)) {
+    expr::refuse_value("--warmup must be >= 0 hours", warmup);
+  }
+  if (!(calibration > 0.0)) {
+    expr::refuse_value("--calibration must be > 0", calibration);
+  }
 
-  expr::ExperimentConfig cfg =
-      sweep::ScenarioCatalog::global().make_config("live_event_cliff");
+  expr::ExperimentConfig& cfg = options.cfg;
+  cfg = sweep::ScenarioCatalog::global().make_config("live_event_cliff");
   cfg.warmup_hours = warmup;
   cfg.measure_hours = hours;
   cfg.seed = flags.get_u64("seed", 42);
@@ -63,7 +88,25 @@ int main(int argc, char** argv) {
   const double peak_per_unit_rate = expr::estimated_peak_users(cfg);
   CM_ENSURES(peak_per_unit_rate > 0.0);
   cfg.workload.total_arrival_rate =
-      calibration * target / peak_per_unit_rate;
+      calibration * options.target / peak_per_unit_rate;
+  cfg.validate();
+  options.out = flags.get("out", std::string("BENCH_cohort.json"));
+  return options;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  Options options;
+  try {
+    options = parse_options(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bench_cohort_smoke: %s\n", e.what());
+    return 2;
+  }
+  const expr::ExperimentConfig& cfg = options.cfg;
+  const double target = options.target;
+  const double hours = cfg.measure_hours;
 
   std::printf(
       "cohort_smoke: live_event_cliff, %.0fh, target peak %.3g viewers "
@@ -130,7 +173,7 @@ int main(int argc, char** argv) {
   bench["peak_rss_mb"] = rss_mb;
   bench["mean_quality"] = result.mean_quality();
   bench["late_share"] = result.late_share();
-  const std::string out = flags.get("out", std::string("BENCH_cohort.json"));
+  const std::string& out = options.out;
   const std::size_t slash = out.find_last_of('/');
   if (slash != std::string::npos) util::ensure_directory(out.substr(0, slash));
   util::write_json_file(out, bench);

@@ -15,7 +15,9 @@
 // member×chunk bitmap cells a per-tick ownership rebuild would scan. All
 // three counts are exact for a seed. The hot peer record (vod::Peer) must
 // fit one 64-byte cache line. Peak RSS must stay under --max-rss-mb
-// (skipped on sanitizer builds, whose allocators inflate it). Events/s and
+// (skipped on sanitizer builds, whose allocators inflate it). A bad flag
+// value exits 2 with `bench_discrete_smoke: <message>`; a tripped gate
+// aborts. Events/s and
 // wall seconds are reported, not gated: wall-clock claims come from
 // perfbench/, so a slower runner cannot make this gate flaky. Quality and
 // the late share are reported, not gated.
@@ -26,6 +28,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <exception>
 #include <string>
 
 #include "expr/flags.h"
@@ -55,28 +58,70 @@ constexpr bool sanitized_build() {
 #endif
 }
 
-}  // namespace
+struct Options {
+  expr::ExperimentConfig cfg;
+  double max_events_per_viewer = 13.07;
+  double max_rss_mb = 2048.0;
+  std::string out;
+};
 
-int main(int argc, char** argv) {
+Options parse_options(int argc, char** argv) {
   const expr::Flags flags(argc, argv);
   flags.require_known({"rate", "hours", "warmup", "max-events-per-viewer",
                        "max-rss-mb", "seed", "out"});
+  Options options;
   const double rate = flags.get("rate", 6.0);
   const double hours = flags.get("hours", 10.0);
   const double warmup = flags.get("warmup", 0.0);
-  const double max_events_per_viewer =
-      flags.get("max-events-per-viewer", 13.07);
-  const double max_rss_mb = flags.get("max-rss-mb", 2048.0);
-  CM_EXPECTS(rate > 0.0 && hours > 0.0 && max_events_per_viewer > 0.0 &&
-             max_rss_mb > 0.0);
+  options.max_events_per_viewer =
+      flags.get("max-events-per-viewer", options.max_events_per_viewer);
+  options.max_rss_mb = flags.get("max-rss-mb", options.max_rss_mb);
+  // Negated comparisons so that NaN is refused too.
+  if (!(rate > 0.0)) {
+    expr::refuse_value("--rate must be > 0 arrivals/s", rate);
+  }
+  if (!(hours > 0.0)) {
+    expr::refuse_value("--hours must be > 0 simulated hours", hours);
+  }
+  if (!(warmup >= 0.0)) {
+    expr::refuse_value("--warmup must be >= 0 hours", warmup);
+  }
+  if (!(options.max_events_per_viewer > 0.0)) {
+    expr::refuse_value("--max-events-per-viewer must be > 0",
+                       options.max_events_per_viewer);
+  }
+  if (!(options.max_rss_mb > 0.0)) {
+    expr::refuse_value("--max-rss-mb must be > 0", options.max_rss_mb);
+  }
 
-  expr::ExperimentConfig cfg = sweep::ScenarioCatalog::global().make_config(
+  expr::ExperimentConfig& cfg = options.cfg;
+  cfg = sweep::ScenarioCatalog::global().make_config(
       "flash_crowd", core::StreamingMode::kP2p);
   cfg.warmup_hours = warmup;
   cfg.measure_hours = hours;
   cfg.seed = flags.get_u64("seed", 42);
   cfg.engine = expr::Engine::kDiscrete;
   cfg.workload.total_arrival_rate = rate;
+  cfg.validate();
+  options.out = flags.get("out", std::string("BENCH_discrete.json"));
+  return options;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  Options options;
+  try {
+    options = parse_options(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bench_discrete_smoke: %s\n", e.what());
+    return 2;
+  }
+  const expr::ExperimentConfig& cfg = options.cfg;
+  const double hours = cfg.measure_hours;
+  const double rate = cfg.workload.total_arrival_rate;
+  const double max_events_per_viewer = options.max_events_per_viewer;
+  const double max_rss_mb = options.max_rss_mb;
 
   std::printf(
       "discrete_smoke: flash_crowd p2p, %.0fh, arrival rate %.1f/s "
@@ -155,7 +200,7 @@ int main(int argc, char** argv) {
   bench["owned_words"] = static_cast<double>(owned_words);
   bench["max_rss_mb"] = max_rss_mb;
   bench["rss_gate_enforced"] = !sanitized_build();
-  const std::string out = flags.get("out", std::string("BENCH_discrete.json"));
+  const std::string& out = options.out;
   const std::size_t slash = out.find_last_of('/');
   if (slash != std::string::npos) util::ensure_directory(out.substr(0, slash));
   util::write_json_file(out, bench);

@@ -19,11 +19,15 @@
 // the sanitize job still runs concurrent push() calls end to end, here
 // and in smoke.results_store.
 //
+// A bad flag value exits 2 with `bench_store_smoke: <message>`; a tripped
+// gate aborts.
+//
 // Flags: --cells=10000 --hours=0.25 --warmup=0 --threads=<hardware>
 //        --seed=42 --out=BENCH_store.json --store-out=results/store_smoke
 
 #include <chrono>
 #include <cstdio>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -82,36 +86,57 @@ struct PhaseResult {
   double peak_rss_mb = 0.0;  // process high-water *after* the phase
 };
 
-}  // namespace
+struct Options {
+  std::size_t cells = 10000;
+  sweep::SweepSpec spec;
+  std::string store_out;
+  std::string out;
+};
 
-int main(int argc, char** argv) {
+Options parse_options(int argc, char** argv) {
   const expr::Flags flags(argc, argv);
   flags.require_known({"cells", "hours", "warmup", "seed", "threads",
                        "store-out", "out"});
-
-  const long long cells_flag = flags.get_ll("cells", 10000);
-  if (cells_flag < 32) {
-    throw util::PreconditionError("--cells must be >= 32");
+  Options options;
+  const long long cells = flags.get_ll("cells", 10000);
+  if (cells < 32) {
+    expr::refuse_value("--cells must be >= 32", static_cast<double>(cells));
   }
-  const auto cells = static_cast<std::size_t>(cells_flag);
+  options.cells = static_cast<std::size_t>(cells);
 
   profile::Profile prof;
   prof.scenario = "baseline_diurnal";
   prof.warmup_hours = 0.0;
   prof.measure_hours = 0.25;
-  sweep::SweepSpec spec = sweep::SweepSpec::from_profile(prof);
-  spec.apply_flags(flags);
+  options.spec = sweep::SweepSpec::from_profile(prof);
+  options.spec.apply_flags(flags);
   // Densify the series so the buffered run's footprint reflects what
   // keep_results actually costs at scale (60 s sampling on a 15-minute
   // horizon would retain almost nothing).
-  spec.customize = [](expr::ExperimentConfig& config) {
+  options.spec.customize = [](expr::ExperimentConfig& config) {
     config.streaming.sample_interval = 30.0;
   };
+  options.store_out =
+      flags.get("store-out", std::string("results/store_smoke"));
+  options.out = flags.get("out", std::string("BENCH_store.json"));
+  return options;
+}
 
+}  // namespace
+
+int main(int argc, char** argv) {
+  Options options;
+  try {
+    options = parse_options(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bench_store_smoke: %s\n", e.what());
+    return 2;
+  }
+  const std::size_t cells = options.cells;
+  const sweep::SweepSpec& spec = options.spec;
   const unsigned threads =
       spec.threads ? spec.threads : sweep::default_threads();
-  const std::string store_out =
-      flags.get("store-out", std::string("results/store_smoke"));
+  const std::string& store_out = options.store_out;
 
   const auto run_streaming = [&](std::size_t n,
                                  const std::string& base) -> PhaseResult {
@@ -206,8 +231,7 @@ int main(int argc, char** argv) {
   bench["rss_flat_ratio"] = flat_ratio;
   bench["rss_buffered_over_streaming"] = buffered_ratio;
   bench["sanitized"] = kSanitized;
-  const std::string out = flags.get("out", std::string("BENCH_store.json"));
-  util::write_json_file(out, bench);
-  std::printf("[json] %s\n", out.c_str());
+  util::write_json_file(options.out, bench);
+  std::printf("[json] %s\n", options.out.c_str());
   return 0;
 }

@@ -6,11 +6,14 @@
 // baseline_diurnal — so the numbers stay comparable; change it and the
 // history resets. Peak RSS (getrusage) is reported alongside.
 //
+// A bad flag value exits 2 with `bench_sweep_smoke: <message>`.
+//
 // Flags: --hours=1 --warmup=0.25 --threads=<hardware> --seed=42
 //        --out=BENCH_sweep.json
 
 #include <chrono>
 #include <cstdio>
+#include <exception>
 #include <string>
 
 #include "expr/flags.h"
@@ -23,7 +26,14 @@
 
 using namespace cloudmedia;
 
-int main(int argc, char** argv) {
+namespace {
+
+struct Options {
+  sweep::SweepSpec spec;
+  std::string out;
+};
+
+Options parse_options(int argc, char** argv) {
   const expr::Flags flags(argc, argv);
   flags.require_known({"hours", "warmup", "seed", "threads", "out"});
 
@@ -33,8 +43,24 @@ int main(int argc, char** argv) {
   prof.grid.add_axis("channels", {"8", "12", "16"});
   prof.warmup_hours = 0.25;
   prof.measure_hours = 1.0;
-  sweep::SweepSpec spec = sweep::SweepSpec::from_profile(prof);
-  spec.apply_flags(flags);
+  Options options;
+  options.spec = sweep::SweepSpec::from_profile(prof);
+  options.spec.apply_flags(flags);
+  options.out = flags.get("out", std::string("BENCH_sweep.json"));
+  return options;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  Options options;
+  try {
+    options = parse_options(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bench_sweep_smoke: %s\n", e.what());
+    return 2;
+  }
+  const sweep::SweepSpec& spec = options.spec;
 
   const unsigned threads =
       spec.threads ? spec.threads : sweep::default_threads();
@@ -68,7 +94,7 @@ int main(int argc, char** argv) {
   bench["events_total"] = static_cast<double>(events);
   bench["events_per_sec"] = events_per_sec;
   bench["peak_rss_mb"] = rss_mb;
-  const std::string out = flags.get("out", std::string("BENCH_sweep.json"));
+  const std::string& out = options.out;
   const std::size_t slash = out.find_last_of('/');
   if (slash != std::string::npos) util::ensure_directory(out.substr(0, slash));
   util::write_json_file(out, bench);

@@ -191,6 +191,21 @@ if(CLOUDMEDIA_BUILD_BENCH)
   # full paper horizon with defaults.
   add_usage_error_test(paper_figures_typo bench_paper_figures
     "did you mean --hours" --hour=2)
+  # Every bench refuses a bad flag value with `bench_x: <message>` and
+  # exit 2 before it runs; only a tripped gate aborts.
+  add_usage_error_test(discrete_bench_usage_error bench_discrete_smoke
+    "^bench_discrete_smoke: --rate must be > 0 arrivals/s, got -1" --rate=-1)
+  add_usage_error_test(cohort_bench_usage_error bench_cohort_smoke
+    "^bench_cohort_smoke: --viewers must be > 0" --viewers=-1)
+  add_usage_error_test(store_bench_usage_error bench_store_smoke
+    "^bench_store_smoke: --cells must be >= 32, got 5" --cells=5)
+  add_usage_error_test(sweep_bench_usage_error bench_sweep_smoke
+    "^bench_sweep_smoke: --hours must be a finite number of hours > 0"
+    --hours=-1)
+  add_usage_error_test(ablation_bench_usage_error
+    bench_ablation_heuristic_vs_exact
+    "^bench_ablation_heuristic_vs_exact: --instances must be >= 1, got -1"
+    --instances=-1)
   # Sweep-engine throughput tracker (3x3 grid, downsized horizon).
   add_smoke_test(sweep_bench bench_sweep_smoke --hours=0.25 --warmup=0.1
     --out=${CMAKE_BINARY_DIR}/artifacts/BENCH_sweep.json)

@@ -17,20 +17,9 @@ double CostMeter::accrued_to_now(const Account& account) const {
   return account.accrued + account.rate * hours;
 }
 
-double CostMeter::current_rate(const std::string& category) const {
-  const auto it = accounts_.find(category);
-  return it == accounts_.end() ? 0.0 : it->second.rate;
-}
-
 double CostMeter::total(const std::string& category) const {
   const auto it = accounts_.find(category);
   return it == accounts_.end() ? 0.0 : accrued_to_now(it->second);
-}
-
-double CostMeter::grand_total() const {
-  double total = 0.0;
-  for (const auto& [name, account] : accounts_) total += accrued_to_now(account);
-  return total;
 }
 
 }  // namespace cloudmedia::cloud

@@ -19,11 +19,8 @@ class CostMeter {
   /// Change the category's rate as of now().
   void set_rate(const std::string& category, double dollars_per_hour);
 
-  [[nodiscard]] double current_rate(const std::string& category) const;
   /// Total dollars accrued by the category up to now().
   [[nodiscard]] double total(const std::string& category) const;
-  /// Total across all categories.
-  [[nodiscard]] double grand_total() const;
 
  private:
   struct Account {

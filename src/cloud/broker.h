@@ -34,8 +34,6 @@ class SlaNegotiator {
   /// mid-run budget cut binds billing, not just the consumer's optimizer.
   void set_budgets(double vm_budget_per_hour, double storage_budget_per_hour);
 
-  [[nodiscard]] const SlaTerms& terms() const noexcept { return terms_; }
-
  private:
   SlaTerms terms_;
 };

@@ -43,14 +43,12 @@ class CloudService {
 
   [[nodiscard]] VmScheduler& vm_scheduler() noexcept { return vm_scheduler_; }
   [[nodiscard]] const VmScheduler& vm_scheduler() const noexcept { return vm_scheduler_; }
-  [[nodiscard]] NfsScheduler& nfs_scheduler() noexcept { return nfs_scheduler_; }
   [[nodiscard]] const RequestMonitor& request_monitor() const noexcept {
     return request_monitor_;
   }
   [[nodiscard]] const VmMonitor& vm_monitor() const noexcept { return vm_monitor_; }
   [[nodiscard]] CostMeter& billing() noexcept { return billing_; }
   [[nodiscard]] const CostMeter& billing() const noexcept { return billing_; }
-  [[nodiscard]] const SlaNegotiator& sla() const noexcept { return sla_; }
 
   /// Renegotiate the SLA budget ceilings mid-run (timed scenario ops:
   /// a regional outage cuts them, recovery restores them). Plans already

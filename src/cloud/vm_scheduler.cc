@@ -19,11 +19,6 @@ VmScheduler::VmScheduler(sim::Simulator& simulator,
   readiness_.assign(clusters_.size(), 0.0);
 }
 
-const core::VmClusterSpec& VmScheduler::cluster(std::size_t v) const {
-  CM_EXPECTS(v < clusters_.size());
-  return clusters_[v];
-}
-
 void VmScheduler::apply(const core::VmProblem& problem,
                         const core::InstancePlan& plan, int num_channels,
                         int chunks_per_video) {

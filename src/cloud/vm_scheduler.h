@@ -41,7 +41,6 @@ class VmScheduler {
   [[nodiscard]] int billed_instances(std::size_t cluster) const;
   [[nodiscard]] int ready_instances(std::size_t cluster) const;
   [[nodiscard]] std::size_t num_clusters() const noexcept { return clusters_.size(); }
-  [[nodiscard]] const core::VmClusterSpec& cluster(std::size_t v) const;
 
   /// Invoked whenever deliverable capacity changes (plan applied or a boot
   /// completed), so the application can refresh its bandwidth pools.

@@ -7,6 +7,7 @@
 #include <type_traits>
 
 #include "util/check.h"
+#include "util/json.h"
 
 namespace cloudmedia::expr {
 
@@ -139,6 +140,13 @@ void Flags::require_known(const std::vector<std::string>& known) const {
     message += ")";
     throw util::PreconditionError(message);
   }
+}
+
+void refuse_value(const std::string& rule, double value) {
+  std::string message = rule;
+  message += ", got ";
+  message += util::format_number(value);
+  throw util::PreconditionError(message);
 }
 
 }  // namespace cloudmedia::expr

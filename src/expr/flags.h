@@ -55,4 +55,9 @@ class Flags {
   std::vector<std::string> positionals_;
 };
 
+/// Refuse a flag value outside its range: throws util::PreconditionError
+/// "<rule>, got <value>", where `rule` names the flag ("--rate must be >
+/// 0 arrivals/s"). Mains print it as `<binary>: <message>` and exit 2.
+[[noreturn]] void refuse_value(const std::string& rule, double value);
+
 }  // namespace cloudmedia::expr

@@ -39,10 +39,8 @@ CohortSystem::CohortSystem(sim::Simulator& simulator,
                  [](int, int) -> ServicePool::CompletionHandler {
                    return [](const ServicePool::Completion&) {};
                  }),
-      window_(options.window),
-      min_mass_(options.min_mass) {
+      window_(options.window) {
   CM_EXPECTS(window_ > 0.0);
-  CM_EXPECTS(min_mass_ > 0.0);
 
   const auto j_count = static_cast<std::size_t>(num_chunks_);
   const auto c_count = static_cast<std::size_t>(num_channels_);
@@ -188,7 +186,7 @@ void CohortSystem::transition(std::size_t slot, std::uint32_t generation) {
   }
   const int c = channel_of_[slot];
   const double alive = alive_[slot];
-  if (alive < min_mass_) {
+  if (alive < CohortOptions::min_mass) {
     retire(slot);
     return;
   }
@@ -262,7 +260,7 @@ void CohortSystem::transition(std::size_t slot, std::uint32_t generation) {
   total_mass_ += stay_total - alive;
   sync_counters();
 
-  if (stay_total < min_mass_) {
+  if (stay_total < CohortOptions::min_mass) {
     retire(slot);
     return;
   }

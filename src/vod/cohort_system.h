@@ -23,7 +23,7 @@ struct CohortOptions {
   double window = 300.0;
   /// A cohort whose surviving mass drops below this retires (its residual
   /// folds into the departure count and the slot is recycled).
-  double min_mass = 1e-3;
+  static constexpr double min_mass = 1e-3;
 };
 
 /// Cohort-transition work: observer tallies (no RNG, no events).
@@ -143,8 +143,7 @@ class CohortSystem final : public Deployment {
 
   [[nodiscard]] std::size_t cell(std::size_t slot, int chunk) const;
 
-  double window_;    ///< CohortOptions::window
-  double min_mass_;  ///< CohortOptions::min_mass
+  double window_;  ///< CohortOptions::window
 
   // SoA cohort arena. A slot is live iff live_[slot]; freed slots recycle
   // through free_slots_ and bump generation_ so stale transition events

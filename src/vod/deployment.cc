@@ -36,10 +36,7 @@ Deployment::Deployment(sim::Simulator& simulator,
   params_.validate();
   CM_EXPECTS(controller_ != nullptr);
   CM_EXPECTS(workload.config().chunks_per_video == params.chunks_per_video);
-  CM_EXPECTS(options_.provisioning_interval > 0.0);
-  CM_EXPECTS(options_.rebalance_interval > 0.0);
   CM_EXPECTS(options_.sample_interval > 0.0);
-  CM_EXPECTS(options_.quality_interval > 0.0 && options_.quality_window > 0.0);
 
   const std::size_t total =
       static_cast<std::size_t>(num_channels_) * static_cast<std::size_t>(num_chunks_);
@@ -63,7 +60,6 @@ void Deployment::start() {
 }
 
 void Deployment::schedule_bootstrap() {
-  if (!options_.bootstrap_plan) return;
   sim_->schedule_at(sim_->now(), [this] {
     apply_plan(controller_->plan(bootstrap_report()));
     record_plan_series(sim_->now());

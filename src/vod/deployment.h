@@ -18,27 +18,24 @@
 
 namespace cloudmedia::vod {
 
-/// Runtime knobs of the emulated CloudMedia deployment.
+/// Runtime knobs of the emulated CloudMedia deployment, and the paper's
+/// fixed cadences it runs on.
 struct StreamingOptions {
   core::StreamingMode mode = core::StreamingMode::kClientServer;
+  /// Bandwidth / population sampling cadence for the metrics series.
+  double sample_interval = 60.0;
+
   /// The paper runs the provisioning algorithm every T = 1 hour (Sec. V-B).
-  double provisioning_interval = 3600.0;
+  static constexpr double provisioning_interval = 3600.0;
   /// How often bandwidth is re-split across a channel's chunks: the cloud
   /// share follows current requests (VMs serve whichever of their chunks
   /// is asked for, Sec. V-A2), and in P2P mode peer upload follows the
   /// rarest-first scheduler (Sec. IV-C).
-  double rebalance_interval = 30.0;
-  /// Bandwidth / population sampling cadence for the metrics series.
-  double sample_interval = 60.0;
+  static constexpr double rebalance_interval = 30.0;
   /// Streaming quality is "the percentage of users ... with smooth
   /// playback in the past 5 minutes" (Sec. VI-B).
-  double quality_interval = 300.0;
-  double quality_window = 300.0;
-  /// Issue an initial plan at t = 0 from the provider's prior knowledge
-  /// (ground-truth arrival rates), as the paper's provider does when first
-  /// deploying ("based on the application's empirical user scale and
-  /// viewing pattern information", Sec. V-B).
-  bool bootstrap_plan = true;
+  static constexpr double quality_interval = 300.0;
+  static constexpr double quality_window = 300.0;
 };
 
 /// Per-channel metric series (the scatter sources for Figs. 6–9).
@@ -107,7 +104,6 @@ class Deployment {
   [[nodiscard]] ServicePool& pool(int channel, int chunk) {
     return *pools_[pool_index(channel, chunk)];
   }
-  [[nodiscard]] Tracker& tracker() noexcept { return tracker_; }
   /// The provisioning controller (mutable: the experiment runner's timed
   /// scenario ops renegotiate its budgets mid-run).
   [[nodiscard]] core::Controller& controller() noexcept { return *controller_; }
@@ -161,7 +157,9 @@ class Deployment {
   [[nodiscard]] virtual double population() const = 0;
   [[nodiscard]] virtual double channel_population(int channel) const = 0;
 
-  /// The t = 0 plan from bootstrap_report() (when options ask for one).
+  /// The t = 0 plan from bootstrap_report(): the paper's provider plans
+  /// its first deployment "based on the application's empirical user scale
+  /// and viewing pattern information" (Sec. V-B).
   void schedule_bootstrap();
   /// Provisioning, rebalance, bandwidth and quality periodics, in that order.
   void schedule_periodics();

@@ -148,7 +148,6 @@ void ServicePool::on_timer() {
          jobs_[head_].target <= service_level_ + eps) {
     const JobRec& rec = jobs_[head_];
     Completion c;
-    c.job_id = rec.id;
     c.tag = rec.tag;
     c.enqueue_time = rec.enqueue_time;
     c.sojourn = sim_->now() - rec.enqueue_time;
@@ -157,8 +156,8 @@ void ServicePool::on_timer() {
   }
   if (head_ >= kCompactMinDead && head_ * 2 >= jobs_.size()) compact();
   reschedule();
-  // Handlers run on a consistent pool; they may re-enter via add_job or
-  // remove_job. Neither touches done_, and only the simulator calls
+  // Handlers run on a consistent pool; they may re-enter via add_job,
+  // which does not touch done_, and only the simulator calls
   // on_timer — never from inside this loop, since reschedule() queues the
   // next timer rather than firing it — so the batch cannot be clobbered.
   for (const Completion& c : done_) on_complete_(c);
@@ -180,42 +179,23 @@ void ServicePool::set_fluid_jobs(double jobs) {
   reschedule();
 }
 
-std::uint64_t ServicePool::add_job(double bytes, std::uint64_t tag) {
+void ServicePool::add_job(double bytes, std::uint64_t tag) {
   CM_EXPECTS(bytes > 0.0);
   advance();
-  const std::uint64_t id = next_job_id_++;
   const double target = service_level_ + bytes;
-  const JobRec rec{target, id, tag, sim_->now()};
+  const JobRec rec{target, tag, sim_->now()};
   if (active_jobs() == 0 || jobs_.back().target <= target) {
-    // Fast path: the new target ties or beats the current maximum, and the
-    // fresh id breaks any tie upward — append keeps (target, id) order.
+    // Fast path: the new target ties or beats the current maximum; append
+    // puts it after every equal target, i.e. in enqueue order.
     jobs_.push_back(rec);
   } else {
+    // upper_bound: after every equal target already queued.
     const auto pos = std::upper_bound(
-        jobs_.begin() + static_cast<std::ptrdiff_t>(head_), jobs_.end(), rec,
-        [](const JobRec& a, const JobRec& b) {
-          if (a.target != b.target) return a.target < b.target;
-          return a.id < b.id;
-        });
+        jobs_.begin() + static_cast<std::ptrdiff_t>(head_), jobs_.end(), target,
+        [](double t, const JobRec& job) { return t < job.target; });
     jobs_.insert(pos, rec);
   }
   reschedule();
-  return id;
-}
-
-bool ServicePool::remove_job(std::uint64_t job_id) {
-  const auto match = [job_id](const JobRec& job) { return job.id == job_id; };
-  auto it = std::find_if(jobs_.begin() + static_cast<std::ptrdiff_t>(head_),
-                         jobs_.end(), match);
-  if (it == jobs_.end()) return false;
-  advance();
-  // advance() may have rebased (which compacts and shifts indices); the job
-  // is still present — rebase never drops live entries — so re-find it.
-  it = std::find_if(jobs_.begin() + static_cast<std::ptrdiff_t>(head_),
-                    jobs_.end(), match);
-  jobs_.erase(it);
-  reschedule();
-  return true;
 }
 
 }  // namespace cloudmedia::vod

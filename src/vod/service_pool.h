@@ -23,18 +23,17 @@ namespace cloudmedia::vod {
 ///
 /// Implementation: all jobs share one rate, so a job completes when the
 /// pool's cumulative per-job service level reaches (level at enqueue +
-/// chunk bytes). Jobs live in a vector sorted ascending by (target, id)
-/// with a dead prefix marker: completions just advance `head_` (no erase,
-/// no rebuild), and because chunks in one pool are near-uniform in size,
-/// the common add_job is an O(1) push_back — new targets are almost always
-/// the largest outstanding. The previous design kept a std::map plus a
+/// chunk bytes). Jobs live in a vector sorted ascending by target (equal
+/// targets in enqueue order) with a dead prefix marker: completions just
+/// advance `head_` (no erase, no rebuild), and because chunks in one pool
+/// are near-uniform in size, the common add_job is an O(1) push_back — new
+/// targets are almost always the largest outstanding. The previous design kept a std::map plus a
 /// parallel id→target hash map and paid a node allocation per job and a
 /// full map rebuild per rebase; the vector rebases in place with the same
 /// doubles in the same order, so results are bit-identical.
 class ServicePool {
  public:
   struct Completion {
-    std::uint64_t job_id = 0;
     std::uint64_t tag = 0;          ///< caller context (peer id)
     double enqueue_time = 0.0;
     double sojourn = 0.0;           ///< wait + download time
@@ -52,10 +51,9 @@ class ServicePool {
   /// Update capacity components (bytes/s) as of now.
   void set_capacity(double peer_capacity, double cloud_capacity);
 
-  /// Enqueue a download of `bytes`; returns a job id.
-  std::uint64_t add_job(double bytes, std::uint64_t tag);
-  /// Abort a job (no completion fires). Returns false if unknown.
-  bool remove_job(std::uint64_t job_id);
+  /// Enqueue a download of `bytes`. Jobs reaching their target together
+  /// complete in enqueue order.
+  void add_job(double bytes, std::uint64_t tag);
 
   /// Fluid load from the cohort engine: a (fractional) count of
   /// statistically-identical downloads sharing this pool alongside any
@@ -96,7 +94,6 @@ class ServicePool {
  private:
   struct JobRec {
     double target;         ///< service level at which this job completes
-    std::uint64_t id;
     std::uint64_t tag;
     double enqueue_time;
   };
@@ -120,11 +117,10 @@ class ServicePool {
   double cloud_bytes_ = 0.0;
   double peer_bytes_ = 0.0;
 
-  std::uint64_t next_job_id_ = 1;
-  // Ascending by (target, id); entries before head_ are completed/removed.
-  // Ids are allocated monotonically, so push_back keeps the order whenever
-  // the new target ties or exceeds the current maximum (the common case:
-  // fixed chunk bytes means targets enqueue in nondecreasing order).
+  // Ascending by target, ties in enqueue order; entries before head_ have
+  // completed. push_back keeps the order whenever the new target ties or
+  // exceeds the current maximum (the common case: fixed chunk bytes means
+  // targets enqueue in nondecreasing order).
   std::vector<JobRec> jobs_;
   std::size_t head_ = 0;
   // The pool's one completion timer: retimed in place on every re-arm,

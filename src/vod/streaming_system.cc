@@ -182,7 +182,6 @@ void StreamingSystem::handle_arrival(int channel, double time) {
   peer.position = 0;
   peer.chunk = peer.walk.front();
   peer.downloading = false;
-  peer.job_id = 0;
   peer.live = true;  // generation was bumped when the slot was freed
   members_[ch].push_back(slot);  // id is the largest yet: stays sorted
   ++live_peers_;
@@ -209,20 +208,21 @@ void StreamingSystem::begin_chunk(Peer& peer) {
   }
   peer.downloading = true;
   download_start_[slot_of(peer)] = sim_->now();
-  peer.job_id = pool(peer.channel, peer.chunk)
-                    .add_job(params_.chunk_bytes(), peer_handle(peer));
+  pool(peer.channel, peer.chunk)
+      .add_job(params_.chunk_bytes(), peer_handle(peer));
 }
 
 void StreamingSystem::handle_completion(int channel, int chunk,
                                         const ServicePool::Completion& completion) {
   Peer* found = find_peer_mut(completion.tag);
-  if (found == nullptr) return;  // departed with an aborted job
+  // Peers depart only between downloads, so the guard never misses here;
+  // it stays as the slab's safety net against a stale handle.
+  if (found == nullptr) return;
   Peer& peer = *found;
   CM_ENSURES(peer.channel == channel);
   CM_ENSURES(peer.walk[peer.position] == chunk);
 
   peer.downloading = false;
-  peer.job_id = 0;
   ++metrics_.counters.chunk_downloads;
   const std::uint32_t slot = slot_of(peer);
   const bool late = completion.sojourn > params_.chunk_duration + 1e-9;
@@ -274,14 +274,10 @@ void StreamingSystem::advance_walk(Peer& peer) {
 }
 
 void StreamingSystem::depart(Peer& peer) {
+  // advance_walk is the only caller, after a finished download or a
+  // buffered replay: no departing peer holds a pool job.
+  CM_ENSURES(!peer.downloading);
   const auto ch = static_cast<std::size_t>(peer.channel);
-  if (peer.downloading) {
-    // Abort the in-flight retrieval: without this the pool keeps a ghost
-    // job that holds a per-job capacity share forever and inflates
-    // cloud_bytes_served (its completion would fire into a missing peer).
-    pool(peer.channel, peer.chunk).remove_job(peer.job_id);
-    peer.downloading = false;
-  }
   // Erase from the id-sorted member and owner vectors (binary search on
   // the monotone peer id; the memmove is cheap next to a per-tick sort).
   const std::uint32_t slot = slot_of(peer);
@@ -306,30 +302,12 @@ void StreamingSystem::depart(Peer& peer) {
 
   ++metrics_.counters.departures;
 
-  // Free the slot: bump the generation so outstanding handles (pending
-  // dwell events, aborted pool jobs) go stale; walk keeps its capacity
-  // for the next occupant.
+  // Free the slot: bump the generation so outstanding handles go stale;
+  // walk keeps its capacity for the next occupant.
   peer.live = false;
   ++peer.generation;
   free_slots_.push_back(slot);
   --live_peers_;
-}
-
-std::size_t StreamingSystem::evict_channel(int channel) {
-  CM_EXPECTS(channel >= 0 && channel < num_channels_);
-  const auto ch = static_cast<std::size_t>(channel);
-  // Snapshot in ascending-id order: depart() mutates members_ underneath.
-  const std::vector<std::uint32_t> slots = members_[ch];
-  for (const std::uint32_t slot : slots) {
-    Peer& peer = slab_[slot];
-    const int current = peer.chunk;
-    --position_count_[pool_index(channel, current)];
-    tracker_.record_transition(channel, current, std::nullopt);
-    depart(peer);
-  }
-  // Pending dwell/completion events for evicted peers carry stale
-  // generations and are ignored when they fire.
-  return slots.size();
 }
 
 double StreamingSystem::uplink_sum(int channel) const {

@@ -27,7 +27,6 @@ namespace cloudmedia::vod {
 struct alignas(64) Peer {
   std::vector<int> walk;        ///< predetermined chunk walk
   std::size_t position = 0;     ///< index into walk
-  std::uint64_t job_id = 0;     ///< in-flight pool job (when downloading)
   int channel = 0;
   int chunk = 0;                ///< walk[position], cached
   std::uint32_t generation = 0; ///< bumped on free; stale handles miss
@@ -57,7 +56,7 @@ struct RebalanceCounters {
 /// event is dropped — the same miss semantics the old unordered_map gave,
 /// without any hashing on the arrival/completion/dwell hot path. Public
 /// peer ids remain monotone and are what every order-sensitive path
-/// (eviction, rarest-first rebalance) sorts by, so iteration order — and
+/// (the rarest-first rebalance) sorts by, so iteration order — and
 /// therefore every float summation — is explicit, not hash-accidental.
 ///
 /// Hot record and cold arrays: a Peer is one 64-byte line holding what
@@ -118,7 +117,7 @@ class StreamingSystem final : public Deployment {
     return (static_cast<std::size_t>(chunks) + 63) / 64;
   }
   /// Member handles of `channel`, sorted by monotone peer id — the
-  /// deterministic order eviction and the standby-share pass use.
+  /// deterministic order the standby-share pass uses.
   [[nodiscard]] std::vector<std::uint64_t> channel_peer_handles(int channel) const;
   /// Handles of the live peers owning `chunk` of `channel`, sorted by
   /// monotone peer id — the lists the rarest-first waterfall sums over.
@@ -131,13 +130,6 @@ class StreamingSystem final : public Deployment {
   }
 
   [[nodiscard]] double uplink_sum(int channel) const;
-
-  /// Force every current member of `channel` to leave immediately —
-  /// mid-download departures abort their in-flight pool job. Models an
-  /// operator pulling a channel (and exercises the depart-while-downloading
-  /// path, which the organic lifecycle — depart only after a completed
-  /// chunk — never reaches). Returns how many peers were evicted.
-  std::size_t evict_channel(int channel);
 
  private:
   // --- Deployment hooks ---------------------------------------------------
@@ -174,7 +166,7 @@ class StreamingSystem final : public Deployment {
   // pool) hold live slots sorted by ascending peer id: arrivals append to
   // members_ (ids are monotone), a chunk's first completion binary-search-
   // inserts into owners_ and departures binary-search-erase from both, so
-  // the rebalance/eviction order is free — no per-tick sort or rebuild.
+  // the rebalance order is free — no per-tick sort or rebuild.
   std::vector<Peer> slab_;
   std::vector<std::uint64_t> peer_id_;   ///< per slot (the lists' sort key)
   std::vector<double> peer_uplink_;      ///< per slot

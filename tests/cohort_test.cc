@@ -404,39 +404,6 @@ TEST(CohortEngine, OutputsMatchParentCommitBitForBit) {
 
 // --------------------------------------------------- cohort mass accounting
 
-TEST(CohortSystem, RejectsBadQualityIntervalsAtConstruction) {
-  // Bad sampling cadences fail when the engine is built, as the discrete
-  // engine's do, not later inside Simulator::schedule_periodic at start().
-  const expr::ExperimentConfig cfg = small_config(StreamingMode::kClientServer);
-  sim::Simulator sim;
-  const workload::Workload workload(cfg.workload, cfg.seed);
-  cloud::CloudConfig cloud_cfg;
-  cloud_cfg.sla = cloud::SlaTerms{cfg.vm_budget_per_hour,
-                                  cfg.storage_budget_per_hour,
-                                  cfg.vm_clusters, cfg.nfs_clusters};
-  cloud_cfg.vm = cloud::VmSchedulerConfig{0.0, cfg.vod.vm_bandwidth};
-  cloud::CloudService cloud(sim, cloud_cfg);
-  const auto build = [&](double quality_interval, double quality_window) {
-    vod::CohortOptions options;
-    options.streaming.quality_interval = quality_interval;
-    options.streaming.quality_window = quality_window;
-    vod::CohortSystem system(
-        sim, workload, cfg.vod, cloud,
-        std::make_unique<core::Controller>(
-            cfg.vod,
-            core::ControllerConfig{cfg.vm_clusters, cfg.nfs_clusters,
-                                   cfg.vm_budget_per_hour,
-                                   cfg.storage_budget_per_hour},
-            std::make_unique<core::ModelBasedPolicy>(
-                cfg.vod, core::DemandEstimatorConfig{})),
-        options);
-  };
-  EXPECT_NO_THROW(build(300.0, 300.0));
-  EXPECT_THROW(build(0.0, 300.0), util::PreconditionError);
-  EXPECT_THROW(build(-1.0, 300.0), util::PreconditionError);
-  EXPECT_THROW(build(300.0, 0.0), util::PreconditionError);
-}
-
 TEST(CohortSystem, ConservesViewerMass) {
   expr::ExperimentConfig cfg = small_config(StreamingMode::kClientServer);
   cfg.workload.total_arrival_rate = 0.5;
@@ -487,8 +454,8 @@ TEST(CohortSystem, ConservesViewerMass) {
 TEST(CohortSystem, DownloadRowCacheMatchesItsInputsAtEveryStep) {
   // The rebalance, quality sampling and a transition's first phase read a
   // cached download-mass row per cohort instead of recomputing it. Step a
-  // P2P run through retirements (a raised min_mass), recycled slots and a
-  // mid-run behaviour reshape, and check the cache bit for bit at each step.
+  // P2P run through retirements, recycled slots and a mid-run behaviour
+  // reshape, and check the cache bit for bit at each step.
   expr::ExperimentConfig cfg = small_config(StreamingMode::kP2p);
   cfg.workload.total_arrival_rate = 0.5;
 
@@ -511,7 +478,6 @@ TEST(CohortSystem, DownloadRowCacheMatchesItsInputsAtEveryStep) {
 
   vod::CohortOptions options;
   options.streaming.mode = StreamingMode::kP2p;
-  options.min_mass = 3.0;
   vod::CohortSystem system(sim, workload, cfg.vod, cloud,
                            std::move(controller), options);
   system.start();

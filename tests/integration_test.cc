@@ -154,8 +154,10 @@ TEST(Integration, ClairvoyantMatchesModelOnFlatWorkload) {
 TEST(Integration, ReactiveProvisioningRecoversFromColdStart) {
   expr::ExperimentConfig cfg = small_config(StreamingMode::kClientServer);
   cfg.strategy = expr::Strategy::kReactive;
-  cfg.streaming.bootstrap_plan = false;  // nothing served yet -> 0 reserved
   const expr::ExperimentResult r = expr::ExperimentRunner::run(cfg);
+  // The t = 0 plan reads a prior with zero occupancy and zero served
+  // bandwidth, so the reactive policy reserves nothing for hour 0.
+  EXPECT_EQ(r.metrics.reserved_mbps.max_over(0.0, 3500.0), 0.0);
   // Hour 0 starves every arrival; the occupancy signal then pulls capacity
   // up and downloads flow. (Chasing served-bandwidth alone would deadlock
   // at zero forever — the cold-start pathology ReactivePolicy documents.)

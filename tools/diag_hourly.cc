@@ -39,13 +39,12 @@ Options parse_options(int argc, char** argv) {
   options.from = from_hours * 3600.0;
   // Negated comparisons so that NaN is refused too.
   if (!(options.step > 0.0)) {
-    throw util::PreconditionError(
-        "--step must be > 0 seconds between rows (3600 prints hourly), got " +
-        util::format_number(options.step));
+    expr::refuse_value(
+        "--step must be > 0 seconds between rows (3600 prints hourly)",
+        options.step);
   }
   if (!(options.hours > 0.0)) {
-    throw util::PreconditionError("--hours must be > 0 simulated hours, got " +
-                                  util::format_number(options.hours));
+    expr::refuse_value("--hours must be > 0 simulated hours", options.hours);
   }
   if (!(from_hours >= 0.0 && from_hours < options.hours)) {
     throw util::PreconditionError(
