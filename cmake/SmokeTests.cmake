@@ -99,7 +99,7 @@ if(CLOUDMEDIA_BUILD_TOOLS)
     --grid vm_budget=-1 --hours=0.05 --warmup=0)
   add_usage_error_test(sweep_invalid_override_cell tool_sweep
     "^tool_sweep: grid cell 0 \\(strategy=reactive\\)"
-    --set reactive_margin=0.5 --grid strategy=reactive)
+    --set vm_budget=-1 --grid strategy=reactive)
   # --dump-profile prints what would run, schedule flags included.
   add_smoke_test(sweep_dump_profile tool_sweep --scenario=flash_crowd
     --seed=7 --hours=0.5 --warmup=0 --shard=1/2 --dump-profile)

@@ -31,18 +31,14 @@ DemandSet estimate_channels(
   out.cloud_demand.reserve(report.channels.size());
   out.estimates.reserve(report.channels.size());
   // A run of channels reporting the same P̂ (the bootstrap plan gives every
-  // channel the ground-truth P) shares one set of factors. A P̂ no other
-  // channel repeats (the hourly plans) leaves Proposition 1's systems
-  // unfactored: solved once, each is eliminated in one pass.
+  // channel the ground-truth P) shares one set of factors.
   std::optional<ChannelFactors> factors;
   const util::Matrix* factored = nullptr;
   for (std::size_t c = 0; c < report.channels.size(); ++c) {
     const ChannelObservation& obs = report.channels[c];
     const double arrival_rate = rate(c, obs.arrival_rate);
     if (factored == nullptr || !same_bits(obs.transfer, *factored)) {
-      const bool shared = c + 1 < report.channels.size() &&
-                          same_bits(report.channels[c + 1].transfer, obs.transfer);
-      factors = estimator.factor(obs, shared);
+      factors = estimator.factor(obs);
       factored = &obs.transfer;
     }
     ChannelDemandEstimate est = estimator.estimate(obs, arrival_rate, *factors);

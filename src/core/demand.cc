@@ -14,8 +14,8 @@ DemandEstimator::DemandEstimator(VodParameters params,
   params_.validate();
 }
 
-ChannelFactors DemandEstimator::factor(const ChannelObservation& observation,
-                                       bool availability) const {
+ChannelFactors DemandEstimator::factor(
+    const ChannelObservation& observation) const {
   const auto j = static_cast<std::size_t>(params_.chunks_per_video);
   CM_EXPECTS(observation.transfer.rows() == j);
 
@@ -43,7 +43,7 @@ ChannelFactors DemandEstimator::factor(const ChannelObservation& observation,
 
   util::LuFactors traffic = factor_traffic_equations(damped);
   std::vector<util::LuFactors> systems;
-  if (availability && config_.mode == StreamingMode::kP2p) {
+  if (config_.mode == StreamingMode::kP2p) {
     systems = factor_chunk_availability(damped);
   }
   return ChannelFactors{std::move(damped), std::move(traffic),
@@ -87,10 +87,8 @@ ChannelDemandEstimate DemandEstimator::estimate(
       population[i] = out.arrival_rates[i] * params_.chunk_duration;
     }
     P2pSupply supply = solve_p2p_supply(
-        factors.availability.empty()
-            ? solve_chunk_availability(factors.transfer, population)
-            : solve_chunk_availability(factors.transfer, factors.availability,
-                                       population),
+        solve_chunk_availability(factors.transfer, factors.availability,
+                                 population),
         out.capacity, population, uniform_peers(observation.mean_peer_uplink),
         params_.streaming_rate, config_.p2p);
     out.peer_supply = std::move(supply.peer_supply);

@@ -54,8 +54,7 @@ struct DemandEstimatorConfig {
 struct ChannelFactors {
   util::Matrix transfer;        ///< P̂ with the minimum exit leak enforced
   util::LuFactors traffic;      ///< I − Pᵀ of the traffic equations
-  /// Proposition 1's reduced systems, when factored (P2P mode, for a P̂
-  /// that more than one channel shares); empty otherwise.
+  /// Proposition 1's reduced systems in P2P mode; empty otherwise.
   std::vector<util::LuFactors> availability;
 };
 
@@ -76,7 +75,7 @@ class DemandEstimator {
   /// policy's prediction for the next interval), with the measured P̂.
   [[nodiscard]] ChannelDemandEstimate estimate(
       const ChannelObservation& observation, double arrival_rate) const {
-    return estimate(observation, arrival_rate, factor(observation, false));
+    return estimate(observation, arrival_rate, factor(observation));
   }
 
   [[nodiscard]] const VodParameters& params() const noexcept { return params_; }
@@ -90,12 +89,10 @@ class DemandEstimator {
       const DemandEstimator& estimator, const TrackerReport& report,
       const std::function<double(std::size_t, double)>& rate);
 
-  /// Damp observation.transfer and factor the traffic equations, and with
-  /// `availability` (P2P mode) Proposition 1's systems. Factoring those
-  /// only pays when the factors are solved for more than one channel: a
-  /// single solve runs each elimination once either way, in one pass.
-  [[nodiscard]] ChannelFactors factor(const ChannelObservation& observation,
-                                      bool availability) const;
+  /// Damp observation.transfer and factor the traffic equations, and in
+  /// P2P mode Proposition 1's systems.
+  [[nodiscard]] ChannelFactors factor(
+      const ChannelObservation& observation) const;
   /// The same pipeline on `factors` of a P̂ bitwise equal to
   /// observation.transfer (from factor()), so the result is bitwise the
   /// two-argument estimate's.

@@ -33,55 +33,7 @@ util::Matrix reduced_system(const util::Matrix& transfer, std::size_t i) {
   return a;
 }
 
-/// Proposition 1 for every chunk, with `solve(i, b)` the solution of chunk
-/// i's reduced system for the right-hand side b.
-template <typename Solve>
-ChunkAvailability availability(const util::Matrix& transfer,
-                               const std::vector<double>& population,
-                               const Solve& solve) {
-  const std::size_t j = transfer.rows();
-  CM_EXPECTS(population.size() == j);
-  for (double n : population) CM_EXPECTS(n >= 0.0);
-  const std::vector<double>& expected_in_queue = population;
-
-  ChunkAvailability out{util::Matrix(j, j), std::vector<double>(j, 0.0)};
-
-  if (j == 1) {
-    // A single chunk has no other queues to hold suppliers in.
-    out.nu(0, 0) = expected_in_queue[0];
-    return out;
-  }
-
-  std::vector<double> b(j - 1);
-  for (std::size_t i = 0; i < j; ++i) {
-    for (std::size_t q = 0; q < j - 1; ++q) {
-      b[q] = expected_in_queue[i] * transfer(i, other_queue(q, i));
-    }
-    const std::vector<double> x = solve(i, b);
-
-    out.nu(i, i) = expected_in_queue[i];
-    double total = 0.0;
-    for (std::size_t q = 0; q < j - 1; ++q) {
-      const double v = std::max(0.0, x[q]);  // clamp round-off
-      out.nu(i, other_queue(q, i)) = v;
-      total += v;
-    }
-    out.owners[i] = total;
-  }
-  return out;
-}
-
 }  // namespace
-
-ChunkAvailability solve_chunk_availability(const util::Matrix& transfer,
-                                           const std::vector<double>& population) {
-  validate_transfer_matrix(transfer);
-  return availability(transfer, population,
-                      [&](std::size_t i, const std::vector<double>& b) {
-                        return util::solve_linear_system(
-                            reduced_system(transfer, i), b);
-                      });
-}
 
 std::vector<util::LuFactors> factor_chunk_availability(
     const util::Matrix& transfer) {
@@ -99,11 +51,37 @@ std::vector<util::LuFactors> factor_chunk_availability(
 ChunkAvailability solve_chunk_availability(
     const util::Matrix& transfer, const std::vector<util::LuFactors>& systems,
     const std::vector<double>& population) {
-  CM_EXPECTS(systems.size() == (transfer.rows() == 1 ? 0 : transfer.rows()));
-  return availability(transfer, population,
-                      [&](std::size_t i, const std::vector<double>& b) {
-                        return systems[i].solve(b);
-                      });
+  const std::size_t j = transfer.rows();
+  CM_EXPECTS(systems.size() == (j == 1 ? 0 : j));
+  CM_EXPECTS(population.size() == j);
+  for (double n : population) CM_EXPECTS(n >= 0.0);
+  const std::vector<double>& expected_in_queue = population;
+
+  ChunkAvailability out{util::Matrix(j, j), std::vector<double>(j, 0.0)};
+
+  if (j == 1) {
+    // A single chunk has no other queues to hold suppliers in.
+    out.nu(0, 0) = expected_in_queue[0];
+    return out;
+  }
+
+  std::vector<double> b(j - 1);
+  for (std::size_t i = 0; i < j; ++i) {
+    for (std::size_t q = 0; q < j - 1; ++q) {
+      b[q] = expected_in_queue[i] * transfer(i, other_queue(q, i));
+    }
+    const std::vector<double> x = systems[i].solve(b);
+
+    out.nu(i, i) = expected_in_queue[i];
+    double total = 0.0;
+    for (std::size_t q = 0; q < j - 1; ++q) {
+      const double v = std::max(0.0, x[q]);  // clamp round-off
+      out.nu(i, other_queue(q, i)) = v;
+      total += v;
+    }
+    out.owners[i] = total;
+  }
+  return out;
 }
 
 void validate_peer_classes(const std::vector<PeerClass>& classes) {

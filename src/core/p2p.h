@@ -22,27 +22,29 @@ struct ChunkAvailability {
   std::vector<double> owners;   ///< ν_i per chunk (Eqn. (4))
 };
 
-/// Solve Proposition 1 for every chunk: one (J-1)-dimensional linear system
-/// per chunk i, unknowns {ν_ij}_{j != i}. `population` is the paper's
-/// E[n_i] — the expected users occupying chunk queue i. At the paper's
-/// equilibrium the sojourn in queue i is the playback time T0, so
-/// E[n_i] = λ_i · T0 by Little's law; pass that (or a measured occupancy).
-/// Each system is eliminated and solved in one pass (solve_linear_system).
-[[nodiscard]] ChunkAvailability solve_chunk_availability(
-    const util::Matrix& transfer, const std::vector<double>& population);
-
 /// Proposition 1's J reduced systems (I − P̃ᵀ) for a validated `transfer`,
-/// one per chunk, factored once for a P solved more than once: they depend
-/// on P alone, not on the populations. Empty for a one-chunk channel,
-/// which has no system.
+/// one per chunk, factored once: they depend on P alone, not on the
+/// populations, so channels that share a P share them. Empty for a
+/// one-chunk channel, which has no system.
 [[nodiscard]] std::vector<util::LuFactors> factor_chunk_availability(
     const util::Matrix& transfer);
 
-/// Proposition 1 on the factors of the same `transfer`
-/// (factor_chunk_availability).
+/// Solve Proposition 1 for every chunk: one (J-1)-dimensional linear system
+/// per chunk i, unknowns {ν_ij}_{j != i}, on the factors of the same
+/// `transfer` (factor_chunk_availability). `population` is the paper's
+/// E[n_i] — the expected users occupying chunk queue i. At the paper's
+/// equilibrium the sojourn in queue i is the playback time T0, so
+/// E[n_i] = λ_i · T0 by Little's law; pass that (or a measured occupancy).
 [[nodiscard]] ChunkAvailability solve_chunk_availability(
     const util::Matrix& transfer, const std::vector<util::LuFactors>& systems,
     const std::vector<double>& population);
+
+/// The same, factoring `transfer` first.
+[[nodiscard]] inline ChunkAvailability solve_chunk_availability(
+    const util::Matrix& transfer, const std::vector<double>& population) {
+  return solve_chunk_availability(transfer, factor_chunk_availability(transfer),
+                                  population);
+}
 
 /// How the per-chunk peer supply is capped in Eqn. (5).
 enum class P2pDemandCap {

@@ -66,9 +66,6 @@ void ExperimentConfig::validate() const {
   CM_EXPECTS(vm_budget_per_hour >= 0.0 && storage_budget_per_hour >= 0.0);
   CM_EXPECTS(vm_boot_delay >= 0.0);
   CM_EXPECTS(warmup_hours >= 0.0 && measure_hours > 0.0);
-  CM_EXPECTS(reactive_margin >= 1.0);
-  CM_EXPECTS(cohort_threshold > 0.0);
-  CM_EXPECTS(cohort_window > 0.0);
   for (const TimedConfigOp& op : timeline) {
     if (!(op.fire_time > 0.0) || !std::isfinite(op.fire_time)) {
       throw util::PreconditionError(

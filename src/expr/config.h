@@ -84,7 +84,8 @@ struct ExperimentConfig {
   bool occupancy_floor = true;
   core::P2pOptions p2p;                       ///< Eqn.-(5) cap variant
   Strategy strategy = Strategy::kModelBased;
-  double reactive_margin = 1.2;               ///< for Strategy::kReactive
+  /// Strategy::kReactive provisions this multiple of the measured load.
+  static constexpr double reactive_margin = 1.2;
   predict::ForecasterKind forecaster =
       predict::ForecasterKind::kPersistence;  ///< for Strategy::kForecast
 
@@ -100,8 +101,9 @@ struct ExperimentConfig {
   /// byte-identically; kAuto routes to the cohort core only when
   /// `estimated_peak_users(config) >= cohort_threshold`.
   Engine engine = Engine::kDiscrete;
-  double cohort_threshold = 250'000.0;  ///< viewers; kAuto switch point
-  double cohort_window = 300.0;         ///< seconds per cohort arrival batch
+  static constexpr double cohort_threshold = 250'000.0;  ///< viewers
+  /// Seconds of arrivals the cohort engine batches into one cohort.
+  static constexpr double cohort_window = 300.0;
 
   /// Scheduled mid-run mutations, filled by Scenario::apply from ops with
   /// an `@fire-time` suffix (e.g. "regional_outage@6h+recovery@18h"). The

@@ -102,8 +102,6 @@ void enforce_mid_run_mutable(const ExperimentConfig& before,
   require_unchanged(after.occupancy_floor == before.occupancy_floor, op_name,
                     "occupancy_floor");
   require_unchanged(after.strategy == before.strategy, op_name, "strategy");
-  require_unchanged(after.reactive_margin == before.reactive_margin, op_name,
-                    "reactive_margin");
   require_unchanged(after.vm_boot_delay == before.vm_boot_delay, op_name,
                     "vm_boot_delay");
   require_unchanged(after.seed == before.seed, op_name, "seed");
@@ -122,10 +120,6 @@ void enforce_mid_run_mutable(const ExperimentConfig& before,
       after.workload.streaming_rate == before.workload.streaming_rate, op_name,
       "workload.streaming_rate");
   require_unchanged(after.engine == before.engine, op_name, "engine");
-  require_unchanged(after.cohort_threshold == before.cohort_threshold, op_name,
-                    "cohort_threshold");
-  require_unchanged(after.cohort_window == before.cohort_window, op_name,
-                    "cohort_window");
 }
 
 /// Dry-run the timeline against a scratch config: rejects ops that touch

@@ -46,9 +46,7 @@ const std::vector<ValuePool>& value_pools() {
       {"forecaster",
        {"persistence", "moving-average", "holt", "seasonal-ewma",
         "holt-winters"}},
-      {"reactive_margin", {"1", "1.1", "1.25"}},
       {"engine", {"discrete", "cohort", "auto"}},
-      {"cohort_threshold", {"1000", "100000"}},
   };
   return pools;
 }

@@ -23,7 +23,7 @@ namespace cloudmedia::profile {
 /// SweepSpec::from_profile -> Profile::from_spec -> identical JSON.
 ///
 /// The three historical SweepSpec construction paths (golden presets in
-/// C++, bench hand-builds, CLI flags) all collapse onto this type: the 19
+/// C++, bench hand-builds, CLI flags) all collapse onto this type: the 20
 /// golden presets are committed profiles/*.json embedded at build time,
 /// `tool_sweep` builds its spec from a Profile in every mode, the figure
 /// benches start from a preset's profile and override declarative fields,
@@ -62,7 +62,7 @@ struct Profile {
   double measure_hours = 6.0;
   sweep::ParamGrid grid;  ///< empty = one unmodified run
   /// Fixed parameter assignments from the same applier registry as the
-  /// grid ("engine", "cohort_threshold", "vm_budget", ...), applied to
+  /// grid ("engine", "strategy", "vm_budget", ...), applied to
   /// every cell after the scenario and before the cell's own coordinates
   /// (so a grid axis wins over an override of the same parameter). Kept
   /// in insertion order for byte-stable serialization.

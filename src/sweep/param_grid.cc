@@ -219,10 +219,6 @@ const ParameterEntry kRegistry[] = {
      }},
     {"p2p_cap", false, apply_p2p_cap},
     {"forecaster", false, apply_forecaster},
-    {"reactive_margin", false,
-     [](expr::ExperimentConfig& cfg, const std::string& v) {
-       cfg.reactive_margin = parse_double("reactive_margin", v);
-     }},
     // System-side: which simulation core runs the cell. Not a workload
     // axis — engine=discrete and engine=auto cells below the cohort
     // threshold replay the byte-identical viewer population.
@@ -235,10 +231,6 @@ const ParameterEntry kRegistry[] = {
              "sweep parameter engine: expected discrete|cohort|auto, got '" +
              v + "'");
        }
-     }},
-    {"cohort_threshold", false,
-     [](expr::ExperimentConfig& cfg, const std::string& v) {
-       cfg.cohort_threshold = parse_double("cohort_threshold", v);
      }},
 };
 

@@ -86,7 +86,7 @@ double Matrix::inf_norm() const noexcept {
   return best;
 }
 
-LuFactors::LuFactors(Matrix a, std::vector<double>* rhs) : lu_(std::move(a)) {
+LuFactors::LuFactors(Matrix a) : lu_(std::move(a)) {
   CM_EXPECTS(lu_.rows() == lu_.cols());
   const std::size_t n = lu_.rows();
   pivots_.resize(n);
@@ -96,16 +96,13 @@ LuFactors::LuFactors(Matrix a, std::vector<double>* rhs) : lu_(std::move(a)) {
     for (std::size_t r = col + 1; r < n; ++r)
       if (std::abs(m[r * n + col]) > std::abs(m[pivot * n + col])) pivot = r;
     if (std::abs(m[pivot * n + col]) < 1e-12) {
-      throw InvariantError("solve_linear_system: singular matrix");
+      throw InvariantError("LuFactors: singular matrix");
     }
     pivots_[col] = pivot;
     double* const top = m + col * n;
     // Whole rows, multipliers included, so each stored multiplier stays
-    // with the right-hand-side element it was applied to.
-    if (pivot != col) {
-      std::swap_ranges(top, top + n, m + pivot * n);
-      if (rhs != nullptr) std::swap((*rhs)[pivot], (*rhs)[col]);
-    }
+    // with the right-hand-side element it is applied to.
+    if (pivot != col) std::swap_ranges(top, top + n, m + pivot * n);
     const double inv = 1.0 / top[col];
     for (std::size_t r = col + 1; r < n; ++r) {
       double* const row = m + r * n;
@@ -113,7 +110,6 @@ LuFactors::LuFactors(Matrix a, std::vector<double>* rhs) : lu_(std::move(a)) {
       row[col] = factor;
       if (factor == 0.0) continue;
       for (std::size_t c = col + 1; c < n; ++c) row[c] -= factor * top[c];
-      if (rhs != nullptr) (*rhs)[r] -= factor * (*rhs)[col];
     }
   }
 }
@@ -132,12 +128,6 @@ std::vector<double> LuFactors::solve(std::vector<double> b) const {
       b[r] -= factor * b[col];
     }
   }
-  return back_substitute(b);
-}
-
-std::vector<double> LuFactors::back_substitute(
-    const std::vector<double>& b) const {
-  const std::size_t n = lu_.rows();
   std::vector<double> x(n, 0.0);
   for (std::size_t ri = n; ri-- > 0;) {
     const double* const row = lu_.row(ri);
@@ -146,13 +136,6 @@ std::vector<double> LuFactors::back_substitute(
     x[ri] = acc / row[ri];
   }
   return x;
-}
-
-std::vector<double> solve_linear_system(Matrix a, std::vector<double> b) {
-  CM_EXPECTS(a.rows() == a.cols());
-  CM_EXPECTS(b.size() == a.rows());
-  const LuFactors factors(std::move(a), &b);
-  return factors.back_substitute(b);
 }
 
 }  // namespace cloudmedia::util

@@ -58,36 +58,19 @@ class Matrix {
 /// recorded row swaps to b in step order, then unit-lower forward
 /// substitution in column order, then back substitution: every element of
 /// b gets the same subtractions, with the same operands and in the same
-/// order, as in a single interleaved elimination of [A | b] — which is what
-/// solve_linear_system runs, in one pass, for a matrix solved only once.
+/// order, as in a single interleaved elimination of [A | b].
 class LuFactors {
  public:
   /// Throws InvariantError if A is (numerically) singular.
-  explicit LuFactors(Matrix a) : LuFactors(std::move(a), nullptr) {}
+  explicit LuFactors(Matrix a);
 
   [[nodiscard]] std::size_t size() const noexcept { return lu_.rows(); }
   /// The solution x of A x = b.
   [[nodiscard]] std::vector<double> solve(std::vector<double> b) const;
 
  private:
-  friend std::vector<double> solve_linear_system(Matrix a,
-                                                 std::vector<double> b);
-
-  /// With `rhs`, each elimination step is applied to it as it runs, so a
-  /// single solve needs only back_substitute(*rhs), not a second pass over
-  /// the multipliers.
-  LuFactors(Matrix a, std::vector<double>* rhs);
-  /// x from U x = b, for b already carried through the elimination.
-  [[nodiscard]] std::vector<double> back_substitute(
-      const std::vector<double>& b) const;
-
   Matrix lu_;                        ///< U on and above the diagonal, L below
   std::vector<std::size_t> pivots_;  ///< row swapped into place at each step
 };
-
-/// Solve A x = b by Gaussian elimination with partial pivoting.
-/// Throws InvariantError if A is (numerically) singular.
-[[nodiscard]] std::vector<double> solve_linear_system(Matrix a,
-                                                      std::vector<double> b);
 
 }  // namespace cloudmedia::util

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <utility>
 
 #include "util/check.h"
-#include "util/log.h"
 #include "util/units.h"
 
 namespace cloudmedia::vod {
@@ -136,7 +136,8 @@ void Deployment::run_provisioning(double now) {
 void Deployment::apply_plan(core::ProvisioningPlan plan) {
   if (!cloud_->submit_plan(plan, num_channels_, num_chunks_)) {
     ++metrics_.counters.rejected_plans;
-    CM_LOG(kWarn) << "cloud rejected provisioning plan at t=" << sim_->now();
+    std::fprintf(stderr, "[WARN] cloud rejected provisioning plan at t=%g\n",
+                 sim_->now());
     return;
   }
   last_plan_ = std::move(plan);

@@ -40,17 +40,16 @@ void Tracker::record_arrival(int channel_id, int entry_chunk, double weight) {
 }
 
 void Tracker::record_transition(int channel_id, int from,
-                                std::optional<int> to, double weight) {
+                                std::optional<int> to) {
   CM_EXPECTS(from >= 0 && from < num_chunks_);
-  CM_EXPECTS(weight >= 0.0);
   ChannelCounts& c = channel(channel_id);
   if (to) {
     CM_EXPECTS(*to >= 0 && *to < num_chunks_);
     c.transitions[static_cast<std::size_t>(from) *
                       static_cast<std::size_t>(num_chunks_) +
-                  static_cast<std::size_t>(*to)] += weight;
+                  static_cast<std::size_t>(*to)] += 1.0;
   } else {
-    c.leaves[static_cast<std::size_t>(from)] += weight;
+    c.leaves[static_cast<std::size_t>(from)] += 1.0;
   }
 }
 

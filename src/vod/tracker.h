@@ -25,14 +25,14 @@ class Tracker {
   /// default of 1.0 keeps every harvest byte-identical (integer-valued
   /// doubles below 2^53 add and divide exactly like the longs they were).
   void record_arrival(int channel, int entry_chunk, double weight = 1.0);
-  /// `to` empty = the user left the channel after `from`.
-  void record_transition(int channel, int from, std::optional<int> to,
-                         double weight = 1.0);
+  /// One user's move out of chunk `from`; `to` empty = the user left the
+  /// channel after `from`.
+  void record_transition(int channel, int from, std::optional<int> to);
   /// One whole row of weighted flows out of chunk `from`: `flows[to]` into
   /// each chunk (exactly num_chunks() entries) and `leave` out of the
   /// channel. Preconditions are checked once per row; every entry is added,
   /// zeros included (adding +0.0 leaves a counter bit-identical), so a row
-  /// call equals the scalar record_transition calls for its positive flows.
+  /// of whole counts equals that many record_transition calls.
   void record_flows(int channel, int from, std::span<const double> flows,
                     double leave);
 

@@ -1,6 +1,7 @@
 #include "workload/scenario.h"
 
 #include <cmath>
+#include <utility>
 
 #include "util/check.h"
 #include "util/matrix.h"
@@ -138,7 +139,7 @@ double Workload::expected_session_chunks() const {
   util::Matrix a = util::Matrix::identity(static_cast<std::size_t>(j));
   const util::Matrix pt = p.transpose();
   a -= pt;
-  std::vector<double> visits = util::solve_linear_system(a, entry);
+  const std::vector<double> visits = util::LuFactors(std::move(a)).solve(entry);
   double total = 0.0;
   for (double v : visits) total += v;
   return total;

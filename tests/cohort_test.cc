@@ -254,19 +254,20 @@ TEST(CohortEquivalence, AutoRoutesToDiscreteBelowThreshold) {
   expect_identical_results(discrete, routed);
 }
 
-TEST(CohortEquivalence, ThresholdZeroRoutesAutoToCohort) {
+TEST(CohortEquivalence, AutoRoutesToCohortAboveThreshold) {
+  // At or above the population threshold, engine=auto is the cohort engine
+  // bit for bit.
   expr::ExperimentConfig cfg = small_config(StreamingMode::kClientServer);
-  cfg.engine = expr::Engine::kDiscrete;
-  const expr::ExperimentResult discrete = expr::ExperimentRunner::run(cfg);
-  cfg.engine = expr::Engine::kAuto;
-  cfg.cohort_threshold = 1.0;  // any population routes to the cohort core
+  cfg.workload.total_arrival_rate = 200.0;
+  ASSERT_GE(expr::estimated_peak_users(cfg), cfg.cohort_threshold);
+  cfg.engine = expr::Engine::kCohort;
   const expr::ExperimentResult cohort = expr::ExperimentRunner::run(cfg);
-  // A different core: far fewer heap events, but a live population and a
-  // full metrics surface.
-  EXPECT_LT(cohort.sim_events, discrete.sim_events);
-  EXPECT_GT(cohort.metrics.counters.arrivals, 0);
-  EXPECT_FALSE(cohort.metrics.quality.empty());
-  EXPECT_FALSE(cohort.metrics.reserved_mbps.empty());
+  cfg.engine = expr::Engine::kAuto;
+  const expr::ExperimentResult routed = expr::ExperimentRunner::run(cfg);
+  EXPECT_TRUE(cohort.used_cohort_engine);
+  EXPECT_TRUE(routed.used_cohort_engine);
+  expect_identical_results(cohort, routed);
+  EXPECT_GT(routed.metrics.counters.arrivals, 0);
 }
 
 TEST(CohortEquivalence, CohortTracksDiscretePopulationScale) {
@@ -567,10 +568,12 @@ class RecordingPolicy final : public core::DemandPolicy {
 /// the harvested reports (the t = 0 bootstrap report is dropped: it is the
 /// provider's prior, not a measurement). A live slot whose occupancy an
 /// event changed or cleared has stepped: its occupied rows before the event
-/// are marked. `reshape`, when set, is applied to the workload config at
-/// `reshape_at` seconds.
+/// are marked. Cohorts batch arrivals over `window` seconds. `reshape`,
+/// when set, is applied to the workload config at `reshape_at` seconds.
 std::vector<Harvest> record_harvests(
-    const expr::ExperimentConfig& cfg, double reshape_at = 0.0,
+    const expr::ExperimentConfig& cfg,
+    double window = expr::ExperimentConfig::cohort_window,
+    double reshape_at = 0.0,
     const std::function<void(expr::ExperimentConfig&)>& reshape = {}) {
   sim::Simulator sim;
   workload::Workload workload(cfg.workload, cfg.seed);
@@ -598,7 +601,7 @@ std::vector<Harvest> record_harvests(
 
   vod::CohortOptions options;
   options.streaming.mode = cfg.mode;
-  options.window = cfg.cohort_window;
+  options.window = window;
   vod::CohortSystem system(sim, workload, cfg.vod, cloud,
                            std::move(controller), options);
   if (reshape) {
@@ -714,10 +717,9 @@ TEST(CohortEngine, TrackerReportsGroundTruthRows) {
   expr::ExperimentConfig no_seeks =
       cliff_config(StreamingMode::kClientServer);
   no_seeks.workload.behavior.jump_prob = 0.0;
-  no_seeks.cohort_window = 400.0;
   no_seeks.measure_hours = 6.0;
   const RowCounts swept = expect_ground_truth_rows(
-      record_harvests(no_seeks), ground_truth(no_seeks), all);
+      record_harvests(no_seeks, 400.0), ground_truth(no_seeks), all);
   EXPECT_GT(swept.observed, 0u);
   EXPECT_GT(swept.unstepped, 0u);
 
@@ -735,7 +737,7 @@ TEST(CohortEngine, TrackerReportsGroundTruthRows) {
   ASSERT_NE(zapping, ops.end());
   const double fire = 1.5 * 3600.0;
   const std::vector<Harvest> harvests =
-      record_harvests(cfg, fire, zapping->apply);
+      record_harvests(cfg, cfg.cohort_window, fire, zapping->apply);
   expr::ExperimentConfig zapped = cfg;
   zapping->apply(zapped);
   ASSERT_NE(ground_truth(zapped)(0, 1), ground_truth(cfg)(0, 1));

@@ -149,7 +149,7 @@ TEST(ProfileSchema, EveryGridCellIsValidatedAtLoadTime) {
   expect_rejected(
       R"({"grid": [{"name": "vm_budget", "values": ["100", "-1"]}]})",
       {"grid cell 1 (vm_budget=-1)"});
-  expect_rejected(R"({"overrides": {"reactive_margin": "0.5"},
+  expect_rejected(R"({"overrides": {"vm_budget": "-1"},
                       "grid": [{"name": "strategy", "values": ["reactive"]}]})",
                   {"grid cell 0 (strategy=reactive)"});
   expect_rejected(R"({"grid": [{"name": "zipf", "values": ["nan"]}]})",

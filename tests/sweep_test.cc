@@ -216,7 +216,6 @@ TEST(ParamGrid, EveryKnownParameterApplies) {
       apply_parameter(cfg, name, "0.5");
     }
   }
-  cfg.reactive_margin = 1.2;  // 0.5 violates validate(); restore
   cfg.workload.behavior.validate();
 }
 

@@ -6,7 +6,6 @@
 
 #include "util/check.h"
 #include "util/csv.h"
-#include "util/log.h"
 #include "util/matrix.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -165,7 +164,7 @@ TEST(Rng, Mix64ChangesValue) {
 TEST(Matrix, IdentitySolve) {
   const Matrix eye = Matrix::identity(3);
   const std::vector<double> b{1.0, 2.0, 3.0};
-  const std::vector<double> x = solve_linear_system(eye, b);
+  const std::vector<double> x = LuFactors(eye).solve(b);
   for (int i = 0; i < 3; ++i) EXPECT_DOUBLE_EQ(x[i], b[i]);
 }
 
@@ -176,7 +175,7 @@ TEST(Matrix, SolveKnownSystem) {
   a(0, 1) = 1;
   a(1, 0) = 1;
   a(1, 1) = 3;
-  const std::vector<double> x = solve_linear_system(a, {5.0, 10.0});
+  const std::vector<double> x = LuFactors(a).solve({5.0, 10.0});
   EXPECT_NEAR(x[0], 1.0, 1e-12);
   EXPECT_NEAR(x[1], 3.0, 1e-12);
 }
@@ -188,7 +187,7 @@ TEST(Matrix, SolveRequiresPivoting) {
   a(0, 1) = 1;
   a(1, 0) = 1;
   a(1, 1) = 0;
-  const std::vector<double> x = solve_linear_system(a, {2.0, 3.0});
+  const std::vector<double> x = LuFactors(a).solve({2.0, 3.0});
   EXPECT_NEAR(x[0], 3.0, 1e-12);
   EXPECT_NEAR(x[1], 2.0, 1e-12);
 }
@@ -199,7 +198,6 @@ TEST(Matrix, SingularThrows) {
   a(0, 1) = 2;
   a(1, 0) = 2;
   a(1, 1) = 4;
-  EXPECT_THROW((void)solve_linear_system(a, {1.0, 2.0}), InvariantError);
   EXPECT_THROW((void)LuFactors(a), InvariantError);  // at factoring time
 }
 
@@ -246,10 +244,6 @@ void expect_lu_matches_interleaved(const Matrix& a) {
     const std::vector<double> x = lu.solve(b);
     ASSERT_EQ(x.size(), n);
     for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(x[i], expected[i]) << i;
-    // The one-pass path: b carried through the factoring elimination.
-    const std::vector<double> once = solve_linear_system(a, b);
-    ASSERT_EQ(once.size(), n);
-    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(once[i], expected[i]) << i;
   }
 }
 
@@ -347,7 +341,8 @@ TEST(Matrix, BoundsChecked) {
 TEST(Matrix, DimensionMismatchThrows) {
   Matrix a(2, 2);
   EXPECT_THROW((void)a.multiply(std::vector<double>{1.0}), PreconditionError);
-  EXPECT_THROW((void)solve_linear_system(Matrix(2, 3), {1.0, 2.0}),
+  EXPECT_THROW((void)LuFactors(Matrix(2, 3)), PreconditionError);
+  EXPECT_THROW((void)LuFactors(Matrix::identity(2)).solve({1.0}),
                PreconditionError);
 }
 
@@ -492,16 +487,6 @@ TEST(Csv, EnsureDirectoryCreatesAndTolerandsExisting) {
   EXPECT_TRUE(ensure_directory(dir));
   EXPECT_TRUE(ensure_directory(dir));
   std::filesystem::remove_all("test_dir_a");
-}
-
-// ------------------------------------------------------------------ log.h
-
-TEST(Log, ThresholdControlsEmission) {
-  const LogLevel before = log_threshold();
-  set_log_threshold(LogLevel::kError);
-  EXPECT_EQ(log_threshold(), LogLevel::kError);
-  CM_LOG(kInfo) << "suppressed";  // must not crash, body not evaluated
-  set_log_threshold(before);
 }
 
 }  // namespace

@@ -493,15 +493,15 @@ TEST(Tracker, ValidatesIndices) {
 }
 
 TEST(Tracker, RecordFlowsMatchesScalarRecordTransition) {
-  // One row call must leave every counter bit-identical to the scalar calls
-  // it replaces: a record_transition per positive flow, then the leave.
+  // One row of whole counts must leave every counter bit-identical to
+  // that many single-user record_transition calls, zero entries included.
   const std::vector<std::vector<double>> rows{
-      {0.1, 0.0, 2.0 / 3.0, 1e-7},
+      {1.0, 0.0, 2.0, 5.0},
       {0.0, 0.0, 0.0, 0.0},
-      {3.3, 1.0 / 7.0, 0.0, 0.2},
-      {0.3, 0.6, 0.9, 1e9 / 3.0},
+      {3.0, 1.0, 0.0, 2.0},
+      {4.0, 6.0, 9.0, 1.0},
   };
-  const std::vector<double> leave{0.7, 0.0, 1.0 / 3.0, 5.5};
+  const std::vector<double> leave{7.0, 0.0, 3.0, 5.0};
   const std::vector<int> from_order{0, 2, 1, 3, 2, 0, 3};
 
   Tracker by_row(2, 4);
@@ -512,11 +512,12 @@ TEST(Tracker, RecordFlowsMatchesScalarRecordTransition) {
       const auto& flows = rows[f];
       by_row.record_flows(channel, from, flows, leave[f]);
       for (int to = 0; to < 4; ++to) {
-        const double flow = flows[static_cast<std::size_t>(to)];
-        if (flow > 0.0) by_cell.record_transition(channel, from, to, flow);
+        for (double n = flows[static_cast<std::size_t>(to)]; n > 0.0; --n) {
+          by_cell.record_transition(channel, from, to);
+        }
       }
-      if (leave[f] > 0.0) {
-        by_cell.record_transition(channel, from, std::nullopt, leave[f]);
+      for (double n = leave[f]; n > 0.0; --n) {
+        by_cell.record_transition(channel, from, std::nullopt);
       }
     }
     by_row.record_arrival(channel, 0, 3.0);
@@ -552,11 +553,10 @@ TEST(Tracker, WeightedRecordsAccumulateFractionalMass) {
   Tracker tracker(1, 3);
   tracker.record_arrival(0, 0, 1.5);
   tracker.record_arrival(0, 1, 2.5);
-  tracker.record_transition(0, 0, 1, 3.0);
-  tracker.record_transition(0, 0, std::nullopt, 1.0);
+  tracker.record_flows(0, 0, std::vector<double>{0.0, 2.75, 0.0}, 1.25);
   EXPECT_EQ(tracker.arrivals(0), 4);  // lround(1.5 + 2.5)
-  EXPECT_EQ(tracker.transitions(0, 0, 1), 3);
-  EXPECT_EQ(tracker.leaves(0, 0), 1);
+  EXPECT_EQ(tracker.transitions(0, 0, 1), 3);  // lround(2.75)
+  EXPECT_EQ(tracker.leaves(0, 0), 1);          // lround(1.25)
 
   const std::vector<std::vector<double>> occupancy{{0.0, 0.0, 0.0}};
   const std::vector<double> uplink{0.0};
@@ -566,7 +566,7 @@ TEST(Tracker, WeightedRecordsAccumulateFractionalMass) {
   EXPECT_NEAR(obs.arrival_rate, 4.0 / 3600.0, 1e-15);
   EXPECT_NEAR(obs.entry[0], 1.5 / 4.0, 1e-12);
   EXPECT_NEAR(obs.entry[1], 2.5 / 4.0, 1e-12);
-  EXPECT_NEAR(obs.transfer(0, 1), 3.0 / 4.0, 1e-12);  // row mass 3 + 1
+  EXPECT_NEAR(obs.transfer(0, 1), 2.75 / 4.0, 1e-12);  // row mass 2.75 + 1.25
   EXPECT_THROW(tracker.record_arrival(0, 0, -0.5), util::PreconditionError);
 }
 
@@ -735,7 +735,7 @@ TEST(StreamingSystem, GenerationGuardRejectsStaleHandlesAfterSlotReuse) {
   }
 }
 
-TEST(StreamingSystem, EvictionOrderIsAscendingPeerId) {
+TEST(StreamingSystem, MembershipStaysAscendingPeerIdAfterChurn) {
   // channel_peer_handles() is the snapshot the rebalance's standby-share
   // pass iterates, so its order decides that pass's float sums. Pin it:
   // ascending monotone peer id, and exactly the channel's live membership
