@@ -2,7 +2,7 @@
 
 #include <cmath>
 #include <cstring>
-#include <optional>
+#include <span>
 #include <utility>
 
 #include "util/check.h"
@@ -22,28 +22,44 @@ bool same_bits(const util::Matrix& a, const util::Matrix& b) {
                       a.rows() * a.cols() * sizeof(double)) == 0);
 }
 
+/// Adds the eliminations behind `factors` and the solves made on them.
+void tally(PlannerCounters& counters, const ChannelFactors& factors) {
+  const auto add = [&](const util::LuFactors& lu) {
+    ++counters.factorizations;
+    counters.substitution_passes += lu.passes();
+    counters.solved_columns += lu.columns();
+  };
+  add(factors.traffic);
+  for (const util::LuFactors& lu : factors.availability) add(lu);
+}
+
 }  // namespace
 
 DemandSet estimate_channels(
     const DemandEstimator& estimator, const TrackerReport& report,
     const std::function<double(std::size_t, double)>& rate) {
+  const std::span<const ChannelObservation> channels = report.channels;
   DemandSet out;
-  out.cloud_demand.reserve(report.channels.size());
-  out.estimates.reserve(report.channels.size());
+  out.cloud_demand.reserve(channels.size());
+  out.estimates.reserve(channels.size());
   // A run of channels reporting the same P̂ (the bootstrap plan gives every
-  // channel the ground-truth P) shares one set of factors.
-  std::optional<ChannelFactors> factors;
-  const util::Matrix* factored = nullptr;
-  for (std::size_t c = 0; c < report.channels.size(); ++c) {
-    const ChannelObservation& obs = report.channels[c];
-    const double arrival_rate = rate(c, obs.arrival_rate);
-    if (factored == nullptr || !same_bits(obs.transfer, *factored)) {
-      factors = estimator.factor(obs);
-      factored = &obs.transfer;
+  // channel the ground-truth P) shares one set of factors and one batch.
+  std::vector<double> rates;
+  for (std::size_t begin = 0, end = 0; begin < channels.size(); begin = end) {
+    const util::Matrix& transfer = channels[begin].transfer;
+    rates.clear();
+    for (end = begin; end < channels.size() &&
+                      same_bits(channels[end].transfer, transfer);
+         ++end) {
+      rates.push_back(rate(end, channels[end].arrival_rate));
     }
-    ChannelDemandEstimate est = estimator.estimate(obs, arrival_rate, *factors);
-    out.cloud_demand.push_back(est.cloud_demand);
-    out.estimates.push_back(std::move(est));
+    const ChannelFactors factors = estimator.factor(channels[begin]);
+    for (ChannelDemandEstimate& est : estimator.estimate_run(
+             channels.subspan(begin, end - begin), rates, factors)) {
+      out.cloud_demand.push_back(est.cloud_demand);
+      out.estimates.push_back(std::move(est));
+    }
+    tally(out.counters, factors);
   }
   return out;
 }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -19,11 +20,27 @@ struct TrackerReport {
   std::vector<ChannelObservation> channels;
 };
 
+/// The linear-algebra work of the Sec.-IV estimate: observer tallies (no
+/// RNG, no events), zero for the baselines that run no queueing model.
+struct PlannerCounters {
+  std::uint64_t factorizations = 0;       ///< LU eliminations
+  std::uint64_t substitution_passes = 0;  ///< multi-column solves
+  std::uint64_t solved_columns = 0;       ///< right-hand sides they solved
+
+  PlannerCounters& operator+=(const PlannerCounters& other) {
+    factorizations += other.factorizations;
+    substitution_passes += other.substitution_passes;
+    solved_columns += other.solved_columns;
+    return *this;
+  }
+};
+
 /// Per-chunk cloud bandwidth demands, indexed [channel][chunk] (bytes/s),
 /// plus (for model-based policies) the full Sec.-IV diagnostics.
 struct DemandSet {
   std::vector<std::vector<double>> cloud_demand;
   std::vector<ChannelDemandEstimate> estimates;  ///< empty for baselines
+  PlannerCounters counters;
 };
 
 /// Strategy that converts tracker measurements into next-interval cloud
@@ -39,9 +56,11 @@ class DemandPolicy {
 /// The Sec.-IV loop under every model-driven policy: each channel's
 /// observation runs through `estimator` with its measured viewing patterns
 /// P̂ at the arrival rate `rate(channel, measured Λ̂)` — the policy's
-/// prediction for the next interval. Observations are read in place, and
-/// a channel whose P̂ is bitwise the previous channel's reuses its factors
-/// (DemandEstimator::factor), so the result equals per-channel estimates.
+/// prediction for the next interval. `rate` is called once per channel, in
+/// ascending channel order. Observations are read in place, and a run of
+/// consecutive channels whose P̂ is bitwise the same is factored once and
+/// solved as one batch (one multi-column pass per system), so the result
+/// equals per-channel estimates.
 [[nodiscard]] DemandSet estimate_channels(
     const DemandEstimator& estimator, const TrackerReport& report,
     const std::function<double(std::size_t, double)>& rate);

@@ -51,56 +51,86 @@ ChannelFactors DemandEstimator::factor(
 }
 
 ChannelDemandEstimate DemandEstimator::estimate(
-    const ChannelObservation& observation, double arrival_rate,
+    const ChannelObservation& observation, double arrival_rate) const {
+  return std::move(estimate_run(std::span(&observation, 1),
+                                std::span(&arrival_rate, 1),
+                                factor(observation))
+                       .front());
+}
+
+std::vector<ChannelDemandEstimate> DemandEstimator::estimate_run(
+    std::span<const ChannelObservation> run, std::span<const double> rates,
     const ChannelFactors& factors) const {
   const auto j = static_cast<std::size_t>(params_.chunks_per_video);
+  const std::size_t k = run.size();
   CM_EXPECTS(factors.transfer.rows() == j);
-  CM_EXPECTS(observation.entry.size() == j);
-  CM_EXPECTS(arrival_rate >= 0.0);
+  CM_EXPECTS(rates.size() == k);
 
-  ChannelDemandEstimate out;
-  out.arrival_rates = solve_traffic_equations(
-      factors.traffic, observation.entry, arrival_rate);
+  std::vector<ExternalArrivals> arrivals(k);
+  for (std::size_t c = 0; c < k; ++c) {
+    CM_EXPECTS(run[c].entry.size() == j);
+    CM_EXPECTS(rates[c] >= 0.0);
+    arrivals[c] = ExternalArrivals{run[c].entry, rates[c]};
+  }
+  std::vector<std::vector<double>> lambdas =
+      solve_traffic_equations(factors.traffic, arrivals);
 
-  if (config_.occupancy_floor && !observation.occupancy.empty()) {
-    CM_EXPECTS(observation.occupancy.size() == j);
-    // Little's-law inverse: n_i users dwelling ~T0 in the queue imply a
-    // sustained chunk-request rate of n_i / T0 even with no new arrivals.
-    for (std::size_t i = 0; i < j; ++i) {
-      out.arrival_rates[i] =
-          std::max(out.arrival_rates[i],
-                   observation.occupancy[i] / params_.chunk_duration);
+  const bool p2p = config_.mode == StreamingMode::kP2p;
+  std::vector<ChannelDemandEstimate> out(k);
+  std::vector<std::vector<double>> populations;
+  if (p2p) populations.reserve(k);
+  for (std::size_t c = 0; c < k; ++c) {
+    const ChannelObservation& observation = run[c];
+    ChannelDemandEstimate& est = out[c];
+    est.arrival_rates = std::move(lambdas[c]);
+    if (config_.occupancy_floor && !observation.occupancy.empty()) {
+      CM_EXPECTS(observation.occupancy.size() == j);
+      // Little's-law inverse: n_i users dwelling ~T0 in the queue imply a
+      // sustained chunk-request rate of n_i / T0 even with no new arrivals.
+      for (std::size_t i = 0; i < j; ++i) {
+        est.arrival_rates[i] =
+            std::max(est.arrival_rates[i],
+                     observation.occupancy[i] / params_.chunk_duration);
+      }
+    }
+    est.capacity = planner_.plan(est.arrival_rates);
+
+    if (p2p) {
+      // Queue populations for the availability analysis: at the paper's
+      // equilibrium the sojourn of queue i is the playback time T0, so
+      // E[n_i] = λ_i · T0 (Little). The occupancy floor above already folds
+      // in the measured position counts.
+      std::vector<double>& population = populations.emplace_back(j);
+      for (std::size_t i = 0; i < j; ++i) {
+        population[i] = est.arrival_rates[i] * params_.chunk_duration;
+      }
+    } else {
+      est.peer_supply.assign(j, 0.0);
+      est.cloud_demand.resize(j);
+      for (std::size_t i = 0; i < j; ++i) {
+        est.cloud_demand[i] = est.capacity.chunks[i].bandwidth;
+      }
     }
   }
 
-  out.capacity = planner_.plan(out.arrival_rates);
-  out.peer_supply.assign(j, 0.0);
-  out.cloud_demand.resize(j);
-
-  if (config_.mode == StreamingMode::kP2p) {
-    // Queue populations for the availability analysis: at the paper's
-    // equilibrium the sojourn of queue i is the playback time T0, so
-    // E[n_i] = λ_i · T0 (Little). The occupancy floor above already folds
-    // in the measured position counts.
-    std::vector<double> population(j);
-    for (std::size_t i = 0; i < j; ++i) {
-      population[i] = out.arrival_rates[i] * params_.chunk_duration;
-    }
-    P2pSupply supply = solve_p2p_supply(
-        solve_chunk_availability(factors.transfer, factors.availability,
-                                 population),
-        out.capacity, population, uniform_peers(observation.mean_peer_uplink),
-        params_.streaming_rate, config_.p2p);
-    out.peer_supply = std::move(supply.peer_supply);
-    out.cloud_demand = std::move(supply.cloud_residual);
-  } else {
-    for (std::size_t i = 0; i < j; ++i) {
-      out.cloud_demand[i] = out.capacity.chunks[i].bandwidth;
+  if (p2p) {
+    std::vector<ChunkAvailability> availability = solve_chunk_availability(
+        factors.transfer, factors.availability, populations);
+    for (std::size_t c = 0; c < k; ++c) {
+      ChannelDemandEstimate& est = out[c];
+      P2pSupply supply = solve_p2p_supply(
+          std::move(availability[c]), est.capacity, populations[c],
+          uniform_peers(run[c].mean_peer_uplink), params_.streaming_rate,
+          config_.p2p);
+      est.peer_supply = std::move(supply.peer_supply);
+      est.cloud_demand = std::move(supply.cloud_residual);
     }
   }
 
-  out.total_cloud_demand = 0.0;
-  for (double d : out.cloud_demand) out.total_cloud_demand += d;
+  for (ChannelDemandEstimate& est : out) {
+    est.total_cloud_demand = 0.0;
+    for (double d : est.cloud_demand) est.total_cloud_demand += d;
+  }
   return out;
 }
 

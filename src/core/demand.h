@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "core/capacity.h"
@@ -74,9 +75,7 @@ class DemandEstimator {
   /// The same pipeline at `arrival_rate` in place of the measured Λ̂ (a
   /// policy's prediction for the next interval), with the measured P̂.
   [[nodiscard]] ChannelDemandEstimate estimate(
-      const ChannelObservation& observation, double arrival_rate) const {
-    return estimate(observation, arrival_rate, factor(observation));
-  }
+      const ChannelObservation& observation, double arrival_rate) const;
 
   [[nodiscard]] const VodParameters& params() const noexcept { return params_; }
   [[nodiscard]] const DemandEstimatorConfig& config() const noexcept {
@@ -84,7 +83,7 @@ class DemandEstimator {
   }
 
  private:
-  // Shares one factor() across channels whose P̂ is bitwise the same.
+  // Solves each run of channels whose P̂ is bitwise the same as one batch.
   friend DemandSet estimate_channels(
       const DemandEstimator& estimator, const TrackerReport& report,
       const std::function<double(std::size_t, double)>& rate);
@@ -93,11 +92,14 @@ class DemandEstimator {
   /// P2P mode Proposition 1's systems.
   [[nodiscard]] ChannelFactors factor(
       const ChannelObservation& observation) const;
-  /// The same pipeline on `factors` of a P̂ bitwise equal to
-  /// observation.transfer (from factor()), so the result is bitwise the
-  /// two-argument estimate's.
-  [[nodiscard]] ChannelDemandEstimate estimate(
-      const ChannelObservation& observation, double arrival_rate,
+  /// The pipeline for a run of channels whose P̂ are all bitwise equal to
+  /// the one `factors` came from (factor()), channel c at rates[c]: one
+  /// multi-column traffic solve for the run, the occupancy floor and
+  /// Erlang sizing per channel, one multi-column Proposition 1 solve per
+  /// anchor chunk, and the Eqn. (5) waterfall per channel. Element c is
+  /// bitwise the two-argument estimate of run[c] at rates[c].
+  [[nodiscard]] std::vector<ChannelDemandEstimate> estimate_run(
+      std::span<const ChannelObservation> run, std::span<const double> rates,
       const ChannelFactors& factors) const;
 
   VodParameters params_;

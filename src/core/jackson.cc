@@ -34,30 +34,41 @@ util::LuFactors factor_traffic_equations(const util::Matrix& transfer) {
 std::vector<double> solve_traffic_equations(const util::Matrix& transfer,
                                             const std::vector<double>& entry,
                                             double external_rate) {
-  return solve_traffic_equations(factor_traffic_equations(transfer), entry,
-                                 external_rate);
+  const ExternalArrivals arrivals{entry, external_rate};
+  return std::move(solve_traffic_equations(factor_traffic_equations(transfer),
+                                           std::span(&arrivals, 1))
+                       .front());
 }
 
-std::vector<double> solve_traffic_equations(const util::LuFactors& traffic,
-                                            const std::vector<double>& entry,
-                                            double external_rate) {
-  CM_EXPECTS(entry.size() == traffic.size());
-  CM_EXPECTS(external_rate >= 0.0);
-  double entry_sum = 0.0;
-  for (double e : entry) {
-    CM_EXPECTS(e >= 0.0);
-    entry_sum += e;
+std::vector<std::vector<double>> solve_traffic_equations(
+    const util::LuFactors& traffic, std::span<const ExternalArrivals> arrivals) {
+  const std::size_t n = traffic.size();
+  const std::size_t k = arrivals.size();
+  std::vector<double> b(n * k);
+  for (std::size_t c = 0; c < k; ++c) {
+    const ExternalArrivals& a = arrivals[c];
+    CM_EXPECTS(a.entry.size() == n);
+    CM_EXPECTS(a.rate >= 0.0);
+    double entry_sum = 0.0;
+    for (double e : a.entry) {
+      CM_EXPECTS(e >= 0.0);
+      entry_sum += e;
+    }
+    CM_EXPECTS(entry_sum <= 1.0 + 1e-9);
+    for (std::size_t i = 0; i < n; ++i) b[i * k + c] = a.rate * a.entry[i];
   }
-  CM_EXPECTS(entry_sum <= 1.0 + 1e-9);
+  traffic.solve_columns(b, k);
 
-  std::vector<double> b(entry.size());
-  for (std::size_t i = 0; i < b.size(); ++i) b[i] = external_rate * entry[i];
-  std::vector<double> lambdas = traffic.solve(std::move(b));
-  for (double& l : lambdas) {
-    // Guard against -0 / tiny negative round-off; genuine negatives would
-    // mean the transfer matrix was not sub-stochastic.
-    CM_ENSURES(l > -1e-9);
-    if (l < 0.0) l = 0.0;
+  std::vector<std::vector<double>> lambdas(k, std::vector<double>(n));
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t c = 0; c < k; ++c) {
+      double l = b[i * k + c];
+      // Guard against -0 / tiny negative round-off; genuine negatives would
+      // mean the transfer matrix was not sub-stochastic.
+      CM_ENSURES(l > -1e-9);
+      if (l < 0.0) l = 0.0;
+      lambdas[c][i] = l;
+    }
   }
   return lambdas;
 }

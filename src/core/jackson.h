@@ -1,5 +1,6 @@
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "util/matrix.h"
@@ -28,10 +29,18 @@ namespace cloudmedia::core {
 [[nodiscard]] util::LuFactors factor_traffic_equations(
     const util::Matrix& transfer);
 
-/// Eqn. (1) on factors from factor_traffic_equations.
-[[nodiscard]] std::vector<double> solve_traffic_equations(
-    const util::LuFactors& traffic, const std::vector<double>& entry,
-    double external_rate);
+/// One right-hand side of Eqn. (1): external arrivals at rate Λ that enter
+/// queue i with probability entry[i].
+struct ExternalArrivals {
+  std::span<const double> entry;
+  double rate = 0.0;
+};
+
+/// Eqn. (1) for k networks that share `traffic` (factor_traffic_equations),
+/// in one multi-column pass: element c of the result is the λ vector of
+/// arrivals[c], bitwise what solving that column alone gives.
+[[nodiscard]] std::vector<std::vector<double>> solve_traffic_equations(
+    const util::LuFactors& traffic, std::span<const ExternalArrivals> arrivals);
 
 /// Total external departure flow Σ_i λ_i (1 − Σ_j P_ij). At equilibrium
 /// this equals the external arrival rate Λ (conservation); exposed for

@@ -48,38 +48,44 @@ std::vector<util::LuFactors> factor_chunk_availability(
   return systems;
 }
 
-ChunkAvailability solve_chunk_availability(
+std::vector<ChunkAvailability> solve_chunk_availability(
     const util::Matrix& transfer, const std::vector<util::LuFactors>& systems,
-    const std::vector<double>& population) {
+    std::span<const std::vector<double>> populations) {
   const std::size_t j = transfer.rows();
+  const std::size_t k = populations.size();
   CM_EXPECTS(systems.size() == (j == 1 ? 0 : j));
-  CM_EXPECTS(population.size() == j);
-  for (double n : population) CM_EXPECTS(n >= 0.0);
-  const std::vector<double>& expected_in_queue = population;
-
-  ChunkAvailability out{util::Matrix(j, j), std::vector<double>(j, 0.0)};
-
-  if (j == 1) {
-    // A single chunk has no other queues to hold suppliers in.
-    out.nu(0, 0) = expected_in_queue[0];
-    return out;
+  std::vector<ChunkAvailability> out;
+  out.reserve(k);
+  for (const std::vector<double>& population : populations) {
+    CM_EXPECTS(population.size() == j);
+    ChunkAvailability a{util::Matrix(j, j), std::vector<double>(j, 0.0)};
+    // The anchor E[ν_ii] = E[n_i]. A single chunk has no other queues to
+    // hold suppliers in, so for J = 1 that is all.
+    for (std::size_t i = 0; i < j; ++i) {
+      CM_EXPECTS(population[i] >= 0.0);
+      a.nu(i, i) = population[i];
+    }
+    out.push_back(std::move(a));
   }
 
-  std::vector<double> b(j - 1);
-  for (std::size_t i = 0; i < j; ++i) {
+  std::vector<double> b((j - 1) * k);
+  for (std::size_t i = 0; i < systems.size(); ++i) {
     for (std::size_t q = 0; q < j - 1; ++q) {
-      b[q] = expected_in_queue[i] * transfer(i, other_queue(q, i));
+      const double p = transfer(i, other_queue(q, i));
+      for (std::size_t c = 0; c < k; ++c) b[q * k + c] = populations[c][i] * p;
     }
-    const std::vector<double> x = systems[i].solve(b);
+    systems[i].solve_columns(b, k);
 
-    out.nu(i, i) = expected_in_queue[i];
-    double total = 0.0;
-    for (std::size_t q = 0; q < j - 1; ++q) {
-      const double v = std::max(0.0, x[q]);  // clamp round-off
-      out.nu(i, other_queue(q, i)) = v;
-      total += v;
+    for (std::size_t c = 0; c < k; ++c) {
+      ChunkAvailability& a = out[c];
+      double total = 0.0;
+      for (std::size_t q = 0; q < j - 1; ++q) {
+        const double v = std::max(0.0, b[q * k + c]);  // clamp round-off
+        a.nu(i, other_queue(q, i)) = v;
+        total += v;
+      }
+      a.owners[i] = total;
     }
-    out.owners[i] = total;
   }
   return out;
 }

@@ -1,7 +1,9 @@
 #pragma once
 
 #include <functional>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/capacity.h"
@@ -31,19 +33,25 @@ struct ChunkAvailability {
 
 /// Solve Proposition 1 for every chunk: one (J-1)-dimensional linear system
 /// per chunk i, unknowns {ν_ij}_{j != i}, on the factors of the same
-/// `transfer` (factor_chunk_availability). `population` is the paper's
+/// `transfer` (factor_chunk_availability). A population is the paper's
 /// E[n_i] — the expected users occupying chunk queue i. At the paper's
 /// equilibrium the sojourn in queue i is the playback time T0, so
 /// E[n_i] = λ_i · T0 by Little's law; pass that (or a measured occupancy).
-[[nodiscard]] ChunkAvailability solve_chunk_availability(
+///
+/// The k `populations` share the systems, so each anchor chunk's system is
+/// solved for all of them in one multi-column pass; element c of the result
+/// is bitwise what populations[c] alone gives.
+[[nodiscard]] std::vector<ChunkAvailability> solve_chunk_availability(
     const util::Matrix& transfer, const std::vector<util::LuFactors>& systems,
-    const std::vector<double>& population);
+    std::span<const std::vector<double>> populations);
 
-/// The same, factoring `transfer` first.
+/// The same for one population, factoring `transfer` first.
 [[nodiscard]] inline ChunkAvailability solve_chunk_availability(
     const util::Matrix& transfer, const std::vector<double>& population) {
-  return solve_chunk_availability(transfer, factor_chunk_availability(transfer),
-                                  population);
+  return std::move(solve_chunk_availability(transfer,
+                                            factor_chunk_availability(transfer),
+                                            std::span(&population, 1))
+                       .front());
 }
 
 /// How the per-chunk peer supply is capped in Eqn. (5).

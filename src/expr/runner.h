@@ -34,6 +34,7 @@ struct ExperimentResult {
   bool used_cohort_engine = false;  ///< which core the engine knob picked
   vod::RebalanceCounters rebalance;  ///< discrete engine only (zero on cohort)
   vod::CohortCounters cohort;        ///< cohort engine only (zero on discrete)
+  core::PlannerCounters planner;     ///< every plan's estimate work (both engines)
 
   // --- summaries over the measurement window ----------------------------
   [[nodiscard]] double mean_quality() const;

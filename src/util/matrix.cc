@@ -115,27 +115,43 @@ LuFactors::LuFactors(Matrix a) : lu_(std::move(a)) {
 }
 
 std::vector<double> LuFactors::solve(std::vector<double> b) const {
+  solve_columns(b, 1);
+  return b;
+}
+
+void LuFactors::solve_columns(std::span<double> b, std::size_t k) const {
   const std::size_t n = lu_.rows();
-  CM_EXPECTS(b.size() == n);
+  CM_EXPECTS(b.size() == n * k);
+  ++passes_;
+  columns_ += k;
+  double* const x = b.data();
   for (std::size_t col = 0; col < n; ++col) {
-    if (pivots_[col] != col) std::swap(b[pivots_[col]], b[col]);
+    if (pivots_[col] != col) {
+      std::swap_ranges(x + col * k, x + (col + 1) * k, x + pivots_[col] * k);
+    }
   }
   const double* const m = n == 0 ? nullptr : lu_.row(0);
   for (std::size_t col = 0; col < n; ++col) {
+    const double* const top = x + col * k;
     for (std::size_t r = col + 1; r < n; ++r) {
       const double factor = m[r * n + col];
       if (factor == 0.0) continue;
-      b[r] -= factor * b[col];
+      double* const row = x + r * k;
+      for (std::size_t c = 0; c < k; ++c) row[c] -= factor * top[c];
     }
   }
-  std::vector<double> x(n, 0.0);
+  // In place: the rows below ri already hold their solutions.
   for (std::size_t ri = n; ri-- > 0;) {
-    const double* const row = lu_.row(ri);
-    double acc = b[ri];
-    for (std::size_t c = ri + 1; c < n; ++c) acc -= row[c] * x[c];
-    x[ri] = acc / row[ri];
+    const double* const u = lu_.row(ri);
+    double* const acc = x + ri * k;
+    for (std::size_t col = ri + 1; col < n; ++col) {
+      const double coeff = u[col];
+      const double* const solved = x + col * k;
+      for (std::size_t c = 0; c < k; ++c) acc[c] -= coeff * solved[c];
+    }
+    const double diag = u[ri];
+    for (std::size_t c = 0; c < k; ++c) acc[c] /= diag;
   }
-  return x;
 }
 
 }  // namespace cloudmedia::util

@@ -110,6 +110,10 @@ class Deployment {
   [[nodiscard]] const core::ProvisioningPlan* last_plan() const noexcept {
     return last_plan_ ? &*last_plan_ : nullptr;
   }
+  /// The demand-estimate work of every plan so far, rejected ones included.
+  [[nodiscard]] const core::PlannerCounters& planner_counters() const noexcept {
+    return planner_;
+  }
   /// Sum of instantaneous cloud rates across pools (bytes/s).
   [[nodiscard]] double cloud_rate_now() const;
   [[nodiscard]] double peer_rate_now() const;
@@ -202,6 +206,7 @@ class Deployment {
   std::unique_ptr<core::Controller> controller_;
   std::vector<double> served_cloud_snapshot_;  ///< bytes at interval start
   std::optional<core::ProvisioningPlan> last_plan_;
+  core::PlannerCounters planner_;
   bool started_ = false;
 };
 

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <vector>
 
 #include "core/controller.h"
 #include "core/jackson.h"
@@ -419,26 +421,72 @@ void expect_bitwise_equal(const ChannelDemandEstimate& a,
 }
 
 TEST(EstimateChannels, SharedFactorsEqualPerChannelEstimates) {
-  // The bootstrap report's shape: every channel carries the same
-  // ground-truth P, with Zipf-like rates and empty occupancy. Channel 3
-  // reports a perturbed P, so the factors are rebuilt for it and again for
-  // channel 4, which is back on the shared P.
-  TrackerReport report = make_report({0.3, 0.15, 0.1, 0.075, 0.06, 0.05});
-  report.channels[3].transfer(2, 5) += 1e-3;
+  // The bootstrap report's shape at paper size: 20 channels with Zipf-like
+  // rates, every channel on the same ground-truth P. Channels 7-9 report
+  // one perturbed P, so the run breaks twice: channels 0-6, 7-9 and 10-19
+  // are each factored once and solved as one batch. Every third channel
+  // has a measured occupancy, which the floor folds in per channel.
+  std::vector<double> rates;
+  for (int c = 0; c < 20; ++c) rates.push_back(0.3 / (c + 1));
+  TrackerReport report = make_report(rates);
+  for (std::size_t c = 7; c <= 9; ++c) report.channels[c].transfer(2, 5) += 1e-3;
+  for (std::size_t c = 0; c < 20; c += 3) {
+    for (std::size_t i = 0; i < 20; ++i) {
+      report.channels[c].occupancy[i] = static_cast<double>((c + 3 * i) % 7);
+    }
+  }
+  const std::uint64_t runs = 3;
+  const std::uint64_t j = 20;
   for (const auto mode : {StreamingMode::kP2p, StreamingMode::kClientServer}) {
     DemandEstimatorConfig config;
     config.mode = mode;
     const DemandEstimator estimator(VodParameters{}, config);
+    const auto predicted = [](std::size_t c, double measured) {
+      return measured * (1.0 + 0.1 * static_cast<double>(c));
+    };
+    std::vector<std::size_t> calls;
     const DemandSet set = estimate_channels(
-        estimator, report, [](std::size_t, double measured) { return measured; });
+        estimator, report, [&](std::size_t c, double measured) {
+          calls.push_back(c);
+          return predicted(c, measured);
+        });
+    // Once per channel, in ascending order: the seasonal and forecast
+    // policies keep per-channel state in `rate`.
+    std::vector<std::size_t> ascending(report.channels.size());
+    std::iota(ascending.begin(), ascending.end(), std::size_t{0});
+    EXPECT_EQ(calls, ascending);
     ASSERT_EQ(set.estimates.size(), report.channels.size());
     for (std::size_t c = 0; c < report.channels.size(); ++c) {
       SCOPED_TRACE(c);
-      const ChannelDemandEstimate own = estimator.estimate(report.channels[c]);
+      const ChannelObservation& obs = report.channels[c];
+      const ChannelDemandEstimate own =
+          estimator.estimate(obs, predicted(c, obs.arrival_rate));
       expect_bitwise_equal(set.estimates[c], own);
       EXPECT_EQ(set.cloud_demand[c], own.cloud_demand);
     }
+    // One elimination and one pass per system and run; every channel is
+    // one column of each of its run's passes.
+    const std::uint64_t systems = mode == StreamingMode::kP2p ? 1 + j : 1;
+    EXPECT_EQ(set.counters.factorizations, runs * systems);
+    EXPECT_EQ(set.counters.substitution_passes, runs * systems);
+    EXPECT_EQ(set.counters.solved_columns, report.channels.size() * systems);
   }
+}
+
+TEST(EstimateChannels, BootstrapPlanMakesOnePassPerSystem) {
+  // Every channel of the bootstrap report carries the ground-truth P, so
+  // the P2P plan solves the traffic equations and Proposition 1's J
+  // systems once each: 1 + J passes of C columns, not C · (1 + J) passes.
+  const std::size_t channels = 20;
+  const std::uint64_t j = 20;
+  const TrackerReport report = make_report(std::vector<double>(channels, 0.1));
+  DemandEstimatorConfig config;
+  config.mode = StreamingMode::kP2p;
+  ModelBasedPolicy policy(VodParameters{}, config);
+  const PlannerCounters counters = policy.estimate(report).counters;
+  EXPECT_EQ(counters.factorizations, 1 + j);
+  EXPECT_EQ(counters.substitution_passes, 1 + j);
+  EXPECT_EQ(counters.solved_columns, channels * (1 + j));
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 
@@ -247,37 +248,93 @@ void expect_lu_matches_interleaved(const Matrix& a) {
   }
 }
 
-TEST(LuFactors, BitwiseEqualsInterleavedElimination) {
-  // Row 2 has the largest entry of column 1, so step 1 swaps rows 1 and 2
-  // after step 0 stored their multipliers: the stored multipliers must
-  // travel with their rows.
-  Matrix swaps_late(4, 4);
-  const double late[4][4] = {{4.0, 1.0, 0.3, -2.0},
-                             {1.0, 0.1, 2.0, 0.7},
-                             {-2.0, 5.0, 1.0, 0.2},
-                             {0.5, -1.0, 0.4, 3.0}};
-  for (std::size_t r = 0; r < 4; ++r)
-    for (std::size_t c = 0; c < 4; ++c) swaps_late(r, c) = late[r][c];
-  expect_lu_matches_interleaved(swaps_late);
+Matrix from_rows(const std::vector<std::vector<double>>& rows) {
+  Matrix m(rows.size(), rows.front().size());
+  for (std::size_t r = 0; r < m.rows(); ++r)
+    for (std::size_t c = 0; c < m.cols(); ++c) m(r, c) = rows[r][c];
+  return m;
+}
 
-  // Rows 1 and 3 start with an exact zero in column 0 (zero multipliers the
-  // elimination skips); column 0's pivot is row 2.
-  Matrix zero_multipliers(4, 4);
-  const double zeros[4][4] = {{1.0, 2.0, 0.0, 1.0},
-                              {0.0, 3.0, 1.0, -1.0},
-                              {-6.0, 0.5, 2.0, 0.0},
-                              {0.0, 1.0, -4.0, 2.5}};
-  for (std::size_t r = 0; r < 4; ++r)
-    for (std::size_t c = 0; c < 4; ++c) zero_multipliers(r, c) = zeros[r][c];
-  expect_lu_matches_interleaved(zero_multipliers);
+/// Row 2 has the largest entry of column 1, so step 1 swaps rows 1 and 2
+/// after step 0 stored their multipliers: the stored multipliers must
+/// travel with their rows.
+Matrix swaps_late_matrix() {
+  return from_rows({{4.0, 1.0, 0.3, -2.0},
+                    {1.0, 0.1, 2.0, 0.7},
+                    {-2.0, 5.0, 1.0, 0.2},
+                    {0.5, -1.0, 0.4, 3.0}});
+}
 
-  // The traffic-equation shape at paper size: I − Pᵀ of a dense 20×20
-  // sub-stochastic P.
+/// Rows 1 and 3 start with an exact zero in column 0 (zero multipliers the
+/// elimination skips); column 0's pivot is row 2.
+Matrix zero_multipliers_matrix() {
+  return from_rows({{1.0, 2.0, 0.0, 1.0},
+                    {0.0, 3.0, 1.0, -1.0},
+                    {-6.0, 0.5, 2.0, 0.0},
+                    {0.0, 1.0, -4.0, 2.5}});
+}
+
+/// The traffic-equation shape at paper size: I − Pᵀ of a dense 20×20
+/// sub-stochastic P.
+Matrix traffic_matrix() {
   Matrix traffic = Matrix::identity(20);
   for (std::size_t r = 0; r < 20; ++r)
     for (std::size_t c = 0; c < 20; ++c)
       traffic(c, r) -= 0.04 + 0.003 * static_cast<double>((r * 7 + c * 3) % 5);
-  expect_lu_matches_interleaved(traffic);
+  return traffic;
+}
+
+TEST(LuFactors, BitwiseEqualsInterleavedElimination) {
+  expect_lu_matches_interleaved(swaps_late_matrix());
+  expect_lu_matches_interleaved(zero_multipliers_matrix());
+  expect_lu_matches_interleaved(traffic_matrix());
+}
+
+TEST(LuFactors, SolveColumnsEqualsSingleSolvesBitwise) {
+  Matrix one(1, 1);
+  one(0, 0) = -0.3;
+  for (const Matrix& a : {swaps_late_matrix(), zero_multipliers_matrix(),
+                          traffic_matrix(), one}) {
+    const LuFactors lu(a);
+    const std::size_t n = a.rows();
+    for (const std::size_t k : {1, 2, 3, 20}) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " k=" << k);
+      // Column c mixes signs and magnitudes; column 1 is all zero.
+      std::vector<double> b(n * k);
+      for (std::size_t r = 0; r < n; ++r) {
+        for (std::size_t c = 0; c < k; ++c) {
+          b[r * k + c] =
+              c == 1 ? 0.0
+                     : std::sin(1.7 * static_cast<double>(r) +
+                                        0.9 * static_cast<double>(c)) *
+                               std::pow(10.0, static_cast<double>(c % 4)) -
+                           0.37 * static_cast<double>(c);
+        }
+      }
+      std::vector<double> batch = b;
+      lu.solve_columns(batch, k);
+      for (std::size_t c = 0; c < k; ++c) {
+        std::vector<double> column(n);
+        for (std::size_t r = 0; r < n; ++r) column[r] = b[r * k + c];
+        const std::vector<double> x = lu.solve(column);
+        for (std::size_t r = 0; r < n; ++r) {
+          EXPECT_EQ(std::memcmp(&batch[r * k + c], &x[r], sizeof(double)), 0)
+              << "column " << c << " row " << r << ": " << batch[r * k + c]
+              << " vs " << x[r];
+        }
+      }
+    }
+  }
+}
+
+TEST(LuFactors, CountsPassesAndColumns) {
+  const LuFactors lu(traffic_matrix());
+  std::vector<double> b(20 * 3, 1.0);
+  lu.solve_columns(b, 3);
+  (void)lu.solve(std::vector<double>(20, 1.0));
+  EXPECT_EQ(lu.passes(), 2u);
+  EXPECT_EQ(lu.columns(), 4u);
+  EXPECT_THROW(lu.solve_columns(b, 2), PreconditionError);
 }
 
 TEST(Matrix, TransposeAndMultiply) {
