@@ -5,8 +5,7 @@
 // ROADMAP's scaling claim is measured, not asserted. It also reports, and
 // does not gate, the mean quality and late-download share the day was
 // served at (a fast day on a saturated cloud shows as low quality there)
-// and the planner's LU eliminations, substitution passes and solved
-// columns.
+// and the planner's substitution passes.
 //
 // Work gates: cohort steps report nothing to the tracker themselves; each
 // (channel, row)'s stepped mass reaches it as one row call per window tick
@@ -146,12 +145,8 @@ int main(int argc, char** argv) {
               cohorts, download_rows);
   std::printf("  served: mean quality %.4f  |  late share %.4f\n",
               result.mean_quality(), result.late_share());
-  const core::PlannerCounters& planner = result.planner;
-  std::printf("  planner: %llu LU eliminations, %llu substitution passes, "
-              "%llu solved columns\n",
-              static_cast<unsigned long long>(planner.factorizations),
-              static_cast<unsigned long long>(planner.substitution_passes),
-              static_cast<unsigned long long>(planner.solved_columns));
+  std::printf("  planner: %llu substitution passes\n",
+              static_cast<unsigned long long>(result.planner_passes));
 
   // The scaling gate: the realized concurrent peak must reach the target
   // population (re-tune --calibration if the workload shape changes).
@@ -178,10 +173,8 @@ int main(int argc, char** argv) {
   bench["tracker_row_bound"] = tracker_row_bound;
   bench["cohorts"] = cohorts;
   bench["download_rows"] = download_rows;
-  bench["planner_factorizations"] = static_cast<double>(planner.factorizations);
   bench["planner_substitution_passes"] =
-      static_cast<double>(planner.substitution_passes);
-  bench["planner_solved_columns"] = static_cast<double>(planner.solved_columns);
+      static_cast<double>(result.planner_passes);
   bench["peak_rss_mb"] = rss_mb;
   bench["mean_quality"] = result.mean_quality();
   bench["late_share"] = result.late_share();

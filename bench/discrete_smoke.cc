@@ -4,9 +4,9 @@
 // discrete path: per-peer walks, rarest-first rebalances, pool churn) at a
 // population far above the golden presets', and emits BENCH_discrete.json
 // (events per viewer, events/s, peers simulated, peak RSS, rebalance work,
-// the planner's LU eliminations, substitution passes and solved columns,
-// the hot peer record's size, the ownership bitmap's words per peer, and
-// the mean quality and late-download share the day was served at).
+// the planner's substitution passes, the hot peer record's size, the
+// ownership bitmap's words per peer, and the mean quality and
+// late-download share the day was served at).
 //
 // The gates are deterministic and hold on every build, sanitized ones
 // included: simulator events per simulated viewer must stay at or below
@@ -14,20 +14,20 @@
 // default arguments, rounded up at the third decimal), the owner-list
 // entries the rarest-first rebalance reads per tick must stay below the
 // member×chunk bitmap cells a per-tick ownership rebuild would scan, and
-// the planner's substitution passes over the whole day must stay at or
-// below --max-substitution-passes (default: this bench's exact figure at
-// its default arguments). All four counts are exact for a seed. The hot peer record (vod::Peer) must
-// fit one 64-byte cache line. Peak RSS must stay under --max-rss-mb
-// (skipped on sanitizer builds, whose allocators inflate it). A bad flag
-// value exits 2 with `bench_discrete_smoke: <message>`; a tripped gate
-// aborts. Events/s and
-// wall seconds are reported, not gated: wall-clock claims come from
-// perfbench/, so a slower runner cannot make this gate flaky. Quality and
-// the late share are reported, not gated.
+// the planner's substitution passes over the day must stay at or below
+// (1 + J) · (1 + (plans − 1) · C): one pass per system for the bootstrap
+// plan, whose C channels share one P, and one per system and channel for
+// each later plan. All four counts are exact for a seed. The hot peer
+// record (vod::Peer) must fit one 64-byte cache line. Peak RSS must stay
+// under --max-rss-mb (skipped on sanitizer builds, whose allocators
+// inflate it). A bad flag value exits 2 with `bench_discrete_smoke:
+// <message>`; a tripped gate aborts. Events/s and wall seconds are
+// reported, not gated: wall-clock claims come from perfbench/, so a slower
+// runner cannot make this gate flaky. Quality and the late share are
+// reported, not gated.
 //
 // Flags: --rate=6.0 --hours=10 --warmup=0 --seed=42
-//        --max-events-per-viewer=13.07 --max-substitution-passes=4221
-//        --max-rss-mb=2048
+//        --max-events-per-viewer=13.07 --max-rss-mb=2048
 //        --out=BENCH_discrete.json
 
 #include <chrono>
@@ -65,7 +65,6 @@ constexpr bool sanitized_build() {
 struct Options {
   expr::ExperimentConfig cfg;
   double max_events_per_viewer = 13.07;
-  double max_substitution_passes = 4221;
   double max_rss_mb = 2048.0;
   std::string out;
 };
@@ -73,16 +72,13 @@ struct Options {
 Options parse_options(int argc, char** argv) {
   const expr::Flags flags(argc, argv);
   flags.require_known({"rate", "hours", "warmup", "max-events-per-viewer",
-                       "max-substitution-passes", "max-rss-mb", "seed",
-                       "out"});
+                       "max-rss-mb", "seed", "out"});
   Options options;
   const double rate = flags.get("rate", 6.0);
   const double hours = flags.get("hours", 10.0);
   const double warmup = flags.get("warmup", 0.0);
   options.max_events_per_viewer =
       flags.get("max-events-per-viewer", options.max_events_per_viewer);
-  options.max_substitution_passes =
-      flags.get("max-substitution-passes", options.max_substitution_passes);
   options.max_rss_mb = flags.get("max-rss-mb", options.max_rss_mb);
   // Negated comparisons so that NaN is refused too.
   if (!(rate > 0.0)) {
@@ -97,10 +93,6 @@ Options parse_options(int argc, char** argv) {
   if (!(options.max_events_per_viewer > 0.0)) {
     expr::refuse_value("--max-events-per-viewer must be > 0",
                        options.max_events_per_viewer);
-  }
-  if (!(options.max_substitution_passes > 0.0)) {
-    expr::refuse_value("--max-substitution-passes must be > 0",
-                       options.max_substitution_passes);
   }
   if (!(options.max_rss_mb > 0.0)) {
     expr::refuse_value("--max-rss-mb must be > 0", options.max_rss_mb);
@@ -133,7 +125,6 @@ int main(int argc, char** argv) {
   const double hours = cfg.measure_hours;
   const double rate = cfg.workload.total_arrival_rate;
   const double max_events_per_viewer = options.max_events_per_viewer;
-  const double max_substitution_passes = options.max_substitution_passes;
   const double max_rss_mb = options.max_rss_mb;
 
   std::printf(
@@ -162,10 +153,11 @@ int main(int argc, char** argv) {
   const double ticks = static_cast<double>(rebalance.ticks);
   const double visits_per_tick = static_cast<double>(rebalance.visits) / ticks;
   const double cells_per_tick = static_cast<double>(rebalance.member_cells) / ticks;
-  const core::PlannerCounters& planner = result.planner;
-  const auto factorizations = static_cast<double>(planner.factorizations);
-  const auto passes = static_cast<double>(planner.substitution_passes);
-  const auto columns = static_cast<double>(planner.solved_columns);
+  const auto passes = static_cast<double>(result.planner_passes);
+  const auto systems = static_cast<double>(1 + cfg.vod.chunks_per_video);
+  const auto later_plans = static_cast<double>(result.plans_submitted - 1);
+  const double pass_bound =
+      systems * (1.0 + later_plans * cfg.workload.num_channels);
   CM_ENSURES(passes > 0.0);
   std::printf(
       "  %.3g events in %.2f s  |  %.3g events/s  |  %.3g viewers  |  "
@@ -182,14 +174,12 @@ int main(int argc, char** argv) {
               "member x chunk cells/tick (%.2fx fewer)\n",
               ticks, visits_per_tick, cells_per_tick,
               cells_per_tick / visits_per_tick);
-  std::printf("  planner: %.0f LU eliminations, %.0f substitution passes "
-              "<= %.0f, %.0f solved columns (%.2f per pass)\n",
-              factorizations, passes, max_substitution_passes, columns,
-              columns / passes);
+  std::printf("  planner: %.0f substitution passes <= %.0f over %ld plans\n",
+              passes, pass_bound, result.plans_submitted);
   CM_ENSURES(rebalance.visits < rebalance.member_cells);
   // A run of channels that stops sharing its factors, or a batch split
   // back into single solves, multiplies the passes on any runner.
-  CM_ENSURES(passes <= max_substitution_passes);
+  CM_ENSURES(passes <= pass_bound);
   // Extra events per viewer (a redundant timer, a lost retime) fail CI on
   // any runner and any build.
   CM_ENSURES(events_per_viewer <= max_events_per_viewer);
@@ -221,10 +211,7 @@ int main(int argc, char** argv) {
   bench["rebalance_ticks"] = ticks;
   bench["rebalance_visits_per_tick"] = visits_per_tick;
   bench["rebalance_member_cells_per_tick"] = cells_per_tick;
-  bench["planner_factorizations"] = factorizations;
   bench["planner_substitution_passes"] = passes;
-  bench["planner_solved_columns"] = columns;
-  bench["max_substitution_passes"] = max_substitution_passes;
   bench["peer_record_bytes"] = static_cast<double>(peer_record_bytes);
   bench["owned_words"] = static_cast<double>(owned_words);
   bench["max_rss_mb"] = max_rss_mb;

@@ -22,17 +22,6 @@ bool same_bits(const util::Matrix& a, const util::Matrix& b) {
                       a.rows() * a.cols() * sizeof(double)) == 0);
 }
 
-/// Adds the eliminations behind `factors` and the solves made on them.
-void tally(PlannerCounters& counters, const ChannelFactors& factors) {
-  const auto add = [&](const util::LuFactors& lu) {
-    ++counters.factorizations;
-    counters.substitution_passes += lu.passes();
-    counters.solved_columns += lu.columns();
-  };
-  add(factors.traffic);
-  for (const util::LuFactors& lu : factors.availability) add(lu);
-}
-
 }  // namespace
 
 DemandSet estimate_channels(
@@ -55,11 +44,11 @@ DemandSet estimate_channels(
     }
     const ChannelFactors factors = estimator.factor(channels[begin]);
     for (ChannelDemandEstimate& est : estimator.estimate_run(
-             channels.subspan(begin, end - begin), rates, factors)) {
+             channels.subspan(begin, end - begin), rates, factors,
+             out.substitution_passes)) {
       out.cloud_demand.push_back(est.cloud_demand);
       out.estimates.push_back(std::move(est));
     }
-    tally(out.counters, factors);
   }
   return out;
 }

@@ -20,27 +20,14 @@ struct TrackerReport {
   std::vector<ChannelObservation> channels;
 };
 
-/// The linear-algebra work of the Sec.-IV estimate: observer tallies (no
-/// RNG, no events), zero for the baselines that run no queueing model.
-struct PlannerCounters {
-  std::uint64_t factorizations = 0;       ///< LU eliminations
-  std::uint64_t substitution_passes = 0;  ///< multi-column solves
-  std::uint64_t solved_columns = 0;       ///< right-hand sides they solved
-
-  PlannerCounters& operator+=(const PlannerCounters& other) {
-    factorizations += other.factorizations;
-    substitution_passes += other.substitution_passes;
-    solved_columns += other.solved_columns;
-    return *this;
-  }
-};
-
 /// Per-chunk cloud bandwidth demands, indexed [channel][chunk] (bytes/s),
 /// plus (for model-based policies) the full Sec.-IV diagnostics.
 struct DemandSet {
   std::vector<std::vector<double>> cloud_demand;
   std::vector<ChannelDemandEstimate> estimates;  ///< empty for baselines
-  PlannerCounters counters;
+  /// Multi-column LU solves the estimate made (an observer tally: no RNG,
+  /// no events); zero for the baselines that run no queueing model.
+  std::uint64_t substitution_passes = 0;
 };
 
 /// Strategy that converts tracker measurements into next-interval cloud

@@ -52,15 +52,16 @@ ChannelFactors DemandEstimator::factor(
 
 ChannelDemandEstimate DemandEstimator::estimate(
     const ChannelObservation& observation, double arrival_rate) const {
+  std::uint64_t passes = 0;
   return std::move(estimate_run(std::span(&observation, 1),
                                 std::span(&arrival_rate, 1),
-                                factor(observation))
+                                factor(observation), passes)
                        .front());
 }
 
 std::vector<ChannelDemandEstimate> DemandEstimator::estimate_run(
     std::span<const ChannelObservation> run, std::span<const double> rates,
-    const ChannelFactors& factors) const {
+    const ChannelFactors& factors, std::uint64_t& passes) const {
   const auto j = static_cast<std::size_t>(params_.chunks_per_video);
   const std::size_t k = run.size();
   CM_EXPECTS(factors.transfer.rows() == j);
@@ -74,6 +75,7 @@ std::vector<ChannelDemandEstimate> DemandEstimator::estimate_run(
   }
   std::vector<std::vector<double>> lambdas =
       solve_traffic_equations(factors.traffic, arrivals);
+  ++passes;
 
   const bool p2p = config_.mode == StreamingMode::kP2p;
   std::vector<ChannelDemandEstimate> out(k);
@@ -116,6 +118,7 @@ std::vector<ChannelDemandEstimate> DemandEstimator::estimate_run(
   if (p2p) {
     std::vector<ChunkAvailability> availability = solve_chunk_availability(
         factors.transfer, factors.availability, populations);
+    passes += factors.availability.size();  // one per anchor chunk's system
     for (std::size_t c = 0; c < k; ++c) {
       ChannelDemandEstimate& est = out[c];
       P2pSupply supply = solve_p2p_supply(

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <span>
 #include <vector>
@@ -97,10 +98,11 @@ class DemandEstimator {
   /// multi-column traffic solve for the run, the occupancy floor and
   /// Erlang sizing per channel, one multi-column Proposition 1 solve per
   /// anchor chunk, and the Eqn. (5) waterfall per channel. Element c is
-  /// bitwise the two-argument estimate of run[c] at rates[c].
+  /// bitwise the two-argument estimate of run[c] at rates[c]. Adds the
+  /// multi-column solves it makes to `passes`.
   [[nodiscard]] std::vector<ChannelDemandEstimate> estimate_run(
       std::span<const ChannelObservation> run, std::span<const double> rates,
-      const ChannelFactors& factors) const;
+      const ChannelFactors& factors, std::uint64_t& passes) const;
 
   VodParameters params_;
   DemandEstimatorConfig config_;

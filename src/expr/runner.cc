@@ -319,7 +319,7 @@ ExperimentResult Experiment::result() const {
   result.vm_shutdowns = cloud_.vm_monitor().total_shutdowns();
   result.sim_events = simulator_.events_processed();
   result.final_users = static_cast<long>(deployment_->current_users());
-  result.planner = deployment_->planner_counters();
+  result.planner_passes = deployment_->planner_passes();
   if (const auto* discrete =
           dynamic_cast<const vod::StreamingSystem*>(deployment_.get())) {
     result.rebalance = discrete->rebalance_counters();

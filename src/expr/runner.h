@@ -34,7 +34,7 @@ struct ExperimentResult {
   bool used_cohort_engine = false;  ///< which core the engine knob picked
   vod::RebalanceCounters rebalance;  ///< discrete engine only (zero on cohort)
   vod::CohortCounters cohort;        ///< cohort engine only (zero on discrete)
-  core::PlannerCounters planner;     ///< every plan's estimate work (both engines)
+  std::uint64_t planner_passes = 0;  ///< every plan's LU solves (both engines)
 
   // --- summaries over the measurement window ----------------------------
   [[nodiscard]] double mean_quality() const;

@@ -114,6 +114,47 @@ LuFactors::LuFactors(Matrix a) : lu_(std::move(a)) {
   }
 }
 
+namespace {
+
+/// Solves the W columns of the n x k row-major block that starts at `x`
+/// (row r's columns at x + r * k) on the factors `m` (n x n) and `pivots`.
+/// W is fixed at compile time, so the back substitution keeps its W running
+/// sums in registers, as a single solve keeps its one.
+template <std::size_t W>
+void solve_block(const double* m, const std::vector<std::size_t>& pivots,
+                 std::size_t n, double* x, std::size_t k) {
+  for (std::size_t col = 0; col < n; ++col) {
+    if (pivots[col] == col) continue;
+    double* const a = x + col * k;
+    double* const b = x + pivots[col] * k;
+    for (std::size_t c = 0; c < W; ++c) std::swap(a[c], b[c]);
+  }
+  for (std::size_t col = 0; col < n; ++col) {
+    const double* const top = x + col * k;
+    for (std::size_t r = col + 1; r < n; ++r) {
+      const double factor = m[r * n + col];
+      if (factor == 0.0) continue;
+      double* const row = x + r * k;
+      for (std::size_t c = 0; c < W; ++c) row[c] -= factor * top[c];
+    }
+  }
+  // In place: the rows below ri already hold their solutions.
+  for (std::size_t ri = n; ri-- > 0;) {
+    const double* const u = m + ri * n;
+    double* const out = x + ri * k;
+    double acc[W];
+    for (std::size_t c = 0; c < W; ++c) acc[c] = out[c];
+    for (std::size_t col = ri + 1; col < n; ++col) {
+      const double coeff = u[col];
+      const double* const solved = x + col * k;
+      for (std::size_t c = 0; c < W; ++c) acc[c] -= coeff * solved[c];
+    }
+    for (std::size_t c = 0; c < W; ++c) out[c] = acc[c] / u[ri];
+  }
+}
+
+}  // namespace
+
 std::vector<double> LuFactors::solve(std::vector<double> b) const {
   solve_columns(b, 1);
   return b;
@@ -122,36 +163,13 @@ std::vector<double> LuFactors::solve(std::vector<double> b) const {
 void LuFactors::solve_columns(std::span<double> b, std::size_t k) const {
   const std::size_t n = lu_.rows();
   CM_EXPECTS(b.size() == n * k);
-  ++passes_;
-  columns_ += k;
-  double* const x = b.data();
-  for (std::size_t col = 0; col < n; ++col) {
-    if (pivots_[col] != col) {
-      std::swap_ranges(x + col * k, x + (col + 1) * k, x + pivots_[col] * k);
-    }
-  }
   const double* const m = n == 0 ? nullptr : lu_.row(0);
-  for (std::size_t col = 0; col < n; ++col) {
-    const double* const top = x + col * k;
-    for (std::size_t r = col + 1; r < n; ++r) {
-      const double factor = m[r * n + col];
-      if (factor == 0.0) continue;
-      double* const row = x + r * k;
-      for (std::size_t c = 0; c < k; ++c) row[c] -= factor * top[c];
-    }
+  constexpr std::size_t kBlock = 4;
+  std::size_t c = 0;
+  for (; c + kBlock <= k; c += kBlock) {
+    solve_block<kBlock>(m, pivots_, n, b.data() + c, k);
   }
-  // In place: the rows below ri already hold their solutions.
-  for (std::size_t ri = n; ri-- > 0;) {
-    const double* const u = lu_.row(ri);
-    double* const acc = x + ri * k;
-    for (std::size_t col = ri + 1; col < n; ++col) {
-      const double coeff = u[col];
-      const double* const solved = x + col * k;
-      for (std::size_t c = 0; c < k; ++c) acc[c] -= coeff * solved[c];
-    }
-    const double diag = u[ri];
-    for (std::size_t c = 0; c < k; ++c) acc[c] /= diag;
-  }
+  for (; c < k; ++c) solve_block<1>(m, pivots_, n, b.data() + c, k);
 }
 
 }  // namespace cloudmedia::util

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -52,7 +51,7 @@ class Matrix {
 
 /// Gaussian elimination with partial pivoting, split into its two halves:
 /// the constructor eliminates A once, and solve_columns() replays the
-/// elimination on any number of right-hand sides in one pass. A system
+/// elimination on any number of right-hand sides in one call. A system
 /// whose matrix repeats (the same P in every channel, the same P at every
 /// population) factors once.
 ///
@@ -62,9 +61,6 @@ class Matrix {
 /// substitution in column order, then back substitution: every element of
 /// b gets the same subtractions, with the same operands and in the same
 /// order, as in a single interleaved elimination of [A | b].
-///
-/// The factors count the substitution passes and the columns they solved
-/// (observer tallies; a LuFactors is not for concurrent solves).
 class LuFactors {
  public:
   /// Throws InvariantError if A is (numerically) singular.
@@ -76,20 +72,15 @@ class LuFactors {
   /// Solves A X = B in place for k right-hand sides, stored n × k row-major
   /// in `b` (column c is b[r * k + c]). Each column gets exactly the
   /// operations, in the same order, that it would get solved alone, so the
-  /// result is bitwise the k single solves'; only the loop over the k
-  /// columns is innermost, where it runs contiguous and can vectorize.
+  /// result is bitwise the k single solves'. The columns go through the
+  /// factors four at a time (then one at a time for the rest), innermost
+  /// and contiguous, so four independent chains of dependent subtractions
+  /// share each sweep and can vectorize.
   void solve_columns(std::span<double> b, std::size_t k) const;
-
-  /// solve_columns calls so far (one per solve).
-  [[nodiscard]] std::uint64_t passes() const noexcept { return passes_; }
-  /// Right-hand sides those calls solved.
-  [[nodiscard]] std::uint64_t columns() const noexcept { return columns_; }
 
  private:
   Matrix lu_;                        ///< U on and above the diagonal, L below
   std::vector<std::size_t> pivots_;  ///< row swapped into place at each step
-  mutable std::uint64_t passes_ = 0;
-  mutable std::uint64_t columns_ = 0;
 };
 
 }  // namespace cloudmedia::util

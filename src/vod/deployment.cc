@@ -134,7 +134,7 @@ void Deployment::run_provisioning(double now) {
 }
 
 void Deployment::apply_plan(core::ProvisioningPlan plan) {
-  planner_ += plan.demand.counters;
+  planner_passes_ += plan.demand.substitution_passes;
   if (!cloud_->submit_plan(plan, num_channels_, num_chunks_)) {
     ++metrics_.counters.rejected_plans;
     std::fprintf(stderr, "[WARN] cloud rejected provisioning plan at t=%g\n",

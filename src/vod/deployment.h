@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -110,9 +111,10 @@ class Deployment {
   [[nodiscard]] const core::ProvisioningPlan* last_plan() const noexcept {
     return last_plan_ ? &*last_plan_ : nullptr;
   }
-  /// The demand-estimate work of every plan so far, rejected ones included.
-  [[nodiscard]] const core::PlannerCounters& planner_counters() const noexcept {
-    return planner_;
+  /// The demand estimates' substitution passes (DemandSet) over every plan
+  /// so far, rejected ones included.
+  [[nodiscard]] std::uint64_t planner_passes() const noexcept {
+    return planner_passes_;
   }
   /// Sum of instantaneous cloud rates across pools (bytes/s).
   [[nodiscard]] double cloud_rate_now() const;
@@ -206,7 +208,7 @@ class Deployment {
   std::unique_ptr<core::Controller> controller_;
   std::vector<double> served_cloud_snapshot_;  ///< bytes at interval start
   std::optional<core::ProvisioningPlan> last_plan_;
-  core::PlannerCounters planner_;
+  std::uint64_t planner_passes_ = 0;
   bool started_ = false;
 };
 

@@ -372,22 +372,22 @@ TEST(Deployment, SlaRejectedPlansAreCountedAndNeverApplied) {
 
 // ------------------------------------------------------------ expr helpers
 
-TEST(Deployment, PlannerCountersSumEveryPlan) {
-  // Whatever the runs of shared P̂, each plan solves every system for every
-  // channel once, so the columns are plans · C · systems; each factored
-  // system is solved in exactly one pass.
+TEST(Deployment, PlannerPassesSumEveryPlan) {
+  // Each plan solves every system once per run of channels with a shared
+  // P̂: at least once, at most once per channel.
   for (const StreamingMode mode : {StreamingMode::kP2p, StreamingMode::kClientServer}) {
     SCOPED_TRACE(mode == StreamingMode::kP2p ? "p2p" : "client-server");
     const expr::ExperimentConfig cfg = small_config(mode);
     const expr::ExperimentResult r = expr::ExperimentRunner::run(cfg);
     const auto systems = static_cast<std::uint64_t>(
         mode == StreamingMode::kP2p ? 1 + cfg.vod.chunks_per_video : 1);
-    ASSERT_GT(r.plans_submitted, 1);
-    EXPECT_EQ(r.planner.solved_columns,
-              static_cast<std::uint64_t>(r.plans_submitted) *
-                  static_cast<std::uint64_t>(cfg.workload.num_channels) * systems);
-    EXPECT_EQ(r.planner.substitution_passes, r.planner.factorizations);
-    EXPECT_EQ(r.planner.factorizations % systems, 0u);
+    const auto plans = static_cast<std::uint64_t>(r.plans_submitted);
+    ASSERT_GT(plans, 1u);
+    EXPECT_EQ(r.planner_passes % systems, 0u);
+    EXPECT_GE(r.planner_passes, plans * systems);
+    EXPECT_LE(r.planner_passes,
+              plans * systems *
+                  static_cast<std::uint64_t>(cfg.workload.num_channels));
   }
 }
 
