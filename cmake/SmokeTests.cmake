@@ -100,6 +100,16 @@ if(CLOUDMEDIA_BUILD_TOOLS)
   add_usage_error_test(sweep_invalid_override_cell tool_sweep
     "^tool_sweep: grid cell 0 \\(strategy=reactive\\)"
     --set vm_budget=-1 --grid strategy=reactive)
+  # A non-finite workload value fails the same way, not mid-sweep.
+  add_usage_error_test(sweep_nonfinite_cell tool_sweep
+    "^tool_sweep: grid cell 0 \\(arrival=inf\\)"
+    --grid arrival=inf --hours=0.05 --warmup=0)
+  # --list prints each choice parameter's spellings from the registry.
+  add_smoke_test(sweep_list tool_sweep --list)
+  if(TEST smoke.sweep_list)
+    set_tests_properties(smoke.sweep_list PROPERTIES
+      PASS_REGULAR_EXPRESSION "\n  mode +cs\\|p2p\n")
+  endif()
   # --dump-profile prints what would run, schedule flags included.
   add_smoke_test(sweep_dump_profile tool_sweep --scenario=flash_crowd
     --seed=7 --hours=0.5 --warmup=0 --shard=1/2 --dump-profile)

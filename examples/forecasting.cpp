@@ -43,6 +43,7 @@ int main(int argc, char** argv) {
   };
 
   struct Entry {
+    predict::ForecasterKind kind;
     std::string label;
     std::unique_ptr<predict::Forecaster> forecaster;
     predict::ForecastScore score;
@@ -53,7 +54,7 @@ int main(int argc, char** argv) {
                           predict::ForecasterKind::kSeasonalEwma,
                           predict::ForecasterKind::kHoltWinters}) {
     entries.push_back(
-        {predict::to_string(kind), predict::make_forecaster(kind), {}});
+        {kind, predict::to_string(kind), predict::make_forecaster(kind), {}});
   }
 
   std::printf("Forecasting channel %d of the paper workload over %d days "
@@ -107,8 +108,7 @@ int main(int argc, char** argv) {
               "short (Mbps·h)");
   for (Entry& e : entries) {
     // A fresh pass, same kinds.
-    const auto f =
-        predict::make_forecaster(predict::forecaster_kind_from_string(e.label));
+    const auto f = predict::make_forecaster(e.kind);
     double over = 0.0, under = 0.0;
     for (int h = 0; h < 24 * days; ++h) {
       const double actual = true_rate(h);

@@ -6,35 +6,6 @@
 
 namespace cloudmedia::expr {
 
-std::string to_string(Strategy strategy) {
-  switch (strategy) {
-    case Strategy::kModelBased: return "model-based";
-    case Strategy::kReactive: return "reactive";
-    case Strategy::kStatic: return "static";
-    case Strategy::kClairvoyant: return "clairvoyant";
-    case Strategy::kSeasonal: return "seasonal";
-    case Strategy::kForecast: return "forecast";
-  }
-  return "?";
-}
-
-std::string to_string(Engine engine) {
-  switch (engine) {
-    case Engine::kDiscrete: return "discrete";
-    case Engine::kCohort: return "cohort";
-    case Engine::kAuto: return "auto";
-  }
-  return "?";
-}
-
-Engine engine_from_string(const std::string& text) {
-  if (text == "discrete") return Engine::kDiscrete;
-  if (text == "cohort") return Engine::kCohort;
-  if (text == "auto") return Engine::kAuto;
-  throw util::PreconditionError("unknown engine '" + text +
-                                "' (expected discrete | cohort | auto)");
-}
-
 ExperimentConfig ExperimentConfig::make_default(core::StreamingMode mode) {
   ExperimentConfig cfg;
   cfg.mode = mode;

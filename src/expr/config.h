@@ -26,8 +26,6 @@ enum class Strategy {
   kForecast,
 };
 
-[[nodiscard]] std::string to_string(Strategy strategy);
-
 /// Which simulation core executes the run.
 ///  - kDiscrete: every viewer is an individual Peer with its own heap
 ///    events — exact, and the default (all committed goldens use it).
@@ -41,10 +39,6 @@ enum class Engine {
   kCohort,
   kAuto,
 };
-
-[[nodiscard]] std::string to_string(Engine engine);
-/// Parse "discrete" | "cohort" | "auto"; throws PreconditionError otherwise.
-[[nodiscard]] Engine engine_from_string(const std::string& text);
 
 struct ExperimentConfig;
 

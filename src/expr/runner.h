@@ -34,7 +34,9 @@ struct ExperimentResult {
   bool used_cohort_engine = false;  ///< which core the engine knob picked
   vod::RebalanceCounters rebalance;  ///< discrete engine only (zero on cohort)
   vod::CohortCounters cohort;        ///< cohort engine only (zero on discrete)
-  std::uint64_t planner_passes = 0;  ///< every plan's LU solves (both engines)
+  /// LU substitution passes of every plan's demand estimate: one per
+  /// multi-column solve, however many columns it carries (both engines).
+  std::uint64_t planner_passes = 0;
 
   // --- summaries over the measurement window ----------------------------
   [[nodiscard]] double mean_quality() const;

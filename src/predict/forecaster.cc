@@ -190,17 +190,6 @@ std::string to_string(ForecasterKind kind) {
   throw util::PreconditionError("unknown ForecasterKind");
 }
 
-ForecasterKind forecaster_kind_from_string(const std::string& s) {
-  for (ForecasterKind kind : all_forecaster_kinds()) {
-    if (s == to_string(kind)) return kind;
-  }
-  // Short aliases for the command line.
-  if (s == "last" || s == "naive") return ForecasterKind::kPersistence;
-  if (s == "ma") return ForecasterKind::kMovingAverage;
-  if (s == "hw") return ForecasterKind::kHoltWinters;
-  throw util::PreconditionError("unknown forecaster kind: " + s);
-}
-
 const std::vector<ForecasterKind>& all_forecaster_kinds() {
   static const std::vector<ForecasterKind> kinds = {
       ForecasterKind::kPersistence,  ForecasterKind::kMovingAverage,

@@ -145,9 +145,9 @@ enum class ForecasterKind {
   kHoltWinters,
 };
 
+/// The kind's name: its label in reports and its `forecaster=` sweep
+/// spelling.
 [[nodiscard]] std::string to_string(ForecasterKind kind);
-/// Parse `to_string` output (and short aliases); throws on unknown names.
-[[nodiscard]] ForecasterKind forecaster_kind_from_string(const std::string& s);
 /// All kinds, for parameterized tests and comparison benches.
 [[nodiscard]] const std::vector<ForecasterKind>& all_forecaster_kinds();
 

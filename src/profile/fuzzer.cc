@@ -12,45 +12,6 @@ namespace cloudmedia::profile {
 
 namespace {
 
-/// Plausible values per registry parameter — the fuzzer's vocabulary.
-/// Values come from the ranges the committed presets and the paper's
-/// evaluation exercise; the fuzzer's job is to *combine* them in ways no
-/// preset does, not to probe the appliers' own range validation (the
-/// junk-rejection tests cover that).
-struct ValuePool {
-  const char* parameter;
-  std::vector<const char*> values;
-};
-
-const std::vector<ValuePool>& value_pools() {
-  static const std::vector<ValuePool> pools = {
-      {"channels", {"2", "3", "4", "6", "8"}},
-      {"arrival", {"0.5", "1", "1.5", "2"}},
-      {"zipf", {"0.8", "1", "1.2"}},
-      {"uplink_ratio", {"0.9", "1", "1.2"}},
-      {"jump", {"0.1", "0.28", "0.4"}},
-      {"leave", {"0.05", "0.12", "0.2"}},
-      {"alpha", {"0.4", "0.6", "0.8"}},
-      {"uplink_shape", {"1.5", "3", "8"}},
-      {"chunk_minutes", {"2.5", "5", "10", "20"}},
-      {"region", {"global", "asia", "europe", "americas"}},
-      {"mode", {"cs", "p2p"}},
-      {"strategy",
-       {"model", "model-nofloor", "reactive", "static", "seasonal",
-        "clairvoyant", "forecast"}},
-      {"capacity", {"literal", "pooled"}},
-      {"vm_budget", {"50", "100", "200"}},
-      {"storage_budget", {"0.5", "1", "2"}},
-      {"boot_delay", {"0", "25", "120", "600"}},
-      {"p2p_cap", {"literal", "bandwidth"}},
-      {"forecaster",
-       {"persistence", "moving-average", "holt", "seasonal-ewma",
-        "holt-winters"}},
-      {"engine", {"discrete", "cohort", "auto"}},
-  };
-  return pools;
-}
-
 /// k distinct indices out of [0, n), in random order.
 std::vector<std::size_t> sample_distinct(util::Rng& rng, std::size_t n,
                                          std::size_t k) {
@@ -128,31 +89,32 @@ Profile compose_profile(util::Rng& rng, const FuzzOptions& options) {
   p.seed = rng.next_u64();
 
   // Grid axes and overrides draw DISTINCT parameters from one shuffle, so
-  // an override never silently loses to an axis of the same name.
-  const std::vector<ValuePool>& pools = value_pools();
+  // an override never silently loses to an axis of the same name. Values
+  // come from the registry: every spelling of a choice parameter, the
+  // sample values of a numeric one.
+  const std::vector<std::string> parameters = sweep::known_parameters();
   const std::size_t num_axes =
       static_cast<std::size_t>(rng.uniform_int(0, static_cast<int>(options.max_axes)));
   const std::size_t num_overrides = static_cast<std::size_t>(
       rng.uniform_int(0, static_cast<int>(options.max_overrides)));
   const std::vector<std::size_t> picked =
-      sample_distinct(rng, pools.size(), num_axes + num_overrides);
+      sample_distinct(rng, parameters.size(), num_axes + num_overrides);
   for (std::size_t i = 0; i < picked.size(); ++i) {
-    const ValuePool& pool = pools[picked[i]];
+    const std::string& parameter = parameters[picked[i]];
+    const std::vector<std::string>& pool = sweep::parameter_values(parameter);
     if (i < num_axes) {
       const std::size_t want = static_cast<std::size_t>(rng.uniform_int(
           1, static_cast<int>(std::min(options.max_values_per_axis,
-                                       pool.values.size()))));
+                                       pool.size()))));
       std::vector<std::string> values;
-      for (const std::size_t v :
-           sample_distinct(rng, pool.values.size(), want)) {
-        values.emplace_back(pool.values[v]);
+      for (const std::size_t v : sample_distinct(rng, pool.size(), want)) {
+        values.push_back(pool[v]);
       }
-      p.grid.add_axis(pool.parameter, std::move(values));
+      p.grid.add_axis(parameter, std::move(values));
     } else {
       p.overrides.emplace_back(
-          pool.parameter,
-          pool.values[static_cast<std::size_t>(
-              rng.uniform_int(0, static_cast<int>(pool.values.size()) - 1))]);
+          parameter, pool[static_cast<std::size_t>(rng.uniform_int(
+                         0, static_cast<int>(pool.size()) - 1))]);
     }
   }
 

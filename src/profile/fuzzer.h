@@ -21,11 +21,12 @@ struct FuzzOptions {
 
 /// Compose a random — but always *valid* — profile: scenario parts drawn
 /// from the live catalog (some with random `@<minutes>m` fire times), grid
-/// axes and overrides drawn from the applier registry with values from
-/// each parameter's plausible pool, short horizons, and a random 64-bit
-/// seed. The point is to exercise combinations no committed preset covers;
-/// check_profile_invariants then decides whether the simulator honored its
-/// contracts on them. Deterministic in the rng state: tool_fuzz --seed=S
+/// axes and overrides drawn from the parameter registry with values from
+/// sweep::parameter_values (every spelling of a choice parameter, the
+/// registry's sample values of a numeric one), short horizons, and a
+/// random 64-bit seed. The point is to exercise combinations no committed
+/// preset covers; check_profile_invariants then decides whether the
+/// simulator honored its contracts on them. Deterministic in the rng state: tool_fuzz --seed=S
 /// replays the identical profile sequence.
 [[nodiscard]] Profile random_profile(util::Rng& rng,
                                      const FuzzOptions& options = {});

@@ -6,6 +6,7 @@
 #include "expr/config.h"
 #include "expr/runner.h"
 #include "util/check.h"
+#include "workload/scenario.h"
 
 namespace cloudmedia::profile {
 
@@ -299,6 +300,10 @@ void Profile::validate(const sweep::ScenarioCatalog& catalog) const {
       const expr::ExperimentConfig config =
           sweep::SweepRunner::cell_config(spec, resolved, point);
       config.validate();
+      // The checks the run makes when it builds the cell's workload (a
+      // tail channel's Zipf weight underflowing to a zero arrival
+      // envelope, the uplink rescale) fail here, before any cell runs.
+      (void)workload::Workload(config.workload, /*seed=*/0);
       // The timed ops a composite like `catalog_refresh@90m` schedules
       // must pass the runner's dry pass (no frozen-field mutations, valid
       // intermediate workloads).

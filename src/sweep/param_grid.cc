@@ -1,12 +1,13 @@
 #include "sweep/param_grid.h"
 
-#include <algorithm>
 #include <cmath>
+#include <functional>
 #include <stdexcept>
 
 #include "geo/federation.h"
 #include "predict/forecaster.h"
 #include "util/check.h"
+#include "util/json.h"
 
 namespace cloudmedia::sweep {
 
@@ -36,86 +37,78 @@ int parse_int(const std::string& name, const std::string& value) {
   }
 }
 
-struct ParameterEntry {
-  const char* name;
-  bool affects_workload;
-  void (*apply)(expr::ExperimentConfig&, const std::string&);
+using Config = expr::ExperimentConfig;
+using expr::Engine;
+using expr::Strategy;
+
+/// One accepted spelling of a choice parameter and the config it sets.
+struct Choice {
+  std::string spelling;
+  std::function<void(Config&)> set;
 };
 
-void apply_mode(expr::ExperimentConfig& cfg, const std::string& value) {
-  if (value == "cs") {
-    cfg.mode = core::StreamingMode::kClientServer;
-  } else if (value == "p2p") {
-    cfg.mode = core::StreamingMode::kP2p;
-  } else {
-    throw util::PreconditionError("sweep parameter mode: expected cs|p2p, got '" +
-                                  value + "'");
-  }
+/// One registered parameter. A choice parameter is a table of spellings,
+/// each with its setter: looking a value up is applying it, and the
+/// spellings are the error text, the --list vocabulary and the fuzzer's
+/// draws. A numeric parameter parses its value for `set_number` and
+/// carries sample values instead — the ranges the committed presets and
+/// the paper's evaluation exercise, so the fuzzer combines plausible
+/// values rather than probing range validation.
+struct ParameterEntry {
+  std::string name;
+  bool affects_workload;
+  std::vector<std::string> values;  ///< the spellings, or the samples
+  std::vector<Choice> choices;      ///< empty for a numeric parameter
+  bool integer = false;
+  void (*set_number)(Config&, double) = nullptr;
+};
+
+/// The spelling that sets one field of the config to `value`.
+template <typename T>
+Choice assign(std::string spelling, T Config::*field, T value) {
+  return {std::move(spelling),
+          [field, value](Config& cfg) { cfg.*field = value; }};
 }
 
-void apply_strategy(expr::ExperimentConfig& cfg, const std::string& value) {
-  if (value == "model") {
-    cfg.strategy = expr::Strategy::kModelBased;
-    cfg.occupancy_floor = true;
-  } else if (value == "model-nofloor") {
-    cfg.strategy = expr::Strategy::kModelBased;
-    cfg.occupancy_floor = false;
-  } else if (value == "reactive") {
-    cfg.strategy = expr::Strategy::kReactive;
-  } else if (value == "static") {
-    cfg.strategy = expr::Strategy::kStatic;
-  } else if (value == "seasonal") {
-    cfg.strategy = expr::Strategy::kSeasonal;
-  } else if (value == "clairvoyant") {
-    cfg.strategy = expr::Strategy::kClairvoyant;
-  } else if (value == "forecast") {
-    cfg.strategy = expr::Strategy::kForecast;
-  } else {
-    throw util::PreconditionError(
-        "sweep parameter strategy: expected model|model-nofloor|reactive|"
-        "static|seasonal|clairvoyant|forecast, got '" + value + "'");
-  }
+ParameterEntry choice(std::string name, bool affects_workload,
+                      std::vector<Choice> choices) {
+  ParameterEntry entry{std::move(name), affects_workload, {},
+                       std::move(choices)};
+  for (const Choice& c : entry.choices) entry.values.push_back(c.spelling);
+  return entry;
 }
 
-void apply_capacity(expr::ExperimentConfig& cfg, const std::string& value) {
-  if (value == "literal") {
-    cfg.capacity_model = core::CapacityModel::kPerChunkLiteral;
-  } else if (value == "pooled") {
-    cfg.capacity_model = core::CapacityModel::kChannelPooled;
-  } else {
-    throw util::PreconditionError(
-        "sweep parameter capacity: expected literal|pooled, got '" + value +
-        "'");
-  }
+ParameterEntry number(std::string name, bool affects_workload,
+                      std::vector<std::string> samples,
+                      void (*set)(Config&, double), bool integer = false) {
+  return {std::move(name), affects_workload, std::move(samples), {}, integer,
+          set};
 }
 
-void apply_p2p_cap(expr::ExperimentConfig& cfg, const std::string& value) {
-  if (value == "literal") {
-    cfg.p2p.demand_cap = core::P2pDemandCap::kStreamingRateLiteral;
-  } else if (value == "bandwidth") {
-    cfg.p2p.demand_cap = core::P2pDemandCap::kProvisionedBandwidth;
-  } else {
-    throw util::PreconditionError(
-        "sweep parameter p2p_cap: expected literal|bandwidth, got '" + value +
-        "'");
+std::vector<Choice> forecaster_choices() {
+  std::vector<Choice> choices;
+  for (const predict::ForecasterKind kind : predict::all_forecaster_kinds()) {
+    choices.push_back({predict::to_string(kind), [kind](Config& cfg) {
+                         cfg.strategy = Strategy::kForecast;
+                         cfg.forecaster = kind;
+                       }});
   }
+  return choices;
 }
 
-void apply_forecaster(expr::ExperimentConfig& cfg, const std::string& value) {
-  predict::ForecasterKind kind;
-  try {
-    kind = predict::forecaster_kind_from_string(value);
-  } catch (const util::PreconditionError&) {
-    std::string known;
-    for (const predict::ForecasterKind k : predict::all_forecaster_kinds()) {
-      if (!known.empty()) known += "|";
-      known += predict::to_string(k);
-    }
-    throw util::PreconditionError("sweep parameter forecaster: expected " +
-                                  known + ", got '" + value + "'");
+// The geo axis (ablation_geo, paper Sec. VII): reshape the experiment into
+// one region of the default three-region federation — its audience share,
+// shifted diurnal clock, regional prices, and proportional budget slice.
+// "global" keeps the whole audience on one clock (the consolidated
+// baseline).
+std::vector<Choice> region_choices() {
+  std::vector<Choice> choices = {{"global", [](Config&) {}}};
+  for (const geo::RegionSpec& region : geo::default_regions()) {
+    choices.push_back({region.name, [&region](Config& cfg) {
+                         geo::apply_region(cfg, region);
+                       }});
   }
-  cfg.strategy = expr::Strategy::kForecast;
-  cfg.forecaster = kind;
+  return choices;
 }
 
 // The chunk-size axis (ablation_chunk_size, paper footnote 3): T0 in
@@ -125,11 +118,11 @@ void apply_forecaster(expr::ExperimentConfig& cfg, const std::string& value) {
 // compete:
 //   P(neither) = e^{-(rj+rl) T0},  P(jump) = rj/(rj+rl) · (1 − P(neither)),
 // which keeps jump + leave <= 1 for any chunk duration.
-void apply_chunk_minutes(expr::ExperimentConfig& cfg, const std::string& v) {
-  const double t0_minutes = parse_double("chunk_minutes", v);
+void set_chunk_minutes(Config& cfg, double t0_minutes) {
   if (!(t0_minutes > 0.0) || t0_minutes > 100.0) {
     throw util::PreconditionError(
-        "sweep parameter chunk_minutes: expected (0, 100], got '" + v + "'");
+        "sweep parameter chunk_minutes: expected (0, 100], got " +
+        util::format_number(t0_minutes));
   }
   constexpr double kVideoMinutes = 100.0;
   constexpr double kSeekIntervalMinutes = 15.0;
@@ -145,100 +138,107 @@ void apply_chunk_minutes(expr::ExperimentConfig& cfg, const std::string& v) {
   cfg.workload.behavior.leave_prob = event_prob * rl / (rj + rl);
 }
 
-// The geo axis (ablation_geo, paper Sec. VII): reshape the experiment into
-// one region of the default three-region federation — its audience share,
-// shifted diurnal clock, regional prices, and proportional budget slice.
-// "global" keeps the whole audience on one clock (the consolidated
-// baseline).
-void apply_region(expr::ExperimentConfig& cfg, const std::string& value) {
-  if (value == "global") return;
-  if (const geo::RegionSpec* region = geo::find_region(value)) {
-    geo::apply_region(cfg, *region);
-    return;
-  }
-  std::string known = "global";
-  for (const geo::RegionSpec& region : geo::default_regions()) {
-    known += "|" + region.name;
-  }
-  throw util::PreconditionError("sweep parameter region: expected " + known +
-                                ", got '" + value + "'");
+/// Every parameter; the second argument is affects_workload, and the
+/// workload-shaping parameters come first.
+const std::vector<ParameterEntry>& registry() {
+  static const std::vector<ParameterEntry> entries = {
+      number(
+          "channels", true, {"2", "3", "4", "6", "8"},
+          [](Config& cfg, double v) {
+            cfg.workload.num_channels = static_cast<int>(v);
+          },
+          /*integer=*/true),
+      number("arrival", true, {"0.5", "1", "1.5", "2"},
+             [](Config& cfg, double v) {
+               cfg.workload.total_arrival_rate = v;
+             }),
+      number("zipf", true, {"0.8", "1", "1.2"},
+             [](Config& cfg, double v) { cfg.workload.zipf_exponent = v; }),
+      number("uplink_ratio", true, {"0.9", "1", "1.2"},
+             [](Config& cfg, double v) {
+               cfg.workload.uplink_mean_ratio = v;
+             }),
+      number("jump", true, {"0.1", "0.28", "0.4"},
+             [](Config& cfg, double v) {
+               cfg.workload.behavior.jump_prob = v;
+             }),
+      number("leave", true, {"0.05", "0.12", "0.2"},
+             [](Config& cfg, double v) {
+               cfg.workload.behavior.leave_prob = v;
+             }),
+      number("alpha", true, {"0.4", "0.6", "0.8"},
+             [](Config& cfg, double v) { cfg.workload.behavior.alpha = v; }),
+      // Pareto tail exponent of the peer uplink. uplink_mean_ratio keeps
+      // the mean pinned, so this axis varies *spread* at constant mean —
+      // the ablation_hetero question.
+      number("uplink_shape", true, {"1.5", "3", "8"},
+             [](Config& cfg, double v) { cfg.workload.uplink_shape = v; }),
+      number("chunk_minutes", true, {"2.5", "5", "10", "20"},
+             set_chunk_minutes),
+      choice("region", true, region_choices()),
+      choice("mode", false,
+             {assign("cs", &Config::mode, core::StreamingMode::kClientServer),
+              assign("p2p", &Config::mode, core::StreamingMode::kP2p)}),
+      choice("strategy", false,
+             {{"model",
+               [](Config& cfg) {
+                 cfg.strategy = Strategy::kModelBased;
+                 cfg.occupancy_floor = true;
+               }},
+              {"model-nofloor",
+               [](Config& cfg) {
+                 cfg.strategy = Strategy::kModelBased;
+                 cfg.occupancy_floor = false;
+               }},
+              assign("reactive", &Config::strategy, Strategy::kReactive),
+              assign("static", &Config::strategy, Strategy::kStatic),
+              assign("seasonal", &Config::strategy, Strategy::kSeasonal),
+              assign("clairvoyant", &Config::strategy,
+                     Strategy::kClairvoyant),
+              assign("forecast", &Config::strategy, Strategy::kForecast)}),
+      choice("capacity", false,
+             {assign("literal", &Config::capacity_model,
+                     core::CapacityModel::kPerChunkLiteral),
+              assign("pooled", &Config::capacity_model,
+                     core::CapacityModel::kChannelPooled)}),
+      number("vm_budget", false, {"50", "100", "200"},
+             [](Config& cfg, double v) { cfg.vm_budget_per_hour = v; }),
+      number("storage_budget", false, {"0.5", "1", "2"},
+             [](Config& cfg, double v) { cfg.storage_budget_per_hour = v; }),
+      number("boot_delay", false, {"0", "25", "120", "600"},
+             [](Config& cfg, double v) { cfg.vm_boot_delay = v; }),
+      choice("p2p_cap", false,
+             {{"literal",
+               [](Config& cfg) {
+                 cfg.p2p.demand_cap = core::P2pDemandCap::kStreamingRateLiteral;
+               }},
+              {"bandwidth",
+               [](Config& cfg) {
+                 cfg.p2p.demand_cap = core::P2pDemandCap::kProvisionedBandwidth;
+               }}}),
+      choice("forecaster", false, forecaster_choices()),
+      // Which simulation core runs the cell. Not a workload axis —
+      // engine=discrete and engine=auto cells below the cohort threshold
+      // replay the byte-identical viewer population.
+      choice("engine", false,
+             {assign("discrete", &Config::engine, Engine::kDiscrete),
+              assign("cohort", &Config::engine, Engine::kCohort),
+              assign("auto", &Config::engine, Engine::kAuto)}),
+  };
+  return entries;
 }
 
-const ParameterEntry kRegistry[] = {
-    {"channels", true,
-     [](expr::ExperimentConfig& cfg, const std::string& v) {
-       cfg.workload.num_channels = parse_int("channels", v);
-     }},
-    {"arrival", true,
-     [](expr::ExperimentConfig& cfg, const std::string& v) {
-       cfg.workload.total_arrival_rate = parse_double("arrival", v);
-     }},
-    {"zipf", true,
-     [](expr::ExperimentConfig& cfg, const std::string& v) {
-       cfg.workload.zipf_exponent = parse_double("zipf", v);
-     }},
-    {"uplink_ratio", true,
-     [](expr::ExperimentConfig& cfg, const std::string& v) {
-       cfg.workload.uplink_mean_ratio = parse_double("uplink_ratio", v);
-     }},
-    {"jump", true,
-     [](expr::ExperimentConfig& cfg, const std::string& v) {
-       cfg.workload.behavior.jump_prob = parse_double("jump", v);
-     }},
-    {"leave", true,
-     [](expr::ExperimentConfig& cfg, const std::string& v) {
-       cfg.workload.behavior.leave_prob = parse_double("leave", v);
-     }},
-    {"alpha", true,
-     [](expr::ExperimentConfig& cfg, const std::string& v) {
-       cfg.workload.behavior.alpha = parse_double("alpha", v);
-     }},
-    {"uplink_shape", true,
-     [](expr::ExperimentConfig& cfg, const std::string& v) {
-       // Pareto tail exponent of the peer uplink. uplink_mean_ratio keeps
-       // the mean pinned, so this axis varies *spread* at constant mean —
-       // the ablation_hetero question.
-       cfg.workload.uplink_shape = parse_double("uplink_shape", v);
-     }},
-    {"chunk_minutes", true, apply_chunk_minutes},
-    {"region", true, apply_region},
-    {"mode", false, apply_mode},
-    {"strategy", false, apply_strategy},
-    {"capacity", false, apply_capacity},
-    {"vm_budget", false,
-     [](expr::ExperimentConfig& cfg, const std::string& v) {
-       cfg.vm_budget_per_hour = parse_double("vm_budget", v);
-     }},
-    {"storage_budget", false,
-     [](expr::ExperimentConfig& cfg, const std::string& v) {
-       cfg.storage_budget_per_hour = parse_double("storage_budget", v);
-     }},
-    {"boot_delay", false,
-     [](expr::ExperimentConfig& cfg, const std::string& v) {
-       cfg.vm_boot_delay = parse_double("boot_delay", v);
-     }},
-    {"p2p_cap", false, apply_p2p_cap},
-    {"forecaster", false, apply_forecaster},
-    // System-side: which simulation core runs the cell. Not a workload
-    // axis — engine=discrete and engine=auto cells below the cohort
-    // threshold replay the byte-identical viewer population.
-    {"engine", false,
-     [](expr::ExperimentConfig& cfg, const std::string& v) {
-       try {
-         cfg.engine = expr::engine_from_string(v);
-       } catch (const util::PreconditionError&) {
-         throw util::PreconditionError(
-             "sweep parameter engine: expected discrete|cohort|auto, got '" +
-             v + "'");
-       }
-     }},
-};
-
-const ParameterEntry* find_parameter(const std::string& name) {
-  for (const ParameterEntry& entry : kRegistry) {
-    if (name == entry.name) return &entry;
+const ParameterEntry& known_parameter(const std::string& name) {
+  for (const ParameterEntry& entry : registry()) {
+    if (name == entry.name) return entry;
   }
-  return nullptr;
+  std::string known;
+  for (const ParameterEntry& entry : registry()) {
+    if (!known.empty()) known += ", ";
+    known += entry.name;
+  }
+  throw util::PreconditionError("unknown sweep parameter '" + name +
+                                "' (known: " + known + ")");
 }
 
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
@@ -251,36 +251,48 @@ void fnv_mix(std::uint64_t& hash, const std::string& bytes) {
   }
 }
 
-[[noreturn]] void throw_unknown_parameter(const std::string& name) {
-  std::string known;
-  for (const std::string& parameter : known_parameters()) {
-    if (!known.empty()) known += ", ";
-    known += parameter;
-  }
-  throw util::PreconditionError("unknown sweep parameter '" + name +
-                                "' (known: " + known + ")");
-}
-
 }  // namespace
 
 void apply_parameter(expr::ExperimentConfig& config, const std::string& name,
                      const std::string& value) {
-  const ParameterEntry* entry = find_parameter(name);
-  if (entry == nullptr) throw_unknown_parameter(name);
-  entry->apply(config, value);
+  const ParameterEntry& entry = known_parameter(name);
+  if (entry.choices.empty()) {
+    entry.set_number(config, entry.integer ? parse_int(name, value)
+                                           : parse_double(name, value));
+    return;
+  }
+  for (const Choice& c : entry.choices) {
+    if (c.spelling == value) {
+      c.set(config);
+      return;
+    }
+  }
+  throw util::PreconditionError("sweep parameter " + name + ": expected " +
+                                parameter_spellings(name) + ", got '" + value +
+                                "'");
 }
 
 bool parameter_affects_workload(const std::string& name) {
-  const ParameterEntry* entry = find_parameter(name);
-  CM_EXPECTS(entry != nullptr);
-  return entry->affects_workload;
+  return known_parameter(name).affects_workload;
 }
 
 std::vector<std::string> known_parameters() {
   std::vector<std::string> names;
-  for (const ParameterEntry& entry : kRegistry) names.emplace_back(entry.name);
-  std::sort(names.begin(), names.end());
+  for (const ParameterEntry& entry : registry()) names.push_back(entry.name);
   return names;
+}
+
+std::string parameter_spellings(const std::string& name) {
+  std::string spellings;
+  for (const Choice& c : known_parameter(name).choices) {
+    if (!spellings.empty()) spellings += '|';
+    spellings += c.spelling;
+  }
+  return spellings;
+}
+
+const std::vector<std::string>& parameter_values(const std::string& name) {
+  return known_parameter(name).values;
 }
 
 std::string GridPoint::label() const {
@@ -294,7 +306,7 @@ std::string GridPoint::label() const {
 
 void ParamGrid::add_axis(std::string name, std::vector<std::string> values) {
   CM_EXPECTS(!values.empty());
-  if (find_parameter(name) == nullptr) throw_unknown_parameter(name);
+  (void)known_parameter(name);
   for (const ParamAxis& axis : axes_) {
     if (axis.name == name) {
       throw util::PreconditionError("duplicate sweep axis '" + name + "'");

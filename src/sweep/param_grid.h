@@ -26,9 +26,10 @@ struct GridPoint {
 };
 
 /// Apply one named parameter to an experiment config. Throws
-/// util::PreconditionError on an unknown name or unparsable value. The
-/// registry is the single source of truth for what `tool_sweep --grid`
-/// and ParamGrid accept.
+/// util::PreconditionError on an unknown name, an unparsable number, or a
+/// spelling a choice parameter does not list (the error names every
+/// spelling it does). The registry is the single source of truth for what
+/// `tool_sweep --grid`/`--set`, profiles and ParamGrid accept.
 void apply_parameter(expr::ExperimentConfig& config, const std::string& name,
                      const std::string& value);
 
@@ -41,8 +42,20 @@ void apply_parameter(expr::ExperimentConfig& config, const std::string& name,
 /// but scenario names never feed the seed — only grid coordinates do.
 [[nodiscard]] bool parameter_affects_workload(const std::string& name);
 
-/// Registered parameter names, sorted (for --list-params and error text).
+/// Registered parameter names in registry order, workload-shaping ones
+/// first (for --list, error text and the fuzzer).
 [[nodiscard]] std::vector<std::string> known_parameters();
+
+/// A choice parameter's spellings joined by '|' ("cs|p2p"), or "" for a
+/// numeric parameter. The choice parameters are mode, strategy, capacity,
+/// p2p_cap, engine, forecaster and region. Throws on an unknown name.
+[[nodiscard]] std::string parameter_spellings(const std::string& name);
+
+/// A choice parameter's every accepted spelling, or a numeric parameter's
+/// sample values — the values the fuzzer draws, in registry order. Throws
+/// on an unknown name.
+[[nodiscard]] const std::vector<std::string>& parameter_values(
+    const std::string& name);
 
 /// Cartesian product of named parameter axes. The first axis varies
 /// slowest, the last fastest; point(i) decodes index i in that mixed-radix

@@ -1,9 +1,11 @@
 #include "workload/scenario.h"
 
 #include <cmath>
+#include <string>
 #include <utility>
 
 #include "util/check.h"
+#include "util/json.h"
 #include "util/matrix.h"
 
 namespace cloudmedia::workload {
@@ -13,6 +15,11 @@ namespace {
 constexpr std::uint64_t kPurposeArrivals = 0xA771;
 constexpr std::uint64_t kPurposeSession = 0x5E55;
 constexpr std::uint64_t kPurposeCohort = 0xC040;
+
+WorkloadConfig validated(WorkloadConfig config) {
+  config.validate();
+  return config;
+}
 
 BoundedPareto make_uplink(const WorkloadConfig& cfg) {
   BoundedPareto raw(cfg.uplink_lower, cfg.uplink_upper, cfg.uplink_shape);
@@ -24,25 +31,40 @@ BoundedPareto make_uplink(const WorkloadConfig& cfg) {
 void WorkloadConfig::validate() const {
   CM_EXPECTS(num_channels >= 1);
   CM_EXPECTS(chunks_per_video >= 1);
-  CM_EXPECTS(zipf_exponent >= 0.0);
-  CM_EXPECTS(total_arrival_rate > 0.0);
-  CM_EXPECTS(uplink_lower > 0.0 && uplink_upper > uplink_lower);
-  CM_EXPECTS(uplink_shape > 0.0);
-  CM_EXPECTS(streaming_rate > 0.0);
-  CM_EXPECTS(refresh_period_hours >= 0.0);
+  CM_EXPECTS(std::isfinite(zipf_exponent) && zipf_exponent >= 0.0);
+  CM_EXPECTS(std::isfinite(total_arrival_rate) && total_arrival_rate > 0.0);
+  CM_EXPECTS(uplink_lower > 0.0 && uplink_upper > uplink_lower &&
+             std::isfinite(uplink_upper));
+  CM_EXPECTS(std::isfinite(uplink_shape) && uplink_shape > 0.0);
+  CM_EXPECTS(std::isfinite(uplink_mean_ratio));
+  CM_EXPECTS(std::isfinite(streaming_rate) && streaming_rate > 0.0);
+  CM_EXPECTS(std::isfinite(refresh_period_hours) &&
+             refresh_period_hours >= 0.0);
   behavior.validate();
 }
 
 Workload::Workload(WorkloadConfig config, std::uint64_t seed,
                    double envelope_headroom)
-    : config_(config),
+    : config_(validated(std::move(config))),
       root_(seed),
       envelope_headroom_(envelope_headroom),
-      weights_(zipf_weights(config.num_channels, config.zipf_exponent)),
-      uplink_(make_uplink(config)),
-      session_gen_(config.behavior, config.chunks_per_video) {
-  config_.validate();
+      weights_(zipf_weights(config_.num_channels, config_.zipf_exponent)),
+      uplink_(make_uplink(config_)),
+      session_gen_(config_.behavior, config_.chunks_per_video) {
   CM_EXPECTS(envelope_headroom >= 1.0);
+  // A channel whose thinning envelope is 0 would abort its arrival stream
+  // mid-run: a huge Zipf exponent underflows the tail channels' weights.
+  for (int c = 0; c < config_.num_channels; ++c) {
+    if (!(channel_max_rate(c) > 0.0)) {
+      throw util::PreconditionError(
+          "channel " + std::to_string(c) +
+          " has a zero arrival envelope: zipf=" +
+          util::format_number(config_.zipf_exponent) +
+          " underflows its popularity weight, or arrival=" +
+          util::format_number(config_.total_arrival_rate) +
+          " times the diurnal peak is 0");
+    }
+  }
 }
 
 void Workload::set_config(const WorkloadConfig& config) {

@@ -177,17 +177,6 @@ TEST(CohortArrivals, CountStreamIsDeterministic) {
 
 // --------------------------------------------------------------- the knob
 
-TEST(EngineKnob, ParsesAndPrints) {
-  EXPECT_EQ(expr::engine_from_string("discrete"), expr::Engine::kDiscrete);
-  EXPECT_EQ(expr::engine_from_string("cohort"), expr::Engine::kCohort);
-  EXPECT_EQ(expr::engine_from_string("auto"), expr::Engine::kAuto);
-  EXPECT_EQ(expr::to_string(expr::Engine::kCohort), "cohort");
-  EXPECT_EQ(expr::engine_from_string(expr::to_string(expr::Engine::kAuto)),
-            expr::Engine::kAuto);
-  EXPECT_THROW((void)expr::engine_from_string("hybrid"),
-               util::PreconditionError);
-}
-
 TEST(EngineKnob, EstimatedPeakScalesLinearlyWithArrivalRate) {
   expr::ExperimentConfig cfg =
       expr::ExperimentConfig::make_default(StreamingMode::kClientServer);

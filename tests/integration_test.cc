@@ -411,12 +411,5 @@ TEST(ExperimentConfig, ValidateCatchesInconsistency) {
   EXPECT_THROW(cfg.validate(), util::PreconditionError);
 }
 
-TEST(Strategy, Names) {
-  EXPECT_EQ(expr::to_string(expr::Strategy::kModelBased), "model-based");
-  EXPECT_EQ(expr::to_string(expr::Strategy::kReactive), "reactive");
-  EXPECT_EQ(expr::to_string(expr::Strategy::kStatic), "static");
-  EXPECT_EQ(expr::to_string(expr::Strategy::kClairvoyant), "clairvoyant");
-}
-
 }  // namespace
 }  // namespace cloudmedia

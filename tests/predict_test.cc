@@ -10,9 +10,11 @@
 
 #include "core/controller.h"
 #include "core/demand.h"
+#include "expr/config.h"
 #include "predict/accuracy.h"
 #include "predict/forecaster.h"
 #include "predict/policy.h"
+#include "sweep/param_grid.h"
 #include "util/check.h"
 #include "util/rng.h"
 #include "workload/distributions.h"
@@ -62,9 +64,12 @@ TEST_P(AllForecasters, ForecastIsNonNegativeOnDecayingSignal) {
 }
 
 TEST_P(AllForecasters, NameRoundTripsThroughFactoryString) {
-  EXPECT_EQ(predict::forecaster_kind_from_string(
-                predict::to_string(GetParam())),
-            GetParam());
+  // The kind's name is its `forecaster=` spelling in the sweep registry.
+  expr::ExperimentConfig cfg =
+      expr::ExperimentConfig::make_default(core::StreamingMode::kClientServer);
+  sweep::apply_parameter(cfg, "forecaster", predict::to_string(GetParam()));
+  EXPECT_EQ(cfg.forecaster, GetParam());
+  EXPECT_EQ(cfg.strategy, expr::Strategy::kForecast);
 }
 
 TEST_P(AllForecasters, RejectsNegativeObservation) {
@@ -247,17 +252,6 @@ TEST(HoltWinters, OutperformsPersistenceOnSeasonalSignal) {
     last->observe(signal(k));
   }
   EXPECT_LT(hw_score.mae(), 0.4 * last_score.mae());
-}
-
-TEST(Factory, ShortAliasesParse) {
-  EXPECT_EQ(predict::forecaster_kind_from_string("last"),
-            ForecasterKind::kPersistence);
-  EXPECT_EQ(predict::forecaster_kind_from_string("ma"),
-            ForecasterKind::kMovingAverage);
-  EXPECT_EQ(predict::forecaster_kind_from_string("hw"),
-            ForecasterKind::kHoltWinters);
-  EXPECT_THROW((void)predict::forecaster_kind_from_string("nope"),
-               util::PreconditionError);
 }
 
 // ---------------------------------------------------------------------------

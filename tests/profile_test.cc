@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "profile/invariants.h"
 #include "profile/profile.h"
 #include "sweep/goldens.h"
+#include "sweep/param_grid.h"
 #include "util/check.h"
 #include "util/json.h"
 #include "util/rng.h"
@@ -154,6 +156,29 @@ TEST(ProfileSchema, EveryGridCellIsValidatedAtLoadTime) {
                   {"grid cell 0 (strategy=reactive)"});
   expect_rejected(R"({"grid": [{"name": "zipf", "values": ["nan"]}]})",
                   {"grid cell 0 (zipf=nan)"});
+  // Non-finite workload values, and a Zipf exponent so large that the
+  // tail channels' weights underflow to a zero arrival envelope.
+  for (const char* cell : {"arrival=inf", "uplink_ratio=inf",
+                           "uplink_ratio=nan", "uplink_shape=inf",
+                           "zipf=inf", "zipf=1e308"}) {
+    const std::string text(cell);
+    const std::size_t eq = text.find('=');
+    expect_rejected(R"({"grid": [{"name": ")" + text.substr(0, eq) +
+                        R"(", "values": [")" + text.substr(eq + 1) +
+                        R"("]}]})",
+                    {"grid cell 0 (" + text + ")"});
+  }
+  expect_rejected(R"({"grid": [{"name": "zipf", "values": ["1e308"]}]})",
+                  {"zero arrival envelope", "zipf=1e+308"});
+  expect_rejected(R"({"overrides": {"arrival": "inf"},
+                      "grid": [{"name": "mode", "values": ["cs"]}]})",
+                  {"grid cell 0 (mode=cs)"});
+  // Unbounded budgets and boot delays stay accepted.
+  EXPECT_EQ(parse(R"({"grid": [{"name": "vm_budget", "values": ["inf"]},
+                               {"name": "storage_budget", "values": ["inf"]},
+                               {"name": "boot_delay", "values": ["inf"]}]})")
+                .grid.num_points(),
+            1u);
   // Cells, not single values: jump=0.9 alone leaves no room to leave, but
   // with leave=0.05 the cell is valid.
   expect_rejected(R"({"grid": [{"name": "jump", "values": ["0.9"]}]})",
@@ -259,6 +284,27 @@ TEST(Fuzzer, SameSeedComposesIdenticalProfiles) {
     const Profile pb = random_profile(b);
     EXPECT_EQ(pa.to_json().dump(2), pb.to_json().dump(2));
   }
+}
+
+TEST(Fuzzer, DrawsEveryForecasterSpelling) {
+  // The fuzzer's values come from the registry, so every spelling a
+  // choice parameter accepts is drawn sooner or later.
+  const std::vector<std::string>& spellings =
+      sweep::parameter_values("forecaster");
+  std::set<std::string> seen;
+  util::Rng rng(42);
+  for (int i = 0; i < 5000 && seen.size() < spellings.size(); ++i) {
+    const Profile p = random_profile(rng);
+    for (const auto& [name, value] : p.overrides) {
+      if (name == "forecaster") seen.insert(value);
+    }
+    for (const sweep::ParamAxis& axis : p.grid.axes()) {
+      if (axis.name == "forecaster") {
+        seen.insert(axis.values.begin(), axis.values.end());
+      }
+    }
+  }
+  EXPECT_EQ(seen, std::set<std::string>(spellings.begin(), spellings.end()));
 }
 
 TEST(Fuzzer, MinimizeDropsEverythingIrrelevant) {

@@ -187,36 +187,73 @@ TEST(ParamGrid, NewAxesParseAndClassify) {
 }
 
 TEST(ParamGrid, EveryKnownParameterApplies) {
-  // The registry must stay applyable end to end; representative values.
-  expr::ExperimentConfig cfg =
-      expr::ExperimentConfig::make_default(core::StreamingMode::kClientServer);
+  // Every value the registry lists — each spelling of a choice parameter,
+  // each sample of a numeric one — applies to the default config and
+  // leaves it valid.
   for (const std::string& name : known_parameters()) {
     (void)parameter_affects_workload(name);  // must not throw
-    if (name == "mode") {
-      apply_parameter(cfg, name, "p2p");
-    } else if (name == "strategy") {
-      apply_parameter(cfg, name, "clairvoyant");
-    } else if (name == "capacity") {
-      apply_parameter(cfg, name, "literal");
-    } else if (name == "channels") {
-      apply_parameter(cfg, name, "5");
-    } else if (name == "p2p_cap") {
-      apply_parameter(cfg, name, "bandwidth");
-    } else if (name == "forecaster") {
-      apply_parameter(cfg, name, "seasonal-ewma");
-    } else if (name == "region") {
-      apply_parameter(cfg, name, "asia");
-    } else if (name == "uplink_shape") {
-      apply_parameter(cfg, name, "3");
-    } else if (name == "chunk_minutes") {
-      apply_parameter(cfg, name, "5");
-    } else if (name == "engine") {
-      apply_parameter(cfg, name, "cohort");
-    } else {
-      apply_parameter(cfg, name, "0.5");
+    ASSERT_FALSE(parameter_values(name).empty()) << name;
+    for (const std::string& value : parameter_values(name)) {
+      SCOPED_TRACE(name + "=" + value);
+      expr::ExperimentConfig cfg = expr::ExperimentConfig::make_default(
+          core::StreamingMode::kClientServer);
+      apply_parameter(cfg, name, value);
+      cfg.validate();
     }
   }
-  cfg.workload.behavior.validate();
+}
+
+TEST(ParamGrid, UnknownSpellingNamesEveryAcceptedSpelling) {
+  // The choice parameters and how many spellings each accepts.
+  const std::vector<std::pair<std::string, std::size_t>> expected = {
+      {"region", 4},  {"mode", 2},       {"strategy", 7}, {"capacity", 2},
+      {"p2p_cap", 2}, {"forecaster", 7}, {"engine", 3}};
+  std::vector<std::pair<std::string, std::size_t>> choices;
+  for (const std::string& name : known_parameters()) {
+    if (parameter_spellings(name).empty()) continue;
+    choices.emplace_back(name, parameter_values(name).size());
+    expr::ExperimentConfig cfg =
+        expr::ExperimentConfig::make_default(core::StreamingMode::kP2p);
+    try {
+      apply_parameter(cfg, name, "no-such-spelling");
+      ADD_FAILURE() << name << " accepted an unknown spelling";
+    } catch (const util::PreconditionError& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find("expected " + parameter_spellings(name)),
+                std::string::npos)
+          << message;
+      for (const std::string& spelling : parameter_values(name)) {
+        EXPECT_NE(message.find(spelling), std::string::npos) << message;
+      }
+    }
+  }
+  EXPECT_EQ(choices, expected);
+}
+
+TEST(ParamGrid, ChoiceSpellingsSetTheirFields) {
+  expr::ExperimentConfig cfg =
+      expr::ExperimentConfig::make_default(core::StreamingMode::kP2p);
+  apply_parameter(cfg, "engine", "cohort");
+  EXPECT_EQ(cfg.engine, expr::Engine::kCohort);
+  apply_parameter(cfg, "engine", "auto");
+  EXPECT_EQ(cfg.engine, expr::Engine::kAuto);
+  apply_parameter(cfg, "engine", "discrete");
+  EXPECT_EQ(cfg.engine, expr::Engine::kDiscrete);
+  apply_parameter(cfg, "mode", "cs");
+  EXPECT_EQ(cfg.mode, core::StreamingMode::kClientServer);
+  apply_parameter(cfg, "strategy", "model-nofloor");
+  EXPECT_EQ(cfg.strategy, expr::Strategy::kModelBased);
+  EXPECT_FALSE(cfg.occupancy_floor);
+  apply_parameter(cfg, "strategy", "model");
+  EXPECT_TRUE(cfg.occupancy_floor);
+  apply_parameter(cfg, "capacity", "literal");
+  EXPECT_EQ(cfg.capacity_model, core::CapacityModel::kPerChunkLiteral);
+  apply_parameter(cfg, "p2p_cap", "bandwidth");
+  EXPECT_EQ(cfg.p2p.demand_cap, core::P2pDemandCap::kProvisionedBandwidth);
+  // A forecaster spelling also selects the forecast strategy.
+  apply_parameter(cfg, "forecaster", "ewma");
+  EXPECT_EQ(cfg.strategy, expr::Strategy::kForecast);
+  EXPECT_EQ(cfg.forecaster, predict::ForecasterKind::kEwma);
 }
 
 // ------------------------------------------------------ per-run seeding

@@ -8,10 +8,13 @@
 //
 //   tool_fuzz --runs=25 --seed=1 [--threads=<hardware>] [--out=results/fuzz]
 //
-// Profiles are composed from the live scenario catalog and applier
+// Profiles are composed from the live scenario catalog and parameter
 // registry (random composite expressions with random `@` fire times,
-// random grid axes and overrides — see src/profile/fuzzer.cc), so the
-// fuzzer automatically covers new scenarios and parameters as they land.
+// random grid axes and overrides — see src/profile/fuzzer.cc). Parameter
+// values come from sweep::parameter_values: every spelling of a choice
+// parameter and the sample values each numeric parameter carries in its
+// registry entry (src/sweep/param_grid.cc), so a new scenario, parameter
+// or spelling is fuzzed as soon as it is registered.
 // The sequence is deterministic in --seed: CI logs a failing seed, you
 // replay it locally with the same flags.
 //

@@ -38,8 +38,9 @@
 //                           horizon come from its profiles/<name>.json,
 //                           --threads still applies — output must not
 //                           depend on it)
-//        --list (print scenarios with their ops, grid parameters, golden
-//                presets and exit)
+//        --list (print scenarios with their ops, grid parameters with
+//                each choice parameter's spellings, golden presets and
+//                exit)
 //        --list-goldens (print one golden preset name per line, for scripts)
 //
 // Unknown flags are rejected with a did-you-mean suggestion (so --thread=4
@@ -126,9 +127,12 @@ void print_listing() {
       std::printf("    (no ops: the identity — paper defaults)\n");
     }
   }
-  std::printf("\ngrid parameters (--grid name=v1,v2,...):\n");
+  std::printf("\ngrid parameters (--grid name=v1,v2,...; each value a "
+              "number or one of the spellings shown):\n");
   for (const std::string& name : sweep::known_parameters()) {
-    std::printf("  %s%s\n", name.c_str(),
+    const std::string spellings = sweep::parameter_spellings(name);
+    std::printf("  %-14s %s%s\n", name.c_str(),
+                spellings.empty() ? "<number>" : spellings.c_str(),
                 sweep::parameter_affects_workload(name)
                     ? "  (workload-shaping: feeds the per-run seed)"
                     : "");
